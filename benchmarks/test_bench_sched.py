@@ -29,7 +29,8 @@ copies just stretch the macro-cycle: per-query ratios land at 1.00 +/-
 ``tests/test_sched.py::TestHciScaleSensitivity``.  ``REPRO_BENCH_SMOKE=1``
 shrinks the fleet for CI with a looser 15% floor (small fleets quantise
 the phase grid more coarsely, but the effect must still be plainly
-visible).
+visible).  The wall-clock assertions and the ``BENCH_sched.json`` write run
+only under ``REPRO_BENCH_RECORD=1``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.sim.fleet import run_fleet
 from repro.sim.runner import build_index
 from repro.spatial.datasets import uniform_dataset
 
-from conftest import BENCH_SMOKE, emit, write_bench
+from conftest import BENCH_RECORD, BENCH_SMOKE, emit, write_bench
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sched.json"
 
@@ -116,12 +117,13 @@ def test_sched_bench():
             )
             # the optimizer is a once-per-cycle server-side cost, not a
             # per-client one: it must stay far below the fleet wall-clock
-            assert stages["dsi_optimize_s"] < 5.0
+            if BENCH_RECORD:
+                assert stages["dsi_optimize_s"] < 5.0
             # Optimized (replicated) schedules must run on the SoA kernel
             # at population speed -- the PR 8 cliff closure.
             if not os.environ.get("REPRO_PURE"):
                 assert opt.backend == "numpy", opt.backend_reason
-                if not BENCH_SMOKE:
+                if BENCH_RECORD and not BENCH_SMOKE:
                     cps = stages["dsi_fleet_clients_per_sec"]
                     assert cps >= MIN_OPT_CPS, (
                         f"dsi optimized fleet below floor: "

@@ -8,6 +8,8 @@ at the repository root so later PRs can track the performance trajectory.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the workloads so CI can run the bench on
 every push; the batch-vs-scalar speedup assertion is relaxed accordingly.
+The timing assertions and the ``BENCH_perf.json`` write run only under
+``REPRO_BENCH_RECORD=1``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.sim.runner import build_index, clear_index_cache, index_cache_stats, 
 from repro.spatial.datasets import uniform_dataset
 from repro.spatial.geometry import Point, Rect
 
-from conftest import BENCH_SMOKE, emit, write_bench
+from conftest import BENCH_RECORD, BENCH_SMOKE, emit, write_bench
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
@@ -71,7 +73,8 @@ def test_perf_microbench():
     stages["hilbert_scalar_lut_s"] = t_lut
     stages["hilbert_batch_s"] = t_batch
     stages["hilbert_batch_speedup_vs_scalar"] = t_classical / max(t_batch, 1e-9)
-    assert stages["hilbert_batch_speedup_vs_scalar"] >= MIN_BATCH_SPEEDUP
+    if BENCH_RECORD:
+        assert stages["hilbert_batch_speedup_vs_scalar"] >= MIN_BATCH_SPEEDUP
 
     # -- stage: window covers -------------------------------------------------
     windows = [
@@ -97,7 +100,8 @@ def test_perf_microbench():
     stages["index_build_cached_s"] = cached
     stats = index_cache_stats()
     assert stats["hits"] >= 3
-    assert cached < cold
+    if BENCH_RECORD:
+        assert cached < cold
 
     # -- stage: workload replay ----------------------------------------------
     index = build_index("dsi", dataset, config, True)
@@ -136,5 +140,5 @@ def test_perf_microbench():
     emit(
         "Perf microbench (per-stage wall clock)",
         "\n".join(f"{name:38s} {value:12.6f}" for name, value in stages.items())
-        + f"\n\nwritten: {BENCH_JSON}",
+        + f"\n\nBENCH file: {BENCH_JSON}",
     )

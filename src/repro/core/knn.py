@@ -78,7 +78,6 @@ class _SearchSpace:
         view: DsiAirView,
         q: Point,
         k: int,
-        est_cache: Optional[Dict[int, float]] = None,
     ) -> None:
         self.view = view
         self.q = q
@@ -89,10 +88,9 @@ class _SearchSpace:
         self.exact: Dict[int, float] = {}           # oid -> exact distance
         self.retrieved_hcs: Set[int] = set()
         self.lost_objects = 0
-        # hc -> distance memo.  Pure geometry (query point vs the curve's
-        # representative points), so callers replaying the same query from
-        # several tune-ins may share one cache across executions.
-        self._est_memo: Dict[int, float] = {} if est_cache is None else est_cache
+        # hc -> distance memo (query point vs the curve's representative
+        # points).
+        self._est_memo: Dict[int, float] = {}
         self._radius: Optional[float] = None        # invalidated on updates
         # Cover of the current search circle, keyed by the exact radius it
         # was derived for: consecutive planner iterations whose radius did
@@ -212,7 +210,6 @@ def knn_query(
     strategy: str = "conservative",
     max_ranges: int = 64,
     knowledge: Optional[ClientKnowledge] = None,
-    est_cache: Optional[Dict[int, float]] = None,
 ) -> KnnQueryResult:
     """Execute a kNN query through ``session`` and return the result.
 
@@ -224,10 +221,6 @@ def knn_query(
     read is skipped.  Exactness is untouched (the estimates are the same
     kind the cold search accumulates, and all pruning keeps the half-cell
     safety margin).
-
-    ``est_cache`` optionally shares the pure hc-to-distance memo across
-    repeated executions of the *same* query (the fleet kernel's kNN lanes);
-    it never affects results, only repeated geometry work.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -239,7 +232,7 @@ def knn_query(
         knowledge = ClientKnowledge(view.n_frames, view.n_segments, curve.max_value)
     else:
         knowledge.begin_query()
-    space = _SearchSpace(view, q, k, est_cache=est_cache)
+    space = _SearchSpace(view, q, k)
     tables_before = knowledge.tables_read
     frames_visited = 0
 

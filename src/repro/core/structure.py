@@ -454,19 +454,13 @@ class DsiIndex(AirIndex):
 
     def knn_query(
         self, q: Point, k: int, session, strategy: str = "conservative",
-        state=None, est_cache=None,
+        state=None,
     ):
-        """Run a kNN query through an existing :class:`ClientSession`.
-
-        ``est_cache`` optionally shares the planner's pure hc-to-distance
-        memo across re-executions of the same query (see
-        :func:`repro.core.knn.knn_query`).
-        """
+        """Run a kNN query through an existing :class:`ClientSession`."""
         from .knn import knn_query as run
 
         return run(
-            self.air_view(), session, q, k,
-            strategy=strategy, knowledge=state, est_cache=est_cache,
+            self.air_view(), session, q, k, strategy=strategy, knowledge=state
         )
 
     def new_client_state(self):

@@ -38,7 +38,7 @@ falling back to the reference -- when one fails):
    test reduces to: rank ``r`` is a candidate iff some unprocessed relevant
    rank lies in ``[B(r), A(r))``, where ``B``/``A`` are the nearest known
    ranks at/below and strictly above ``r`` (0 / ``F`` when none).  That is
-   two running min/max sweeps and a cumulative sum per hop.
+   four running min/max sweeps per hop (:func:`_segment_candidates`).
 3. **Visit cost is static per (query, rank).**  Because extents are
    disjoint, the qualified objects of a relevant frame -- and therefore the
    exact bucket-read sequence of its visit (directory, then qualified data
@@ -88,8 +88,9 @@ carries), while examined/processed reset per hop (``begin_query``).  Hop 1
 runs the cold entry (probe + first table + opportunistic entry
 processing); later hops advance the clock by the step's dwell, pay the
 re-armed probe, and walk with the same global-minimum clamp -- every table
-teaches rank 0, so the warm clamp equals the cold one and the per-hop
-precompute is hop-invariant.  The hop-1 entry-landmark collapse carries
+teaches rank 0 (``_Static`` declines indexes where one does not), so the
+warm clamp equals the cold one and the per-hop precompute is
+hop-invariant.  The hop-1 entry-landmark collapse carries
 over whole journeys: lanes are ``(journey, entry occurrence)`` pairs.
 
 Latency is ``exit clock - tune-in`` (summed over hops for journeys);
@@ -131,10 +132,14 @@ per-query search plans.  All static geometry is decoded once per query --
 every table value and directory record collapses to a distance against a
 flat rank-indexed object array (:meth:`DsiIndex.rank_object_arrays`), so
 the planner's HC-keyed estimate/exact dictionaries become boolean bitmask
-rows over object ids with a shared value row.  Circle covers are memoized
-per ``(query, prune radius)`` and compiled to global rank bounds; lanes
-reduce them to candidate intervals with two known-rank sweeps, the
-rank-space image of ``candidate_rank_array``.  The k-th-candidate radius
+rows over object ids with a shared value row.  Each circle cover is
+compiled once per index into a knowledge-free *rank mask* -- the ranks
+its pieces span -- memoized on the circle's quantised cell rect, so
+repeated calls on one index reuse it across queries, channel counts and
+strategies.  A lane's candidates are the ranks whose known-rank segment
+``[B(r), A(r))`` holds a mask bit: the window walkers' segment test with
+the mask in place of the unprocessed relevant ranks, and the rank-space
+image of ``candidate_rank_array``.  The k-th-candidate radius
 is a row-wise ``np.partition`` over radius-dirty lanes, frame selection a
 batched ``argmin`` reproducing the scalar planner's tie-breaks bit-exactly
 (including the ``aggressive`` distance-then-arrival lexsort), and finished
@@ -233,6 +238,11 @@ class _Static:
                         "table teaches a value that is not the frame minimum"
                     )
                 learn[rank, taught] = True
+        if not learn[:, 0].all():
+            # Rank 0 known after the first table read is what lets warm
+            # hops share the cold clamp and kNN covers test candidacy by
+            # known-rank segments.
+            raise KernelUnsupported("a table does not teach rank 0")
 
         self.n_frames = n_frames
         self.mins = mins
@@ -267,6 +277,37 @@ def _rank_relevance(
     hit = j > 0
     reach = p_his[np.maximum(j - 1, 0)] >= static.ext_lo
     return hit & reach
+
+
+def _segment_candidates(kn: np.ndarray, hit: np.ndarray) -> np.ndarray:
+    """Ranks whose known-rank segment holds a ``hit`` rank (bool rows).
+
+    Rank ``r`` qualifies iff some hit rank ``r'`` lies in ``[B(r), A(r))``,
+    with ``B``/``A`` the nearest known ranks at/below and strictly above
+    ``r`` (0 / ``F`` when none).  Any such ``r' <= r`` satisfies
+    ``r' < A(r)`` outright, so the test splits at ``r``:
+    ``(largest hit r' <= r) >= B(r)`` or ``(smallest hit r' > r) < A(r)``
+    -- four running sweeps and two elementwise compares, gather-free.
+    """
+    n_frames = kn.shape[1]
+    # Rank-valued sweeps use the smallest dtype that fits: the hop loops
+    # are memory-bound and every byte per cell is wall-clock.
+    rdt = np.int16 if n_frames < np.iinfo(np.int16).max else np.int32
+    ranks_row = np.arange(n_frames, dtype=rdt)
+    fill_hi = rdt(n_frames)
+    below = np.maximum.accumulate(np.where(kn, ranks_row, rdt(0)), axis=1)
+    prev_h = np.maximum.accumulate(np.where(hit, ranks_row, rdt(-1)), axis=1)
+    above_ge = np.minimum.accumulate(
+        np.where(kn, ranks_row, fill_hi)[:, ::-1], axis=1
+    )[:, ::-1]
+    next_h_ge = np.minimum.accumulate(
+        np.where(hit, ranks_row, fill_hi)[:, ::-1], axis=1
+    )[:, ::-1]
+    cand = np.empty(kn.shape, dtype=bool)
+    cand[:, :-1] = next_h_ge[:, 1:] < above_ge[:, 1:]
+    cand[:, -1] = False
+    cand |= prev_h >= below
+    return cand
 
 
 def _qualified_mask(hcs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -738,38 +779,14 @@ class _Walker:
         pr = self.processed.copy()
         qr = np.asarray(qrow, dtype=np.int64)
         rl = self.rel[qr]
-        # Rank-valued working arrays use the smallest dtype that fits: the
-        # hop loop is memory-bound and every byte per cell is wall-clock.
-        rdt = np.int16 if n_frames < np.iinfo(np.int16).max else np.int32
-        ranks_row = np.arange(n_frames, dtype=rdt)
-        fill_lo = rdt(0)
-        fill_hi = rdt(n_frames)
-        none_lo = rdt(-1)
         big = geo.wdtype(geo.cc)
         hop_limit = 8 * n_frames + 64  # the reference walk's safety bound
         for hop in range(hop_limit + 1):
             if not len(idx):
                 break
-            # Candidacy, gather-free: r is a candidate iff it is unexamined
-            # and some unprocessed relevant rank r' lies in [B(r), A(r)),
-            # with B/A the nearest known ranks at/below and strictly above
-            # r.  Any such r' <= r satisfies r' < A(r) outright, so the
-            # test splits at r:
-            #   (largest r' <= r) >= B(r)   or   (smallest r' > r) < A(r)
-            # -- four running sweeps and two elementwise compares.
-            unproc = rl & ~pr
-            below = np.maximum.accumulate(np.where(kn, ranks_row, fill_lo), axis=1)
-            prev_u = np.maximum.accumulate(np.where(unproc, ranks_row, none_lo), axis=1)
-            above_ge = np.minimum.accumulate(
-                np.where(kn, ranks_row, fill_hi)[:, ::-1], axis=1
-            )[:, ::-1]
-            next_u_ge = np.minimum.accumulate(
-                np.where(unproc, ranks_row, fill_hi)[:, ::-1], axis=1
-            )[:, ::-1]
-            cand = np.empty((len(idx), n_frames), dtype=bool)
-            cand[:, :-1] = next_u_ge[:, 1:] < above_ge[:, 1:]
-            cand[:, -1] = False
-            cand |= prev_u >= below
+            # Candidacy: r is a candidate iff it is unexamined and its
+            # known-rank segment holds an unprocessed relevant rank.
+            cand = _segment_candidates(kn, rl & ~pr)
             cand &= ~ex
             has = cand.any(axis=1)
 
@@ -961,9 +978,9 @@ def _simulate_dsi_journeys(
         error_theta, error_scope, error_seed, key_jids, key_phases, n_phases
     )
     # One precompute row per (journey, step): knowledge clamps pending at
-    # the global minimum, which hop 1's entry read always teaches (every
-    # table teaches rank 0), so warm hops share the cold clamp and the
-    # per-row tables are hop-invariant.
+    # the global minimum, which hop 1's entry read always teaches (_Static
+    # gates that every table teaches rank 0), so warm hops share the cold
+    # clamp and the per-row tables are hop-invariant.
     rel, vlen, voff, vflat, correct_q = _precompute_queries(
         static, index, queries, verify, dataset
     )
@@ -1619,7 +1636,7 @@ class _KnnStatic:
     __slots__ = (
         "n_objects", "n_groups", "flen", "obj_start", "obj_bucket", "oids",
         "hcs", "hc_group", "grp_hcs", "grp_of_rank", "dir_bucket",
-        "est_grps", "est_len", "objects",
+        "est_grps", "est_len", "objects", "covers",
     )
 
     def __init__(self, static: _Static, index: Any) -> None:
@@ -1669,6 +1686,7 @@ class _KnnStatic:
         self.est_grps = est_grps
         self.est_len = est_len
         self.objects = ro.objects
+        self.covers = _KnnCovers(index.curve, static.mins)
 
 
 def _knn_static_of(index: Any, static: _Static) -> _KnnStatic:
@@ -1679,8 +1697,13 @@ def _knn_static_of(index: Any, static: _Static) -> _KnnStatic:
     return kst
 
 
+#: Covers kept per index in the kNN cover memo before it is reset (the
+#: same cap ``repro.spatial.hilbert`` puts on its window-cover memo).
+_KNN_COVER_MEMO_MAX = 8192
+
+
 class _KnnCovers:
-    """Shared circle covers compiled to rank bounds, memoized on cell keys.
+    """Shared circle covers compiled to rank masks, memoized on cell keys.
 
     ``resolve`` maps every lane's prune radius to the exact cover
     ``_needed_ranks`` would build (same ``ranges_for_circle`` call, same
@@ -1689,14 +1712,19 @@ class _KnnCovers:
     ceil/floor cell quantisation -- the invariant its own cover cache
     memoizes on -- so the quantised key is computed here vectorised for
     all lanes at once, deduplicated, and only genuinely new covers reach
-    python.  Each new cover's piece endpoints are pre-resolved against the
-    frame minima; lanes later reduce those bounds to candidate rank
-    intervals under their own knowledge -- the rank-space image of
-    ``ClientKnowledge.candidate_rank_array`` -- so one compiled cover is
-    shared by every lane, phase and *query* that reaches the same cells.
+    the sweep.  Each new cover compiles to one knowledge-free row of
+    ``masks`` over frame ranks: rank ``r`` is set when some piece's global
+    span ``[max(a0, 0), b0 - 1]`` holds it, ``a0`` being the largest rank
+    whose minimum is <= the piece's low end and ``b0`` the first rank whose
+    minimum exceeds its high end.  Lanes test those rows against their own
+    knowledge with :func:`_segment_candidates` -- the rank-space image of
+    ``ClientKnowledge.candidate_rank_array``.  A cover depends only on the
+    curve, the frame minima, the query point and the radius, so one memo
+    per index (on :class:`_KnnStatic`) serves every lane, phase, query,
+    call, channel count and strategy that reaches the same cells.
     """
 
-    __slots__ = ("curve", "mins", "max_ranges", "side", "memo", "_a0", "_b0", "_plen", "_n")
+    __slots__ = ("curve", "mins", "max_ranges", "side", "memo", "masks", "_n")
 
     def __init__(self, curve: Any, mins: np.ndarray, max_ranges: int = 64) -> None:
         self.curve = curve
@@ -1704,62 +1732,31 @@ class _KnnCovers:
         self.max_ranges = max_ranges
         self.side = float(curve.side)
         self.memo: Dict[int, int] = {}
-        self._a0 = np.zeros((16, 4), dtype=np.int64)
-        self._b0 = np.zeros((16, 4), dtype=np.int64)
-        self._plen = np.zeros(16, dtype=np.int64)
+        self.masks = np.zeros((16, len(mins)), dtype=bool)
         self._n = 0
 
-    def _append(self, ranges: List[Tuple[int, int]]) -> int:
-        bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
-        # Global (knowledge-free) rank positions of the piece endpoints:
-        # the largest rank whose minimum is <= lo and the first rank
-        # whose minimum is > hi.  A lane's knowledge sweep turns these
-        # into the scalar walk's [a, b] candidate intervals.
-        a = np.searchsorted(self.mins, bounds[:, 0], side="right") - 1
-        b = np.searchsorted(self.mins, bounds[:, 1], side="right")
-        n, w = self._n, len(a)
-        rows, width = self._a0.shape
-        if n >= rows or w > width:
-            rows2, width2 = max(2 * rows, n + 1), max(width, w)
-            for f in ("_a0", "_b0"):
-                grown = np.zeros((rows2, width2), dtype=np.int64)
-                grown[:n, :width] = getattr(self, f)[:n]
-                setattr(self, f, grown)
-            plen2 = np.zeros(rows2, dtype=np.int64)
-            plen2[:n] = self._plen[:n]
-            self._plen = plen2
-        self._a0[n, :w] = a
-        self._b0[n, :w] = b
-        self._plen[n] = w
-        self._n = n + 1
-        return n
-
-    def _append_many(
+    def _add_masks(
         self, counts: np.ndarray, los: np.ndarray, his: np.ndarray
     ) -> int:
-        """Append a flat batch of covers; returns the first new cover id."""
-        a = np.searchsorted(self.mins, los, side="right") - 1
-        b = np.searchsorted(self.mins, his, side="right")
+        """Compile a flat batch of covers (``counts`` pieces each, bounds
+        ``los``/``his``) to mask rows; returns the first new cover id."""
         n, k = self._n, len(counts)
-        w = int(counts.max(initial=1))
-        rows, width = self._a0.shape
-        if n + k > rows or w > width:
-            rows2 = max(2 * rows, n + k)
-            width2 = max(width, w)
-            for f in ("_a0", "_b0"):
-                grown = np.zeros((rows2, width2), dtype=np.int64)
-                grown[:n, :width] = getattr(self, f)[:n]
-                setattr(self, f, grown)
-            plen2 = np.zeros(rows2, dtype=np.int64)
-            plen2[:n] = self._plen[:n]
-            self._plen = plen2
-        rows_ix = np.repeat(np.arange(n, n + k, dtype=np.int64), counts)
-        cuts = np.zeros(k, dtype=np.int64)
-        np.cumsum(counts[:-1], out=cuts[1:])
-        cols_ix = np.arange(len(los), dtype=np.int64) - np.repeat(cuts, counts)
-        self._a0[rows_ix, cols_ix] = a
-        self._b0[rows_ix, cols_ix] = b
-        self._plen[n: n + k] = counts
+        n_frames = len(self.mins)
+        if n + k > len(self.masks):
+            grown = np.zeros((max(2 * len(self.masks), n + k), n_frames), dtype=bool)
+            grown[:n] = self.masks[:n]
+            self.masks = grown
+        # Piece spans as a difference array.  b0 > a0 always, so a span is
+        # never reversed; an empty one (b0 == 0) adds and removes at 0.
+        a = np.maximum(np.searchsorted(self.mins, los, side="right") - 1, 0)
+        b = np.searchsorted(self.mins, his, side="right")
+        stride = n_frames + 1
+        at = np.repeat(np.arange(k, dtype=np.int64) * stride, counts)
+        diff = np.bincount(at + a, minlength=k * stride)
+        diff -= np.bincount(at + b, minlength=k * stride)
+        self.masks[n: n + k] = (
+            np.cumsum(diff.reshape(k, stride)[:, :n_frames], axis=1) > 0
+        )
         self._n = n + k
         return n
 
@@ -1770,14 +1767,18 @@ class _KnnCovers:
         qy: np.ndarray,
         prune: np.ndarray,
     ) -> np.ndarray:
-        """Cover ids for each row of ``(qids, prune)``.
+        """Cover ids (rows of ``masks``) for each row of ``(qids, prune)``.
 
         Replays ``circle_bounding_rect(...).clipped_to_unit()`` and the
         scaled-bound quantisation of ``ranges_for_rect`` elementwise (the
         same IEEE operations, so the same integers); an infinite radius
         keys the full-range cover.  Keys the memo has not seen sweep in
-        one ``covers_for_rects`` batch.
+        one ``covers_for_rects_flat`` batch.  The ids stay valid until the
+        next call: a full memo is reset only here, on entry.
         """
+        if len(self.memo) >= _KNN_COVER_MEMO_MAX:
+            self.memo.clear()
+            self._n = 0
         side = self.side
         key = np.full(len(prune), -1, dtype=np.int64)
         finite = np.isfinite(prune)
@@ -1796,22 +1797,24 @@ class _KnnCovers:
             k = k * base + np.floor(yhi).astype(np.int64)
             key[finite] = k
         uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        cids = np.empty(len(uniq), dtype=np.int64)
-        miss: List[int] = []
-        for u, uk in enumerate(uniq.tolist()):
-            cid = self.memo.get(uk)
-            if cid is None:
-                if uk < 0:
-                    cid = self._append([(0, int(self.curve.max_value) - 1)])
-                    self.memo[uk] = cid
-                else:
-                    miss.append(u)
-                    cid = -1
-            cids[u] = cid
-        if miss:
+        memo = self.memo
+        cids = np.fromiter(
+            (memo.get(uk, -1) for uk in uniq.tolist()), dtype=np.int64, count=len(uniq)
+        )
+        miss = np.flatnonzero(cids < 0)
+        if len(miss) and uniq[miss[0]] < 0:
+            # The infinite radius: one full-range piece.
+            top = int(self.curve.max_value) - 1
+            cids[miss[0]] = memo[-1] = self._add_masks(
+                np.ones(1, dtype=np.int64),
+                np.zeros(1, dtype=np.int64),
+                np.full(1, top, dtype=np.int64),
+            )
+            miss = miss[1:]
+        if len(miss):
             # All genuinely new covers sweep in one batched pass (the
             # clipped circle bounding rects, elementwise as the scalar
-            # path computes them), then append as one block.
+            # path computes them), then compile as one block.
             fi = first[miss]
             cm = qx[qids[fi]]
             dm = qy[qids[fi]]
@@ -1823,17 +1826,10 @@ class _KnnCovers:
                 np.minimum(1.0, dm + rm),
                 max_ranges=self.max_ranges,
             )
-            cid0 = self._append_many(counts, los, his)
-            uk_miss = uniq[miss].tolist()
-            for j, uk in enumerate(uk_miss):
-                self.memo[uk] = cid0 + j
-                cids[miss[j]] = cid0 + j
+            cid0 = self._add_masks(counts, los, his)
+            cids[miss] = np.arange(cid0, cid0 + len(miss), dtype=np.int64)
+            memo.update(zip(uniq[miss].tolist(), cids[miss].tolist()))
         return cids[inv]
-
-    def matrices(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded ``(A0, B0, piece_count)`` matrices over all covers so far."""
-        n = self._n
-        return self._a0[:n], self._b0[:n], self._plen[:n]
 
 
 def _knn_query_tables(
@@ -1911,7 +1907,6 @@ class _KnnWalker:
         geo: _Geometry,
         static: _Static,
         kst: _KnnStatic,
-        covers: _KnnCovers,
         qpoints: Sequence[Any],
         est_g: np.ndarray,
         ex_d: np.ndarray,
@@ -1924,7 +1919,6 @@ class _KnnWalker:
         self.geo = geo
         self.static = static
         self.kst = kst
-        self.covers = covers
         self.qpoints = qpoints
         self.est_g = est_g
         self.ex_d = ex_d
@@ -2181,10 +2175,10 @@ class _KnnWalker:
 
     def walk(self) -> None:
         """Run the planner loop until every lane's candidate set empties."""
-        geo, st, kst, covers = self.geo, self.static, self.kst, self.covers
+        geo, st, kst = self.geo, self.static, self.kst
+        covers = kst.covers
         n_frames = st.n_frames
         aggressive = self.strategy == "aggressive"
-        ranks_row = np.arange(n_frames, dtype=np.int32)
         big = geo.wdtype(geo.cc)
         slack = self.slack
         work = self.S.copy()
@@ -2193,46 +2187,14 @@ class _KnnWalker:
             if not len(work.idx):
                 return
             # Candidacy: resolve every lane's cover (vectorised cell-key
-            # dedup; only new covers reach python), then sweep each lane's
-            # known ranks over its global bounds (candidate_rank_array).
+            # dedup; only new covers reach the sweep), then test each
+            # lane's known-rank segments against its cover's rank mask.
+            # With rank 0 known, the planner's piece expansion
+            # [kn_prev(a0), kn_next(b0) - 1] is exactly the union of the
+            # segments touching the piece (candidate_rank_array).
             self._sync_radius(work)
             cids = covers.resolve(work.qid, self.qx, self.qy, work.rad + slack)
-            a0m, b0m, plen = covers.matrices()
-            n_live = len(work.idx)
-            rows = np.arange(n_live)
-            pl = plen[cids]
-            width = int(pl.max(initial=0))
-            kn_prev = np.maximum.accumulate(
-                np.where(work.kn, ranks_row, -1), axis=1
-            )
-            kn_next = np.minimum.accumulate(
-                np.where(work.kn, ranks_row, n_frames)[:, ::-1], axis=1
-            )[:, ::-1]
-            kn_next_pad = np.concatenate(
-                [kn_next, np.full((n_live, 1), n_frames, dtype=np.int32)], axis=1
-            )
-            cand = np.zeros((n_live, n_frames), dtype=bool)
-            if width:
-                a0 = a0m[cids, :width]
-                b0 = b0m[cids, :width]
-                # a: first known rank covering the piece's low end (the
-                # kn_prev of the global position, floored at rank 0 -- a
-                # piece starting below every minimum still begins at 0).
-                a = np.maximum(kn_prev[rows[:, None], np.maximum(a0, 0)], 0)
-                b = kn_next_pad[rows[:, None], b0] - 1
-                valid = (np.arange(width)[None, :] < pl[:, None]) & (a <= b)
-                vr, vp = np.nonzero(valid)
-                stride = n_frames + 1
-                diff = np.bincount(
-                    vr * stride + a[vr, vp], minlength=n_live * stride
-                )
-                diff -= np.bincount(
-                    vr * stride + b[vr, vp] + 1, minlength=n_live * stride
-                )
-                cand = (
-                    np.cumsum(diff.reshape(n_live, stride)[:, :n_frames], axis=1)
-                    > 0
-                )
+            cand = _segment_candidates(work.kn, covers.masks[cids])
             cand &= ~work.ex
             live = cand.any(axis=1)
             if not live.all():
@@ -2241,8 +2203,8 @@ class _KnnWalker:
                 if not len(work.idx):
                     return
                 cand = cand[live]
-                n_live = len(work.idx)
-                rows = np.arange(n_live)
+            n_live = len(work.idx)
+            rows = np.arange(n_live)
             if it == safety:
                 # The planner's safety cap: structurally unreachable here
                 # (each iteration examines a new rank, so the loop runs at
@@ -2366,9 +2328,8 @@ def _simulate_knn_fleet(
     curve = index.curve
     qpoints = [q.point for q in queries]
     est_g, ex_d, min_est, k_arr = _knn_query_tables(kst, curve, queries)
-    covers = _KnnCovers(curve, static.mins)
     walker = _KnnWalker(
-        geo, static, kst, covers, qpoints, est_g, ex_d, min_est, k_arr,
+        geo, static, kst, qpoints, est_g, ex_d, min_est, k_arr,
         qid=qrow, strategy=knn_strategy, slack=curve.cell_diagonal(),
     )
     walker.cold_entry(lane_start, conservative=knn_strategy == "conservative")
@@ -2423,9 +2384,8 @@ def _simulate_knn_journeys(
     curve = index.curve
     qpoints = [q.point for q in queries]
     est_g, ex_d, min_est, k_arr = _knn_query_tables(kst, curve, queries)
-    covers = _KnnCovers(curve, static.mins)
     walker = _KnnWalker(
-        geo, static, kst, covers, qpoints, est_g, ex_d, min_est, k_arr,
+        geo, static, kst, qpoints, est_g, ex_d, min_est, k_arr,
         qid=jid_c * n_steps, strategy=knn_strategy,
         slack=curve.cell_diagonal(),
     )

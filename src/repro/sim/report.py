@@ -95,8 +95,8 @@ def kernel_coverage(rows: Sequence[Dict[str, object]]) -> "OrderedDict[str, obje
 
     Fleet-mode cells tag every row with the simulation backend that
     produced it (``"numpy"`` for the structure-of-arrays kernels,
-    ``"lanes"`` for the deduplicated planner replays, ``"reference"`` for
-    the scalar fallback) plus the decline reason when a kernel stood down.
+    ``"reference"`` for the scalar fallback) plus the decline reason when a
+    kernel stood down.
     This rolls a whole experiment grid up so a regression in kernel
     applicability -- a gate accidentally widened, a new config shape the
     kernels decline -- shows as a ``kernel_fraction`` drop at a glance

@@ -35,6 +35,7 @@ from repro.queries.workload import knn_workload, window_workload
 from repro.sim.fleet import run_fleet, run_mobile_fleet
 from repro.sim.runner import build_index, execute_query
 from repro.spatial.datasets import uniform_dataset
+from repro.spatial.geometry import Point
 
 N_CLIENTS = 300
 MAX_PHASES = 12
@@ -464,3 +465,200 @@ def test_kernel_verify_counts_clients():
     total = out.result.correct_trials + out.result.incorrect_trials
     assert total == 2_000
     assert out.result.accuracy == 1.0
+
+
+# --- kNN cover masks: oracle corpus, warm memo, memo bound -------------------
+
+#: Seeded (dataset, workload, channels, strategy, k, journeys) cells whose
+#: real kNN walks supply the (knowledge, cover) corpus below.
+_KNN_CORPUS_CELLS = [
+    (101, 7, 1, "conservative", 3, False),
+    (202, 8, 4, "conservative", 5, False),
+    (303, 9, 1, "aggressive", 1, False),
+    (404, 10, 4, "aggressive", 12, False),
+    (505, 11, 1, "conservative", 4, True),
+    (606, 12, 4, "aggressive", 2, True),
+]
+
+
+def _piece_interval_candidates(mins, kn, covers):
+    """Test oracle: the kNN lanes' former piece-interval candidacy.
+
+    Each cover piece's global rank bounds ``a0`` (last rank whose minimum
+    is <= the piece's low end) and ``b0`` (first rank whose minimum
+    exceeds its high end) expand under a lane's knowledge to
+    ``[kn_prev(max(a0, 0)), kn_next(b0) - 1]``; candidates are the union,
+    built as a bincount difference array over padded piece matrices.
+    """
+    n_live, n_frames = kn.shape
+    width = max(len(c) for c in covers)
+    a0 = np.zeros((n_live, width), dtype=np.int64)
+    b0 = np.zeros((n_live, width), dtype=np.int64)
+    plen = np.array([len(c) for c in covers], dtype=np.int64)
+    for row, cover in enumerate(covers):
+        bounds = np.asarray(cover, dtype=np.int64).reshape(-1, 2)
+        a0[row, : len(cover)] = np.searchsorted(mins, bounds[:, 0], side="right") - 1
+        b0[row, : len(cover)] = np.searchsorted(mins, bounds[:, 1], side="right")
+    ranks_row = np.arange(n_frames, dtype=np.int32)
+    rows = np.arange(n_live)
+    kn_prev = np.maximum.accumulate(np.where(kn, ranks_row, -1), axis=1)
+    kn_next = np.minimum.accumulate(
+        np.where(kn, ranks_row, n_frames)[:, ::-1], axis=1
+    )[:, ::-1]
+    kn_next_pad = np.concatenate(
+        [kn_next, np.full((n_live, 1), n_frames, dtype=np.int32)], axis=1
+    )
+    a = np.maximum(kn_prev[rows[:, None], np.maximum(a0, 0)], 0)
+    b = kn_next_pad[rows[:, None], b0] - 1
+    valid = (np.arange(width)[None, :] < plen[:, None]) & (a <= b)
+    vr, vp = np.nonzero(valid)
+    stride = n_frames + 1
+    diff = np.bincount(vr * stride + a[vr, vp], minlength=n_live * stride)
+    diff -= np.bincount(vr * stride + b[vr, vp] + 1, minlength=n_live * stride)
+    return np.cumsum(diff.reshape(n_live, stride)[:, :n_frames], axis=1) > 0
+
+
+def _knn_index_and_run(dataset_seed, workload_seed, channels, strategy, k,
+                       journeys, index=None):
+    dataset = uniform_dataset(70, seed=dataset_seed)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    if index is None:
+        index = build_index("dsi", dataset, config, use_cache=False)
+    if journeys:
+        workload = trajectory_workload(
+            n_journeys=4, n_steps=3, seed=workload_seed, query="knn", k=k
+        )
+        result = run_mobile_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=workload_seed,
+            max_phases=MAX_PHASES, knn_strategy=strategy,
+        )
+    else:
+        workload = knn_workload(4, k=k, seed=workload_seed)
+        result = run_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=workload_seed,
+            max_phases=MAX_PHASES, knn_strategy=strategy,
+        )
+    assert result.backend == "numpy", result.backend_reason
+    return index, result
+
+
+def test_cover_masks_match_piece_interval_oracle(monkeypatch):
+    """Mask candidacy equals the piece-interval candidacy on real walks.
+
+    Every (knowledge row, prune circle) pair the kNN lanes meet in the
+    corpus cells is replayed twice: through a fresh mask memo and the
+    shared segment test, and through the scalar planner's cover
+    (``ranges_for_circle``, or the full range at an infinite radius) fed
+    to the oracle.  The candidate sets must agree row for row.
+    """
+    from repro.sim import fleet_kernel as fk
+
+    calls = []
+    real_resolve = fk._KnnCovers.resolve
+    real_segments = fk._segment_candidates
+
+    def resolve(self, qids, qx, qy, prune):
+        calls.append([qx[qids], qy[qids], prune.copy(), None])
+        return real_resolve(self, qids, qx, qy, prune)
+
+    def segments(kn, hit):
+        calls[-1][3] = kn.copy()
+        return real_segments(kn, hit)
+
+    monkeypatch.setattr(fk._KnnCovers, "resolve", resolve)
+    monkeypatch.setattr(fk, "_segment_candidates", segments)
+    walks = []
+    for cell in _KNN_CORPUS_CELLS:
+        start = len(calls)
+        index, _ = _knn_index_and_run(*cell)
+        walks.append((index, calls[start:]))
+    monkeypatch.undo()
+
+    n_rows = n_inf = 0
+    for index, corpus in walks:
+        mins = fk._static_of(index).mins
+        curve = index.curve
+        px, py, prune, kn = (
+            np.concatenate([c[f] for c in corpus]) for f in range(4)
+        )
+        memo = fk._KnnCovers(curve, mins)
+        cids = memo.resolve(np.arange(len(prune)), px, py, prune)
+        got = fk._segment_candidates(kn, memo.masks[cids])
+        covers = [
+            [(0, curve.max_value - 1)] if np.isinf(r)
+            else curve.ranges_for_circle(Point(x, y), r, max_ranges=64)
+            for x, y, r in zip(px.tolist(), py.tolist(), prune.tolist())
+        ]
+        want = _piece_interval_candidates(mins, kn, covers)
+        np.testing.assert_array_equal(got, want)
+        n_rows += len(kn)
+        n_inf += int(np.isinf(prune).sum())
+    assert n_rows > 1_000 and 0 < n_inf < n_rows
+
+
+@pytest.mark.parametrize("journeys", [False, True], ids=["fleet", "journey"])
+@pytest.mark.parametrize("strategy", ["conservative", "aggressive"])
+@pytest.mark.parametrize("channels", [1, 4])
+def test_knn_warm_cover_memo_matches_cold(channels, strategy, journeys):
+    """A second kNN call on one index (warm cover memo) changes nothing.
+
+    The rank-mask memo lives on the index, so the second call resolves
+    its circles from covers the first one compiled; both must equal each
+    other and a call on a freshly built index, execution for execution.
+    """
+    cell = (77, 5, channels, strategy, 4, journeys)
+    index, first = _knn_index_and_run(*cell)
+    memo = index._soa_knn_static.covers.memo
+    assert memo
+    n_covers = len(memo)
+    _, second = _knn_index_and_run(*cell, index=index)
+    assert len(memo) == n_covers  # every circle was a memo hit
+    _, fresh = _knn_index_and_run(*cell)
+    for other in (second, fresh):
+        np.testing.assert_array_equal(first.unique_counts, other.unique_counts)
+        np.testing.assert_array_equal(first.unique_latency, other.unique_latency)
+        np.testing.assert_array_equal(first.unique_tuning, other.unique_tuning)
+
+
+def test_knn_cover_memo_bound_clears_mid_fleet(monkeypatch):
+    """A memo that overflows its cap mid-walk resets without changing a
+    single execution: ids handed out by one ``resolve`` stay valid until
+    the walk has gathered their masks."""
+    from repro.sim import fleet_kernel as fk
+
+    cell = (88, 6, 4, "conservative", 5, False)
+    _, full = _knn_index_and_run(*cell)
+    clears = []
+    real_resolve = fk._KnnCovers.resolve
+
+    def resolve(self, *args):
+        clears.append(len(self.memo) >= fk._KNN_COVER_MEMO_MAX)
+        return real_resolve(self, *args)
+
+    monkeypatch.setattr(fk, "_KNN_COVER_MEMO_MAX", 3)
+    monkeypatch.setattr(fk._KnnCovers, "resolve", resolve)
+    _, capped = _knn_index_and_run(*cell)
+    assert sum(clears) >= 2 and not clears[0]
+    np.testing.assert_array_equal(full.unique_counts, capped.unique_counts)
+    np.testing.assert_array_equal(full.unique_latency, capped.unique_latency)
+    np.testing.assert_array_equal(full.unique_tuning, capped.unique_tuning)
+
+
+def test_static_declines_tables_that_skip_rank_zero(monkeypatch):
+    """The kernels rely on every table teaching rank 0; an index where one
+    does not is declined, not simulated."""
+    from repro.core.knowledge import ClientKnowledge
+    from repro.sim import fleet_kernel as fk
+
+    dataset = uniform_dataset(60, seed=3)
+    config = SystemConfig(packet_capacity=64)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    fk._Static(index)  # the built structure satisfies the invariant
+    real_pairs = ClientKnowledge.table_pairs
+
+    def pairs(self, table):
+        return tuple(p for p in real_pairs(self, table) if p[0] != 0)
+
+    monkeypatch.setattr(ClientKnowledge, "table_pairs", pairs)
+    with pytest.raises(fk.KernelUnsupported, match="rank 0"):
+        fk._Static(index)

@@ -9,8 +9,8 @@ The run must complete via the batched machinery (distinct (journey, phase)
 executions collapsed further onto hop-1 entry landmarks), never per-client
 Python loops: the executions assertion pins the collapse, and serial vs
 parallel runs must produce identical population statistics.  Since PR 8
-warm DSI window journeys advance on the SoA journey kernel
-(``simulate_window_journeys``) -- the backend stages record it and the
+warm DSI window journeys advance on the SoA kernels
+(:mod:`repro.sim.fleet_kernel`) -- the backend stages record it and the
 full-scale run gates a clients/sec floor on it.  ``REPRO_BENCH_SMOKE=1``
 shrinks the fleet for CI.  The wall-clock assertions and the
 ``BENCH_mobility.json`` write run only under ``REPRO_BENCH_RECORD=1``.

@@ -340,6 +340,19 @@ class TreeOnAir:
     def index_node_count(self) -> int:
         return len(self.nodes)
 
+    @property
+    def sweep_guard(self) -> int:
+        """How many select steps one sweep over this tree may take.
+
+        The shared safety bound of the R-tree and HCI sweeps and of the
+        fleet kernel's frontier sweeps.  A sweep takes one step per pending
+        event it resolves, lost reads included, so only heavy link loss
+        comes near it.  A reference sweep that reaches it stops and flags
+        its result (``TreeQueryResult.iterations_capped``); the kernel
+        declines instead.
+        """
+        return 64 * len(self.program) + 256
+
     def describe(self) -> Dict[str, object]:
         return {
             "tree": self.name,

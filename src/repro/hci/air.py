@@ -107,7 +107,7 @@ class HciAirIndex(AirIndex):
     ) -> TreeQueryResult:
         cover = self.window_cover(window)
         session.initial_probe()
-        retrieved, nodes_read, objects_read = self._range_sweep(
+        retrieved, nodes_read, objects_read, capped = self._range_sweep(
             session, cover, collect_data=True, cache=state
         )
         objects = [o for o in retrieved if window.contains_point(o.point)]
@@ -116,6 +116,7 @@ class HciAirIndex(AirIndex):
             metrics=session.metrics(),
             nodes_read=nodes_read,
             objects_read=objects_read,
+            iterations_capped=capped,
         )
 
     # -- kNN query ----------------------------------------------------------------
@@ -132,6 +133,7 @@ class HciAirIndex(AirIndex):
         session.initial_probe()
         nodes_read_total = 0
         objects_read_total = 0
+        capped = False
 
         # Phase 1: locate the objects nearest to q along the curve and derive
         # a provably sufficient search radius from their (cell-centre)
@@ -143,8 +145,11 @@ class HciAirIndex(AirIndex):
         for _attempt in range(8):
             lo = max(0, hc_q - width)
             hi = min(self.curve.max_value - 1, hc_q + width)
-            entries, nodes_read = self._leaf_entry_sweep(session, [(lo, hi)], cache=state)
+            entries, nodes_read, sweep_capped = self._leaf_entry_sweep(
+                session, [(lo, hi)], cache=state
+            )
             nodes_read_total += nodes_read
+            capped |= sweep_capped
             candidate_hcs = entries
             if len(candidate_hcs) >= k or (lo == 0 and hi == self.curve.max_value - 1):
                 break
@@ -165,7 +170,7 @@ class HciAirIndex(AirIndex):
         # Phase 2: a window query over the search circle's bounding box.
         box = circle_bounding_rect(q, radius)
         cover = self.curve.ranges_for_rect(box, max_ranges=96, max_depth=min(self.curve.order, 10))
-        retrieved, nodes_read, objects_read = self._range_sweep(
+        retrieved, nodes_read, objects_read, sweep_capped = self._range_sweep(
             session, cover, collect_data=True, cache=state
         )
         nodes_read_total += nodes_read
@@ -177,6 +182,7 @@ class HciAirIndex(AirIndex):
             metrics=session.metrics(),
             nodes_read=nodes_read_total,
             objects_read=objects_read_total,
+            iterations_capped=capped or sweep_capped,
         )
 
     # -- shared sweeps -------------------------------------------------------------
@@ -200,10 +206,14 @@ class HciAirIndex(AirIndex):
         ranges: Sequence[HCRange],
         collect_data: bool,
         cache: Optional[Dict[int, AirTreeNode]] = None,
-    ) -> Tuple[List[DataObject], int, int]:
-        """Traverse the tree for every HC range, retrieving matching objects."""
+    ) -> Tuple[List[DataObject], int, int, bool]:
+        """Traverse the tree for every HC range, retrieving matching objects.
+
+        Returns ``(objects, nodes_read, objects_read, capped)``; ``capped``
+        is True when the sweep stopped at the tree's sweep guard.
+        """
         if not ranges:
-            return [], 0, 0
+            return [], 0, 0, False
         root, nodes_read = self._read_root(session, cache)
         objects_read = 0
         retrieved: List[DataObject] = []
@@ -211,7 +221,7 @@ class HciAirIndex(AirIndex):
         pending_objects: Set[int] = set()
         self._expand(root, ranges, pending_nodes, pending_objects)
 
-        guard = 64 * len(self.program) + 256
+        guard = self.air.sweep_guard
         steps = 0
         while pending_nodes or (collect_data and pending_objects):
             if cache and _drain_cached(
@@ -221,7 +231,7 @@ class HciAirIndex(AirIndex):
                 continue
             steps += 1
             if steps > guard:
-                break
+                return retrieved, nodes_read, objects_read, True
             kind, ident, bucket_index = self.air.next_pending_event(
                 session.clock, pending_nodes, pending_objects if collect_data else (),
                 session=session,
@@ -239,22 +249,23 @@ class HciAirIndex(AirIndex):
                 pending_objects.discard(ident)
                 objects_read += 1
                 retrieved.append(result.payload)
-        return retrieved, nodes_read, objects_read
+        return retrieved, nodes_read, objects_read, False
 
     def _leaf_entry_sweep(
         self,
         session: ClientSession,
         ranges: Sequence[HCRange],
         cache: Optional[Dict[int, AirTreeNode]] = None,
-    ) -> Tuple[List[int], int]:
-        """Traverse the tree for the ranges but collect only leaf-entry HC values."""
+    ) -> Tuple[List[int], int, bool]:
+        """Traverse the tree for the ranges but collect only leaf-entry HC
+        values: ``(hcs, nodes_read, capped)``, as for :meth:`_range_sweep`."""
         root, nodes_read = self._read_root(session, cache)
         found: List[int] = []
         pending_nodes: Set[int] = set()
         sink: Set[int] = set()
         self._expand(root, ranges, pending_nodes, sink, found)
 
-        guard = 64 * len(self.program) + 256
+        guard = self.air.sweep_guard
         steps = 0
         while pending_nodes:
             if cache and _drain_cached(
@@ -264,7 +275,7 @@ class HciAirIndex(AirIndex):
                 continue
             steps += 1
             if steps > guard:
-                break
+                return found, nodes_read, True
             _kind, ident, bucket_index = self.air.next_pending_event(
                 session.clock, pending_nodes, session=session
             )
@@ -276,7 +287,7 @@ class HciAirIndex(AirIndex):
             if cache is not None:
                 cache[ident] = result.payload
             self._expand(result.payload, ranges, pending_nodes, sink, found)
-        return found, nodes_read
+        return found, nodes_read, False
 
     @staticmethod
     def range_children(

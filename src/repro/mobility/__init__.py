@@ -17,8 +17,8 @@ missing pieces:
   metrics (tuning energy, hop latency, result staleness).
 
 Population-scale moving fleets live in :func:`repro.sim.fleet.run_mobile_fleet`
-(same batched unique-execution machinery as stationary fleets, with the
-entry-landmark collapse generalized to whole warm journeys); the public
+(the one fleet engine, where a stationary trial is a cold one-step journey,
+with the entry-landmark collapse covering whole warm journeys); the public
 faces are :meth:`repro.api.MobileClient.travel` and
 :meth:`repro.api.Experiment.mobility`.
 """

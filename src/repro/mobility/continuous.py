@@ -19,11 +19,13 @@ moving client legitimately owns:
 ``speed`` (distance per packet), so the answer describes a position
 ``speed * latency_packets`` behind the client when it lands.
 
-This engine is the single simulation path for journeys: the API's
-:meth:`~repro.api.MobileClient.travel` and the population-scale
-:func:`~repro.sim.fleet.run_mobile_fleet` both run journeys through
-:class:`ContinuousClient`, which is what makes per-client and fleet
-results comparable by construction.
+This engine runs journeys one client at a time: the API's
+:meth:`~repro.api.MobileClient.travel` goes through
+:class:`ContinuousClient`.  Population-scale fleets
+(:func:`~repro.sim.fleet.run_mobile_fleet`) do not: their engine walks the
+same ``(query, dwell)`` steps on one session per distinct execution (or on
+the lockstep kernels of :mod:`repro.sim.fleet_kernel`), and the fleet
+brute-force suites pin those numbers to :func:`run_journey`'s.
 """
 
 from __future__ import annotations

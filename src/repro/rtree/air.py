@@ -33,6 +33,9 @@ class TreeQueryResult:
     metrics: AccessMetrics
     nodes_read: int = 0
     objects_read: int = 0
+    #: True when a sweep stopped at :attr:`TreeOnAir.sweep_guard` with
+    #: work still pending, so the answer may be incomplete.
+    iterations_capped: bool = False
 
     @property
     def object_ids(self) -> List[int]:
@@ -121,8 +124,9 @@ class RTreeAirIndex(AirIndex):
         self._expand_window(root, window, pending_nodes, pending_objects)
         objects_read = 0
 
-        guard = 64 * len(self.program) + 256
+        guard = self.air.sweep_guard
         steps = 0
+        capped = False
         while pending_nodes or pending_objects:
             if state and _drain_cached(
                 pending_nodes, state,
@@ -131,6 +135,7 @@ class RTreeAirIndex(AirIndex):
                 continue
             steps += 1
             if steps > guard:
+                capped = True
                 break
             kind, ident, bucket_index = self.air.next_pending_event(
                 session.clock, pending_nodes, pending_objects, session=session
@@ -155,6 +160,7 @@ class RTreeAirIndex(AirIndex):
             metrics=session.metrics(),
             nodes_read=nodes_read,
             objects_read=objects_read,
+            iterations_capped=capped,
         )
 
     @staticmethod
@@ -204,13 +210,15 @@ class RTreeAirIndex(AirIndex):
         root, nodes_read = self._read_root(session, state)
         sweep.expand(root)
 
-        guard = 64 * len(self.program) + 256
+        guard = self.air.sweep_guard
         steps = 0
+        capped = False
         while not sweep.finished():
             if state and self._drain_knn_cached(sweep, state):
                 continue
             steps += 1
             if steps > guard:
+                capped = True
                 break
             event = self.air.next_pending_event(
                 session.clock, sweep.pending_nodes, sweep.pending_data, session=session
@@ -255,6 +263,7 @@ class RTreeAirIndex(AirIndex):
             metrics=session.metrics(),
             nodes_read=nodes_read,
             objects_read=len(sweep.downloaded),
+            iterations_capped=capped,
         )
 
     @staticmethod

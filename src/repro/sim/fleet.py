@@ -40,14 +40,15 @@ total over the population, and memory stays O(unique executions + cycle)
 result for exact cross-checks (:meth:`FleetResult.exact_mean` /
 :meth:`FleetResult.exact_percentile`).
 
-**Moving fleets** (:func:`run_mobile_fleet`) extend the same machinery to
-journey-scale populations: clients draw a whole
-:class:`~repro.mobility.trajectory.TrajectoryWorkload` journey instead of
-a single query, run it *warm* (persistent session and index knowledge,
-see :mod:`repro.mobility`), and the landmark collapse generalizes from
-single executions to entire journeys -- phases sharing the first hop's
-entry landmark share the journey's whole absolute trace (see
-:func:`_simulate_journey_batch`).
+**One engine.**  A stationary query is hop 1 of a journey, so both public
+drivers hand :func:`_run_population` *items* -- the ``(query,
+dwell_packets)`` steps one client walks on one session.  :func:`run_fleet`
+passes each trial as a one-step item run cold; :func:`run_mobile_fleet`
+passes each :class:`~repro.mobility.trajectory.TrajectoryWorkload` journey
+and runs it *warm* (the index's ``new_client_state()`` carried across
+hops, see :mod:`repro.mobility`).  The landmark collapse covers whole items:
+phases sharing the first hop's entry landmark share the item's whole
+absolute trace (see :func:`_simulate_item_batch`).
 """
 
 from __future__ import annotations
@@ -161,8 +162,35 @@ class FleetSpec:
         return None
 
 
+class _PopulationView:
+    """What :class:`FleetResult` and :class:`MobileFleetResult` share:
+    throughput, the exact mean, and a row's engine columns."""
+
+    @property
+    def clients_per_sec(self) -> float:
+        return self.n_clients / self.elapsed_s if self.elapsed_s > 0 else math.inf
+
+    def exact_mean(self, metric: str = "latency") -> float:
+        """Exact population mean from the per-execution histogram."""
+        values = self.unique_latency if metric == "latency" else self.unique_tuning
+        return float(np.dot(values, self.unique_counts) / self.unique_counts.sum())
+
+    def _engine_columns(self, row: Dict[str, Any]) -> Dict[str, Any]:
+        """Append accuracy (when verified), throughput and which engine ran."""
+        checked = self.result.correct_trials + self.result.incorrect_trials
+        if checked:
+            row["accuracy"] = self.result.accuracy
+        row["clients_per_sec"] = self.clients_per_sec
+        row["backend"] = self.backend
+        row["backend_reason"] = self.backend_reason or ""
+        row["schedule_policy"] = self.schedule_policy
+        if self.capped_executions:
+            row["capped_executions"] = self.capped_executions
+        return row
+
+
 @dataclass
-class FleetResult:
+class FleetResult(_PopulationView):
     """Outcome of one fleet run.
 
     ``result`` carries the streaming latency/tuning summaries (an
@@ -199,10 +227,11 @@ class FleetResult:
     #: REPRO_PURE note.  ``None`` on kernel runs -- surfaced as a sweep row
     #: column so perf cliffs are visible instead of silent.
     backend_reason: Optional[str] = None
-    #: How many distinct executions ended with the kNN planner's safety cap
-    #: truncating the search (``KnnQueryResult.iterations_capped``).  Always
-    #: 0 for window workloads and on kernel runs (the kernels decline
-    #: cap-bound lanes); nonzero means some answers may be inexact.
+    #: How many distinct executions ended with a planner's safety cap
+    #: truncating the search (``iterations_capped`` on the DSI kNN planner's
+    #: and the R-tree/HCI sweeps' results).  Always 0 on kernel runs (the
+    #: kernels decline cap-bound lanes); nonzero means some answers may be
+    #: inexact.
     capped_executions: int = 0
     #: Realized per-query client draw counts (length = number of workload
     #: queries), retained -- with references to the run's workload, index and
@@ -219,10 +248,6 @@ class FleetResult:
         default_factory=dict, repr=False, compare=False
     )
 
-    @property
-    def clients_per_sec(self) -> float:
-        return self.n_clients / self.elapsed_s if self.elapsed_s > 0 else math.inf
-
     # -- exact cross-checks ----------------------------------------------------
 
     def _exact(self, metric: str) -> Tuple[List[Tuple[float, int]], int]:
@@ -237,11 +262,6 @@ class FleetResult:
             cached = (sorted(hist.items()), int(self.unique_counts.sum()))
             self._hist_cache[metric] = cached
         return cached
-
-    def exact_mean(self, metric: str = "latency") -> float:
-        """Exact population mean from the per-execution histogram."""
-        values = self.unique_latency if metric == "latency" else self.unique_tuning
-        return float(np.dot(values, self.unique_counts) / self.unique_counts.sum())
 
     def exact_percentile(self, q: float, metric: str = "latency") -> float:
         """Exact population percentile (same interpolation as exact summaries)."""
@@ -284,16 +304,7 @@ class FleetResult:
         }
         row.update(metric_columns(self.result.latency, "latency"))
         row.update(metric_columns(self.result.tuning, "tuning"))
-        checked = self.result.correct_trials + self.result.incorrect_trials
-        if checked:
-            row["accuracy"] = self.result.accuracy
-        row["clients_per_sec"] = self.clients_per_sec
-        row["backend"] = self.backend
-        row["backend_reason"] = self.backend_reason or ""
-        row["schedule_policy"] = self.schedule_policy
-        if self.capped_executions:
-            row["capped_executions"] = self.capped_executions
-        return row
+        return self._engine_columns(row)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +414,17 @@ def _population_result(
 
 
 # ---------------------------------------------------------------------------
-# Unique-execution simulation (initializer-shared context, per-query batches)
+# Unique-execution simulation (initializer-shared context, per-item batches)
 # ---------------------------------------------------------------------------
 
 #: Shared read-only simulation state, installed once per worker process by
 #: the pool initializer (and once in-process on the serial path).  The task
-#: tuples themselves carry only a query id and its phase keys.
+#: tuples themselves carry only an item id and its phase keys.
 _SIM_CTX: Dict[str, Any] = {}
+
+#: One fleet item: the ``(query, dwell_packets)`` steps one client walks on
+#: one session.  A stationary trial is a one-step item.
+_Steps = Tuple[Tuple[Any, int], ...]
 
 
 def _install_sim_ctx(ctx: Dict[str, Any]) -> None:
@@ -429,18 +444,34 @@ def _install_sim_ctx(ctx: Dict[str, Any]) -> None:
         _SIM_CTX["view"] = schedule.view()
 
 
-def _simulate_query_batch(qid: int, phases: Sequence[int]) -> List[Tuple[int, int, int, int]]:
-    """Simulate every requested phase of one query (module-level: picklable).
+def _simulate_item_batch(iid: int, phases: Sequence[int]) -> List[Tuple[int, int, int, int]]:
+    """Simulate every requested tune-in phase of one item (picklable).
 
-    Batching by query keeps all per-query invariants -- the trial, its HC
-    cover memo, the exact ground-truth answer when verifying -- warm across
-    the whole phase sweep, and enables the *landmark collapse*: an
-    error-free execution's absolute trace is a pure function of its first
+    Each execution walks the item's steps on one fresh session, advancing
+    through each step's radio-off dwell between queries.  With the
+    context's ``warm`` flag (journeys) the index's ``new_client_state()``
+    rides along every hop; without it (stationary trials) every query runs
+    cold, because warm state is not neutral even on a first query -- an
+    HCI node cache lets a kNN query's range sweep reuse nodes its leaf
+    sweeps read.
+
+    Batching by item keeps all per-item invariants -- the steps, their HC
+    cover memos, the exact ground-truth answers when verifying -- warm
+    across the whole phase sweep, and enables the *landmark collapse*: an
+    error-free first hop's absolute trace is a pure function of its first
     entry-structure read (see :meth:`repro.api.protocol.AirIndex.
-    entry_landmark`), so phases sharing a landmark are simulated once and
-    differ only by the tune-in offset in access latency.  Link errors draw
-    an independent loss realisation per (query, phase), so error runs keep
-    one full simulation per phase.
+    entry_landmark`), so two phases sharing it leave the client in the
+    identical absolute state -- clock, parked channel, accumulated
+    knowledge -- at the end of hop 1.  Every later hop starts from that
+    state after a fixed dwell and is therefore identical too; only the
+    first hop's access latency differs, by exactly the tune-in offset.  One
+    representative is simulated per landmark and its totals shifted per
+    phase.  Link errors draw an independent loss realisation per (item,
+    phase), so error runs keep one full simulation per phase.
+
+    Returns ``(latency_bytes, tuning_bytes, correct_hops, capped_hops)``
+    per phase, summed over the item's hops (``correct_hops`` is -1 when not
+    verifying).
     """
     from .runner import execute_query
 
@@ -455,13 +486,13 @@ def _simulate_query_batch(qid: int, phases: Sequence[int]) -> List[Tuple[int, in
     error_seed = ctx["error_seed"]
     knn_strategy = ctx["knn_strategy"]
     capacity = config.packet_capacity
-    trial = ctx["trials"][qid]
-    query = trial.query
-    truth = None
+    steps: _Steps = ctx["items"][iid]
+    new_state = getattr(index, "new_client_state", None) if ctx["warm"] else None
+    truths = None
     if ctx["verify"]:
         from ..queries.ground_truth import answer
 
-        truth = answer(ctx["dataset"], query)
+        truths = [answer(ctx["dataset"], query) for query, _ in steps]
 
     def simulate(
         start_packet: int, error_model: Optional[LinkErrorModel]
@@ -469,10 +500,21 @@ def _simulate_query_batch(qid: int, phases: Sequence[int]) -> List[Tuple[int, in
         session = ClientSession(
             view, config, start_packet=start_packet, error_model=error_model
         )
-        outcome = execute_query(index, query, session, knn_strategy=knn_strategy)
-        correct = -1 if truth is None else int(matches_truth(query, truth, outcome.objects))
-        capped = int(getattr(outcome, "iterations_capped", False))
-        return outcome.metrics.latency_packets, outcome.metrics.tuning_bytes, correct, capped
+        state = None if new_state is None else new_state()
+        lat_packets = tun_bytes = capped_hops = 0
+        correct_hops = -1 if truths is None else 0
+        for hop, (query, dwell) in enumerate(steps):
+            if hop:
+                session.next_query(dwell)
+            outcome = execute_query(
+                index, query, session, knn_strategy=knn_strategy, state=state
+            )
+            lat_packets += outcome.metrics.latency_packets
+            tun_bytes += outcome.metrics.tuning_bytes
+            capped_hops += int(getattr(outcome, "iterations_capped", False))
+            if truths is not None:
+                correct_hops += int(matches_truth(query, truths[hop], outcome.objects))
+        return lat_packets, tun_bytes, correct_hops, capped_hops
 
     landmark = getattr(index, "entry_landmark", None)
     switch = (
@@ -487,9 +529,9 @@ def _simulate_query_batch(qid: int, phases: Sequence[int]) -> List[Tuple[int, in
         phase = int(phase)
         start_packet = (phase * cycle) // n_phases
         if theta is not None:
-            # Every client sharing this (query, phase) execution experiences
+            # Every client sharing this (item, phase) execution experiences
             # the same loss realisation; distinct executions are independent.
-            key = qid * n_phases + phase
+            key = iid * n_phases + phase
             error_model = LinkErrorModel(
                 theta=theta, scope=scope, seed=(error_seed * 1_000_003 + key) & 0x7FFFFFFF
             )
@@ -510,6 +552,187 @@ def _simulate_query_batch(qid: int, phases: Sequence[int]) -> List[Tuple[int, in
                     lat_packets = rep_lat - (start_packet - p_rep)
         out.append((lat_packets * capacity, tun_bytes, correct, capped))
     return out
+
+
+def _fleet_spec(
+    n_clients: int,
+    seed: int,
+    tune_in: Optional[Sequence[float]],
+    client_seeds: Optional[Sequence[int]],
+    max_phases: int,
+) -> FleetSpec:
+    """The validated :class:`FleetSpec` of one public fleet call."""
+    return FleetSpec(
+        n_clients=n_clients,
+        seed=seed,
+        max_phases=max_phases,
+        tune_in=None if tune_in is None else tuple(float(v) for v in tune_in),
+        client_seeds=None if client_seeds is None else tuple(int(s) for s in client_seeds),
+    )
+
+
+def _run_population(
+    index: Any,
+    dataset: SpatialDataset,
+    config: SystemConfig,
+    spec: FleetSpec,
+    items: List[_Steps],
+    *,
+    warm: bool,
+    label: str,
+    workload_name: str,
+    error_theta: Optional[float],
+    error_scope: str,
+    error_seed: int,
+    verify: bool,
+    knn_strategy: str,
+    parallel: bool,
+    processes: Optional[int],
+    schedule: Optional[BroadcastSchedule],
+) -> Tuple[Dict[str, Any], np.ndarray]:
+    """The one fleet engine behind :func:`run_fleet` and :func:`run_mobile_fleet`.
+
+    Draws the population once onto ``(item, phase)`` keys, simulates each
+    distinct key once -- on the lockstep kernels when they accept the run,
+    else on :func:`_simulate_item_batch`, serially or sharded over a worker
+    pool -- and weights every outcome by its clients.  ``warm`` carries the
+    index's client state across hops on the reference path; the kernels
+    read warmth from the items themselves (see
+    :mod:`repro.sim.fleet_kernel`).  Returns the result fields both fleet
+    results share, plus the realized client draws per item.
+    """
+    if error_theta is not None and not (0.0 <= error_theta <= 1.0):
+        raise ValueError("error_theta must be within [0, 1]")
+
+    t0 = time.perf_counter()
+    explicit_schedule = schedule is not None
+    if schedule is None:
+        schedule = BroadcastSchedule.for_config(index.program, config)
+    elif schedule.base_program is not index.program:
+        raise ValueError("schedule was built for a different broadcast program")
+    view = schedule.view()
+    pure = pure_mode()
+    timeline = None if pure else timeline_of(view)
+    cycle = view.cycle_packets
+    n_items = len(items)
+    n_phases = min(cycle, spec.max_phases)
+
+    # -- draw clients once, onto (item, phase) keys and tune-in packets --------
+    counts, wait_summary = _draw_population(
+        spec, n_items, n_phases, view, timeline, config.packet_capacity
+    )
+
+    # -- simulate each distinct execution once ---------------------------------
+    keys = np.flatnonzero(counts)
+    task_counts = counts[keys]
+    key_ids = keys // n_phases
+    key_phases = keys % n_phases
+
+    # The structure-of-arrays kernels advance every distinct execution in
+    # lockstep as flat arrays, no per-phase python walk.  They decline
+    # (KernelUnsupported) anything outside their proven-exact envelope; the
+    # decline reason is kept on the result so sweeps can see why a run was
+    # slow, and REPRO_PURE forces the reference path.
+    backend = "reference"
+    backend_reason: Optional[str] = None
+    kernel_out = None
+    if pure:
+        backend_reason = "REPRO_PURE forces the reference path"
+    else:
+        from .fleet_kernel import KernelUnsupported, _simulate_items
+
+        try:
+            kernel_out = _simulate_items(
+                index, view, config, items, key_ids, key_phases,
+                n_phases=n_phases, cycle=cycle, verify=verify, dataset=dataset,
+                error_theta=error_theta, error_scope=error_scope,
+                error_seed=error_seed, knn_strategy=knn_strategy,
+            )
+        except KernelUnsupported as exc:
+            backend_reason = str(exc)
+
+    if kernel_out is not None:
+        lat_b, tun_b, correct_hops = kernel_out
+        backend = "numpy"
+        uniq_lat = lat_b.astype(np.float64)
+        uniq_tun = tun_b.astype(np.float64)
+        # The kernels decline any lane whose search would hit a planner's
+        # safety cap, so kernel-run executions are never truncated.
+        capped_hops = np.zeros(len(keys), dtype=np.int64)
+    else:
+        # Reference path, batched per item.  One task per (item, phase-run):
+        # items are contiguous in key order, and large phase runs are split
+        # so the pool has a few chunks per worker to balance -- each task
+        # ships two ints and a phase list.  A 1-worker "pool" adds fork
+        # overhead for nothing, so the fan-out degrades to the serial path
+        # (identical results either way).
+        tasks: List[Tuple[int, List[int]]] = []
+        n_workers = processes if processes is not None else default_processes()
+        use_parallel = parallel and n_workers > 1
+        target_chunks = max(n_items, 2 * n_workers) if use_parallel else n_items
+        max_chunk = max(1, -(-len(keys) // max(target_chunks, 1)))
+        starts = np.flatnonzero(np.diff(key_ids, prepend=-1))
+        for i, start in enumerate(starts):
+            stop = starts[i + 1] if i + 1 < len(starts) else len(keys)
+            iid = int(key_ids[start])
+            for at in range(int(start), int(stop), max_chunk):
+                tasks.append((iid, key_phases[at:min(at + max_chunk, stop)].tolist()))
+        ctx = dict(
+            index=index, config=config, items=items, warm=warm,
+            n_phases=n_phases, cycle=cycle, error_theta=error_theta,
+            error_scope=error_scope, error_seed=error_seed, verify=verify,
+            knn_strategy=knn_strategy,
+        )
+        if verify:
+            ctx["dataset"] = dataset
+        if not use_parallel or explicit_schedule:
+            # Workers rebuild the view from (program, config) -- see
+            # _install_sim_ctx; in-process runs reuse the one already built,
+            # and an explicit schedule MUST ship because for_config cannot
+            # reproduce an optimized layout.
+            ctx["view"] = view
+        try:
+            outs = parallel_map(
+                _simulate_item_batch,
+                tasks,
+                processes=processes if use_parallel else 1,
+                initializer=_install_sim_ctx,
+                initargs=(ctx,),
+            )
+            sims = [t for out in outs for t in out]
+        finally:
+            _SIM_CTX.clear()
+        uniq_lat = np.array([s[0] for s in sims], dtype=np.float64)
+        uniq_tun = np.array([s[1] for s in sims], dtype=np.float64)
+        correct_hops = np.array([s[2] for s in sims], dtype=np.int64)
+        capped_hops = np.array([s[3] for s in sims], dtype=np.int64)
+
+    result = _population_result(
+        label, workload_name, n_items * n_phases, uniq_lat, uniq_tun, task_counts
+    )
+    if verify:
+        n_hops = np.array([len(steps) for steps in items], dtype=np.int64)[key_ids]
+        result.correct_trials = int(np.dot(task_counts, correct_hops))
+        result.incorrect_trials = int(np.dot(task_counts, n_hops - correct_hops))
+
+    fields = dict(
+        result=result,
+        n_clients=spec.n_clients,
+        n_executions=len(keys),
+        n_phases=n_phases,
+        cycle_packets=cycle,
+        quantized=n_phases < cycle,
+        elapsed_s=time.perf_counter() - t0,
+        first_index_wait=wait_summary,
+        unique_latency=uniq_lat,
+        unique_tuning=uniq_tun,
+        unique_counts=task_counts,
+        backend=backend,
+        schedule_policy=getattr(schedule, "policy", "flat"),
+        backend_reason=backend_reason,
+        capped_executions=int(np.count_nonzero(capped_hops)),
+    )
+    return fields, counts.reshape(n_items, n_phases).sum(axis=1)
 
 
 def run_fleet(
@@ -535,275 +758,32 @@ def run_fleet(
 ) -> FleetResult:
     """Run ``n_clients`` seeded tune-ins of ``workload`` against ``index``.
 
-    The channel topology comes from ``config`` (the schedule the runner
-    would air); an explicit ``schedule`` -- e.g. a demand-aware
+    Each trial is a cold one-step journey of the shared fleet engine.  The
+    channel topology comes from ``config`` (the schedule the runner would
+    air); an explicit ``schedule`` -- e.g. a demand-aware
     :meth:`BroadcastSchedule.optimized` layout of the same program --
     overrides the config-derived one.  Serial and parallel runs produce
     identical results.  See the module docstring for the simulation model.
     """
-    spec = FleetSpec(
-        n_clients=n_clients,
-        seed=seed,
-        max_phases=max_phases,
-        tune_in=None if tune_in is None else tuple(float(v) for v in tune_in),
-        client_seeds=None if client_seeds is None else tuple(int(s) for s in client_seeds),
-    )
+    spec = _fleet_spec(n_clients, seed, tune_in, client_seeds, max_phases)
     trials = list(workload)
     if not trials:
         raise ValueError(f"workload {workload.name!r} has no trials to assign to clients")
-    if error_theta is not None and not (0.0 <= error_theta <= 1.0):
-        raise ValueError("error_theta must be within [0, 1]")
-
-    t0 = time.perf_counter()
-    explicit_schedule = schedule is not None
-    if schedule is None:
-        schedule = BroadcastSchedule.for_config(index.program, config)
-    elif schedule.base_program is not index.program:
-        raise ValueError("schedule was built for a different broadcast program")
-    view = schedule.view()
-    pure = pure_mode()
-    timeline = None if pure else timeline_of(view)
-    cycle = view.cycle_packets
-    n_q = len(trials)
-    n_phases = min(cycle, spec.max_phases)
-    quantized = n_phases < cycle
-
-    # -- draw clients once, onto (query, phase) keys and tune-in packets -------
-    counts, wait_summary = _draw_population(
-        spec, n_q, n_phases, view, timeline, config.packet_capacity
+    fields, draws = _run_population(
+        index, dataset, config, spec, [((trial.query, 0),) for trial in trials],
+        warm=False, label=label or getattr(index, "name", type(index).__name__),
+        workload_name=workload.name, error_theta=error_theta,
+        error_scope=error_scope, error_seed=error_seed, verify=verify,
+        knn_strategy=knn_strategy, parallel=parallel, processes=processes,
+        schedule=schedule,
     )
-
-    # -- simulate each distinct execution once ---------------------------------
-    keys = np.flatnonzero(counts)
-    task_counts = counts[keys]
-    key_qids = keys // n_phases
-    key_phases = keys % n_phases
-
-    # Window fleets -- lossless or under the index-scope error model -- take
-    # the structure-of-arrays kernel: every distinct execution advances in
-    # lockstep as flat arrays, no per-phase python walk.  The kernel declines
-    # (KernelUnsupported) anything outside its proven-exact envelope; the
-    # decline reason is kept on the result so sweeps can see why a run was
-    # slow, and REPRO_PURE forces the reference path.
-    backend = "reference"
-    backend_reason: Optional[str] = None
-    kernel_out = None
-    if pure:
-        backend_reason = "REPRO_PURE forces the reference path"
-    else:
-        from .fleet_kernel import KernelUnsupported, simulate_window_fleet
-
-        try:
-            kernel_out = simulate_window_fleet(
-                index, view, config, trials, key_qids, key_phases,
-                n_phases=n_phases, cycle=cycle, verify=verify, dataset=dataset,
-                error_theta=error_theta, error_scope=error_scope,
-                error_seed=error_seed, knn_strategy=knn_strategy,
-            )
-        except KernelUnsupported as exc:
-            backend_reason = str(exc)
-            kernel_out = None
-
-    if kernel_out is not None:
-        lat_b, tun_b, corrects, backend = kernel_out
-        uniq_lat = lat_b.astype(np.float64)
-        uniq_tun = tun_b.astype(np.float64)
-        # The kernels decline any lane whose search would hit the planner's
-        # safety cap, so kernel-run executions are never truncated.
-        capped = np.zeros(len(keys), dtype=np.int64)
-    else:
-        # Reference path, batched per query.  One task per (query,
-        # phase-run): queries are contiguous in key order, and large phase
-        # runs are split so the pool has a few chunks per worker to balance
-        # -- each task ships two ints and a phase list.  A 1-worker "pool"
-        # adds fork overhead for nothing, so the fan-out degrades to the
-        # serial path (identical results either way).
-        tasks: List[Tuple[int, List[int]]] = []
-        n_workers = processes if processes is not None else default_processes()
-        use_parallel = parallel and n_workers > 1
-        target_chunks = max(n_q, 2 * n_workers) if use_parallel else n_q
-        max_chunk = max(1, -(-len(keys) // max(target_chunks, 1)))
-        q_starts = np.flatnonzero(np.diff(key_qids, prepend=-1))
-        for i, start in enumerate(q_starts):
-            stop = q_starts[i + 1] if i + 1 < len(q_starts) else len(keys)
-            qid = int(key_qids[start])
-            for at in range(int(start), int(stop), max_chunk):
-                tasks.append((qid, key_phases[at:min(at + max_chunk, stop)].tolist()))
-        ctx = dict(
-            index=index, config=config, trials=trials,
-            n_phases=n_phases, cycle=cycle, error_theta=error_theta,
-            error_scope=error_scope, error_seed=error_seed, verify=verify,
-            knn_strategy=knn_strategy,
-        )
-        if verify:
-            ctx["dataset"] = dataset
-        if not use_parallel or explicit_schedule:
-            # Workers rebuild the view from (program, config) -- see
-            # _install_sim_ctx; in-process runs reuse the one already built,
-            # and an explicit schedule MUST ship because for_config cannot
-            # reproduce an optimized layout.
-            ctx["view"] = view
-        try:
-            outs = parallel_map(
-                _simulate_query_batch,
-                tasks,
-                processes=processes if use_parallel else 1,
-                initializer=_install_sim_ctx,
-                initargs=(ctx,),
-            )
-            sims = [t for out in outs for t in out]
-        finally:
-            _SIM_CTX.clear()
-        uniq_lat = np.array([s[0] for s in sims], dtype=np.float64)
-        uniq_tun = np.array([s[1] for s in sims], dtype=np.float64)
-        corrects = np.array([s[2] for s in sims], dtype=np.int64)
-        capped = np.array([s[3] for s in sims], dtype=np.int64)
-
-    result = _population_result(
-        label or getattr(index, "name", type(index).__name__), workload.name,
-        n_q * n_phases, uniq_lat, uniq_tun, task_counts,
-    )
-    if verify:
-        result.correct_trials = int(task_counts[corrects == 1].sum())
-        result.incorrect_trials = int(task_counts[corrects == 0].sum())
-
     return FleetResult(
-        result=result,
-        n_clients=spec.n_clients,
-        n_executions=len(keys),
-        n_phases=n_phases,
-        cycle_packets=cycle,
-        quantized=quantized,
-        elapsed_s=time.perf_counter() - t0,
-        first_index_wait=wait_summary,
-        unique_latency=uniq_lat,
-        unique_tuning=uniq_tun,
-        unique_counts=task_counts,
-        backend=backend,
-        schedule_policy=getattr(schedule, "policy", "flat"),
-        backend_reason=backend_reason,
-        capped_executions=int(np.count_nonzero(capped)),
-        query_draws=counts.reshape(n_q, n_phases).sum(axis=1),
-        _workload=workload,
-        _index=index,
-        _dataset=dataset,
+        **fields, query_draws=draws, _workload=workload, _index=index, _dataset=dataset
     )
-
-
-# ---------------------------------------------------------------------------
-# Moving fleets: population-scale warm journeys
-# ---------------------------------------------------------------------------
-
-
-def _simulate_journey_batch(jid: int, phases: Sequence[int]) -> List[Tuple[int, int, int, int]]:
-    """Simulate every requested tune-in phase of one journey (picklable).
-
-    The stationary fleet's *landmark collapse* generalizes to whole warm
-    journeys: an error-free first hop's absolute trace is a pure function
-    of the first entry-structure read (the landmark), so two phases sharing
-    it leave the client in the *identical* absolute state -- clock, parked
-    channel, accumulated knowledge -- at the end of hop 1.  Every later hop
-    starts from that state after a fixed dwell and is therefore identical
-    too; only the first hop's access latency differs, by exactly the
-    tune-in offset.  One representative journey is simulated per landmark
-    and its totals shifted per phase.  Link errors draw an independent loss
-    realisation per (journey, phase), which disables the collapse exactly
-    as it does for stationary fleets.
-
-    Returns ``(journey_latency_bytes, journey_tuning_bytes, correct_hops)``
-    per phase (``correct_hops`` is -1 when not verifying).
-    """
-    from ..mobility.continuous import run_journey
-
-    ctx = _SIM_CTX
-    index = ctx["index"]
-    config = ctx["config"]
-    view = ctx["view"]
-    n_phases = ctx["n_phases"]
-    cycle = ctx["cycle"]
-    theta = ctx["error_theta"]
-    scope = ctx["error_scope"]
-    error_seed = ctx["error_seed"]
-    knn_strategy = ctx["knn_strategy"]
-    capacity = config.packet_capacity
-    journey = ctx["journeys"][jid]
-    truths = None
-    if ctx["verify"]:
-        from ..queries.ground_truth import answer
-
-        truths = [answer(ctx["dataset"], step.query) for step in journey.steps]
-
-    def simulate(
-        start_packet: int, error_model: Optional[LinkErrorModel]
-    ) -> Tuple[int, int, int, int]:
-        result = run_journey(
-            index, view, config, journey,
-            start_packet=start_packet, error_model=error_model,
-            knn_strategy=knn_strategy,
-        )
-        correct_hops = -1
-        if truths is not None:
-            correct_hops = sum(
-                int(matches_truth(step.query, truth, hop.outcome.objects))
-                for step, truth, hop in zip(journey.steps, truths, result.hops)
-            )
-        capped_hops = sum(
-            int(getattr(hop.outcome, "iterations_capped", False)) for hop in result.hops
-        )
-        return (
-            result.total_latency_packets,
-            result.total_tuning_bytes,
-            correct_hops,
-            capped_hops,
-        )
-
-    landmark = getattr(index, "entry_landmark", None)
-    switch = (
-        getattr(config, "channel_switch_packets", 0)
-        if getattr(view, "home_channel", None) is not None
-        else 0
-    )
-    out: List[Tuple[int, int, int, int]] = []
-    # mark -> (p_rep, lat, tun, ok, capped)
-    traces: Dict[Any, Tuple[int, int, int, int, int]] = {}
-    for phase in phases:
-        phase = int(phase)
-        start_packet = (phase * cycle) // n_phases
-        if theta is not None:
-            key = jid * n_phases + phase
-            error_model = LinkErrorModel(
-                theta=theta, scope=scope, seed=(error_seed * 1_000_003 + key) & 0x7FFFFFFF
-            )
-            lat_packets, tun_bytes, correct_hops, capped_hops = simulate(
-                start_packet, error_model
-            )
-        else:
-            mark = None if landmark is None else landmark(view, start_packet + 1, switch)
-            if mark is None:
-                lat_packets, tun_bytes, correct_hops, capped_hops = simulate(
-                    start_packet, None
-                )
-            else:
-                trace = traces.get(mark)
-                if trace is None:
-                    lat_packets, tun_bytes, correct_hops, capped_hops = simulate(
-                        start_packet, None
-                    )
-                    traces[mark] = (
-                        start_packet, lat_packets, tun_bytes, correct_hops, capped_hops
-                    )
-                else:
-                    # Hop 1 shares the representative's absolute trace (only
-                    # the tune-in offset differs); all later hops start from
-                    # the same absolute state and are identical outright.
-                    p_rep, rep_lat, tun_bytes, correct_hops, capped_hops = trace
-                    lat_packets = rep_lat - (start_packet - p_rep)
-        out.append((lat_packets * capacity, tun_bytes, correct_hops, capped_hops))
-    return out
 
 
 @dataclass
-class MobileFleetResult:
+class MobileFleetResult(_PopulationView):
     """Outcome of one moving-fleet run.
 
     ``result`` carries *journey-total* latency/tuning summaries (one sample
@@ -829,21 +809,17 @@ class MobileFleetResult:
     unique_tuning: np.ndarray = field(repr=False)
     unique_counts: np.ndarray = field(repr=False)
     #: Which engine simulated the distinct journeys: ``"numpy"`` for the
-    #: SoA journey kernels (:func:`repro.sim.fleet_kernel.simulate_window_journeys`,
-    #: warm window or kNN journeys -- DSI or tree-index -- with persistent
-    #: lanes), ``"reference"`` for the per-phase object-model path.
+    #: lockstep kernels (:mod:`repro.sim.fleet_kernel`, warm window or kNN
+    #: journeys -- DSI or tree-index -- with persistent lanes),
+    #: ``"reference"`` for the per-phase object-model path.
     backend: str = "reference"
     #: Which schedule the fleet tuned into (see :class:`FleetResult`).
     schedule_policy: str = "flat"
     #: Why the reference path ran, when it did (see :class:`FleetResult`).
     backend_reason: Optional[str] = None
-    #: Distinct journeys with at least one hop truncated by the kNN
-    #: planner's safety cap (see :class:`FleetResult.capped_executions`).
+    #: Distinct journeys with at least one hop truncated by a planner's
+    #: safety cap (see :class:`FleetResult.capped_executions`).
     capped_executions: int = 0
-
-    @property
-    def clients_per_sec(self) -> float:
-        return self.n_clients / self.elapsed_s if self.elapsed_s > 0 else math.inf
 
     @property
     def queries_per_sec(self) -> float:
@@ -864,11 +840,6 @@ class MobileFleetResult:
         from the position its answer describes when the answer lands."""
         return self.speed * (self.mean_hop_latency_bytes / self.capacity)
 
-    def exact_mean(self, metric: str = "latency") -> float:
-        """Exact population mean from the per-execution histogram."""
-        values = self.unique_latency if metric == "latency" else self.unique_tuning
-        return float(np.dot(values, self.unique_counts) / self.unique_counts.sum())
-
     def as_row(self) -> Dict[str, Any]:
         from .report import metric_columns
 
@@ -883,16 +854,7 @@ class MobileFleetResult:
         row["hop_latency_bytes"] = self.mean_hop_latency_bytes
         row["hop_tuning_bytes"] = self.mean_hop_tuning_bytes
         row["staleness"] = self.mean_staleness
-        checked = self.result.correct_trials + self.result.incorrect_trials
-        if checked:
-            row["accuracy"] = self.result.accuracy
-        row["clients_per_sec"] = self.clients_per_sec
-        row["backend"] = self.backend
-        row["backend_reason"] = self.backend_reason or ""
-        row["schedule_policy"] = self.schedule_policy
-        if self.capped_executions:
-            row["capped_executions"] = self.capped_executions
-        return row
+        return self._engine_columns(row)
 
 
 def run_mobile_fleet(
@@ -919,149 +881,34 @@ def run_mobile_fleet(
     """Run ``n_clients`` moving clients through a
     :class:`~repro.mobility.trajectory.TrajectoryWorkload`.
 
-    Each client draws one journey and one tune-in phase; identical draws
-    collapse onto distinct (journey, phase) executions, and error-free
-    phase sweeps collapse further onto hop-1 entry landmarks (see
-    :func:`_simulate_journey_batch`), so simulation cost is bounded by the
+    Each client draws one journey and one tune-in phase and runs it warm;
+    identical draws collapse onto distinct (journey, phase) executions, and
+    error-free phase sweeps collapse further onto hop-1 entry landmarks (see
+    :func:`_simulate_item_batch`), so simulation cost is bounded by the
     distinct warm journeys -- not the fleet size.  Serial and parallel runs
     produce identical results.
     """
-    spec = FleetSpec(
-        n_clients=n_clients,
-        seed=seed,
-        max_phases=max_phases,
-        tune_in=None if tune_in is None else tuple(float(v) for v in tune_in),
-        client_seeds=None if client_seeds is None else tuple(int(s) for s in client_seeds),
-    )
+    spec = _fleet_spec(n_clients, seed, tune_in, client_seeds, max_phases)
     journeys = list(trajectories)
     if not journeys:
         raise ValueError(
             f"trajectory workload {trajectories.name!r} has no journeys to assign"
         )
-    n_steps = trajectories.n_steps
-    if error_theta is not None and not (0.0 <= error_theta <= 1.0):
-        raise ValueError("error_theta must be within [0, 1]")
-
-    t0 = time.perf_counter()
-    explicit_schedule = schedule is not None
-    if schedule is None:
-        schedule = BroadcastSchedule.for_config(index.program, config)
-    elif schedule.base_program is not index.program:
-        raise ValueError("schedule was built for a different broadcast program")
-    view = schedule.view()
-    pure = pure_mode()
-    timeline = None if pure else timeline_of(view)
-    cycle = view.cycle_packets
-    n_j = len(journeys)
-    n_phases = min(cycle, spec.max_phases)
-    quantized = n_phases < cycle
-
-    # -- draw clients once, onto (journey, phase) keys and tune-in packets -----
-    capacity = config.packet_capacity
-    counts, wait_summary = _draw_population(spec, n_j, n_phases, view, timeline, capacity)
-
-    # -- simulate each distinct (journey, phase) execution once ----------------
-    keys = np.flatnonzero(counts)
-    task_counts = counts[keys]
-    key_jids = keys // n_phases
-    key_phases = keys % n_phases
-
-    # Warm window journeys take the SoA journey kernel: persistent lanes
-    # carry knowledge across hops, same decline/fallback contract as
-    # run_fleet's hook.
-    backend = "reference"
-    backend_reason: Optional[str] = None
-    kernel_out = None
-    if pure:
-        backend_reason = "REPRO_PURE forces the reference path"
-    else:
-        from .fleet_kernel import KernelUnsupported, simulate_window_journeys
-
-        try:
-            kernel_out = simulate_window_journeys(
-                index, view, config, journeys, key_jids, key_phases,
-                n_phases=n_phases, cycle=cycle, verify=verify, dataset=dataset,
-                error_theta=error_theta, error_scope=error_scope,
-                error_seed=error_seed, knn_strategy=knn_strategy,
-            )
-        except KernelUnsupported as exc:
-            backend_reason = str(exc)
-            kernel_out = None
-
-    if kernel_out is not None:
-        lat_b, tun_b, correct_hops, backend = kernel_out
-        uniq_lat = lat_b.astype(np.float64)
-        uniq_tun = tun_b.astype(np.float64)
-        # Kernels decline cap-bound searches, so no kernel journey truncates.
-        capped_hops = np.zeros(len(keys), dtype=np.int64)
-    else:
-        tasks: List[Tuple[int, List[int]]] = []
-        n_workers = processes if processes is not None else default_processes()
-        use_parallel = parallel and n_workers > 1
-        target_chunks = max(n_j, 2 * n_workers) if use_parallel else n_j
-        max_chunk = max(1, -(-len(keys) // max(target_chunks, 1)))
-        j_starts = np.flatnonzero(np.diff(key_jids, prepend=-1))
-        for i, start in enumerate(j_starts):
-            stop = j_starts[i + 1] if i + 1 < len(j_starts) else len(keys)
-            jid = int(key_jids[start])
-            for at in range(int(start), int(stop), max_chunk):
-                tasks.append((jid, key_phases[at:min(at + max_chunk, stop)].tolist()))
-        ctx = dict(
-            index=index, config=config, journeys=journeys,
-            n_phases=n_phases, cycle=cycle, error_theta=error_theta,
-            error_scope=error_scope, error_seed=error_seed, verify=verify,
-            knn_strategy=knn_strategy,
-        )
-        if verify:
-            ctx["dataset"] = dataset
-        if not use_parallel or explicit_schedule:
-            # An explicit schedule must ship: workers' for_config rebuild
-            # cannot reproduce an optimized layout (see run_fleet).
-            ctx["view"] = view
-        try:
-            outs = parallel_map(
-                _simulate_journey_batch,
-                tasks,
-                processes=processes if use_parallel else 1,
-                initializer=_install_sim_ctx,
-                initargs=(ctx,),
-            )
-            sims = [t for out in outs for t in out]
-        finally:
-            _SIM_CTX.clear()
-        uniq_lat = np.array([s[0] for s in sims], dtype=np.float64)
-        uniq_tun = np.array([s[1] for s in sims], dtype=np.float64)
-        correct_hops = np.array([s[2] for s in sims], dtype=np.int64)
-        capped_hops = np.array([s[3] for s in sims], dtype=np.int64)
-
-    result = _population_result(
-        label or getattr(index, "name", type(index).__name__), trajectories.name,
-        n_j * n_phases, uniq_lat, uniq_tun, task_counts,
+    fields, _ = _run_population(
+        index, dataset, config, spec,
+        [tuple((step.query, step.dwell_packets) for step in j.steps) for j in journeys],
+        warm=True, label=label or getattr(index, "name", type(index).__name__),
+        workload_name=trajectories.name, error_theta=error_theta,
+        error_scope=error_scope, error_seed=error_seed, verify=verify,
+        knn_strategy=knn_strategy, parallel=parallel, processes=processes,
+        schedule=schedule,
     )
-    if verify:
-        result.correct_trials = int(np.dot(task_counts, correct_hops))
-        result.incorrect_trials = int(np.dot(task_counts, n_steps - correct_hops))
-
     return MobileFleetResult(
-        result=result,
-        n_clients=spec.n_clients,
-        n_journeys=n_j,
-        n_steps=n_steps,
-        n_executions=len(keys),
-        n_phases=n_phases,
-        cycle_packets=cycle,
-        quantized=quantized,
-        elapsed_s=time.perf_counter() - t0,
+        **fields,
+        n_journeys=len(journeys),
+        n_steps=trajectories.n_steps,
         speed=getattr(getattr(trajectories, "model", None), "speed", 0.0),
-        capacity=capacity,
-        first_index_wait=wait_summary,
-        unique_latency=uniq_lat,
-        unique_tuning=uniq_tun,
-        unique_counts=task_counts,
-        backend=backend,
-        schedule_policy=getattr(schedule, "policy", "flat"),
-        backend_reason=backend_reason,
-        capped_executions=int(np.count_nonzero(capped_hops)),
+        capacity=config.packet_capacity,
     )
 
 
@@ -1101,13 +948,7 @@ class ClientFleet:
             n_queries=20, seed=seed + 1
         )
         # Validate now -- a bad fleet declaration should fail at declaration.
-        self.spec = FleetSpec(
-            n_clients=n_clients,
-            seed=seed,
-            max_phases=max_phases,
-            tune_in=None if tune_in is None else tuple(float(v) for v in tune_in),
-            client_seeds=None if client_seeds is None else tuple(int(s) for s in client_seeds),
-        )
+        self.spec = _fleet_spec(n_clients, seed, tune_in, client_seeds, max_phases)
         self.error_theta = error_theta
         self.error_scope = error_scope
         self.error_seed = error_seed

@@ -1,8 +1,16 @@
-"""Structure-of-arrays fleet kernel: lockstep DSI window sweeps in numpy.
+"""Structure-of-arrays fleet kernels: lockstep DSI window, tree and DSI kNN
+walks in numpy.
 
-The reference fleet path (:func:`repro.sim.fleet._simulate_query_batch`)
+The fleet engine (:func:`repro.sim.fleet._run_population`) hands every run
+over as *items* -- the ``(query, dwell_packets)`` steps one client walks:
+a stationary trial is a one-step item, a journey one step per hop.
+:func:`_simulate_items` is the one dispatcher; behind it sits one entry per
+index family (:func:`_simulate_dsi`, :func:`_simulate_tree`,
+:func:`_simulate_knn`), and hop 1 of every item is the cold entry.
+
+The reference path (:func:`repro.sim.fleet._simulate_item_batch`)
 replays one full :class:`~repro.broadcast.client.ClientSession` per distinct
-``(query, phase)`` execution.  At one channel the error-free *landmark
+``(item, phase)`` execution.  At one channel the error-free *landmark
 collapse* keeps that affordable (phases sharing their first index-table read
 share one trace), but a striped multi-channel schedule keeps almost every
 entry landmark distinct -- the control channel cycles many times per data
@@ -81,19 +89,18 @@ candidacy argument above survives unchanged.  Error lanes are per
 ``(query, phase)`` -- distinct seeds, no dedup -- and diverge freely: the
 retry chain advances each lane independently.
 
-**Warm journeys** reuse the same hop engine with persistent lanes: the
+**Later hops** reuse the same hop engine with persistent lanes: the
 knowledge bitmask and the parked channel survive across hops (exactly what
-a warm :class:`~repro.mobility.continuous.ContinuousClient` session
-carries), while examined/processed reset per hop (``begin_query``).  Hop 1
-runs the cold entry (probe + first table + opportunistic entry
-processing); later hops advance the clock by the step's dwell, pay the
-re-armed probe, and walk with the same global-minimum clamp -- every table
-teaches rank 0 (``_Static`` declines indexes where one does not), so the
-warm clamp equals the cold one and the per-hop precompute is
-hop-invariant.  The hop-1 entry-landmark collapse carries
-over whole journeys: lanes are ``(journey, entry occurrence)`` pairs.
+a warm session carries), while examined/processed reset per hop
+(``begin_query``).  Hop 1 runs the cold entry (probe + first table +
+opportunistic entry processing); later hops advance the clock by the
+step's dwell, pay the re-armed probe, and walk with the same global-minimum
+clamp -- every table teaches rank 0 (``_Static`` declines indexes where one
+does not), so the warm clamp equals the cold one and the per-hop precompute
+is hop-invariant.  The hop-1 entry-landmark collapse carries over whole
+items: lanes are ``(item, entry occurrence)`` pairs.
 
-Latency is ``exit clock - tune-in`` (summed over hops for journeys);
+Latency is ``exit clock - tune-in``, summed over hops;
 tuning accumulates *per phase* (identical within a lane: every phase of a
 lane pays the same probe, table, directory and data packets).  Answers are
 phase-independent (fact 3), so verification runs once per query.
@@ -119,11 +126,13 @@ then advances every lane as a frontier sweep: batched
 = the reference's tie-break), clear the landed event and OR in its
 adjacency row.  Node reads draw link errors exactly like the reference
 (navigation kind, per-lane streams, in walk order); data reads never do
-under the index scope.  Warm journeys add a per-lane node-cache bitmask:
-cached pending nodes are expanded for free to a fixpoint at the top of
-every step, the vectorised counterpart of ``drain_cached_nodes`` (the
-cascade is order-independent for window sweeps, which only union pending
-sets).  The entry-landmark collapse keys on the first root-copy arrival --
+under the index scope.  Items with a second hop add a per-lane node-cache
+bitmask: cached pending nodes are expanded for free to a fixpoint at the
+top of every step, the vectorised counterpart of ``drain_cached_nodes``
+(the cascade is order-independent for window sweeps, which only union
+pending sets).  One sweep reads each qualifying node once, so a one-step
+item runs without the cache -- its drain scans would cost time and change
+nothing.  The entry-landmark collapse keys on the first root-copy arrival --
 exactly :meth:`TreeOnAir.entry_landmark` -- so lossless lanes dedup just
 like DSI ones.
 
@@ -145,9 +154,9 @@ batched ``argmin`` reproducing the scalar planner's tie-breaks bit-exactly
 (including the ``aggressive`` distance-then-arrival lexsort), and finished
 lanes compact out of the working set.  Comparison distances stay scalar
 ``math.hypot`` -- the vectorised counterpart is not bit-equal -- so only
-the representative-point decode batches.  Warm (journey) kNN hops seed the
+the representative-point decode batches.  Later kNN hops seed the
 candidate set from the carried knowledge exactly like the planner's warm
-start, so kNN journeys no longer decline to the reference path.
+start.
 
 Everything matches the reference walk integer for integer;
 ``tests/test_fleet_kernel.py`` pins both against a brute-force per-phase
@@ -157,7 +166,7 @@ replay across indexes, schedules, error models and journeys.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -177,15 +186,18 @@ __all__ = [
 
 
 class KernelUnsupported(Exception):
-    """The SoA kernel cannot reproduce the reference walk for this run.
+    """The SoA kernels cannot reproduce the reference walk for this run.
 
-    Raised (and caught by :func:`repro.sim.fleet.run_fleet` /
-    :func:`repro.sim.fleet.run_mobile_fleet`, which fall back to the
-    per-phase reference path) for non-DSI indexes, kNN trials,
+    Raised (and caught by the fleet engine behind
+    :func:`repro.sim.fleet.run_fleet` / :func:`repro.sim.fleet.run_mobile_fleet`,
+    which falls back to the per-phase reference path) for index types
+    without a kernel, kNN trials on tree indexes, kNN runs with link errors
+    or an unknown strategy, mixed window/kNN or unequal-step items,
     directory-less layouts, duplicate frame minima, non-index error scopes,
-    exhausted loss retries (where the reference raises), or any precompute
-    invariant the kernel's exactness argument relies on failing to hold.
-    The message is surfaced as ``backend_reason`` on the fleet result.
+    exhausted loss retries or a tree sweep past its guard (where the
+    reference raises or truncates), or any precompute invariant the
+    kernels' exactness argument relies on failing to hold.  The message is
+    surfaced as ``backend_reason`` on the fleet result.
     """
 
 
@@ -653,13 +665,13 @@ def _precompute_queries(
 
 
 class _Walker:
-    """Per-lane lockstep state plus the hop engine both kernels share.
+    """Per-lane lockstep state plus the DSI window hop engine.
 
     The master arrays (``clock`` / ``chan`` / ``tun`` / ``know`` /
     ``examined`` / ``processed``) always hold every lane; the hop loop
-    works on live-lane compactions and scatters back at lane exit, so the
-    journey kernel can carry session state into the next hop and the fleet
-    kernel reads final clocks straight off the masters.
+    works on live-lane compactions and scatters back at lane exit, so a
+    later hop starts from the carried session state and the final clocks
+    are read straight off the masters.
     """
 
     def __init__(
@@ -726,7 +738,7 @@ class _Walker:
         chan[rows] = vchan
         tun[rows] += paid
 
-    def cold_entry(self, qrow: np.ndarray, start_clock: np.ndarray) -> np.ndarray:
+    def cold_entry(self, qrow: np.ndarray, start_clock: np.ndarray) -> None:
         """The probe plus the first index-table read (with loss retries),
         then the reference's opportunistic entry-frame processing."""
         geo, st, err = self.geo, self.static, self.err
@@ -764,7 +776,6 @@ class _Walker:
         self.examined[ev, rank0[ev]] = True
         self.processed[ev, rank0[ev]] = True
         self._visit_on(self.clock, self.chan, self.tun, ev, rank0[ev], qrow)
-        return rank0
 
     def walk(self, qrow: np.ndarray) -> None:
         """Advance every lane to pending-set exhaustion (one query hop)."""
@@ -865,34 +876,42 @@ class _Walker:
             self._visit_on(cl, ch, tn, rows, fr[rows], qr)
 
 
-def _entry_lanes(
-    geo: _Geometry,
+def _lanes(
+    entry: Callable[[np.ndarray], np.ndarray],
     key_ids: np.ndarray,
-    start_p: np.ndarray,
+    key_phases: np.ndarray,
+    n_phases: int,
     cycle: int,
-) -> Tuple[np.ndarray, np.ndarray]:
+    lossless: bool,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Collapse ``(id, phase)`` keys onto ``(id, entry occurrence)`` lanes.
 
-    Two error-free phases whose first table read is the same absolute
-    airing share their whole absolute trace (the landmark collapse), so
-    they share a lane; the entry *occurrence index* -- the absolute start,
-    not just the bucket -- keys the dedup, which is what lets replicated
-    (demand-aware) schedules collapse exactly like striped ones.  Returns
-    ``(first_idx, lane_of_key)``.
+    Two error-free phases whose first entry-structure read is the same
+    absolute airing share their whole absolute trace (the landmark
+    collapse), so they share a lane.  ``entry`` maps the clocks right after
+    the probe to that airing's absolute start -- the first table airing
+    for DSI, the first root copy for trees -- and the start, not just the
+    bucket, keys the dedup, which is what lets replicated (demand-aware)
+    schedules collapse exactly like striped ones.  Under link errors every
+    execution draws its own loss realisation, so every key is its own lane.
+    Returns ``(start_p, lane_of_key, lane_ids, lane_start)``.
     """
-    entry_start, _ = geo.entry_seek(start_p + 1)
-    # entry_start < cycle + 2*cc, so the multiplier keeps keys collision-free.
-    entry_key = key_ids * np.int64(2 * (cycle + geo.cc) + 4) + entry_start
+    start_p = (key_phases * cycle) // n_phases
+    if not lossless:
+        return start_p, np.arange(len(key_ids)), key_ids, start_p
+    arr = entry(start_p + 1)
+    entry_key = key_ids * np.int64(int(arr.max(initial=0)) + 2) + arr
     _, first_idx, lane_of = np.unique(entry_key, return_index=True, return_inverse=True)
-    return first_idx, lane_of
+    return start_p, lane_of, key_ids[first_idx], start_p[first_idx]
 
 
-def _simulate_dsi_fleet(
+def _simulate_dsi(
     index: Any,
-    view: Any,
+    timeline: Any,
     config: Any,
     queries: Sequence[WindowQuery],
-    key_qids: np.ndarray,
+    dwell: np.ndarray,
+    key_ids: np.ndarray,
     key_phases: np.ndarray,
     *,
     n_phases: int,
@@ -903,126 +922,62 @@ def _simulate_dsi_fleet(
     error_scope: str,
     error_seed: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate every DSI ``(query, phase)`` execution in lockstep.
+    """Simulate every DSI window ``(item, phase)`` execution in lockstep.
 
-    Returns ``(latency_bytes, tuning_bytes, correct)`` aligned with the
-    ``key_qids`` / ``key_phases`` order -- the exact triple the reference
-    per-phase path emits (``correct`` is -1 when not verifying).  Raises
+    Returns ``(latency_bytes, tuning_bytes, correct_hops)`` summed over each
+    item's hops and aligned with the key order -- the exact triple the
+    reference per-phase path emits (``correct_hops`` is -1 when not
+    verifying).  Hop 1 is the cold entry; lanes persist across later hops:
+    knowledge and the parked channel carry over, while examined/processed
+    reset per hop, exactly like a warm session.  Raises
     :class:`KernelUnsupported` whenever the run falls outside the kernel's
     proven-exact envelope.
     """
     static = _static_of(index)
-    timeline = timeline_of(view)
     geo = _Geometry(static, index, config, timeline)
-    key_qids = np.asarray(key_qids, dtype=np.int64)
-    key_phases = np.asarray(key_phases, dtype=np.int64)
     err = _make_err_streams(
-        error_theta, error_scope, error_seed, key_qids, key_phases, n_phases
+        error_theta, error_scope, error_seed, key_ids, key_phases, n_phases
     )
+    # One precompute row per (item, step): knowledge clamps pending at the
+    # global minimum, which hop 1's entry read always teaches (_Static gates
+    # that every table teaches rank 0), so warm hops share the cold clamp
+    # and the per-row tables are hop-invariant.
     rel, vlen, voff, vflat, correct_q = _precompute_queries(
         static, index, queries, verify, dataset
     )
-
-    start_p = (key_phases * cycle) // n_phases
-    if err is None:
-        first_idx, lane_of = _entry_lanes(geo, key_qids, start_p, cycle)
-        qrow = key_qids[first_idx]
-        lane_start = start_p[first_idx]
-    else:
-        # Every execution draws its own loss realisation: one lane per key.
-        lane_of = np.arange(len(key_qids))
-        qrow = key_qids
-        lane_start = start_p
-
-    walker = _Walker(geo, static, rel, vlen, voff, vflat, len(qrow), err)
-    walker.cold_entry(qrow, lane_start)
-    walker.walk(qrow)
-
-    lat_b = (walker.clock[lane_of] - start_p) * geo.capacity
-    tun_b = walker.tun[lane_of] * geo.capacity
-    return lat_b, tun_b, correct_q[key_qids]
-
-
-def _simulate_dsi_journeys(
-    index: Any,
-    view: Any,
-    config: Any,
-    queries: Sequence[WindowQuery],
-    dwell_arr: np.ndarray,
-    n_steps: int,
-    key_jids: np.ndarray,
-    key_phases: np.ndarray,
-    *,
-    n_phases: int,
-    cycle: int,
-    verify: bool,
-    dataset: Any,
-    error_theta: Optional[float],
-    error_scope: str,
-    error_seed: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate every warm DSI ``(journey, phase)`` execution in lockstep.
-
-    Returns ``(journey_latency_bytes, journey_tuning_bytes, correct_hops)``
-    aligned with the key order -- the exact triple the reference per-phase
-    journey path emits (``correct_hops`` is -1 when not verifying).  Lanes
-    persist across hops: knowledge and the parked channel carry over, while
-    examined/processed reset per hop, exactly like a warm session.
-    """
-    static = _static_of(index)
-    timeline = timeline_of(view)
-    geo = _Geometry(static, index, config, timeline)
-    key_jids = np.asarray(key_jids, dtype=np.int64)
-    key_phases = np.asarray(key_phases, dtype=np.int64)
-    err = _make_err_streams(
-        error_theta, error_scope, error_seed, key_jids, key_phases, n_phases
-    )
-    # One precompute row per (journey, step): knowledge clamps pending at
-    # the global minimum, which hop 1's entry read always teaches (_Static
-    # gates that every table teaches rank 0), so warm hops share the cold
-    # clamp and the per-row tables are hop-invariant.
-    rel, vlen, voff, vflat, correct_q = _precompute_queries(
-        static, index, queries, verify, dataset
-    )
-    n_j = len(queries) // n_steps
+    n_items, n_steps = dwell.shape
     if verify:
-        correct_hops = correct_q.reshape(n_j, n_steps).sum(axis=1)
+        correct_hops = correct_q.reshape(n_items, n_steps).sum(axis=1)
     else:
-        correct_hops = np.full(n_j, -1, dtype=np.int64)
+        correct_hops = np.full(n_items, -1, dtype=np.int64)
 
-    start_p = (key_phases * cycle) // n_phases
-    if err is None:
-        first_idx, lane_of = _entry_lanes(geo, key_jids, start_p, cycle)
-        jid_c = key_jids[first_idx]
-        lane_start = start_p[first_idx]
-    else:
-        lane_of = np.arange(len(key_jids))
-        jid_c = key_jids
-        lane_start = start_p
+    start_p, lane_of, ids_c, lane_start = _lanes(
+        lambda nb: geo.entry_seek(nb)[0], key_ids, key_phases, n_phases, cycle,
+        lossless=err is None,
+    )
 
-    walker = _Walker(geo, static, rel, vlen, voff, vflat, len(jid_c), err)
-    total_lat = np.zeros(len(jid_c), dtype=np.int64)
-    qrow = jid_c * n_steps
+    walker = _Walker(geo, static, rel, vlen, voff, vflat, len(ids_c), err)
+    qrow = ids_c * n_steps
     walker.cold_entry(qrow, lane_start)
     walker.walk(qrow)
-    total_lat += walker.clock - lane_start
+    total_lat = walker.clock - lane_start
     for h in range(1, n_steps):
         # next_query: advance by the step's dwell, snapshot the hop start,
         # re-arm the probe; per-query state resets, session state persists.
-        walker.clock += dwell_arr[jid_c, h]
+        walker.clock += dwell[ids_c, h]
         hop_start = walker.clock.copy()
         walker.clock += 1
         walker.tun += 1
         walker.examined[:] = False
         walker.processed[:] = False
-        walker.walk(jid_c * n_steps + h)
+        walker.walk(qrow + h)
         total_lat += walker.clock - hop_start
 
     # Only hop 1's latency depends on the tune-in: shift each phase by its
     # offset from the lane representative (the landmark collapse).
     lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * geo.capacity
     tun_b = walker.tun[lane_of] * geo.capacity
-    return lat_b, tun_b, correct_hops[key_jids]
+    return lat_b, tun_b, correct_hops[key_ids]
 
 
 # --- tree-index lanes (R-tree on air, HCI) ----------------------------------
@@ -1110,7 +1065,15 @@ class _TreeGeometry:
         self.ctrl = int(home)
         self.root_ids = np.asarray(air.node_buckets[air.root_id], dtype=np.int64)
         self.root_pk = int(static.node_pk[static.root_dense])
-        self.guard = 64 * len(air.program) + 256
+        self.guard = air.sweep_guard
+
+    def root_arrival(self, nb: np.ndarray) -> np.ndarray:
+        """Start of the first root copy at/after each clock in ``nb`` -- the
+        :meth:`TreeOnAir.entry_landmark` seek.  All root copies air on the
+        home channel, so on one channel the start determines the bucket."""
+        return self.timeline.next_occurrences(
+            self.root_ids[None, :], np.asarray(nb, dtype=np.int64)[:, None]
+        ).min(axis=1)
 
 
 def _tree_geometry_of(
@@ -1285,10 +1248,10 @@ class _TreeWalker:
     """Per-lane lockstep state plus the frontier-sweep hop engine.
 
     The master arrays (``clock`` / ``chan`` / ``tun``, plus the node-cache
-    bitmask on warm journeys) always hold every lane; the sweep loop works
-    on live-lane compactions and scatters back at lane exit, so the journey
-    kernel carries session state into the next hop and the fleet kernel
-    reads final clocks straight off the masters.
+    bitmask when items have a second hop) always hold every lane; the sweep
+    loop works on live-lane compactions and scatters back at lane exit, so
+    a later hop starts from the carried session state and the final clocks
+    are read straight off the masters.
     """
 
     def __init__(
@@ -1316,19 +1279,12 @@ class _TreeWalker:
         self.clock[:] = np.asarray(start_clock, dtype=np.int64) + 1
         self.tun[:] = 1
 
-    def probe(self) -> None:
-        """The re-armed probe of a warm hop (after ``next_query``)."""
-        self.clock += 1
-        self.tun += 1
-
     def _root_arrival(self, rows: np.ndarray) -> np.ndarray:
         geo = self.geo
         nb = self.clock[rows]
         if geo.switch:
             nb = nb + geo.switch * (self.chan[rows] != geo.ctrl)
-        return geo.timeline.next_occurrences(
-            geo.root_ids[None, :], nb[:, None]
-        ).min(axis=1)
+        return geo.root_arrival(nb)
 
     def _read_root(self, rows: np.ndarray) -> None:
         """Doze to the next root copy and read it (with loss retries)."""
@@ -1480,35 +1436,14 @@ class _TreeWalker:
                     self.cached[idx[expand], tq.ev_dense[qv[expand], e[expand]]] = True
 
 
-def _tree_entry_lanes(
-    geo: _TreeGeometry, key_ids: np.ndarray, start_p: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Collapse ``(id, phase)`` keys onto ``(id, root occurrence)`` lanes.
-
-    The tree landmark is the first root-copy read
-    (:meth:`TreeOnAir.entry_landmark`): error-free phases sharing it share
-    their whole absolute trace.  All root copies air on the home channel
-    the radio tunes in on, so the arrival alone keys the dedup (one
-    channel: a start determines its bucket).
-    """
-    arr = geo.timeline.next_occurrences(
-        geo.root_ids[None, :],
-        (np.asarray(start_p, dtype=np.int64) + 1)[:, None],
-    ).min(axis=1)
-    entry_key = key_ids * np.int64(int(arr.max(initial=0)) + 2) + arr
-    _, first_idx, lane_of = np.unique(
-        entry_key, return_index=True, return_inverse=True
-    )
-    return first_idx, lane_of
-
-
-def _simulate_tree_fleet(
+def _simulate_tree(
     index: Any,
     air: TreeOnAir,
-    view: Any,
+    timeline: Any,
     config: Any,
     queries: Sequence[WindowQuery],
-    key_qids: np.ndarray,
+    dwell: np.ndarray,
+    key_ids: np.ndarray,
     key_phases: np.ndarray,
     *,
     n_phases: int,
@@ -1519,96 +1454,43 @@ def _simulate_tree_fleet(
     error_scope: str,
     error_seed: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep frontier sweeps for every tree-index ``(query, phase)``."""
+    """Lockstep frontier sweeps for every tree-index ``(item, phase)``:
+    one sweep per hop, with persistent node caches from a second hop on."""
     static = _tree_static_of(air)
-    timeline = timeline_of(view)
     geo = _tree_geometry_of(static, air, config, timeline)
-    key_qids = np.asarray(key_qids, dtype=np.int64)
-    key_phases = np.asarray(key_phases, dtype=np.int64)
     err = _make_err_streams(
-        error_theta, error_scope, error_seed, key_qids, key_phases, n_phases
+        error_theta, error_scope, error_seed, key_ids, key_phases, n_phases
     )
     tq = _precompute_tree_queries(static, index, air, geo, queries, verify, dataset)
-
-    start_p = (key_phases * cycle) // n_phases
-    if err is None:
-        first_idx, lane_of = _tree_entry_lanes(geo, key_qids, start_p)
-        qrow = key_qids[first_idx]
-        lane_start = start_p[first_idx]
+    n_items, n_steps = dwell.shape
+    if verify:
+        correct_hops = tq.correct.reshape(n_items, n_steps).sum(axis=1)
     else:
-        lane_of = np.arange(len(key_qids))
-        qrow = key_qids
-        lane_start = start_p
+        correct_hops = np.full(n_items, -1, dtype=np.int64)
 
-    walker = _TreeWalker(geo, tq, len(qrow), err, caching=False)
+    start_p, lane_of, ids_c, lane_start = _lanes(
+        geo.root_arrival, key_ids, key_phases, n_phases, cycle, lossless=err is None
+    )
+
+    # One sweep reads each qualifying node once, so the node cache only
+    # pays off from a second hop; on a single hop its drain scans would
+    # cost the walk time and change nothing.
+    walker = _TreeWalker(geo, tq, len(ids_c), err, caching=n_steps > 1)
+    qrow = ids_c * n_steps
     walker.begin(lane_start)
     walker.hop(qrow)
-
-    lat_b = (walker.clock[lane_of] - start_p) * geo.capacity
-    tun_b = walker.tun[lane_of] * geo.capacity
-    return lat_b, tun_b, tq.correct[key_qids]
-
-
-def _simulate_tree_journeys(
-    index: Any,
-    air: TreeOnAir,
-    view: Any,
-    config: Any,
-    queries: Sequence[WindowQuery],
-    dwell_arr: np.ndarray,
-    n_steps: int,
-    key_jids: np.ndarray,
-    key_phases: np.ndarray,
-    *,
-    n_phases: int,
-    cycle: int,
-    verify: bool,
-    dataset: Any,
-    error_theta: Optional[float],
-    error_scope: str,
-    error_seed: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Warm tree journeys: persistent node caches, per-hop frontier sweeps."""
-    static = _tree_static_of(air)
-    timeline = timeline_of(view)
-    geo = _tree_geometry_of(static, air, config, timeline)
-    key_jids = np.asarray(key_jids, dtype=np.int64)
-    key_phases = np.asarray(key_phases, dtype=np.int64)
-    err = _make_err_streams(
-        error_theta, error_scope, error_seed, key_jids, key_phases, n_phases
-    )
-    tq = _precompute_tree_queries(static, index, air, geo, queries, verify, dataset)
-    n_j = len(queries) // n_steps
-    if verify:
-        correct_hops = tq.correct.reshape(n_j, n_steps).sum(axis=1)
-    else:
-        correct_hops = np.full(n_j, -1, dtype=np.int64)
-
-    start_p = (key_phases * cycle) // n_phases
-    if err is None:
-        first_idx, lane_of = _tree_entry_lanes(geo, key_jids, start_p)
-        jid_c = key_jids[first_idx]
-        lane_start = start_p[first_idx]
-    else:
-        lane_of = np.arange(len(key_jids))
-        jid_c = key_jids
-        lane_start = start_p
-
-    walker = _TreeWalker(geo, tq, len(jid_c), err, caching=True)
-    total_lat = np.zeros(len(jid_c), dtype=np.int64)
-    walker.begin(lane_start)
-    walker.hop(jid_c * n_steps)
-    total_lat += walker.clock - lane_start
+    total_lat = walker.clock - lane_start
     for h in range(1, n_steps):
-        walker.clock += dwell_arr[jid_c, h]
+        walker.clock += dwell[ids_c, h]
         hop_start = walker.clock.copy()
-        walker.probe()
-        walker.hop(jid_c * n_steps + h)
+        walker.clock += 1  # the re-armed probe
+        walker.tun += 1
+        walker.hop(qrow + h)
         total_lat += walker.clock - hop_start
 
     lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * geo.capacity
     tun_b = walker.tun[lane_of] * geo.capacity
-    return lat_b, tun_b, correct_hops[key_jids]
+    return lat_b, tun_b, correct_hops[key_ids]
 
 
 # --- kNN lanes (DSI) --------------------------------------------------------
@@ -1965,26 +1847,22 @@ class _KnnWalker:
         lanes.kk = self.k_arr[lanes.qid]
         lanes.me = self.min_est[lanes.qid]
 
-    def begin_hop(self) -> None:
-        """Reset the per-query search state (``begin_query`` + fresh space);
-        session position and known ranks carry over."""
+    def begin_warm_hop(self, qid: np.ndarray) -> None:
+        """Start a later hop on ``qid``: reset the per-query search state
+        (``begin_query`` + fresh space; session position and known ranks
+        carry over), then the planner's warm start -- estimate every known
+        frame minimum at once (each is a real object's HC value, so its
+        unique-HC group; frame minima are strictly increasing, so the groups
+        are distinct and pool slots just count known ranks along the row)."""
+        self.set_queries(qid)
         lanes = self.S
         lanes.ex[:] = False
         lanes.es[:] = False
         lanes.rh[:] = False
         lanes.rt[:] = False
         lanes.vl[:] = np.inf
-        lanes.nc[:] = 0
         lanes.nr[:] = 0
         lanes.rad[:] = np.inf
-        lanes.dirty[:] = False
-
-    def seed_warm(self) -> None:
-        """The planner's warm start: estimate every known frame minimum at
-        once (each is a real object's HC value, so its unique-HC group;
-        frame minima are strictly increasing, so the groups are distinct
-        and pool slots just count known ranks along the row)."""
-        lanes = self.S
         grps = self.kst.grp_of_rank
         lanes.es[:, grps] = lanes.kn
         rrow, rrk = np.nonzero(lanes.kn)
@@ -2248,18 +2126,14 @@ class _KnnWalker:
     # -- results ------------------------------------------------------------
 
     def verify(
-        self,
-        queries: Sequence[KnnQuery],
-        dataset: Any,
-        truths: Optional[Dict[int, Any]] = None,
+        self, queries: Sequence[KnnQuery], dataset: Any, truths: Dict[int, Any]
     ) -> np.ndarray:
-        """Per-lane correctness of ``best_objects`` against ground truth."""
+        """Per-lane correctness of ``best_objects`` against ground truth
+        (``truths`` memoizes each query's answer across hops)."""
         from ..queries.ground_truth import answer, matches_truth
 
         lanes = self.S
         kst = self.kst
-        if truths is None:
-            truths = {}
         cor = np.empty(len(lanes.idx), dtype=np.int64)
         for row in range(len(lanes.idx)):
             qid = int(lanes.qid[row])
@@ -2276,25 +2150,13 @@ class _KnnWalker:
         return cor
 
 
-def _knn_gates(
-    index: Any, error_theta: Optional[float], error_scope: str, knn_strategy: str
-) -> None:
-    if not isinstance(index, DsiIndex):
-        raise KernelUnsupported("kNN trials on tree indexes take the reference path")
-    if error_theta is not None and float(error_theta) != 0.0 and error_scope != "none":
-        raise KernelUnsupported("kNN fleets with link errors take the reference path")
-    if knn_strategy not in ("conservative", "aggressive"):
-        raise KernelUnsupported(
-            f"kNN strategy {knn_strategy!r} takes the reference path"
-        )
-
-
-def _simulate_knn_fleet(
+def _simulate_knn(
     index: Any,
-    view: Any,
+    timeline: Any,
     config: Any,
     queries: Sequence[KnnQuery],
-    key_qids: np.ndarray,
+    dwell: np.ndarray,
+    key_ids: np.ndarray,
     key_phases: np.ndarray,
     *,
     n_phases: int,
@@ -2308,50 +2170,72 @@ def _simulate_knn_fleet(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched lockstep kNN lanes over DSI with compiled search plans.
 
-    Phases collapse onto ``(query, entry occurrence)`` lanes exactly like
+    Phases collapse onto ``(item, entry occurrence)`` lanes exactly like
     the window kernels, every lane advances through the planner loop in
     lockstep, and all per-query geometry (distances, covers, arrivals) is
-    compiled or memoized once -- see the module docstring.  Bit-equal to
-    the reference planner wherever it does not decline.
+    compiled or memoized once -- see the module docstring.  Hop 1 runs the
+    cold entry; every later hop re-arms with the probe and seeds the search
+    space from the knowledge the lane accumulated, which is the planner's
+    warm start verbatim (hop 1 always teaches at least the entry table, so
+    the warm branch always applies).  Bit-equal to the reference planner
+    wherever it does not decline.
     """
-    _knn_gates(index, error_theta, error_scope, knn_strategy)
+    if not isinstance(index, DsiIndex):
+        raise KernelUnsupported("kNN trials on tree indexes take the reference path")
+    if error_theta is not None and float(error_theta) != 0.0 and error_scope != "none":
+        raise KernelUnsupported("kNN fleets with link errors take the reference path")
+    if knn_strategy not in ("conservative", "aggressive"):
+        raise KernelUnsupported(
+            f"kNN strategy {knn_strategy!r} takes the reference path"
+        )
     static = _static_of(index)
     kst = _knn_static_of(index, static)
-    timeline = timeline_of(view)
     geo = _Geometry(static, index, config, timeline)
-    key_qids = np.asarray(key_qids, dtype=np.int64)
-    key_phases = np.asarray(key_phases, dtype=np.int64)
-    start_p = (key_phases * cycle) // n_phases
-    first_idx, lane_of = _entry_lanes(geo, key_qids, start_p, cycle)
-    qrow = key_qids[first_idx]
-    lane_start = start_p[first_idx]
+    start_p, lane_of, ids_c, lane_start = _lanes(
+        lambda nb: geo.entry_seek(nb)[0], key_ids, key_phases, n_phases, cycle,
+        lossless=True,
+    )
+    n_steps = dwell.shape[1]
     curve = index.curve
     qpoints = [q.point for q in queries]
     est_g, ex_d, min_est, k_arr = _knn_query_tables(kst, curve, queries)
     walker = _KnnWalker(
         geo, static, kst, qpoints, est_g, ex_d, min_est, k_arr,
-        qid=qrow, strategy=knn_strategy, slack=curve.cell_diagonal(),
+        qid=ids_c * n_steps, strategy=knn_strategy,
+        slack=curve.cell_diagonal(),
     )
+    cor_hops = np.full(len(ids_c), 0 if verify else -1, dtype=np.int64)
+    truths: Dict[int, Any] = {}
     walker.cold_entry(lane_start, conservative=knn_strategy == "conservative")
     walker.walk()
     lanes = walker.S
-    lat_b = (lanes.cl[lane_of] - start_p) * geo.capacity
-    tun_b = lanes.tn[lane_of] * geo.capacity
+    total_lat = lanes.cl - lane_start
     if verify:
-        cor = walker.verify(queries, dataset)[lane_of]
-    else:
-        cor = np.full(len(key_qids), -1, dtype=np.int64)
-    return lat_b, tun_b, cor
+        cor_hops += walker.verify(queries, dataset, truths)
+    for h in range(1, n_steps):
+        lanes.cl += dwell[ids_c, h]
+        hop_start = lanes.cl.copy()
+        lanes.cl += 1  # the re-armed probe
+        lanes.tn += 1
+        walker.begin_warm_hop(ids_c * n_steps + h)
+        walker.walk()
+        total_lat += lanes.cl - hop_start
+        if verify:
+            cor_hops += walker.verify(queries, dataset, truths)
+    lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * geo.capacity
+    tun_b = lanes.tn[lane_of] * geo.capacity
+    return lat_b, tun_b, cor_hops[lane_of]
 
 
-def _simulate_knn_journeys(
+# --- dispatch ---------------------------------------------------------------
+
+
+def _simulate_items(
     index: Any,
     view: Any,
     config: Any,
-    queries: Sequence[KnnQuery],
-    dwell_arr: np.ndarray,
-    n_steps: int,
-    key_jids: np.ndarray,
+    items: Sequence[Sequence[Tuple[Any, int]]],
+    key_ids: np.ndarray,
     key_phases: np.ndarray,
     *,
     n_phases: int,
@@ -2363,187 +2247,78 @@ def _simulate_knn_journeys(
     error_seed: int,
     knn_strategy: str,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Warm multi-hop kNN journeys: the fleet lanes plus carried knowledge.
+    """Simulate every ``(item, phase)`` execution off the reference path.
 
-    Hop 1 runs the cold entry; every later hop re-arms with the probe and
-    seeds the search space from the knowledge the lane accumulated, which
-    is the planner's warm start verbatim (hop 1 always teaches at least
-    the entry table, so the warm branch always applies).
+    An item is the ``(query, dwell_packets)`` steps one client walks: a
+    stationary trial is a one-step item, a journey one step per hop.
+    Equal-step window items run the lockstep kernels (DSI or tree) and
+    equal-step kNN items over DSI run the batched kNN lanes; anything else
+    declines with the reason the fleet result surfaces.  Returns
+    ``(latency_bytes, tuning_bytes, correct_hops)`` aligned with the key
+    order.
     """
-    _knn_gates(index, error_theta, error_scope, knn_strategy)
-    static = _static_of(index)
-    kst = _knn_static_of(index, static)
-    timeline = timeline_of(view)
-    geo = _Geometry(static, index, config, timeline)
-    key_jids = np.asarray(key_jids, dtype=np.int64)
-    key_phases = np.asarray(key_phases, dtype=np.int64)
-    start_p = (key_phases * cycle) // n_phases
-    first_idx, lane_of = _entry_lanes(geo, key_jids, start_p, cycle)
-    jid_c = key_jids[first_idx]
-    lane_start = start_p[first_idx]
-    curve = index.curve
-    qpoints = [q.point for q in queries]
-    est_g, ex_d, min_est, k_arr = _knn_query_tables(kst, curve, queries)
-    walker = _KnnWalker(
-        geo, static, kst, qpoints, est_g, ex_d, min_est, k_arr,
-        qid=jid_c * n_steps, strategy=knn_strategy,
-        slack=curve.cell_diagonal(),
-    )
-    n_lanes = len(jid_c)
-    total_lat = np.zeros(n_lanes, dtype=np.int64)
-    cor_hops = np.zeros(n_lanes, dtype=np.int64)
-    truths: Dict[int, Any] = {}
-    walker.cold_entry(lane_start, conservative=knn_strategy == "conservative")
-    walker.walk()
-    lanes = walker.S
-    total_lat += lanes.cl - lane_start
-    if verify:
-        cor_hops += walker.verify(queries, dataset, truths)
-    for h in range(1, n_steps):
-        lanes.cl += dwell_arr[jid_c, h]
-        hop_start = lanes.cl.copy()
-        lanes.cl += 1  # the re-armed probe
-        lanes.tn += 1
-        walker.set_queries(jid_c * n_steps + h)
-        walker.begin_hop()
-        walker.seed_warm()
-        walker.walk()
-        total_lat += lanes.cl - hop_start
-        if verify:
-            cor_hops += walker.verify(queries, dataset, truths)
-    lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * geo.capacity
-    tun_b = lanes.tn[lane_of] * geo.capacity
-    if verify:
-        cor = cor_hops[lane_of]
-    else:
-        cor = np.full(len(key_jids), -1, dtype=np.int64)
-    return lat_b, tun_b, cor
-
-
-# --- dispatch ---------------------------------------------------------------
-
-
-def simulate_window_fleet(
-    index: Any,
-    view: Any,
-    config: Any,
-    trials: Sequence[Any],
-    key_qids: np.ndarray,
-    key_phases: np.ndarray,
-    *,
-    n_phases: int,
-    cycle: int,
-    verify: bool,
-    dataset: Any,
-    error_theta: Optional[float] = None,
-    error_scope: str = "index",
-    error_seed: int = 0,
-    knn_strategy: str = "conservative",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Simulate every ``(query, phase)`` execution off the reference path.
-
-    Dispatches on the index and workload shape: DSI window fleets, tree
-    (R-tree / HCI) window fleets and DSI kNN fleets all run the lockstep
-    numpy kernels.  Returns ``(latency_bytes,
-    tuning_bytes, correct, backend)`` aligned with the ``key_qids`` /
-    ``key_phases`` order -- the exact triple the reference per-phase path
-    emits (``correct`` is -1 when not verifying) plus the backend tag the
-    fleet result reports.  Raises :class:`KernelUnsupported` whenever the
-    run falls outside the kernels' proven-exact envelope.
-    """
-    queries = [trial.query for trial in trials]
-    if all(isinstance(q, WindowQuery) for q in queries):
-        common = dict(
-            n_phases=n_phases, cycle=cycle, verify=verify, dataset=dataset,
-            error_theta=error_theta, error_scope=error_scope,
-            error_seed=error_seed,
-        )
-        if isinstance(index, DsiIndex):
-            out = _simulate_dsi_fleet(
-                index, view, config, queries, key_qids, key_phases, **common
-            )
-            return out + ("numpy",)
-        air = getattr(index, "air", None)
-        if isinstance(air, TreeOnAir):
-            out = _simulate_tree_fleet(
-                index, air, view, config, queries, key_qids, key_phases, **common
-            )
-            return out + ("numpy",)
-        raise KernelUnsupported("no lockstep kernel for this index type")
-    if all(isinstance(q, KnnQuery) for q in queries):
-        out = _simulate_knn_fleet(
-            index, view, config, queries, key_qids, key_phases,
-            n_phases=n_phases, cycle=cycle, verify=verify, dataset=dataset,
-            error_theta=error_theta, error_scope=error_scope,
-            error_seed=error_seed, knn_strategy=knn_strategy,
-        )
-        return out + ("numpy",)
-    raise KernelUnsupported("mixed window/kNN workloads take the reference path")
-
-
-def simulate_window_journeys(
-    index: Any,
-    view: Any,
-    config: Any,
-    journeys: Sequence[Any],
-    key_jids: np.ndarray,
-    key_phases: np.ndarray,
-    *,
-    n_phases: int,
-    cycle: int,
-    verify: bool,
-    dataset: Any,
-    error_theta: Optional[float] = None,
-    error_scope: str = "index",
-    error_seed: int = 0,
-    knn_strategy: str = "conservative",
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Simulate every warm ``(journey, phase)`` execution off the reference.
-
-    Equal-step window journeys run the lockstep kernels (DSI or tree) and
-    equal-step kNN journeys over DSI run the batched kNN lanes; anything
-    else declines with the reason the fleet result surfaces.  Returns
-    ``(journey_latency_bytes, journey_tuning_bytes, correct_hops,
-    backend)`` aligned with the key order.
-    """
-    n_steps = 0
-    queries: List[Any] = []
-    dwell: List[List[int]] = []
-    for journey in journeys:
-        steps = journey.steps
-        if n_steps == 0:
-            n_steps = len(steps)
-        elif len(steps) != n_steps:
-            raise KernelUnsupported("journeys have unequal step counts")
-        queries.extend(step.query for step in steps)
-        dwell.append([int(step.dwell_packets) for step in steps])
+    n_steps = len(items[0]) if len(items) else 0
+    if any(len(steps) != n_steps for steps in items):
+        raise KernelUnsupported("journeys have unequal step counts")
     if not n_steps:
         raise KernelUnsupported("empty journeys take the reference path")
-    dwell_arr = np.asarray(dwell, dtype=np.int64)
-
+    queries = [query for steps in items for query, _ in steps]
+    dwell = np.array([[d for _, d in steps] for steps in items], dtype=np.int64)
+    timeline = timeline_of(view)
+    keys = (np.asarray(key_ids, dtype=np.int64), np.asarray(key_phases, dtype=np.int64))
     common = dict(
         n_phases=n_phases, cycle=cycle, verify=verify, dataset=dataset,
         error_theta=error_theta, error_scope=error_scope, error_seed=error_seed,
     )
     if all(isinstance(q, WindowQuery) for q in queries):
         if isinstance(index, DsiIndex):
-            out = _simulate_dsi_journeys(
-                index, view, config, queries, dwell_arr, n_steps,
-                key_jids, key_phases, **common
-            )
-            return out + ("numpy",)
+            return _simulate_dsi(index, timeline, config, queries, dwell, *keys, **common)
         air = getattr(index, "air", None)
         if isinstance(air, TreeOnAir):
-            out = _simulate_tree_journeys(
-                index, air, view, config, queries, dwell_arr, n_steps,
-                key_jids, key_phases, **common
+            return _simulate_tree(
+                index, air, timeline, config, queries, dwell, *keys, **common
             )
-            return out + ("numpy",)
         raise KernelUnsupported("no lockstep kernel for this index type")
     if all(isinstance(q, KnnQuery) for q in queries):
-        out = _simulate_knn_journeys(
-            index, view, config, queries, dwell_arr, n_steps,
-            key_jids, key_phases, knn_strategy=knn_strategy, **common
+        return _simulate_knn(
+            index, timeline, config, queries, dwell, *keys,
+            knn_strategy=knn_strategy, **common
         )
-        return out + ("numpy",)
-    raise KernelUnsupported("mixed window/kNN journeys take the reference path")
+    noun = "workloads" if n_steps == 1 else "journeys"
+    raise KernelUnsupported(f"mixed window/kNN {noun} take the reference path")
+
+
+# The two names ``fleetbench`` drives the kernels through, with the
+# signatures and 4-tuple return (the backend tag last) it unpacks.
+
+
+def simulate_window_fleet(
+    index: Any, view: Any, config: Any, trials: Sequence[Any],
+    key_qids: np.ndarray, key_phases: np.ndarray, *, n_phases: int, cycle: int,
+    verify: bool, dataset: Any, error_theta: Optional[float] = None,
+    error_scope: str = "index", error_seed: int = 0, knn_strategy: str = "conservative",
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Stationary trials as one-step items: ``(latency_bytes, tuning_bytes,
+    correct, "numpy")`` per ``(query, phase)`` key."""
+    items = [((trial.query, 0),) for trial in trials]
+    return _simulate_items(
+        index, view, config, items, key_qids, key_phases, n_phases=n_phases,
+        cycle=cycle, verify=verify, dataset=dataset, error_theta=error_theta,
+        error_scope=error_scope, error_seed=error_seed, knn_strategy=knn_strategy,
+    ) + ("numpy",)
+
+
+def simulate_window_journeys(
+    index: Any, view: Any, config: Any, journeys: Sequence[Any],
+    key_jids: np.ndarray, key_phases: np.ndarray, *, n_phases: int, cycle: int,
+    verify: bool, dataset: Any, error_theta: Optional[float] = None,
+    error_scope: str = "index", error_seed: int = 0, knn_strategy: str = "conservative",
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Warm journeys: ``(journey_latency_bytes, journey_tuning_bytes,
+    correct_hops, "numpy")`` per ``(journey, phase)`` key."""
+    items = [tuple((s.query, int(s.dwell_packets)) for s in j.steps) for j in journeys]
+    return _simulate_items(
+        index, view, config, items, key_jids, key_phases, n_phases=n_phases,
+        cycle=cycle, verify=verify, dataset=dataset, error_theta=error_theta,
+        error_scope=error_scope, error_seed=error_seed, knn_strategy=knn_strategy,
+    ) + ("numpy",)

@@ -490,3 +490,59 @@ class TestExactHistogramCaching:
         exact = MetricSummary(values=expanded.tolist())
         assert p50 == exact.percentile(50)
         assert fleet.exact_percentile(95) == exact.percentile(95)
+
+
+@pytest.mark.parametrize("case", ["hci_knn_fleet", "journeys_scope_all"])
+def test_reference_fan_out_parallel_matches_serial(case, monkeypatch):
+    """A real worker pool gives the serial reference run's executions.
+
+    Both cells run only on the reference path (tree-index kNN and the
+    all-scope link-error model are outside the kernels), so two processes
+    start a real pool, and the shared worker's context -- its items and
+    warm flag -- crosses the process boundary: cold one-step items for the
+    stationary HCI kNN fleet, warm three-hop items for the journeys.
+    """
+    from repro.mobility import trajectory_workload
+    from repro.queries.workload import knn_workload
+    from repro.sim import fleet as fleet_mod
+    from repro.spatial import uniform_dataset
+
+    dataset = uniform_dataset(120, seed=4)
+    config = SystemConfig(packet_capacity=64)
+    if case == "hci_knn_fleet":
+        index = build_index("hci", dataset, config, use_cache=False)
+        workload = knn_workload(4, k=3, seed=5)
+
+        def run(**kw):
+            return run_fleet(index, dataset, config, workload, 3_000, seed=2,
+                             max_phases=48, verify=True, **kw)
+    else:
+        index = build_index("dsi", dataset, config, use_cache=False)
+        trajectories = trajectory_workload(4, 3, "waypoint", seed=9,
+                                           win_side_ratio=0.12)
+
+        def run(**kw):
+            return run_mobile_fleet(index, dataset, config, trajectories, 3_000,
+                                    seed=2, max_phases=48, verify=True,
+                                    error_theta=0.1, error_scope="all",
+                                    error_seed=3, **kw)
+
+    pools = []
+    real_map = fleet_mod.parallel_map
+
+    def spy(fn, tasks, processes=None, **kw):
+        pools.append((processes, len(tasks)))
+        return real_map(fn, tasks, processes=processes, **kw)
+
+    monkeypatch.setattr(fleet_mod, "parallel_map", spy)
+    serial = run()
+    pooled = run(parallel=True, processes=2)
+    assert pools[0][0] == 1 and pools[1][0] == 2 and pools[1][1] > 1
+    assert serial.backend == pooled.backend == "reference"
+    assert serial.backend_reason == pooled.backend_reason
+    np.testing.assert_array_equal(serial.unique_counts, pooled.unique_counts)
+    np.testing.assert_array_equal(serial.unique_latency, pooled.unique_latency)
+    np.testing.assert_array_equal(serial.unique_tuning, pooled.unique_tuning)
+    assert serial.result.correct_trials == pooled.result.correct_trials
+    assert serial.result.incorrect_trials == pooled.result.incorrect_trials
+    assert serial.result.correct_trials + serial.result.incorrect_trials > 0

@@ -258,19 +258,34 @@ def test_mobile_fleet_matches_brute_force(kind, channels, theta, data):
     assert result.backend == "numpy"
 
 
-@pytest.mark.parametrize("strategy", ["conservative", "aggressive"])
-@pytest.mark.parametrize("channels", [1, 4])
+#: kNN fleet cells; the DSI cells keep the ids they had before the tree
+#: indexes joined the suite.
+_KNN_FLEET_CELLS = [
+    pytest.param(
+        kind, channels, strategy,
+        id=f"{channels}-{strategy}" if kind == "dsi" else f"{kind}-{channels}-{strategy}",
+    )
+    for kind in ("dsi", "rtree", "hci")
+    for channels in (1, 4)
+    for strategy in ("aggressive", "conservative")
+]
+
+
+@pytest.mark.parametrize("kind, channels, strategy", _KNN_FLEET_CELLS)
 @given(data=st.data())
 @settings(**_SETTINGS)
-def test_knn_fleet_matches_brute_force(channels, strategy, data):
-    """Cold DSI kNN fleets on the batched kernel equal brute force exactly.
+def test_knn_fleet_matches_brute_force(kind, channels, strategy, data):
+    """Cold kNN fleets equal brute force exactly, on every index.
 
-    The kernel compiles every per-query distance once and advances all
-    ``(query, entry occurrence)`` lanes through the radius-driven planner
-    loop in lockstep -- candidate covers, k-th-candidate radii, frame
-    choices (conservative arrival order and the aggressive distance-first
-    jump) all batched -- so every unique execution must match a fresh
-    scalar planner session bit for bit.
+    DSI runs the batched kernel: it compiles every per-query distance once
+    and advances all ``(query, entry occurrence)`` lanes through the
+    radius-driven planner loop in lockstep -- candidate covers,
+    k-th-candidate radii, frame choices (conservative arrival order and the
+    aggressive distance-first jump) all batched.  Tree indexes decline to
+    the reference path, which must run every trial *cold*: a warm node
+    cache already changes an HCI kNN query on its own, because the range
+    sweep re-reads nodes the leaf sweeps read.  Either way every unique
+    execution must match a fresh scalar session bit for bit.
     """
     n_objects = data.draw(st.integers(min_value=40, max_value=90))
     dataset_seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
@@ -281,7 +296,7 @@ def test_knn_fleet_matches_brute_force(channels, strategy, data):
     dataset = uniform_dataset(n_objects, seed=dataset_seed)
     workload = knn_workload(4, k=k, seed=workload_seed)
     config = SystemConfig(packet_capacity=64, n_channels=channels)
-    index = build_index("dsi", dataset, config, use_cache=False)
+    index = build_index(kind, dataset, config, use_cache=False)
     trials = list(workload)
 
     result = run_fleet(
@@ -294,8 +309,12 @@ def test_knn_fleet_matches_brute_force(channels, strategy, data):
         knn_strategy=strategy,
     )
 
-    assert result.backend == "numpy"
-    assert result.backend_reason is None
+    if kind == "dsi":
+        assert result.backend == "numpy"
+        assert result.backend_reason is None
+    else:
+        assert result.backend == "reference"
+        assert "kNN trials on tree indexes" in result.backend_reason
     assert result.n_executions == len(lat)
     np.testing.assert_array_equal(result.unique_counts, counts)
     np.testing.assert_array_equal(result.unique_latency, lat)
@@ -451,6 +470,50 @@ def test_kernel_backend_selection():
     out = run_fleet(rtree, dataset, config, knn, 2_000, seed=9, max_phases=32)
     assert out.backend == "reference"
     assert "kNN trials on tree indexes" in out.backend_reason
+
+
+@pytest.mark.parametrize("kind", ["rtree", "hci"])
+def test_tree_sweep_guard_flags_capped_executions(kind, monkeypatch):
+    """A tree sweep that reaches its guard is flagged, never silent.
+
+    With the shared guard (``TreeOnAir.sweep_guard``) patched down to two
+    steps, the frontier-sweep kernel declines -- it cannot truncate like
+    the reference -- and the reference sweeps stop early and flag their
+    results, so window and kNN fleets and journeys all report capped
+    executions, as they do for the DSI kNN planner's cap.
+    """
+    from repro.broadcast.treeair import TreeOnAir
+
+    dataset = uniform_dataset(80, seed=11)
+    config = SystemConfig(packet_capacity=64)
+    windows = window_workload(4, 0.3, seed=3)
+    knn = knn_workload(3, k=4, seed=3)
+    journeys = trajectory_workload(n_journeys=3, n_steps=2, seed=3,
+                                   win_side_ratio=0.3)
+
+    def runs():
+        index = build_index(kind, dataset, config, use_cache=False)
+        kw = dict(seed=9, max_phases=8)
+        return (
+            run_fleet(index, dataset, config, windows, 500, **kw),
+            run_fleet(index, dataset, config, knn, 500, **kw),
+            run_mobile_fleet(index, dataset, config, journeys, 500, **kw),
+        )
+
+    window, nearest, mobile = runs()
+    assert window.backend == mobile.backend == "numpy"
+    assert nearest.backend == "reference"
+    assert window.capped_executions == nearest.capped_executions == 0
+    assert mobile.capped_executions == 0
+
+    monkeypatch.setattr(TreeOnAir, "sweep_guard", property(lambda self: 2))
+    window, nearest, mobile = runs()
+    for result in (window, mobile):
+        assert result.backend == "reference"
+        assert result.backend_reason == "tree sweep guard exceeded"
+    for result in (window, nearest, mobile):
+        assert result.capped_executions > 0
+        assert result.as_row()["capped_executions"] == result.capped_executions
 
 
 def test_kernel_verify_counts_clients():

@@ -195,25 +195,60 @@ class TestMobileFleet:
         assert a.result.latency.mean == b.result.latency.mean
         assert a.result.tuning.mean == b.result.tuning.mean
 
-    def test_stationary_single_step_fleet_matches_stationary_machinery(self):
+    def test_stationary_single_step_fleet_matches_stationary_machinery(self, monkeypatch):
         """A 1-step mobile fleet is a stationary fleet in disguise: same
         physics, same per-client draws (journey ids play the role of query
-        ids), so the population statistics must agree with run_fleet over
-        the equivalent one-shot workload."""
+        ids), so every distinct execution must agree with run_fleet over the
+        equivalent one-shot workload -- on every index, for windows and kNN,
+        on the kernels and on the reference path (REPRO_PURE) alike.  The
+        exception is HCI kNN: the journey carries a node cache from its
+        first query, and the range sweep reuses nodes the leaf sweeps read,
+        so the journey can only be cheaper -- run_fleet's trials must stay
+        cold."""
         from repro.queries.workload import Trial, Workload
 
-        tw = trajectory_workload(4, 1, Stationary(), query="window",
-                                 win_side_ratio=0.15, seed=21)
-        index = dsi()
-        mobile = run_mobile_fleet(index, DATASET, CONFIG, tw, 5_000, seed=3)
-        trials = [
-            Trial(query=j.steps[0].query, tune_in_fraction=0.0) for j in tw
-        ]
-        stationary = run_fleet(
-            index, DATASET, CONFIG, Workload(name="eq", trials=trials), 5_000, seed=3
-        )
-        assert mobile.result.latency.mean == stationary.result.latency.mean
-        assert mobile.result.tuning.mean == stationary.result.tuning.mean
+        for pure in (False, True):
+            if pure:
+                monkeypatch.setenv("REPRO_PURE", "1")
+            for kind in ("dsi", "rtree", "hci"):
+                index = build_index(kind, DATASET, CONFIG, use_cache=True)
+                for query in ("window", "knn"):
+                    cell = f"{kind}-{query}-{'pure' if pure else 'kernel'}"
+                    tw = trajectory_workload(4, 1, Stationary(), query=query, k=3,
+                                             win_side_ratio=0.15, seed=21)
+                    mobile = run_mobile_fleet(index, DATASET, CONFIG, tw, 5_000,
+                                              seed=3, verify=True)
+                    trials = [
+                        Trial(query=j.steps[0].query, tune_in_fraction=0.0) for j in tw
+                    ]
+                    stationary = run_fleet(
+                        index, DATASET, CONFIG, Workload(name="eq", trials=trials),
+                        5_000, seed=3, verify=True,
+                    )
+                    assert mobile.backend == stationary.backend, cell
+                    assert mobile.backend_reason == stationary.backend_reason, cell
+                    np.testing.assert_array_equal(
+                        mobile.unique_counts, stationary.unique_counts, err_msg=cell
+                    )
+                    lat, tun = mobile.unique_latency, mobile.unique_tuning
+                    if kind == "hci" and query == "knn":
+                        assert np.all(lat <= stationary.unique_latency), cell
+                        assert np.all(tun <= stationary.unique_tuning), cell
+                        assert np.any(tun < stationary.unique_tuning), cell
+                    else:
+                        np.testing.assert_array_equal(
+                            lat, stationary.unique_latency, err_msg=cell
+                        )
+                        np.testing.assert_array_equal(
+                            tun, stationary.unique_tuning, err_msg=cell
+                        )
+                    assert (
+                        mobile.result.correct_trials == stationary.result.correct_trials
+                    ), cell
+                    assert (
+                        mobile.result.incorrect_trials
+                        == stationary.result.incorrect_trials
+                    ), cell
 
 
 class TestMobilityApi:

@@ -28,7 +28,7 @@ the reference walk carries:
   the channel the radio is parked on;
 * ``K``   -- which frame *ranks* have a known minimum HC value (the
   knowledge a :class:`~repro.core.knowledge.ClientKnowledge` accumulates);
-* ``EX`` / ``PR`` -- which ranks this query has examined / processed.
+* ``EX`` / ``PD`` -- which ranks this query has examined / has pending.
 
 Three structural facts about DSI make the lockstep walk exact, not
 approximate (each is asserted at precompute and the kernel refuses --
@@ -43,10 +43,10 @@ falling back to the reference -- when one fails):
    frame minima the frame extents partition the HC space, the pending set
    stays the disjoint union of the *pieces* (cover ∩ extent) of the
    unprocessed relevant ranks, and the reference's value-space candidate
-   test reduces to: rank ``r`` is a candidate iff some unprocessed relevant
-   rank lies in ``[B(r), A(r))``, where ``B``/``A`` are the nearest known
-   ranks at/below and strictly above ``r`` (0 / ``F`` when none).  That is
-   four running min/max sweeps per hop (:func:`_segment_candidates`).
+   test reduces to: rank ``r`` is a candidate iff some pending rank lies
+   in ``[B(r), A(r))``, where ``B``/``A`` are the nearest known ranks
+   at/below and strictly above ``r`` (0 / ``F`` when none): one segment-id
+   count, one scatter and one gather per hop (:func:`_segment_candidates`).
 3. **Visit cost is static per (query, rank).**  Because extents are
    disjoint, the qualified objects of a relevant frame -- and therefore the
    exact bucket-read sequence of its visit (directory, then qualified data
@@ -294,32 +294,24 @@ def _rank_relevance(
 def _segment_candidates(kn: np.ndarray, hit: np.ndarray) -> np.ndarray:
     """Ranks whose known-rank segment holds a ``hit`` rank (bool rows).
 
-    Rank ``r`` qualifies iff some hit rank ``r'`` lies in ``[B(r), A(r))``,
-    with ``B``/``A`` the nearest known ranks at/below and strictly above
-    ``r`` (0 / ``F`` when none).  Any such ``r' <= r`` satisfies
-    ``r' < A(r)`` outright, so the test splits at ``r``:
-    ``(largest hit r' <= r) >= B(r)`` or ``(smallest hit r' > r) < A(r)``
-    -- four running sweeps and two elementwise compares, gather-free.
+    Rank ``r`` qualifies iff some hit rank lies in ``[B(r), A(r))``, with
+    ``B``/``A`` the nearest known ranks at/below and strictly above ``r``
+    (0 / ``F`` when none).  Forcing rank 0 known is exactly that "0 when
+    none" rule and never moves an ``A``, so on every input ``[B(r), A(r))``
+    is the segment holding ``r`` once each row is cut at its known ranks: a
+    flat count of segment starts numbers all segments (each row opens one
+    at rank 0), a scatter marks those holding a hit, a gather reads them.
     """
-    n_frames = kn.shape[1]
-    # Rank-valued sweeps use the smallest dtype that fits: the hop loops
-    # are memory-bound and every byte per cell is wall-clock.
-    rdt = np.int16 if n_frames < np.iinfo(np.int16).max else np.int32
-    ranks_row = np.arange(n_frames, dtype=rdt)
-    fill_hi = rdt(n_frames)
-    below = np.maximum.accumulate(np.where(kn, ranks_row, rdt(0)), axis=1)
-    prev_h = np.maximum.accumulate(np.where(hit, ranks_row, rdt(-1)), axis=1)
-    above_ge = np.minimum.accumulate(
-        np.where(kn, ranks_row, fill_hi)[:, ::-1], axis=1
-    )[:, ::-1]
-    next_h_ge = np.minimum.accumulate(
-        np.where(hit, ranks_row, fill_hi)[:, ::-1], axis=1
-    )[:, ::-1]
-    cand = np.empty(kn.shape, dtype=bool)
-    cand[:, :-1] = next_h_ge[:, 1:] < above_ge[:, 1:]
-    cand[:, -1] = False
-    cand |= prev_h >= below
-    return cand
+    starts = kn.copy()
+    starts[:, 0] = True
+    # Segment ids reach at most kn.size; the hop loops are memory-bound,
+    # so the count runs in the smallest dtype that holds it.
+    seg = np.cumsum(
+        starts.ravel(), dtype=np.int32 if kn.size < 2**31 else np.int64
+    )
+    held = np.zeros(int(seg[-1]) + 1, dtype=bool)
+    held[seg[hit.ravel()]] = True
+    return held.take(seg).reshape(kn.shape)
 
 
 def _qualified_mask(hcs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -412,13 +404,17 @@ class _Geometry:
         ``off`` holds within-cycle offsets; the elementwise min over the
         occurrence-matrix columns realises the replicated-schedule wait
         (padding repeats the first airing, which never wins wrongly).
+        Airings and offsets lie in ``[0, cc)``: ``+ cc`` where negative is ``% cc``.
         """
         occ = self.occ_small
         o = off.astype(self.wdtype)[:, None]
         cyc = self.wdtype(self.cc)
-        w = (occ[:, 0][None, :] - o) % cyc
+        w = occ[:, 0][None, :] - o
+        w += cyc * (w < 0)
         for c in range(1, occ.shape[1]):
-            np.minimum(w, (occ[:, c][None, :] - o) % cyc, out=w)
+            d = occ[:, c][None, :] - o
+            d += cyc * (d < 0)
+            np.minimum(w, d, out=w)
         return w
 
     def wait_rows(self, nb: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -667,11 +663,11 @@ def _precompute_queries(
 class _Walker:
     """Per-lane lockstep state plus the DSI window hop engine.
 
-    The master arrays (``clock`` / ``chan`` / ``tun`` / ``know`` /
-    ``examined`` / ``processed``) always hold every lane; the hop loop
-    works on live-lane compactions and scatters back at lane exit, so a
-    later hop starts from the carried session state and the final clocks
-    are read straight off the masters.
+    The master arrays (``clock`` / ``chan`` / ``tun`` / ``know``) always
+    hold every lane's session state.  A walk compacts them to the live
+    lanes with its own ``examined`` and ``pending`` (relevant, not yet
+    processed) masks and scatters the session back at lane exit, so a
+    later hop starts from it and the final clocks are read off the masters.
     """
 
     def __init__(
@@ -698,8 +694,6 @@ class _Walker:
         self.chan = np.full(n_lanes, geo.ctrl, dtype=np.int64)
         self.tun = np.zeros(n_lanes, dtype=np.int64)
         self.know = np.zeros((n_lanes, n_frames), dtype=bool)
-        self.examined = np.zeros((n_lanes, n_frames), dtype=bool)
-        self.processed = np.zeros((n_lanes, n_frames), dtype=bool)
 
     def _visit_on(
         self,
@@ -738,9 +732,10 @@ class _Walker:
         chan[rows] = vchan
         tun[rows] += paid
 
-    def cold_entry(self, qrow: np.ndarray, start_clock: np.ndarray) -> None:
+    def cold_entry(self, qrow: np.ndarray, start_clock: np.ndarray) -> np.ndarray:
         """The probe plus the first index-table read (with loss retries),
-        then the reference's opportunistic entry-frame processing."""
+        then the reference's opportunistic entry-frame processing.  Returns
+        the examined ranks: the entry frame where relevant (then processed)."""
         geo, st, err = self.geo, self.static, self.err
         self.clock[:] = np.asarray(start_clock, dtype=np.int64) + 1  # the probe
         self.tun[:] = 1
@@ -773,12 +768,15 @@ class _Walker:
         # the table alone proved it irrelevant but it is *not* marked
         # examined (the reference only marks frames read inside the walk).
         ev = np.flatnonzero(self.rel[qrow, rank0])
-        self.examined[ev, rank0[ev]] = True
-        self.processed[ev, rank0[ev]] = True
+        examined = np.zeros((self.n_lanes, st.n_frames), dtype=bool)
+        examined[ev, rank0[ev]] = True
         self._visit_on(self.clock, self.chan, self.tun, ev, rank0[ev], qrow)
+        return examined
 
-    def walk(self, qrow: np.ndarray) -> None:
-        """Advance every lane to pending-set exhaustion (one query hop)."""
+    def walk(self, qrow: np.ndarray, examined: np.ndarray) -> None:
+        """Advance every lane to pending-set exhaustion (one query hop),
+        taking over the hop's ``examined`` mask.  Ranks examined before a
+        walk are exactly the processed ones, so they start it not pending."""
         geo, st, err = self.geo, self.static, self.err
         n_frames = st.n_frames
         idx = np.arange(self.n_lanes)
@@ -786,18 +784,17 @@ class _Walker:
         ch = self.chan.copy()
         tn = self.tun.copy()
         kn = self.know.copy()
-        ex = self.examined.copy()
-        pr = self.processed.copy()
         qr = np.asarray(qrow, dtype=np.int64)
-        rl = self.rel[qr]
+        ex = examined
+        pd = self.rel[qr] & ~ex
         big = geo.wdtype(geo.cc)
         hop_limit = 8 * n_frames + 64  # the reference walk's safety bound
         for hop in range(hop_limit + 1):
             if not len(idx):
                 break
             # Candidacy: r is a candidate iff it is unexamined and its
-            # known-rank segment holds an unprocessed relevant rank.
-            cand = _segment_candidates(kn, rl & ~pr)
+            # known-rank segment holds a pending rank.
+            cand = _segment_candidates(kn, pd)
             cand &= ~ex
             has = cand.any(axis=1)
 
@@ -811,8 +808,8 @@ class _Walker:
                 if not len(idx):
                     break
                 cl, ch, tn = cl[has], ch[has], tn[has]
-                kn, ex, pr = kn[has], ex[has], pr[has]
-                rl, qr, cand = rl[has], qr[has], cand[has]
+                kn, ex, pd = kn[has], ex[has], pd[has]
+                qr, cand = qr[has], cand[has]
             if hop == hop_limit:
                 raise KernelUnsupported("hop limit exceeded")  # pragma: no cover
 
@@ -866,13 +863,12 @@ class _Walker:
                     active = still
                     nbv = cl[active]
 
-            # Absorb the (successfully read) table; process when relevant
-            # and not already processed -- exactly overlaps_pending.
+            # Absorb the (successfully read) table; process when still
+            # pending -- exactly overlaps_pending.
             kn |= st.learn[fr]
             ex[rows_all, fr] = True
-            do = rl[rows_all, fr] & ~pr[rows_all, fr]
-            rows = np.flatnonzero(do)
-            pr[rows, fr[rows]] = True
+            rows = np.flatnonzero(pd[rows_all, fr])
+            pd[rows, fr[rows]] = False
             self._visit_on(cl, ch, tn, rows, fr[rows], qr)
 
 
@@ -958,19 +954,17 @@ def _simulate_dsi(
 
     walker = _Walker(geo, static, rel, vlen, voff, vflat, len(ids_c), err)
     qrow = ids_c * n_steps
-    walker.cold_entry(qrow, lane_start)
-    walker.walk(qrow)
+    examined = walker.cold_entry(qrow, lane_start)
+    walker.walk(qrow, examined)
     total_lat = walker.clock - lane_start
     for h in range(1, n_steps):
         # next_query: advance by the step's dwell, snapshot the hop start,
-        # re-arm the probe; per-query state resets, session state persists.
+        # re-arm the probe; per-query masks start empty, session persists.
         walker.clock += dwell[ids_c, h]
         hop_start = walker.clock.copy()
         walker.clock += 1
         walker.tun += 1
-        walker.examined[:] = False
-        walker.processed[:] = False
-        walker.walk(qrow + h)
+        walker.walk(qrow + h, np.zeros_like(examined))
         total_lat += walker.clock - hop_start
 
     # Only hop 1's latency depends on the tune-in: shift each phase by its
@@ -1744,32 +1738,34 @@ def _knn_query_tables(
 class _KnnLanes:
     """One struct-of-arrays block of per-lane kNN search state.
 
-    Session position (``cl``/``ch``/``tn``), knowledge (``kn`` known
-    ranks, ``ex`` examined ranks) and the planner's candidate space in
-    its two key spaces: ``rt`` retrieved bitmasks over flat object ids,
-    ``es``/``rh`` estimate/retrieved-HC bitmasks over unique-HC group ids
-    (``es`` and ``rh`` are always disjoint, matching the estimate pop on
-    retrieval), ``vl`` the candidate value pool (an append-only row of
-    the ``nc`` live values per lane, inf beyond; a retrieval overwrites
-    its group's estimate slot -- ``sl`` -- in place, so the pool is the
-    candidate multiset verbatim and never exceeds ``n_objects`` wide),
-    ``nc``/``nr`` candidate and retrieved counts, and ``rad`` the
-    k-th-candidate radius with its ``dirty`` flag.
+    A working block copies and compacts only the per-lane scalars and
+    rank-wide rows (``LANE_FIELDS``): lane id ``idx``, session position
+    (``cl``/``ch``/``tn``), ``kn`` known and ``ex`` examined ranks,
+    ``nc``/``nr`` candidate and retrieved counts, the k-th-candidate
+    radius ``rad`` with its ``dirty`` flag, and the query keys.  The
+    object-wide candidate space stays in place, shared and addressed by
+    lane id: ``rt`` retrieved bitmasks over flat object ids, ``es``/``rh``
+    estimate/retrieved-HC bitmasks over unique-HC group ids (disjoint,
+    matching the estimate pop on retrieval), and ``vl`` the value pool (an
+    append-only row of the ``nc`` live values, inf beyond; a retrieval
+    overwrites its group's estimate slot ``sl`` in place, so the pool is
+    the candidate multiset verbatim, at most ``n_objects`` wide).
     """
 
-    __slots__ = (
-        "idx", "cl", "ch", "tn", "kn", "ex", "es", "rh", "rt", "vl", "sl",
-        "nc", "nr", "rad", "dirty", "qid", "qo", "qg", "kk", "me",
-    )
+    LANE_FIELDS = ("idx", "cl", "ch", "tn", "kn", "ex", "nc", "nr", "rad",
+                   "dirty", "qid", "qo", "qg", "kk")
+    __slots__ = LANE_FIELDS + ("es", "rh", "rt", "vl", "sl")
 
     def copy(self) -> "_KnnLanes":
+        """A working block: own lane fields, the shared candidate space."""
         out = _KnnLanes()
         for f in self.__slots__:
-            setattr(out, f, getattr(self, f).copy())
+            value = getattr(self, f)
+            setattr(out, f, value.copy() if f in self.LANE_FIELDS else value)
         return out
 
     def compact(self, keep: np.ndarray) -> None:
-        for f in self.__slots__:
+        for f in self.LANE_FIELDS:
             setattr(self, f, getattr(self, f)[keep])
 
 
@@ -1778,7 +1774,8 @@ class _KnnWalker:
 
     Every lane of every query advances through the planner loop together:
     cover-driven candidacy, frame choice, table read, frame visit.  Lanes
-    whose candidate set empties leave the working block (compaction); the
+    whose candidate set empties leave the working block (its lane fields
+    compact; their retrievals already sit in the master block ``S``); the
     walk ends when none remain.  All value comparisons reuse the compiled
     distance tables, so each step is pure array arithmetic plus the
     occasional new circle cover.
@@ -1845,7 +1842,6 @@ class _KnnWalker:
         lanes.qo = lanes.qid * self.kst.n_objects
         lanes.qg = lanes.qid * self.kst.n_groups
         lanes.kk = self.k_arr[lanes.qid]
-        lanes.me = self.min_est[lanes.qid]
 
     def begin_warm_hop(self, qid: np.ndarray) -> None:
         """Start a later hop on ``qid``: reset the per-query search state
@@ -1902,15 +1898,16 @@ class _KnnWalker:
         retrieved HC values, flagging the radius dirty."""
         if not len(rows):
             return
-        new = ~(lanes.es[rows, grp] | lanes.rh[rows, grp])
+        lid = lanes.idx[rows]
+        new = ~(lanes.es[lid, grp] | lanes.rh[lid, grp])
         r_new = rows[new]
         if not len(r_new):
             return
-        g_new = grp[new]
+        l_new, g_new = lid[new], grp[new]
         slots = lanes.nc[r_new]
-        lanes.es[r_new, g_new] = True
-        lanes.sl[r_new, g_new] = slots
-        lanes.vl[r_new, slots] = self.est_g[lanes.qg[r_new] + g_new]
+        lanes.es[l_new, g_new] = True
+        lanes.sl[l_new, g_new] = slots
+        lanes.vl[l_new, slots] = self.est_g[lanes.qg[r_new] + g_new]
         lanes.nc[r_new] = slots + 1
         lanes.dirty[r_new] = True
 
@@ -1925,18 +1922,19 @@ class _KnnWalker:
         """
         if not len(rows):
             return
-        new = ~(lanes.es[rows, grp] | lanes.rh[rows, grp])
+        lid = lanes.idx[rows]
+        new = ~(lanes.es[lid, grp] | lanes.rh[lid, grp])
         r_new = rows[new]
         if not len(r_new):
             return
-        g_new = grp[new]
+        l_new, g_new = lid[new], grp[new]
         # Within-row rank (r_new stays sorted): offset from the row's
         # first entry, so simultaneous additions stack like serial ones.
         first = np.searchsorted(r_new, r_new)
         slots = lanes.nc[r_new] + (np.arange(len(r_new), dtype=np.int64) - first)
-        lanes.es[r_new, g_new] = True
-        lanes.sl[r_new, g_new] = slots
-        lanes.vl[r_new, slots] = self.est_g[lanes.qg[r_new] + g_new]
+        lanes.es[l_new, g_new] = True
+        lanes.sl[l_new, g_new] = slots
+        lanes.vl[l_new, slots] = self.est_g[lanes.qg[r_new] + g_new]
         urows = r_new[first == np.arange(len(r_new))]
         lanes.nc[urows] += np.bincount(r_new, minlength=0)[urows]
         lanes.dirty[r_new] = True
@@ -1958,7 +1956,7 @@ class _KnnWalker:
                 m = full & (kd == kv)
                 kth = int(kv) - 1
                 rows_m = d[m]
-                sub = lanes.vl[rows_m, : int(lanes.nc[rows_m].max())]
+                sub = lanes.vl[lanes.idx[rows_m], : int(lanes.nc[rows_m].max())]
                 sub.partition(kth, axis=1)
                 new[m] = sub[:, kth]
         lanes.rad[d] = new
@@ -2001,7 +1999,7 @@ class _KnnWalker:
             g = g0[on] + j
             # Directory visits skip already-retrieved records; the
             # single-object scan compares unconditionally.
-            keep = ~(lanes.rt[r_on, g] & hasdir[on])
+            keep = ~(lanes.rt[lanes.idx[r_on], g] & hasdir[on])
             r_c = r_on[keep]
             if not len(r_c):
                 continue
@@ -2026,14 +2024,15 @@ class _KnnWalker:
             # add_object: the exact distance joins, the HC's estimate pops
             # -- in pool terms the estimate's slot is overwritten in place
             # (same multiset delta), a group already retrieved appends.
-            was_est = lanes.es[r_f, grp_f]
-            lanes.es[r_f, grp_f] = False
-            lanes.rh[r_f, grp_f] = True
+            l_f = lanes.idx[r_f]
+            was_est = lanes.es[l_f, grp_f]
+            lanes.es[l_f, grp_f] = False
+            lanes.rh[l_f, grp_f] = True
             slots = np.where(
-                was_est, lanes.sl[r_f, grp_f].astype(np.int64), lanes.nc[r_f]
+                was_est, lanes.sl[l_f, grp_f].astype(np.int64), lanes.nc[r_f]
             )
-            lanes.vl[r_f, slots] = self.ex_d[lanes.qo[r_f] + g_f]
-            lanes.rt[r_f, g_f] = True
+            lanes.vl[l_f, slots] = self.ex_d[lanes.qo[r_f] + g_f]
+            lanes.rt[l_f, g_f] = True
             lanes.nc[r_f] += ~was_est
             lanes.nr[r_f] += 1
             lanes.dirty[r_f] = True
@@ -2042,14 +2041,14 @@ class _KnnWalker:
     # -- the planner loop ---------------------------------------------------
 
     def _scatter(self, work: _KnnLanes, done: np.ndarray) -> None:
-        """Write finished lanes' session/result state back to the block."""
+        """Write finished lanes' session state back to the master block
+        (their retrievals are already there)."""
         lanes = self.S
         ids = work.idx[done]
         lanes.cl[ids] = work.cl[done]
         lanes.ch[ids] = work.ch[done]
         lanes.tn[ids] = work.tn[done]
         lanes.kn[ids] = work.kn[done]
-        lanes.rt[ids] = work.rt[done]
 
     def walk(self) -> None:
         """Run the planner loop until every lane's candidate set empties."""
@@ -2103,7 +2102,7 @@ class _KnnWalker:
                 open_rows = work.nr < work.kk
                 if open_rows.any():
                     ckn = cand & work.kn
-                    dmat = np.where(ckn, work.me, np.inf)
+                    dmat = np.where(ckn, self.min_est[work.qid], np.inf)
                     dmin = dmat.min(axis=1)
                     use = open_rows & np.isfinite(dmin)
                     if use.any():

@@ -78,6 +78,33 @@ class TestWindowQueryCorrectness:
         cycle_bytes = dsi_m1.program.cycle_bytes(config64.packet_capacity)
         assert result.metrics.latency_bytes <= 2.5 * cycle_bytes
 
+    @pytest.mark.parametrize("scan", [False, True], ids=["directory", "scan"])
+    def test_hc_value_straddling_frames(self, scan, monkeypatch):
+        """Objects 0 and 35 share HC 1657: object 0 ends frame rank 3 and
+        1657 is rank 4's minimum.  Tuning in at 6/12 or 7/12 of the cycle
+        processes rank 4 first; rank 3's visit must still fetch object 0,
+        through its directory or, with the directory lost, the scan."""
+        from repro.core import visit
+        from repro.queries.workload import window_workload
+        from repro.sim.runner import build_index
+
+        dataset = uniform_dataset(59, seed=934)
+        config = SystemConfig(packet_capacity=64)
+        index = build_index("dsi", dataset, config, use_cache=False)
+        assert [o.oid for o in index.frames_by_rank[3].objects][-1] == 0
+        assert index.frames_by_rank[4].min_hc == dataset.objects[0].hc
+        if scan:
+            monkeypatch.setattr(visit, "read_directory", lambda *a, **k: None)
+        query = list(window_workload(2, 0.12, seed=934))[0].query
+        cycle = index.program.cycle_packets
+        for phase in (6, 7):
+            session = ClientSession(
+                index.program, config, start_packet=phase * cycle // 12
+            )
+            result = index.window_query(query.window, session)
+            assert 0 in result.object_ids
+            assert matches(dataset, query, result.objects)
+
 
 class TestKnnQueryCorrectness:
     @pytest.mark.parametrize("segments,strategy", [(1, "conservative"), (1, "aggressive"), (2, "conservative")])

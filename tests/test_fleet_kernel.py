@@ -725,3 +725,273 @@ def test_static_declines_tables_that_skip_rank_zero(monkeypatch):
     monkeypatch.setattr(ClientKnowledge, "table_pairs", pairs)
     with pytest.raises(fk.KernelUnsupported, match="rank 0"):
         fk._Static(index)
+
+
+# --- lane-hop helpers vs their former formulations ---------------------------
+
+
+def _sweep_segment_candidates(kn, hit):
+    """Test oracle: the four-sweep segment test the lane walkers ran before.
+
+    Rank ``r`` qualifies iff ``(largest hit r' <= r) >= B(r)`` or
+    ``(smallest hit r' > r) < A(r)``, with ``B``/``A`` running max/min
+    sweeps over the known ranks (0 / ``F`` when none).
+    """
+    n_frames = kn.shape[1]
+    rdt = np.int16 if n_frames < np.iinfo(np.int16).max else np.int32
+    ranks_row = np.arange(n_frames, dtype=rdt)
+    fill_hi = rdt(n_frames)
+    below = np.maximum.accumulate(np.where(kn, ranks_row, rdt(0)), axis=1)
+    prev_h = np.maximum.accumulate(np.where(hit, ranks_row, rdt(-1)), axis=1)
+    above_ge = np.minimum.accumulate(
+        np.where(kn, ranks_row, fill_hi)[:, ::-1], axis=1
+    )[:, ::-1]
+    next_h_ge = np.minimum.accumulate(
+        np.where(hit, ranks_row, fill_hi)[:, ::-1], axis=1
+    )[:, ::-1]
+    cand = np.empty(kn.shape, dtype=bool)
+    cand[:, :-1] = next_h_ge[:, 1:] < above_ge[:, 1:]
+    cand[:, -1] = False
+    cand |= prev_h >= below
+    return cand
+
+
+def _modulo_wait_matrix(self, off):
+    """Test oracle: ``_Geometry.wait_matrix`` as it was, with ``% cc``."""
+    occ = self.occ_small
+    o = off.astype(self.wdtype)[:, None]
+    cyc = self.wdtype(self.cc)
+    w = (occ[:, 0][None, :] - o) % cyc
+    for c in range(1, occ.shape[1]):
+        np.minimum(w, (occ[:, c][None, :] - o) % cyc, out=w)
+    return w
+
+
+def _segment_corpus(rng, n_frames):
+    """Seeded ``(kn, hit)`` rows: random densities plus every pairing of
+    edge knowledge rows (none known, all known, rank 0 unknown, rank 0
+    known) with edge hit rows (none, all, the last rank only, random),
+    shuffled so rows of each kind follow rows of every other kind."""
+    kn_rows, hit_rows = [], []
+    for p_kn, p_hit in [(0.05, 0.02), (0.3, 0.1), (0.7, 0.4), (0.95, 0.9)]:
+        kn_rows.append(rng.random((25, n_frames)) < p_kn)
+        hit_rows.append(rng.random((25, n_frames)) < p_hit)
+    none = np.zeros(n_frames, dtype=bool)
+    last = none.copy()
+    last[-1] = True
+    zero_unknown = rng.random(n_frames) < 0.5
+    zero_unknown[0] = False
+    zero_known = rng.random(n_frames) < 0.5
+    zero_known[0] = True
+    for k_row in (none, ~none, zero_unknown, zero_known):
+        for h_row in (none, ~none, last, rng.random(n_frames) < 0.3):
+            kn_rows.append(k_row[None, :])
+            hit_rows.append(h_row[None, :])
+    kn, hit = np.concatenate(kn_rows), np.concatenate(hit_rows)
+    order = rng.permutation(len(kn))
+    return kn[order], hit[order]
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 3, 17, 100])
+def test_segment_candidates_match_sweep_oracle(n_frames):
+    """The segment-id candidacy equals the four-sweep test on every row,
+    whole blocks and single rows alike -- rank 0 known or not."""
+    from repro.sim.fleet_kernel import _segment_candidates
+
+    kn, hit = _segment_corpus(np.random.default_rng(1000 + n_frames), n_frames)
+    assert not kn[:, 0].all() and kn[:, 0].any()
+    want = _sweep_segment_candidates(kn, hit)
+    np.testing.assert_array_equal(_segment_candidates(kn, hit), want)
+    for row in range(len(kn)):
+        got = _segment_candidates(kn[row : row + 1], hit[row : row + 1])
+        np.testing.assert_array_equal(got, want[row : row + 1])
+
+
+@pytest.mark.parametrize("width", [1, 4], ids=["flat", "replicated"])
+@pytest.mark.parametrize("wdtype", [np.int32, np.int64])
+def test_wait_matrix_matches_modulo_oracle(width, wdtype):
+    """The division-free wait matrix equals the ``% cc`` one on seeded
+    occurrence matrices (flat, or padded with each rank's first airing),
+    at offsets 0 and ``cc - 1`` and in between."""
+    from repro.sim.fleet_kernel import _Geometry
+
+    rng = np.random.default_rng(77 + width)
+    for n_frames, cc in [(1, 1), (1, 5), (2, 8), (20, 60), (100, 2700)]:
+        per_rank = rng.integers(1, width + 1, size=n_frames)
+        per_rank[0] = width
+        per_rank = np.minimum(per_rank, cc // n_frames)  # distinct offsets
+        airings = np.sort(rng.choice(cc, size=int(per_rank.sum()), replace=False))
+        airings[[0, -1]] = 0, cc - 1  # an airing at each cycle edge
+        rank = rng.permutation(np.repeat(np.arange(n_frames), per_rank))
+        occ = np.empty((n_frames, width), dtype=np.int64)
+        for r in range(n_frames):
+            mine = airings[rank == r]
+            occ[r, : len(mine)] = mine
+            occ[r, len(mine):] = mine[0]
+        geo = object.__new__(_Geometry)
+        geo.cc, geo.wdtype, geo.occ_small = cc, wdtype, occ.astype(wdtype)
+        off = np.concatenate([[0, cc - 1], rng.integers(0, cc, size=50)])
+        got = geo.wait_matrix(off)
+        assert got.dtype == wdtype
+        np.testing.assert_array_equal(got, _modulo_wait_matrix(geo, off))
+
+
+#: Fixed (query kind, channels, schedule, theta) fleet cells replayed with
+#: the former lane-hop helpers patched back into the kernel.
+_HELPER_CELLS = [
+    ("window", 1, "flat", None),
+    ("window", 1, "flat", 0.12),
+    ("window", 4, "flat", None),
+    ("window", 4, "flat", 0.12),
+    ("window", 4, "optimized", None),
+    ("window", 4, "optimized", 0.12),
+    ("journey", 4, "flat", None),
+    ("journey", 4, "flat", 0.12),
+    ("knn-conservative", 4, "flat", None),
+    ("knn-aggressive", 4, "flat", None),
+]
+
+
+@pytest.mark.parametrize(
+    "query, channels, layout, theta", _HELPER_CELLS,
+    ids=["-".join(str(p) for p in cell) for cell in _HELPER_CELLS],
+)
+def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeypatch):
+    """Fleets through the new candidacy and wait helpers equal fleets with
+    the four-sweep and ``% cc`` oracles patched back in, execution for
+    execution."""
+    from repro.sim import fleet_kernel as fk
+
+    dataset = uniform_dataset(120, seed=42 + channels)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    kw = dict(seed=13, max_phases=24, error_theta=theta, error_seed=4)
+    if query == "journey":
+        journeys = trajectory_workload(n_journeys=5, n_steps=3, seed=8,
+                                       win_side_ratio=0.12)
+
+        def run():
+            return run_mobile_fleet(index, dataset, config, journeys, 2_000, **kw)
+    else:
+        workload = window_workload(6, 0.12, seed=8)
+        if layout == "optimized":
+            demand = workload.bucket_demand(index, dataset)
+            kw["schedule"] = BroadcastSchedule.optimized(
+                index.program, demand, channels=channels, budget=2.0
+            )
+        if query != "window":
+            workload = knn_workload(5, k=4, seed=8)
+            kw["knn_strategy"] = query.split("-")[1]
+
+        def run():
+            return run_fleet(index, dataset, config, workload, 2_000, **kw)
+
+    new = run()
+    calls = []
+
+    def counted(oracle):
+        def call(*args):
+            calls.append(oracle.__name__)
+            return oracle(*args)
+        return call
+
+    monkeypatch.setattr(fk, "_segment_candidates", counted(_sweep_segment_candidates))
+    monkeypatch.setattr(fk._Geometry, "wait_matrix", counted(_modulo_wait_matrix))
+    old = run()
+    assert {"_sweep_segment_candidates", "_modulo_wait_matrix"} <= set(calls)
+    assert new.backend == old.backend == "numpy"
+    np.testing.assert_array_equal(new.unique_counts, old.unique_counts)
+    np.testing.assert_array_equal(new.unique_latency, old.unique_latency)
+    np.testing.assert_array_equal(new.unique_tuning, old.unique_tuning)
+
+
+# --- an HC value straddling a frame boundary ----------------------------------
+
+
+def _straddling_hc_fleet():
+    """Objects 0 and 35 share HC 1657, which ends frame rank 3 and is rank
+    4's minimum; executions 6-7 (query 0, phases 6-7) need object 0."""
+    dataset = uniform_dataset(59, seed=934)
+    config = SystemConfig(packet_capacity=64)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    workload = window_workload(2, 0.12, seed=934)
+    return run_fleet(index, dataset, config, workload, 300, seed=0,
+                     max_phases=12, verify=True, parallel=False)
+
+
+def test_kernel_answers_hc_value_straddling_frames():
+    """The kernel's static per-(query, rank) visits fetch the object."""
+    result = _straddling_hc_fleet()
+    assert result.backend == "numpy"
+    assert result.result.incorrect_trials == 0
+    np.testing.assert_array_equal(result.unique_latency[6:8], [65_536, 60_224])
+
+
+def test_reference_answers_hc_value_straddling_frames(monkeypatch):
+    """Clearing rank 4's extent first no longer drops object 0 from rank
+    3's visit on the reference planner: it answers correctly, and its
+    executions cost what the kernel's do."""
+    kernel = _straddling_hc_fleet()
+    monkeypatch.setenv("REPRO_PURE", "1")
+    result = _straddling_hc_fleet()
+    assert result.backend == "reference"
+    assert result.result.incorrect_trials == 0
+    np.testing.assert_array_equal(result.unique_latency, kernel.unique_latency)
+    np.testing.assert_array_equal(result.unique_tuning, kernel.unique_tuning)
+
+
+@pytest.mark.parametrize(
+    "fleet, n_objects, dataset_seed, workload_seed, channels, theta",
+    [
+        ("flat", 40, 615, 77, 1, 0.12),
+        ("optimized", 55, 6096, 65536, 1, None),
+        ("optimized", 79, 40, 0, 4, 0.12),
+        ("mobile", 86, 140, 0, 4, 0.12),
+        ("mobile", 50, 618, 165, 4, 0.12),
+    ],
+)
+def test_straddling_hc_draws_match_brute_force(
+    fleet, n_objects, dataset_seed, workload_seed, channels, theta
+):
+    """Shrunk property-test draws whose datasets end a frame with the next
+    frame's minimum HC: the kernel equals the scalar brute force on each
+    (flat windows, optimized layouts at budget 2.0, 3-hop journeys)."""
+    dataset = uniform_dataset(n_objects, seed=dataset_seed)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    if fleet in ("flat", "optimized"):
+        schedule, error_seed = None, 3
+        workload = window_workload(2, 0.12, seed=workload_seed)
+        if fleet == "optimized":
+            error_seed = 5
+            workload = window_workload(4, 0.15, seed=workload_seed)
+            schedule = BroadcastSchedule.optimized(
+                index.program, workload.bucket_demand(index, dataset),
+                channels=channels, budget=2.0,
+            )
+        result = run_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=0,
+            max_phases=MAX_PHASES, error_theta=theta, error_seed=error_seed,
+            schedule=schedule,
+        )
+        lat, tun, counts = _brute_force_uniques(
+            index, config, list(workload), n_clients=N_CLIENTS, seed=0,
+            max_phases=MAX_PHASES, theta=theta, error_seed=error_seed,
+            schedule=schedule,
+        )
+    else:
+        trajectories = trajectory_workload(
+            n_journeys=4, n_steps=3, seed=workload_seed, win_side_ratio=0.12
+        )
+        result = run_mobile_fleet(
+            index, dataset, config, trajectories, N_CLIENTS, seed=0,
+            max_phases=MAX_PHASES, error_theta=theta, error_seed=7,
+        )
+        lat, tun, counts = _brute_force_journeys(
+            index, config, list(trajectories), n_clients=N_CLIENTS, seed=0,
+            max_phases=MAX_PHASES, theta=theta, error_seed=7,
+        )
+    assert result.backend == "numpy"
+    np.testing.assert_array_equal(result.unique_counts, counts)
+    np.testing.assert_array_equal(result.unique_latency, lat)
+    np.testing.assert_array_equal(result.unique_tuning, tun)

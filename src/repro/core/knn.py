@@ -250,7 +250,7 @@ def knn_query(
             _visit_frame(view, session, knowledge, space, table.frame_pos, table)
             frames_visited += 1
 
-    safety = 4 * view.n_frames + 256
+    safety = view.knn_guard
     iterations = 0
     iterations_capped = False
     while True:

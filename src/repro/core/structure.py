@@ -567,6 +567,26 @@ class DsiAirView:
         self.object_factor = index.layout.object_factor
         self.program = index.program
 
+    # -- planner guards --------------------------------------------------------
+
+    @property
+    def window_guard(self) -> int:
+        """How many table reads one window walk may take after its entry.
+
+        Each read examines a new rank, so a walk needs at most ``n_frames``;
+        the bound only stops a pathological schedule.  A walk that reaches
+        it stops and flags its result (``WindowQueryResult.iterations_capped``);
+        the fleet kernel declines instead.
+        """
+        return 8 * self.n_frames + 64
+
+    @property
+    def knn_guard(self) -> int:
+        """How many frame choices one kNN search may take -- the kNN
+        counterpart of :attr:`window_guard`, flagged as
+        ``KnnQueryResult.iterations_capped``."""
+        return 4 * self.n_frames + 256
+
     # -- position arithmetic ---------------------------------------------------
 
     def rank_of_pos(self, pos: int) -> int:

@@ -59,6 +59,9 @@ class WindowQueryResult:
     frames_visited: int = 0
     tables_read: int = 0
     lost_objects: int = 0
+    #: True when the walk stopped at :attr:`DsiAirView.window_guard` with
+    #: HC ranges still pending -- the answer may then miss objects.
+    iterations_capped: bool = False
 
     @property
     def object_ids(self) -> List[int]:
@@ -192,7 +195,7 @@ def window_query(
             return False
         return before is None or p_his[j - 1] >= before
 
-    safety = 8 * view.n_frames + 64
+    safety = view.window_guard
     iterations = 0
     # The candidate set only ever shrinks (knowledge grows, pending shrinks,
     # examined grows), so it is computed in full once and then *walked*: each
@@ -251,4 +254,5 @@ def window_query(
         frames_visited=frames_visited,
         tables_read=knowledge.tables_read - tables_before,
         lost_objects=lost_objects,
+        iterations_capped=bool(pending) and iterations >= safety,
     )

@@ -29,10 +29,6 @@ def bptree_fanout(packet_capacity: int, entry_size: int) -> int:
     return max(2, packet_capacity // entry_size)
 
 
-def entry_interval(entry: AirTreeEntry) -> HCInterval:
-    return entry.key
-
-
 def node_interval(node: AirTreeNode) -> HCInterval:
     lo = min(entry.key[0] for entry in node.entries)
     hi = max(entry.key[1] for entry in node.entries)

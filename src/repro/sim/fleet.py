@@ -228,10 +228,10 @@ class FleetResult(_PopulationView):
     #: column so perf cliffs are visible instead of silent.
     backend_reason: Optional[str] = None
     #: How many distinct executions ended with a planner's safety cap
-    #: truncating the search (``iterations_capped`` on the DSI kNN planner's
-    #: and the R-tree/HCI sweeps' results).  Always 0 on kernel runs (the
-    #: kernels decline cap-bound lanes); nonzero means some answers may be
-    #: inexact.
+    #: truncating the search (``iterations_capped`` on the DSI window and
+    #: kNN planners' and the R-tree/HCI sweeps' results).  Always 0 on
+    #: kernel runs (the kernels decline cap-bound lanes); nonzero means some
+    #: answers may be inexact.
     capped_executions: int = 0
     #: Realized per-query client draw counts (length = number of workload
     #: queries), retained -- with references to the run's workload, index and

@@ -4,9 +4,33 @@ walks in numpy.
 The fleet engine (:func:`repro.sim.fleet._run_population`) hands every run
 over as *items* -- the ``(query, dwell_packets)`` steps one client walks:
 a stationary trial is a one-step item, a journey one step per hop.
-:func:`_simulate_items` is the one dispatcher; behind it sits one entry per
-index family (:func:`_simulate_dsi`, :func:`_simulate_tree`,
-:func:`_simulate_knn`), and hop 1 of every item is the cold entry.
+:func:`_simulate_items` runs every family's lanes.  It picks the walker of
+the run's index family and query kind -- :class:`_Walker` (DSI windows),
+:class:`_TreeWalker` (R-tree and HCI windows) or :class:`_KnnWalker` (DSI
+kNN) -- and runs the session frame every client shares exactly once: the
+loss streams, the lane collapse, the cold hop, the warm-hop loop (dwell,
+re-armed probe, walk), the per-hop verification and the landmark shift of
+latencies back to keys.  A walker contributes only its family's plans and
+visit rule, behind one protocol:
+
+* the constructor compiles the per-query plans, or declines (raises
+  :class:`KernelUnsupported`) before compiling anything when the run lies
+  outside its envelope;
+* ``entry(nb)`` -- the entry airing a tune-in at clock ``nb`` reads first
+  (the lane collapse's key);
+* ``begin(lane_start, qrow, err)`` -- the cold hop: probe, entry read and
+  walk for every lane;
+* ``hop(qrow)`` -- one warm hop from the carried session;
+* ``verify(qrow)`` -- per-lane correctness of the hop just walked;
+* ``clock`` / ``tun`` -- the per-lane session clocks and tuning packets,
+  which :func:`_simulate_items` advances between hops and reads at the
+  end.
+
+The geometries share one channel base (:class:`_Channel`: timeline, switch
+cost, capacity, index channel and the switch-adjusted doze), and the two
+DSI walkers share their master session, entry-table read and lane retire
+(:class:`_DsiLanes`) and the nearest-candidate table read
+(:meth:`_Geometry.read_nearest`).
 
 The reference path (:func:`repro.sim.fleet._simulate_item_batch`)
 replays one full :class:`~repro.broadcast.client.ClientSession` per distinct
@@ -170,7 +194,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..broadcast.client import ClientSession
 from ..broadcast.program import BucketKind
 from ..broadcast.timeline import timeline_of
 from ..broadcast.treeair import TreeOnAir
@@ -186,18 +209,23 @@ __all__ = [
 
 
 class KernelUnsupported(Exception):
-    """The SoA kernels cannot reproduce the reference walk for this run.
+    """The lane walkers cannot reproduce the reference walk for this run.
 
-    Raised (and caught by the fleet engine behind
-    :func:`repro.sim.fleet.run_fleet` / :func:`repro.sim.fleet.run_mobile_fleet`,
-    which falls back to the per-phase reference path) for index types
-    without a kernel, kNN trials on tree indexes, kNN runs with link errors
-    or an unknown strategy, mixed window/kNN or unequal-step items,
-    directory-less layouts, duplicate frame minima, non-index error scopes,
-    exhausted loss retries or a tree sweep past its guard (where the
-    reference raises or truncates), or any precompute invariant the
-    kernels' exactness argument relies on failing to hold.  The message is
-    surfaced as ``backend_reason`` on the fleet result.
+    Raised by :func:`_simulate_items` for items it has no walker for
+    (unequal or empty steps, mixed window/kNN queries, window queries on an
+    index type without a walker) and by a walker's constructor for runs
+    outside its envelope: kNN trials on tree indexes, kNN runs with link
+    errors or an unknown strategy, directory-less layouts, duplicate frame
+    minima, lossy scopes other than ``index``, or any precompute invariant
+    the exactness argument relies on failing to hold.  A walk raises it
+    where the reference raises or truncates: exhausted loss retries, or a
+    walk past a planner guard (:attr:`~repro.core.structure.DsiAirView.window_guard`,
+    :attr:`~repro.core.structure.DsiAirView.knn_guard`,
+    :attr:`~repro.broadcast.treeair.TreeOnAir.sweep_guard`).  The fleet
+    engine behind :func:`repro.sim.fleet.run_fleet` /
+    :func:`repro.sim.fleet.run_mobile_fleet` catches it, falls back to the
+    per-phase reference path and surfaces the message as
+    ``backend_reason`` on the fleet result.
     """
 
 
@@ -321,7 +349,37 @@ def _qualified_mask(hcs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return (np.searchsorted(flat, hcs, side="right") & 1) == 1
 
 
-class _Geometry:
+class _Channel:
+    """The channel facts every walker's geometry carries, and the doze.
+
+    ``ctrl`` is the channel the family's index structure airs on (the
+    clients' home channel); ``switch`` is the retune cost, charged only on
+    multi-channel schedules.
+    """
+
+    __slots__ = ("timeline", "switch", "capacity", "ctrl")
+
+    def __init__(self, config: Any, timeline, ctrl: int) -> None:
+        self.timeline = timeline
+        self.switch = (
+            int(getattr(config, "channel_switch_packets", 0))
+            if timeline.n_channels > 1
+            else 0
+        )
+        self.capacity = int(config.packet_capacity)
+        self.ctrl = int(ctrl)
+
+    def doze(self, cl: np.ndarray, ch: np.ndarray, to: Any) -> np.ndarray:
+        """Earliest receive clock on channel ``to`` for a radio parked on
+        ``ch`` at ``cl``: the switch cost where it retunes.  With no switch
+        cost it returns ``cl`` itself and does no array work, so callers
+        never write to the result."""
+        if self.switch:
+            return cl + self.switch * (ch != to)
+        return cl
+
+
+class _Geometry(_Channel):
     """Compiled channel geometry of one (index, schedule view) pair.
 
     Verifies the layout facts the lockstep walk relies on (all index
@@ -332,8 +390,7 @@ class _Geometry:
     """
 
     __slots__ = (
-        "timeline", "switch", "capacity", "ctrl", "cc",
-        "airing_starts", "airing_rank", "occ_rank", "occ_small", "wdtype",
+        "cc", "airing_starts", "airing_rank", "occ_rank", "occ_small", "wdtype",
         "pk_of_rank", "rank_of_pos", "bchan", "bpk",
     )
 
@@ -345,14 +402,7 @@ class _Geometry:
         if kt.channel != timeline.home_channel:
             raise KernelUnsupported("tables must air on the clients' home channel")
         n_frames = static.n_frames
-        self.timeline = timeline
-        self.switch = (
-            int(getattr(config, "channel_switch_packets", 0))
-            if timeline.n_channels > 1
-            else 0
-        )
-        self.capacity = int(config.packet_capacity)
-        self.ctrl = int(kt.channel)
+        super().__init__(config, timeline, kt.channel)
         self.cc = int(kt.cycle)  # the table channel's cycle
 
         m = index.params.n_segments
@@ -423,6 +473,23 @@ class _Geometry:
         occ = self.occ_rank[ranks]
         off = nb - (nb // self.cc) * self.cc
         return ((occ - off[:, None]) % self.cc).min(axis=1)
+
+    def read_nearest(
+        self, cl: np.ndarray, ch: np.ndarray, cand: np.ndarray, tn: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Doze to each row's earliest-arriving ``cand`` table and read it.
+
+        Waits run from the switch-adjusted clock to each rank's *nearest*
+        airing; distinct airings sit at distinct cycle offsets, so waits
+        never tie and the reference's lowest-rank tie-break stays vacuous.
+        Returns ``(rank, clock, channel, tuning)`` after the read.
+        """
+        nb = self.doze(cl, ch, self.ctrl)
+        wait = self.wait_matrix(nb - (nb // self.cc) * self.cc)
+        chosen = np.argmin(np.where(cand, wait, self.wdtype(self.cc)), axis=1)
+        pk = self.pk_of_rank[chosen]
+        cl = nb + wait[np.arange(len(chosen)), chosen].astype(np.int64) + pk
+        return chosen, cl, np.full(len(chosen), self.ctrl, dtype=np.int64), tn + pk
 
 
 # --- vectorized PCG64 lanes -----------------------------------------------
@@ -566,29 +633,19 @@ class _ErrStreams:
         return self._buf[lanes, p] < self.theta
 
 
-def _make_err_streams(
-    error_theta: Optional[float],
-    error_scope: str,
-    error_seed: int,
-    key_ids: np.ndarray,
-    key_phases: np.ndarray,
-    n_phases: int,
-) -> Optional[_ErrStreams]:
-    """The per-execution loss streams, or None when the run is lossless.
+def _index_scope(scope: Optional[str]) -> None:
+    """Decline a lossy scope other than ``index``: it loses buckets the
+    window walkers' visit replay does not model losing."""
+    if scope not in (None, "index"):
+        raise KernelUnsupported(f"error scope {scope!r} takes the reference path")
 
-    ``theta == 0`` and ``scope == "none"`` sessions draw nothing and run
-    the (deduplicated) lossless path; any lossy scope other than ``index``
-    reads buckets the kernel's visit replay does not model losing.
-    """
-    if error_theta is None or float(error_theta) == 0.0 or error_scope == "none":
-        return None
-    if error_scope != "index":
-        raise KernelUnsupported(
-            f"error scope {error_scope!r} takes the reference path"
-        )
-    keys = key_ids * np.int64(n_phases) + key_phases
-    seeds = (np.int64(int(error_seed) * 1_000_003) + keys) & np.int64(0x7FFFFFFF)
-    return _ErrStreams(seeds, float(error_theta))
+
+def _tune_in(
+    lane_start: np.ndarray, ctrl: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cold sessions right after the initial probe: ``(clock, chan, tun)``."""
+    n = len(lane_start)
+    return lane_start + 1, np.full(n, ctrl, dtype=np.int64), np.ones(n, dtype=np.int64)
 
 
 def _precompute_queries(
@@ -660,40 +717,81 @@ def _precompute_queries(
     return rel, vlen, voff, np.asarray(vflat, dtype=np.int64), correct_q
 
 
-class _Walker:
-    """Per-lane lockstep state plus the DSI window hop engine.
+class _DsiLanes:
+    """What the DSI window and kNN walkers share: the per-lane master
+    session and the table reads on it.
 
     The master arrays (``clock`` / ``chan`` / ``tun`` / ``know``) always
     hold every lane's session state.  A walk compacts them to the live
-    lanes with its own ``examined`` and ``pending`` (relevant, not yet
-    processed) masks and scatters the session back at lane exit, so a
-    later hop starts from it and the final clocks are read off the masters.
+    lanes and :meth:`_retire` scatters each lane back as it leaves, so a
+    later hop starts from the carried session and :func:`_simulate_items`
+    reads the final clocks off the masters.
     """
 
-    def __init__(
-        self,
-        geo: _Geometry,
-        static: _Static,
-        rel: np.ndarray,
-        vlen: np.ndarray,
-        voff: np.ndarray,
-        vflat: np.ndarray,
-        n_lanes: int,
-        err: Optional[_ErrStreams],
+    def entry(self, nb: np.ndarray) -> np.ndarray:
+        """The lane collapse's entry airing: the first table at/after ``nb``."""
+        return self.geo.entry_seek(nb)[0]
+
+    def _start(self, lane_start: np.ndarray) -> None:
+        self.clock, self.chan, self.tun = _tune_in(lane_start, self.geo.ctrl)
+        self.know = np.zeros((len(lane_start), self.static.n_frames), dtype=bool)
+
+    def _read_entry(self, err: Optional[_ErrStreams]) -> np.ndarray:
+        """The first index-table read after the probe (the reference's
+        ``read_first_table`` kind-seek), with loss retries; every lane
+        learns its table.  Returns each lane's entry rank."""
+        geo, st = self.geo, self.static
+        rank0 = np.zeros(len(self.clock), dtype=np.int64)
+        pend = np.arange(len(self.clock))
+        attempts = 0
+        while len(pend):
+            start, r = geo.entry_seek(self.clock[pend])
+            pk = geo.pk_of_rank[r]
+            self.clock[pend] = start + pk
+            self.tun[pend] += pk
+            ok = np.ones(len(pend), dtype=bool) if err is None else ~err.lost(pend)
+            rank0[pend[ok]] = r[ok]
+            self.know[pend[ok]] |= st.learn[r[ok]]
+            pend = pend[~ok]
+            attempts += 1
+            if len(pend) and attempts > st.n_frames + 1:
+                # The reference raises RuntimeError here; decline so the
+                # fallback path reproduces it.
+                raise KernelUnsupported("entry-table retries exhausted")
+        return rank0
+
+    def _retire(
+        self, idx: np.ndarray, live: np.ndarray, cl: np.ndarray, ch: np.ndarray,
+        tn: np.ndarray, kn: np.ndarray,
     ) -> None:
-        self.geo = geo
-        self.static = static
-        self.rel = rel
-        self.vlen = vlen
-        self.voff = voff
-        self.vflat = vflat
-        self.err = err
-        self.n_lanes = n_lanes
-        n_frames = static.n_frames
-        self.clock = np.zeros(n_lanes, dtype=np.int64)
-        self.chan = np.full(n_lanes, geo.ctrl, dtype=np.int64)
-        self.tun = np.zeros(n_lanes, dtype=np.int64)
-        self.know = np.zeros((n_lanes, n_frames), dtype=bool)
+        """Write the session of working rows leaving a walk (``~live``) back
+        to their lanes ``idx`` in the master arrays."""
+        done = ~live
+        ids = idx[done]
+        self.clock[ids] = cl[done]
+        self.chan[ids] = ch[done]
+        self.tun[ids] = tn[done]
+        self.know[ids] = kn[done]
+
+
+class _Walker(_DsiLanes):
+    """The DSI window walker: per-(query, rank) visit plans replayed by the
+    rank-space hop.  A walk carries its own ``examined`` and ``pending``
+    (relevant, not yet processed) masks on the live lanes."""
+
+    def __init__(self, index, timeline, config, queries, n_steps, verify,
+                 dataset, scope, strategy) -> None:
+        self.static = _static_of(index)
+        self.geo = _Geometry(self.static, index, config, timeline)
+        _index_scope(scope)
+        # One precompute row per (item, step): knowledge clamps pending at
+        # the global minimum, which hop 1's entry read always teaches
+        # (_Static gates that every table teaches rank 0), so warm hops
+        # share the cold clamp and the per-row tables are hop-invariant.
+        self.rel, self.vlen, self.voff, self.vflat, self.correct = (
+            _precompute_queries(self.static, index, queries, verify, dataset)
+        )
+        self.guard = index.air_view().window_guard
 
     def _visit_on(
         self,
@@ -721,9 +819,7 @@ class _Walker:
             on = lengths > i
             b = self.vflat[offsets[on] + i]
             ch = geo.bchan[b]
-            nb = vclock[on]
-            if geo.switch:
-                nb = nb + geo.switch * (ch != vchan[on])
+            nb = geo.doze(vclock[on], vchan[on], ch)
             # next_occurrences handles replicated buckets (min over copies).
             vclock[on] = timeline.next_occurrences(b, nb) + geo.bpk[b]
             vchan[on] = ch
@@ -732,64 +828,41 @@ class _Walker:
         chan[rows] = vchan
         tun[rows] += paid
 
-    def cold_entry(self, qrow: np.ndarray, start_clock: np.ndarray) -> np.ndarray:
-        """The probe plus the first index-table read (with loss retries),
-        then the reference's opportunistic entry-frame processing.  Returns
-        the examined ranks: the entry frame where relevant (then processed)."""
-        geo, st, err = self.geo, self.static, self.err
-        self.clock[:] = np.asarray(start_clock, dtype=np.int64) + 1  # the probe
-        self.tun[:] = 1
-        if err is None:
-            start, rank0 = geo.entry_seek(self.clock)
-            pk = geo.pk_of_rank[rank0]
-            self.clock[:] = start + pk
-            self.tun += pk
-            self.know |= st.learn[rank0]
-        else:
-            rank0 = np.zeros(self.n_lanes, dtype=np.int64)
-            pend = np.arange(self.n_lanes)
-            attempts = 0
-            while len(pend):
-                start, r = geo.entry_seek(self.clock[pend])
-                pk = geo.pk_of_rank[r]
-                self.clock[pend] = start + pk
-                self.tun[pend] += pk
-                lost = err.lost(pend)
-                ok = pend[~lost]
-                rank0[ok] = r[~lost]
-                self.know[ok] |= st.learn[r[~lost]]
-                pend = pend[lost]
-                attempts += 1
-                if len(pend) and attempts > st.n_frames + 1:
-                    # The reference raises RuntimeError here; decline so the
-                    # fallback path reproduces it.
-                    raise KernelUnsupported("entry-table retries exhausted")
+    def begin(self, lane_start: np.ndarray, qrow: np.ndarray,
+              err: Optional[_ErrStreams]) -> None:
+        """The cold hop: probe, first table read, then the reference's
+        opportunistic entry-frame processing and the walk."""
+        self.err = err
+        self._start(lane_start)
+        rank0 = self._read_entry(err)
         # Entry frame: opportunistically processed when relevant; when not,
         # the table alone proved it irrelevant but it is *not* marked
         # examined (the reference only marks frames read inside the walk).
         ev = np.flatnonzero(self.rel[qrow, rank0])
-        examined = np.zeros((self.n_lanes, st.n_frames), dtype=bool)
+        examined = np.zeros(self.know.shape, dtype=bool)
         examined[ev, rank0[ev]] = True
         self._visit_on(self.clock, self.chan, self.tun, ev, rank0[ev], qrow)
-        return examined
+        self._walk(qrow, examined)
 
-    def walk(self, qrow: np.ndarray, examined: np.ndarray) -> None:
+    def hop(self, qrow: np.ndarray) -> None:
+        self._walk(qrow, np.zeros(self.know.shape, dtype=bool))
+
+    def verify(self, qrow: np.ndarray) -> np.ndarray:
+        return self.correct[qrow]
+
+    def _walk(self, qr: np.ndarray, ex: np.ndarray) -> None:
         """Advance every lane to pending-set exhaustion (one query hop),
-        taking over the hop's ``examined`` mask.  Ranks examined before a
-        walk are exactly the processed ones, so they start it not pending."""
+        taking over the hop's examined mask ``ex``.  Ranks examined before
+        a walk are exactly the processed ones, so they start it not pending."""
         geo, st, err = self.geo, self.static, self.err
         n_frames = st.n_frames
-        idx = np.arange(self.n_lanes)
+        idx = np.arange(len(self.clock))
         cl = self.clock.copy()
         ch = self.chan.copy()
         tn = self.tun.copy()
         kn = self.know.copy()
-        qr = np.asarray(qrow, dtype=np.int64)
-        ex = examined
         pd = self.rel[qr] & ~ex
-        big = geo.wdtype(geo.cc)
-        hop_limit = 8 * n_frames + 64  # the reference walk's safety bound
-        for hop in range(hop_limit + 1):
+        for hop in range(self.guard + 1):
             if not len(idx):
                 break
             # Candidacy: r is a candidate iff it is unexamined and its
@@ -797,74 +870,42 @@ class _Walker:
             cand = _segment_candidates(kn, pd)
             cand &= ~ex
             has = cand.any(axis=1)
-
             if not has.all():
-                done = idx[~has]
-                self.clock[done] = cl[~has]
-                self.chan[done] = ch[~has]
-                self.tun[done] = tn[~has]
-                self.know[done] = kn[~has]
+                self._retire(idx, has, cl, ch, tn, kn)
                 idx = idx[has]
                 if not len(idx):
                     break
                 cl, ch, tn = cl[has], ch[has], tn[has]
                 kn, ex, pd = kn[has], ex[has], pd[has]
                 qr, cand = qr[has], cand[has]
-            if hop == hop_limit:
-                raise KernelUnsupported("hop limit exceeded")  # pragma: no cover
+            if hop == self.guard:
+                raise KernelUnsupported("hop limit exceeded")
 
-            # Earliest-arriving candidate: wait to each rank's *nearest*
-            # airing from the (switch-adjusted) clock; distinct airings sit
-            # at distinct cycle offsets, so waits never tie and the
-            # reference's lowest-rank tie-break stays vacuous.
-            nb = cl
-            if geo.switch:
-                nb = nb + geo.switch * (ch != geo.ctrl)
-            base = (nb // geo.cc) * geo.cc
-            off = nb - base
-            wait = geo.wait_matrix(off)
-            rows_all = np.arange(len(idx))
-            chosen = np.argmin(np.where(cand, wait, big), axis=1)
-
-            if err is None:
-                pk = geo.pk_of_rank[chosen]
-                cl = nb + wait[rows_all, chosen].astype(np.int64) + pk
-                ch = np.full(len(idx), geo.ctrl, dtype=np.int64)
-                tn = tn + pk
-                fr = chosen
-            else:
+            fr, cl, ch, tn = geo.read_nearest(cl, ch, cand, tn)
+            if err is not None:
                 # The reference's read_table retry chain: a lost read pays
                 # its packets (parking the radio on the table channel) and
                 # retries the *next broadcast position*'s table from the
                 # new clock, up to n_frames failures.
-                fr = chosen.copy()
-                pos = st.pos_of_rank[chosen]
-                active = rows_all
-                nbv = nb  # first attempt: the switch-adjusted clock
+                active = np.flatnonzero(err.lost(idx))
                 attempts = 0
-                while True:
-                    r = fr[active]
-                    w = geo.wait_rows(nbv, r)
-                    pk = geo.pk_of_rank[r]
-                    cl[active] = nbv + w + pk
-                    tn[active] += pk
-                    ch[active] = geo.ctrl
-                    lost = err.lost(idx[active])
-                    still = active[lost]
-                    if not len(still):
-                        break
+                while len(active):
                     attempts += 1
                     if attempts > n_frames:
                         # The reference raises RuntimeError; decline so the
                         # fallback path reproduces it.
                         raise KernelUnsupported("index-table retries exhausted")
-                    pos[still] = (pos[still] + 1) % n_frames
-                    fr[still] = geo.rank_of_pos[pos[still]]
-                    active = still
+                    r = geo.rank_of_pos[(st.pos_of_rank[fr[active]] + 1) % n_frames]
+                    fr[active] = r
                     nbv = cl[active]
+                    pk = geo.pk_of_rank[r]
+                    cl[active] = nbv + geo.wait_rows(nbv, r) + pk
+                    tn[active] += pk
+                    active = active[err.lost(idx[active])]
 
             # Absorb the (successfully read) table; process when still
             # pending -- exactly overlaps_pending.
+            rows_all = np.arange(len(idx))
             kn |= st.learn[fr]
             ex[rows_all, fr] = True
             rows = np.flatnonzero(pd[rows_all, fr])
@@ -899,79 +940,6 @@ def _lanes(
     entry_key = key_ids * np.int64(int(arr.max(initial=0)) + 2) + arr
     _, first_idx, lane_of = np.unique(entry_key, return_index=True, return_inverse=True)
     return start_p, lane_of, key_ids[first_idx], start_p[first_idx]
-
-
-def _simulate_dsi(
-    index: Any,
-    timeline: Any,
-    config: Any,
-    queries: Sequence[WindowQuery],
-    dwell: np.ndarray,
-    key_ids: np.ndarray,
-    key_phases: np.ndarray,
-    *,
-    n_phases: int,
-    cycle: int,
-    verify: bool,
-    dataset: Any,
-    error_theta: Optional[float],
-    error_scope: str,
-    error_seed: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate every DSI window ``(item, phase)`` execution in lockstep.
-
-    Returns ``(latency_bytes, tuning_bytes, correct_hops)`` summed over each
-    item's hops and aligned with the key order -- the exact triple the
-    reference per-phase path emits (``correct_hops`` is -1 when not
-    verifying).  Hop 1 is the cold entry; lanes persist across later hops:
-    knowledge and the parked channel carry over, while examined/processed
-    reset per hop, exactly like a warm session.  Raises
-    :class:`KernelUnsupported` whenever the run falls outside the kernel's
-    proven-exact envelope.
-    """
-    static = _static_of(index)
-    geo = _Geometry(static, index, config, timeline)
-    err = _make_err_streams(
-        error_theta, error_scope, error_seed, key_ids, key_phases, n_phases
-    )
-    # One precompute row per (item, step): knowledge clamps pending at the
-    # global minimum, which hop 1's entry read always teaches (_Static gates
-    # that every table teaches rank 0), so warm hops share the cold clamp
-    # and the per-row tables are hop-invariant.
-    rel, vlen, voff, vflat, correct_q = _precompute_queries(
-        static, index, queries, verify, dataset
-    )
-    n_items, n_steps = dwell.shape
-    if verify:
-        correct_hops = correct_q.reshape(n_items, n_steps).sum(axis=1)
-    else:
-        correct_hops = np.full(n_items, -1, dtype=np.int64)
-
-    start_p, lane_of, ids_c, lane_start = _lanes(
-        lambda nb: geo.entry_seek(nb)[0], key_ids, key_phases, n_phases, cycle,
-        lossless=err is None,
-    )
-
-    walker = _Walker(geo, static, rel, vlen, voff, vflat, len(ids_c), err)
-    qrow = ids_c * n_steps
-    examined = walker.cold_entry(qrow, lane_start)
-    walker.walk(qrow, examined)
-    total_lat = walker.clock - lane_start
-    for h in range(1, n_steps):
-        # next_query: advance by the step's dwell, snapshot the hop start,
-        # re-arm the probe; per-query masks start empty, session persists.
-        walker.clock += dwell[ids_c, h]
-        hop_start = walker.clock.copy()
-        walker.clock += 1
-        walker.tun += 1
-        walker.walk(qrow + h, np.zeros_like(examined))
-        total_lat += walker.clock - hop_start
-
-    # Only hop 1's latency depends on the tune-in: shift each phase by its
-    # offset from the lane representative (the landmark collapse).
-    lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * geo.capacity
-    tun_b = walker.tun[lane_of] * geo.capacity
-    return lat_b, tun_b, correct_hops[key_ids]
 
 
 # --- tree-index lanes (R-tree on air, HCI) ----------------------------------
@@ -1020,7 +988,7 @@ def _tree_static_of(air: TreeOnAir) -> _TreeStatic:
     return static
 
 
-class _TreeGeometry:
+class _TreeGeometry(_Channel):
     """Verified channel geometry of one (tree, schedule view, config) triple.
 
     The frontier sweep's argmin tie-break (first minimum over the sorted
@@ -1031,8 +999,7 @@ class _TreeGeometry:
     candidate order matches -- which it does, nodes sorted before objects).
     """
 
-    __slots__ = ("timeline", "switch", "capacity", "ctrl", "root_ids",
-                 "root_pk", "guard")
+    __slots__ = ("root_ids", "root_pk", "guard")
 
     def __init__(self, static: _TreeStatic, air: TreeOnAir, config: Any,
                  timeline) -> None:
@@ -1049,14 +1016,7 @@ class _TreeGeometry:
             np.broadcast_to(static.node_pk[:, None], static.copy_mat.shape),
         ):
             raise KernelUnsupported("node packet sizes disagree with the timeline")
-        self.timeline = timeline
-        self.switch = (
-            int(getattr(config, "channel_switch_packets", 0))
-            if timeline.n_channels > 1
-            else 0
-        )
-        self.capacity = int(config.packet_capacity)
-        self.ctrl = int(home)
+        super().__init__(config, timeline, home)
         self.root_ids = np.asarray(air.node_buckets[air.root_id], dtype=np.int64)
         self.root_pk = int(static.node_pk[static.root_dense])
         self.guard = air.sweep_guard
@@ -1239,7 +1199,7 @@ def _precompute_tree_queries(
 
 
 class _TreeWalker:
-    """Per-lane lockstep state plus the frontier-sweep hop engine.
+    """The tree walker: qualifying-subtree event tables swept frontier-wise.
 
     The master arrays (``clock`` / ``chan`` / ``tun``, plus the node-cache
     bitmask when items have a second hop) always hold every lane; the sweep
@@ -1248,37 +1208,37 @@ class _TreeWalker:
     are read straight off the masters.
     """
 
-    def __init__(
-        self,
-        geo: _TreeGeometry,
-        tq: _TreeQueries,
-        n_lanes: int,
-        err: Optional[_ErrStreams],
-        caching: bool,
-    ) -> None:
-        self.geo = geo
-        self.tq = tq
-        self.err = err
-        self.n_lanes = n_lanes
-        self.caching = caching
-        self.clock = np.zeros(n_lanes, dtype=np.int64)
-        self.chan = np.full(n_lanes, geo.ctrl, dtype=np.int64)
-        self.tun = np.zeros(n_lanes, dtype=np.int64)
-        if caching:
-            self.cached = np.zeros((n_lanes, tq.n_nodes), dtype=bool)
-            self.root_cached = np.zeros(n_lanes, dtype=bool)
+    def __init__(self, index, timeline, config, queries, n_steps, verify,
+                 dataset, scope, strategy) -> None:
+        air = index.air
+        static = _tree_static_of(air)
+        self.geo = _tree_geometry_of(static, air, config, timeline)
+        _index_scope(scope)
+        self.tq = _precompute_tree_queries(
+            static, index, air, self.geo, queries, verify, dataset
+        )
+        # One sweep reads each qualifying node once, so the node cache only
+        # pays off from a second hop; on a single hop its drain scans would
+        # cost the walk time and change nothing.
+        self.caching = n_steps > 1
+        self.entry = self.geo.root_arrival
 
-    def begin(self, start_clock: np.ndarray) -> None:
-        """Tune in: the initial probe of a cold session."""
-        self.clock[:] = np.asarray(start_clock, dtype=np.int64) + 1
-        self.tun[:] = 1
+    def begin(self, lane_start: np.ndarray, qrow: np.ndarray,
+              err: Optional[_ErrStreams]) -> None:
+        """The cold hop: the probe, then one window sweep per lane."""
+        self.err = err
+        self.clock, self.chan, self.tun = _tune_in(lane_start, self.geo.ctrl)
+        if self.caching:
+            self.cached = np.zeros((len(lane_start), self.tq.n_nodes), dtype=bool)
+            self.root_cached = np.zeros(len(lane_start), dtype=bool)
+        self.hop(qrow)
+
+    def verify(self, qrow: np.ndarray) -> np.ndarray:
+        return self.tq.correct[qrow]
 
     def _root_arrival(self, rows: np.ndarray) -> np.ndarray:
         geo = self.geo
-        nb = self.clock[rows]
-        if geo.switch:
-            nb = nb + geo.switch * (self.chan[rows] != geo.ctrl)
-        return geo.root_arrival(nb)
+        return geo.root_arrival(geo.doze(self.clock[rows], self.chan[rows], geo.ctrl))
 
     def _read_root(self, rows: np.ndarray) -> None:
         """Doze to the next root copy and read it (with loss retries)."""
@@ -1314,7 +1274,7 @@ class _TreeWalker:
             self.root_cached |= has_root
         else:
             self._read_root(np.flatnonzero(has_root))
-        pending = np.zeros((self.n_lanes, tq.n_events), dtype=bool)
+        pending = np.zeros((len(self.clock), tq.n_events), dtype=bool)
         pending[has_root] = tq.root_mask[qr[has_root]]
         self._walk(qr, pending)
 
@@ -1344,7 +1304,7 @@ class _TreeWalker:
     def _walk(self, qr: np.ndarray, pending: np.ndarray) -> None:
         geo, tq, err = self.geo, self.tq, self.err
         timeline = geo.timeline
-        idx = np.arange(self.n_lanes)
+        idx = np.arange(len(self.clock))
         cl = self.clock.copy()
         ch = self.chan.copy()
         tn = self.tun.copy()
@@ -1366,10 +1326,7 @@ class _TreeWalker:
         # earlier copy may now be reachable).  That turns the per-step cost
         # from every (lane, event, copy) triple into the handful of
         # arrivals the sweep actually perturbed.
-        if geo.switch:
-            nb = cl[:, None] + geo.switch * (chn != ch[:, None])
-        else:
-            nb = np.broadcast_to(cl[:, None], chn.shape)
+        nb = np.broadcast_to(geo.doze(cl[:, None], ch[:, None], chn), chn.shape)
         arr = timeline.next_occurrences(ids, nb[:, :, None]).min(axis=2)
         vfrom = nb.copy()
         while True:
@@ -1393,10 +1350,7 @@ class _TreeWalker:
                 # The reference *truncates* the sweep here; the kernel
                 # cannot, so it declines and the fallback reproduces it.
                 raise KernelUnsupported("tree sweep guard exceeded")
-            if geo.switch:
-                nb = cl[:, None] + geo.switch * (chn != ch[:, None])
-            else:
-                nb = np.broadcast_to(cl[:, None], chn.shape)
+            nb = np.broadcast_to(geo.doze(cl[:, None], ch[:, None], chn), chn.shape)
             stale = P & ((arr < nb) | (nb < vfrom))
             sl, se = np.nonzero(stale)
             if len(sl):
@@ -1430,69 +1384,10 @@ class _TreeWalker:
                     self.cached[idx[expand], tq.ev_dense[qv[expand], e[expand]]] = True
 
 
-def _simulate_tree(
-    index: Any,
-    air: TreeOnAir,
-    timeline: Any,
-    config: Any,
-    queries: Sequence[WindowQuery],
-    dwell: np.ndarray,
-    key_ids: np.ndarray,
-    key_phases: np.ndarray,
-    *,
-    n_phases: int,
-    cycle: int,
-    verify: bool,
-    dataset: Any,
-    error_theta: Optional[float],
-    error_scope: str,
-    error_seed: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lockstep frontier sweeps for every tree-index ``(item, phase)``:
-    one sweep per hop, with persistent node caches from a second hop on."""
-    static = _tree_static_of(air)
-    geo = _tree_geometry_of(static, air, config, timeline)
-    err = _make_err_streams(
-        error_theta, error_scope, error_seed, key_ids, key_phases, n_phases
-    )
-    tq = _precompute_tree_queries(static, index, air, geo, queries, verify, dataset)
-    n_items, n_steps = dwell.shape
-    if verify:
-        correct_hops = tq.correct.reshape(n_items, n_steps).sum(axis=1)
-    else:
-        correct_hops = np.full(n_items, -1, dtype=np.int64)
-
-    start_p, lane_of, ids_c, lane_start = _lanes(
-        geo.root_arrival, key_ids, key_phases, n_phases, cycle, lossless=err is None
-    )
-
-    # One sweep reads each qualifying node once, so the node cache only
-    # pays off from a second hop; on a single hop its drain scans would
-    # cost the walk time and change nothing.
-    walker = _TreeWalker(geo, tq, len(ids_c), err, caching=n_steps > 1)
-    qrow = ids_c * n_steps
-    walker.begin(lane_start)
-    walker.hop(qrow)
-    total_lat = walker.clock - lane_start
-    for h in range(1, n_steps):
-        walker.clock += dwell[ids_c, h]
-        hop_start = walker.clock.copy()
-        walker.clock += 1  # the re-armed probe
-        walker.tun += 1
-        walker.hop(qrow + h)
-        total_lat += walker.clock - hop_start
-
-    lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * geo.capacity
-    tun_b = walker.tun[lane_of] * geo.capacity
-    return lat_b, tun_b, correct_hops[key_ids]
-
-
 # --- kNN lanes (DSI) --------------------------------------------------------
 
 
 _KNN_STATIC_ATTR = "_soa_knn_static"
-
-KNN_SAFETY_MARGIN = 256  # mirrors the planner's ``4 * n_frames + 256`` cap
 
 
 class _KnnStatic:
@@ -1769,8 +1664,8 @@ class _KnnLanes:
             setattr(self, f, getattr(self, f)[keep])
 
 
-class _KnnWalker:
-    """Lockstep kNN lanes over one DSI broadcast.
+class _KnnWalker(_DsiLanes):
+    """The DSI kNN walker: compiled per-query search plans in lockstep.
 
     Every lane of every query advances through the planner loop together:
     cover-driven candidacy, frame choice, table read, frame visit.  Lanes
@@ -1778,79 +1673,87 @@ class _KnnWalker:
     compact; their retrievals already sit in the master block ``S``); the
     walk ends when none remain.  All value comparisons reuse the compiled
     distance tables, so each step is pure array arithmetic plus the
-    occasional new circle cover.
+    occasional new circle cover.  Later hops seed the search space from the
+    knowledge the lane accumulated, which is the planner's warm start
+    verbatim (hop 1 always teaches at least the entry table, so the warm
+    branch always applies).
     """
 
-    def __init__(
-        self,
-        geo: _Geometry,
-        static: _Static,
-        kst: _KnnStatic,
-        qpoints: Sequence[Any],
-        est_g: np.ndarray,
-        ex_d: np.ndarray,
-        min_est: np.ndarray,
-        k_arr: np.ndarray,
-        qid: np.ndarray,
-        strategy: str,
-        slack: float,
-    ) -> None:
-        self.geo = geo
-        self.static = static
-        self.kst = kst
-        self.qpoints = qpoints
-        self.est_g = est_g
-        self.ex_d = ex_d
-        self.min_est = min_est
-        self.k_arr = k_arr
+    def __init__(self, index, timeline, config, queries, n_steps, verify,
+                 dataset, scope, strategy) -> None:
+        if not isinstance(index, DsiIndex):
+            raise KernelUnsupported("kNN trials on tree indexes take the reference path")
+        if scope is not None:
+            raise KernelUnsupported("kNN fleets with link errors take the reference path")
+        if strategy not in ("conservative", "aggressive"):
+            raise KernelUnsupported(f"kNN strategy {strategy!r} takes the reference path")
+        self.static = _static_of(index)
+        self.kst = _knn_static_of(index, self.static)
+        self.geo = _Geometry(self.static, index, config, timeline)
+        curve = index.curve
+        self.est_g, self.ex_d, self.min_est, self.k_arr = _knn_query_tables(
+            self.kst, curve, queries
+        )
+        self.queries, self.dataset, self.truths = queries, dataset, {}
         self.strategy = strategy
-        self.slack = slack
-        n = len(qid)
-        n_frames = static.n_frames
-        n_obj = kst.n_objects
-        n_grp = kst.n_groups
+        self.slack = curve.cell_diagonal()
+        self.guard = index.air_view().knn_guard
+        n_q = len(queries)
+        self.qx = np.fromiter((q.point.x for q in queries), dtype=np.float64, count=n_q)
+        self.qy = np.fromiter((q.point.y for q in queries), dtype=np.float64, count=n_q)
+
+    # -- per-hop plumbing ---------------------------------------------------
+
+    def _set_queries(self, qid: np.ndarray) -> None:
+        lanes = self.S
+        lanes.qid = qid
+        lanes.qo = qid * self.kst.n_objects
+        lanes.qg = qid * self.kst.n_groups
+        lanes.kk = self.k_arr[qid]
+
+    def begin(self, lane_start: np.ndarray, qrow: np.ndarray,
+              err: Optional[_ErrStreams]) -> None:
+        """The cold hop: the probe plus ``read_first_table`` (kind-seek) and
+        its ``learn_table`` estimates; the conservative strategy also visits
+        the entry frame (aggressive leaves it unexamined).  Then the walk."""
+        self._start(lane_start)
+        kst = self.kst
+        n = len(lane_start)
         lanes = _KnnLanes()
         lanes.idx = np.arange(n)
-        lanes.cl = np.zeros(n, dtype=np.int64)
-        lanes.ch = np.full(n, geo.ctrl, dtype=np.int64)
-        lanes.tn = np.zeros(n, dtype=np.int64)
-        lanes.kn = np.zeros((n, n_frames), dtype=bool)
-        lanes.ex = np.zeros((n, n_frames), dtype=bool)
-        lanes.es = np.zeros((n, n_grp), dtype=bool)
-        lanes.rh = np.zeros((n, n_grp), dtype=bool)
-        lanes.rt = np.zeros((n, n_obj), dtype=bool)
-        lanes.vl = np.full((n, n_obj), np.inf)
-        lanes.sl = np.zeros((n, n_grp), dtype=np.int32)
+        # The master block's session fields are the walker's master arrays.
+        lanes.cl, lanes.ch = self.clock, self.chan
+        lanes.tn, lanes.kn = self.tun, self.know
+        lanes.ex = np.zeros_like(self.know)
+        lanes.es = np.zeros((n, kst.n_groups), dtype=bool)
+        lanes.rh = np.zeros((n, kst.n_groups), dtype=bool)
+        lanes.rt = np.zeros((n, kst.n_objects), dtype=bool)
+        lanes.vl = np.full((n, kst.n_objects), np.inf)
+        lanes.sl = np.zeros((n, kst.n_groups), dtype=np.int32)
         lanes.nc = np.zeros(n, dtype=np.int64)
         lanes.nr = np.zeros(n, dtype=np.int64)
         lanes.rad = np.full(n, np.inf)
         lanes.dirty = np.zeros(n, dtype=bool)
         self.S = lanes
-        self.qx = np.fromiter(
-            (p.x for p in qpoints), dtype=np.float64, count=len(qpoints)
-        )
-        self.qy = np.fromiter(
-            (p.y for p in qpoints), dtype=np.float64, count=len(qpoints)
-        )
-        self.set_queries(np.asarray(qid, dtype=np.int64))
+        self._set_queries(qrow)
+        rank0 = self._read_entry(err)
+        egrps = kst.est_grps[rank0]
+        elen = kst.est_len[rank0]
+        for e in range(int(elen.max(initial=0))):
+            on = elen > e
+            self._add_est(lanes, lanes.idx[on], egrps[on, e])
+        if self.strategy == "conservative":
+            self._visit(lanes, lanes.idx, rank0)
+        self._walk()
 
-    # -- per-hop plumbing ---------------------------------------------------
-
-    def set_queries(self, qid: np.ndarray) -> None:
-        lanes = self.S
-        lanes.qid = np.asarray(qid, dtype=np.int64)
-        lanes.qo = lanes.qid * self.kst.n_objects
-        lanes.qg = lanes.qid * self.kst.n_groups
-        lanes.kk = self.k_arr[lanes.qid]
-
-    def begin_warm_hop(self, qid: np.ndarray) -> None:
-        """Start a later hop on ``qid``: reset the per-query search state
+    def hop(self, qrow: np.ndarray) -> None:
+        """A later hop on ``qrow``: reset the per-query search state
         (``begin_query`` + fresh space; session position and known ranks
         carry over), then the planner's warm start -- estimate every known
         frame minimum at once (each is a real object's HC value, so its
         unique-HC group; frame minima are strictly increasing, so the groups
         are distinct and pool slots just count known ranks along the row)."""
-        self.set_queries(qid)
+        self._set_queries(qrow)
         lanes = self.S
         lanes.ex[:] = False
         lanes.es[:] = False
@@ -1868,28 +1771,7 @@ class _KnnWalker:
         lanes.sl[rrow, g] = slots
         lanes.nc[:] = lanes.kn.sum(axis=1)
         lanes.dirty[:] = True
-
-    def cold_entry(self, start_clock: np.ndarray, conservative: bool) -> None:
-        """The probe plus ``read_first_table`` (kind-seek) and its
-        ``learn_table`` estimates; the conservative strategy additionally
-        visits the entry frame (aggressive leaves it unexamined)."""
-        geo, st, kst = self.geo, self.static, self.kst
-        lanes = self.S
-        lanes.cl[:] = np.asarray(start_clock, dtype=np.int64) + 1  # the probe
-        lanes.tn[:] = 1
-        start, rank0 = geo.entry_seek(lanes.cl)
-        pk = geo.pk_of_rank[rank0]
-        lanes.cl[:] = start + pk
-        lanes.tn += pk
-        lanes.kn |= st.learn[rank0]
-        rows = np.arange(len(lanes.idx))
-        egrps = kst.est_grps[rank0]
-        elen = kst.est_len[rank0]
-        for e in range(int(elen.max(initial=0))):
-            on = elen > e
-            self._add_est(lanes, rows[on], egrps[on, e])
-        if conservative:
-            self._visit(lanes, rows, rank0)
+        self._walk()
 
     # -- candidate-space maintenance ----------------------------------------
 
@@ -1978,9 +1860,7 @@ class _KnnWalker:
         if len(r_dir):
             b = dirb[hasdir]
             bch = geo.bchan[b]
-            nb = lanes.cl[r_dir]
-            if geo.switch:
-                nb = nb + geo.switch * (bch != lanes.ch[r_dir])
+            nb = geo.doze(lanes.cl[r_dir], lanes.ch[r_dir], bch)
             lanes.cl[r_dir] = timeline.next_occurrences(b, nb) + geo.bpk[b]
             lanes.tn[r_dir] += geo.bpk[b]
             lanes.ch[r_dir] = bch
@@ -2015,9 +1895,7 @@ class _KnnWalker:
             grp_f = grp_c[fetch]
             b = kst.obj_bucket[g_f]
             bch = geo.bchan[b]
-            nb = lanes.cl[r_f]
-            if geo.switch:
-                nb = nb + geo.switch * (bch != lanes.ch[r_f])
+            nb = geo.doze(lanes.cl[r_f], lanes.ch[r_f], bch)
             lanes.cl[r_f] = timeline.next_occurrences(b, nb) + geo.bpk[b]
             lanes.tn[r_f] += geo.bpk[b]
             lanes.ch[r_f] = bch
@@ -2040,27 +1918,14 @@ class _KnnWalker:
 
     # -- the planner loop ---------------------------------------------------
 
-    def _scatter(self, work: _KnnLanes, done: np.ndarray) -> None:
-        """Write finished lanes' session state back to the master block
-        (their retrievals are already there)."""
-        lanes = self.S
-        ids = work.idx[done]
-        lanes.cl[ids] = work.cl[done]
-        lanes.ch[ids] = work.ch[done]
-        lanes.tn[ids] = work.tn[done]
-        lanes.kn[ids] = work.kn[done]
-
-    def walk(self) -> None:
+    def _walk(self) -> None:
         """Run the planner loop until every lane's candidate set empties."""
         geo, st, kst = self.geo, self.static, self.kst
         covers = kst.covers
-        n_frames = st.n_frames
         aggressive = self.strategy == "aggressive"
-        big = geo.wdtype(geo.cc)
         slack = self.slack
         work = self.S.copy()
-        safety = 4 * n_frames + KNN_SAFETY_MARGIN
-        for it in range(safety + 1):
+        for it in range(self.guard + 1):
             if not len(work.idx):
                 return
             # Candidacy: resolve every lane's cover (vectorised cell-key
@@ -2075,29 +1940,20 @@ class _KnnWalker:
             cand &= ~work.ex
             live = cand.any(axis=1)
             if not live.all():
-                self._scatter(work, ~live)
+                self._retire(work.idx, live, work.cl, work.ch, work.tn, work.kn)
                 work.compact(live)
                 if not len(work.idx):
                     return
                 cand = cand[live]
-            n_live = len(work.idx)
-            rows = np.arange(n_live)
-            if it == safety:
-                # The planner's safety cap: structurally unreachable here
-                # (each iteration examines a new rank, so the loop runs at
-                # most n_frames times), kept as an honest decline.
+            if it == self.guard:
+                # The planner's safety cap: each iteration examines a new
+                # rank, so only a cap below n_frames reaches it.
                 raise KernelUnsupported(
                     "kNN planner iteration cap takes the reference path"
-                )  # pragma: no cover
+                )
             # Frame choice (_choose_rank): nearest arrival among candidates;
-            # the aggressive strategy jumps to the estimate-nearest known
-            # candidate (arrival breaks ties) while short of k retrievals.
-            nb = work.cl
-            if geo.switch:
-                nb = work.cl + geo.switch * (work.ch != geo.ctrl)
-            off = nb - (nb // geo.cc) * geo.cc
-            wait = geo.wait_matrix(off)
-            chosen = np.argmin(np.where(cand, wait, big), axis=1)
+            # while short of k retrievals the aggressive strategy narrows
+            # them to the estimate-nearest known ones (arrival breaks ties).
             if aggressive:
                 open_rows = work.nr < work.kk
                 if open_rows.any():
@@ -2107,123 +1963,40 @@ class _KnnWalker:
                     use = open_rows & np.isfinite(dmin)
                     if use.any():
                         tie = dmat == dmin[:, None]
-                        agg = np.argmin(np.where(tie, wait, big), axis=1)
-                        chosen = np.where(use, agg, chosen)
+                        cand = np.where(use[:, None], tie, cand)
             # read_table of the chosen rank, then learn_table + the visit.
-            w = wait[rows, chosen].astype(np.int64)
-            pk = geo.pk_of_rank[chosen]
-            work.cl = nb + w + pk
-            work.ch = np.full(n_live, geo.ctrl, dtype=np.int64)
-            work.tn = work.tn + pk
+            chosen, work.cl, work.ch, work.tn = geo.read_nearest(
+                work.cl, work.ch, cand, work.tn
+            )
             work.kn |= st.learn[chosen]
             egrps = kst.est_grps[chosen]
             elen = kst.est_len[chosen]
             er, ee = np.nonzero(np.arange(egrps.shape[1])[None, :] < elen[:, None])
             self._add_est_many(work, er, egrps[er, ee])
-            self._visit(work, rows, chosen)
+            self._visit(work, np.arange(len(work.idx)), chosen)
 
     # -- results ------------------------------------------------------------
 
-    def verify(
-        self, queries: Sequence[KnnQuery], dataset: Any, truths: Dict[int, Any]
-    ) -> np.ndarray:
+    def verify(self, qrow: np.ndarray) -> np.ndarray:
         """Per-lane correctness of ``best_objects`` against ground truth
         (``truths`` memoizes each query's answer across hops)."""
         from ..queries.ground_truth import answer, matches_truth
 
         lanes = self.S
         kst = self.kst
-        cor = np.empty(len(lanes.idx), dtype=np.int64)
-        for row in range(len(lanes.idx)):
-            qid = int(lanes.qid[row])
-            query = queries[qid]
-            truth = truths.get(qid)
+        cor = np.empty(len(qrow), dtype=np.int64)
+        for row, qid in enumerate(qrow.tolist()):
+            query = self.queries[qid]
+            truth = self.truths.get(qid)
             if truth is None:
-                truth = answer(dataset, query)
-                truths[qid] = truth
+                truth = answer(self.dataset, query)
+                self.truths[qid] = truth
             gids = np.flatnonzero(lanes.rt[row])
             dists = self.ex_d[lanes.qo[row] + gids]
             order = np.lexsort((kst.oids[gids], dists))[: int(query.k)]
             objs = [kst.objects[int(g)] for g in gids[order]]
             cor[row] = int(matches_truth(query, truth, objs))
         return cor
-
-
-def _simulate_knn(
-    index: Any,
-    timeline: Any,
-    config: Any,
-    queries: Sequence[KnnQuery],
-    dwell: np.ndarray,
-    key_ids: np.ndarray,
-    key_phases: np.ndarray,
-    *,
-    n_phases: int,
-    cycle: int,
-    verify: bool,
-    dataset: Any,
-    error_theta: Optional[float],
-    error_scope: str,
-    error_seed: int,
-    knn_strategy: str,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched lockstep kNN lanes over DSI with compiled search plans.
-
-    Phases collapse onto ``(item, entry occurrence)`` lanes exactly like
-    the window kernels, every lane advances through the planner loop in
-    lockstep, and all per-query geometry (distances, covers, arrivals) is
-    compiled or memoized once -- see the module docstring.  Hop 1 runs the
-    cold entry; every later hop re-arms with the probe and seeds the search
-    space from the knowledge the lane accumulated, which is the planner's
-    warm start verbatim (hop 1 always teaches at least the entry table, so
-    the warm branch always applies).  Bit-equal to the reference planner
-    wherever it does not decline.
-    """
-    if not isinstance(index, DsiIndex):
-        raise KernelUnsupported("kNN trials on tree indexes take the reference path")
-    if error_theta is not None and float(error_theta) != 0.0 and error_scope != "none":
-        raise KernelUnsupported("kNN fleets with link errors take the reference path")
-    if knn_strategy not in ("conservative", "aggressive"):
-        raise KernelUnsupported(
-            f"kNN strategy {knn_strategy!r} takes the reference path"
-        )
-    static = _static_of(index)
-    kst = _knn_static_of(index, static)
-    geo = _Geometry(static, index, config, timeline)
-    start_p, lane_of, ids_c, lane_start = _lanes(
-        lambda nb: geo.entry_seek(nb)[0], key_ids, key_phases, n_phases, cycle,
-        lossless=True,
-    )
-    n_steps = dwell.shape[1]
-    curve = index.curve
-    qpoints = [q.point for q in queries]
-    est_g, ex_d, min_est, k_arr = _knn_query_tables(kst, curve, queries)
-    walker = _KnnWalker(
-        geo, static, kst, qpoints, est_g, ex_d, min_est, k_arr,
-        qid=ids_c * n_steps, strategy=knn_strategy,
-        slack=curve.cell_diagonal(),
-    )
-    cor_hops = np.full(len(ids_c), 0 if verify else -1, dtype=np.int64)
-    truths: Dict[int, Any] = {}
-    walker.cold_entry(lane_start, conservative=knn_strategy == "conservative")
-    walker.walk()
-    lanes = walker.S
-    total_lat = lanes.cl - lane_start
-    if verify:
-        cor_hops += walker.verify(queries, dataset, truths)
-    for h in range(1, n_steps):
-        lanes.cl += dwell[ids_c, h]
-        hop_start = lanes.cl.copy()
-        lanes.cl += 1  # the re-armed probe
-        lanes.tn += 1
-        walker.begin_warm_hop(ids_c * n_steps + h)
-        walker.walk()
-        total_lat += lanes.cl - hop_start
-        if verify:
-            cor_hops += walker.verify(queries, dataset, truths)
-    lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * geo.capacity
-    tun_b = lanes.tn[lane_of] * geo.capacity
-    return lat_b, tun_b, cor_hops[lane_of]
 
 
 # --- dispatch ---------------------------------------------------------------
@@ -2250,11 +2023,13 @@ def _simulate_items(
 
     An item is the ``(query, dwell_packets)`` steps one client walks: a
     stationary trial is a one-step item, a journey one step per hop.
-    Equal-step window items run the lockstep kernels (DSI or tree) and
-    equal-step kNN items over DSI run the batched kNN lanes; anything else
-    declines with the reason the fleet result surfaces.  Returns
-    ``(latency_bytes, tuning_bytes, correct_hops)`` aligned with the key
-    order.
+    Equal-step window items run the DSI or tree walker and equal-step kNN
+    items the DSI kNN walker; anything else declines with the reason the
+    fleet result surfaces.  The walker compiles its plans or declines; this
+    function then collapses the lanes, runs the cold hop and every warm
+    hop, and shifts latencies back to the keys.  Returns ``(latency_bytes,
+    tuning_bytes, correct_hops)`` summed over each item's hops and aligned
+    with the key order (``correct_hops`` is -1 when not verifying).
     """
     n_steps = len(items[0]) if len(items) else 0
     if any(len(steps) != n_steps for steps in items):
@@ -2262,29 +2037,61 @@ def _simulate_items(
     if not n_steps:
         raise KernelUnsupported("empty journeys take the reference path")
     queries = [query for steps in items for query, _ in steps]
-    dwell = np.array([[d for _, d in steps] for steps in items], dtype=np.int64)
     timeline = timeline_of(view)
-    keys = (np.asarray(key_ids, dtype=np.int64), np.asarray(key_phases, dtype=np.int64))
-    common = dict(
-        n_phases=n_phases, cycle=cycle, verify=verify, dataset=dataset,
-        error_theta=error_theta, error_scope=error_scope, error_seed=error_seed,
-    )
     if all(isinstance(q, WindowQuery) for q in queries):
         if isinstance(index, DsiIndex):
-            return _simulate_dsi(index, timeline, config, queries, dwell, *keys, **common)
-        air = getattr(index, "air", None)
-        if isinstance(air, TreeOnAir):
-            return _simulate_tree(
-                index, air, timeline, config, queries, dwell, *keys, **common
-            )
-        raise KernelUnsupported("no lockstep kernel for this index type")
-    if all(isinstance(q, KnnQuery) for q in queries):
-        return _simulate_knn(
-            index, timeline, config, queries, dwell, *keys,
-            knn_strategy=knn_strategy, **common
-        )
-    noun = "workloads" if n_steps == 1 else "journeys"
-    raise KernelUnsupported(f"mixed window/kNN {noun} take the reference path")
+            family = _Walker
+        elif isinstance(getattr(index, "air", None), TreeOnAir):
+            family = _TreeWalker
+        else:
+            raise KernelUnsupported("no lockstep kernel for this index type")
+    elif all(isinstance(q, KnnQuery) for q in queries):
+        family = _KnnWalker
+    else:
+        noun = "workloads" if n_steps == 1 else "journeys"
+        raise KernelUnsupported(f"mixed window/kNN {noun} take the reference path")
+    # theta == 0 and scope "none" sessions draw nothing and run the
+    # (deduplicated) lossless path; the walker declines scopes it cannot run.
+    lossless = error_theta is None or float(error_theta) == 0.0 or error_scope == "none"
+    walker = family(index, timeline, config, queries, n_steps, verify, dataset,
+                    None if lossless else error_scope, knn_strategy)
+
+    key_ids = np.asarray(key_ids, dtype=np.int64)
+    key_phases = np.asarray(key_phases, dtype=np.int64)
+    start_p, lane_of, ids_c, lane_start = _lanes(
+        walker.entry, key_ids, key_phases, n_phases, cycle, lossless
+    )
+    err = None
+    if not lossless:
+        # One stream per execution, seeded like its reference LinkErrorModel.
+        keys = key_ids * np.int64(n_phases) + key_phases
+        seeds = (np.int64(int(error_seed) * 1_000_003) + keys) & np.int64(0x7FFFFFFF)
+        err = _ErrStreams(seeds, float(error_theta))
+
+    dwell = np.array([[d for _, d in steps] for steps in items], dtype=np.int64)
+    qrow = ids_c * n_steps
+    correct = np.full(len(ids_c), 0 if verify else -1, dtype=np.int64)
+    walker.begin(lane_start, qrow, err)
+    total_lat = walker.clock - lane_start
+    for h in range(n_steps):
+        if h:
+            # next_query: advance by the step's dwell, snapshot the hop
+            # start, re-arm the probe; per-query state starts empty, the
+            # session persists.
+            walker.clock += dwell[ids_c, h]
+            hop_start = walker.clock.copy()
+            walker.clock += 1
+            walker.tun += 1
+            walker.hop(qrow + h)
+            total_lat += walker.clock - hop_start
+        if verify:
+            correct += walker.verify(qrow + h)
+
+    # Only hop 1's latency depends on the tune-in: shift each phase by its
+    # offset from the lane representative (the landmark collapse).
+    capacity = walker.geo.capacity
+    lat_b = (total_lat[lane_of] + (lane_start[lane_of] - start_p)) * capacity
+    return lat_b, walker.tun[lane_of] * capacity, correct[lane_of]
 
 
 # The two names ``fleetbench`` drives the kernels through, with the

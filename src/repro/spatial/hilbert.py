@@ -36,7 +36,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -1075,13 +1074,3 @@ def order_for_points(n_points: int, extra_levels: int = 3) -> int:
         raise ValueError("n_points must be >= 1")
     base = max(1, math.ceil(math.log(n_points, 4)))
     return min(31, base + extra_levels)
-
-
-@dataclass(frozen=True)
-class HilbertMapping:
-    """Convenience bundle of a curve plus the dataset it was sized for."""
-
-    curve: HilbertCurve
-
-    def value_of(self, p: Point) -> int:
-        return self.curve.value_of(p)

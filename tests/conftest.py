@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.broadcast import SystemConfig
 from repro.core import DsiIndex, DsiParameters
@@ -16,6 +17,18 @@ from repro.spatial import (
     running_example_dataset,
     uniform_dataset,
 )
+
+# Tier-1 draws the same hypothesis cases on every host and every run:
+# derandomized examples derive from each test itself, and no example
+# database replays an earlier run's failures.  ``--hypothesis-profile=deep``
+# instead draws fresh random cases, a hundred per cell of the kernel
+# brute-force suites (tests/test_fleet_kernel.py), and prints the blob that
+# reproduces a failure.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile(
+    "deep", derandomize=False, max_examples=100, print_blob=True
+)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

@@ -283,54 +283,6 @@ class CompiledTimeline:
             raise KeyError(f"timeline broadcasts no {kind.value} bucket")
         return self._batched_min_starts(tables, positions)
 
-    def next_kind_occurrence_pairs(
-        self,
-        kind: BucketKind,
-        positions,
-        from_channel: Optional[int] = None,
-        switch_packets: int = 0,
-    ):
-        """Batched ``next_occurrence_of_kind`` returning buckets *and* starts.
-
-        The vectorised counterpart of :meth:`ScheduleView.
-        next_occurrence_of_kind` (and of the single-program scalar): for each
-        position, the earliest airing of ``kind`` across all channels,
-        shifting channels other than ``from_channel`` by ``switch_packets``
-        (the retune latency).  Ties on the start position resolve to the
-        lowest channel id, exactly like the scalar's ``(start, cid,
-        global_id)`` key -- two buckets of one kind on one channel can never
-        share a start, so the channel id fully decides.  Returns
-        ``(bucket_ids, starts)`` as ``int64`` arrays.
-        """
-        tables = self._kind_tables.get(kind)
-        if not tables:
-            raise KeyError(f"timeline broadcasts no {kind.value} bucket")
-        pos = np.asarray(positions, dtype=np.int64)
-        best_start: Optional[np.ndarray] = None
-        best_bucket: Optional[np.ndarray] = None
-        # Channels were compiled in ascending-cid order, so updating only on
-        # a strictly earlier start realises the lowest-cid tie-break.
-        for table in tables:
-            p = pos
-            if from_channel is not None and table.channel != from_channel:
-                p = pos + switch_packets
-            p = np.maximum(p, 0)
-            cycle = table.cycle
-            starts = table.starts
-            base = (p // cycle) * cycle
-            j = np.searchsorted(starts, p - base, side="left")
-            wrapped = j == len(starts)
-            jj = np.where(wrapped, 0, j)
-            got = base + starts[jj] + wrapped * cycle
-            got_bucket = table.bucket_ids[jj]
-            if best_start is None:
-                best_start, best_bucket = got, got_bucket
-            else:
-                better = got < best_start
-                best_start = np.where(better, got, best_start)
-                best_bucket = np.where(better, got_bucket, best_bucket)
-        return best_bucket, best_start
-
     def next_navigation_starts(self, positions) -> np.ndarray:
         """Vectorised earliest starts of *any* navigation bucket.
 

@@ -208,7 +208,6 @@ def knn_query(
     q: Point,
     k: int,
     strategy: str = "conservative",
-    max_ranges: int = 64,
     knowledge: Optional[ClientKnowledge] = None,
 ) -> KnnQueryResult:
     """Execute a kNN query through ``session`` and return the result.
@@ -254,7 +253,7 @@ def knn_query(
     iterations = 0
     iterations_capped = False
     while True:
-        needed = _needed_ranks(view, knowledge, space, q, max_ranges)
+        needed = _needed_ranks(view, knowledge, space, q)
         if not needed.size:
             break
         if iterations >= safety:
@@ -291,7 +290,6 @@ def _needed_ranks(
     knowledge: ClientKnowledge,
     space: _SearchSpace,
     q: Point,
-    max_ranges: int,
 ) -> np.ndarray:
     """Ranks of frames that may still contain a query answer (sorted array)."""
     r = space.prune_radius()
@@ -299,7 +297,7 @@ def _needed_ranks(
         if math.isinf(r):
             ranges: List[HCRange] = [(0, view.curve.max_value - 1)]
         else:
-            ranges = view.curve.ranges_for_circle(q, r, max_ranges=max_ranges)
+            ranges = view.curve.ranges_for_circle(q, r)
         space._cover = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
         space._cover_radius = r
     return knowledge.candidate_rank_array(space._cover, skip_examined=True)

@@ -172,16 +172,13 @@ class ClientKnowledge:
         object.__setattr__(table, "_learn_pairs", (layout, result))
         return result
 
-    #: Backwards-compatible private alias (pre-PR 10 callers).
-    _table_pairs = table_pairs
-
     def learn_table(self, table: DsiTable) -> None:
         """Absorb everything a DSI index table reveals."""
         self.tables_read += 1
         mins = self._mins
         mins_np = self._mins_np
         learned = False
-        for rank, value in self._table_pairs(table):
+        for rank, value in self.table_pairs(table):
             if mins[rank] == _UNKNOWN:
                 mins[rank] = value
                 mins_np[rank] = value
@@ -307,11 +304,6 @@ class ClientKnowledge:
                 after = v
                 break
         return before, after
-
-    def may_intersect(self, rank: int, lo: int, hi: int) -> bool:
-        """Whether the frame at ``rank`` may hold an object with HC in [lo, hi]."""
-        a, b = self.rank_interval_for(lo, hi)
-        return a <= rank <= b
 
     def candidate_rank_array(
         self, ranges: Sequence[HCRange], skip_examined: bool = True

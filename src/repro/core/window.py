@@ -36,7 +36,14 @@ from ..broadcast.client import AccessMetrics, ClientSession
 from ..broadcast.program import BucketKind
 from ..spatial.datasets import DataObject
 from ..spatial.geometry import Rect
-from ..spatial.hilbert import HCRange, merge_ranges, ranges_contain, subtract_range
+from ..spatial.hilbert import (
+    WINDOW_MAX_DEPTH,
+    WINDOW_MAX_RANGES,
+    HCRange,
+    merge_ranges,
+    ranges_contain,
+    subtract_range,
+)
 from .eef import read_table
 from .knowledge import ClientKnowledge
 from .structure import DsiAirView, DsiTable
@@ -89,8 +96,6 @@ def window_query(
     view: DsiAirView,
     session: ClientSession,
     window: Rect,
-    max_ranges: int = 96,
-    max_depth: Optional[int] = None,
     knowledge: Optional[ClientKnowledge] = None,
 ) -> WindowQueryResult:
     """Execute a window query through ``session`` and return the result.
@@ -105,9 +110,9 @@ def window_query(
     (both are exact); only the reads paid for differ.
     """
     curve = view.curve
-    if max_depth is None:
-        max_depth = min(curve.order, 10)
-    cover: List[HCRange] = curve.ranges_for_rect(window, max_ranges=max_ranges, max_depth=max_depth)
+    cover: List[HCRange] = curve.ranges_for_rect(
+        window, max_ranges=WINDOW_MAX_RANGES, max_depth=WINDOW_MAX_DEPTH
+    )
 
     if knowledge is None:
         knowledge = ClientKnowledge(view.n_frames, view.n_segments, curve.max_value)

@@ -29,7 +29,7 @@ from ..broadcast.treeair import AirTreeNode, TreeOnAir, drain_cached_nodes as _d
 from ..rtree.air import TreeQueryResult
 from ..spatial.datasets import DataObject, SpatialDataset
 from ..spatial.geometry import Point, Rect, circle_bounding_rect
-from ..spatial.hilbert import HCRange, ranges_contain
+from ..spatial.hilbert import WINDOW_MAX_DEPTH, WINDOW_MAX_RANGES, HCRange
 from .bptree import bptree_fanout, build_bptree
 
 HCInterval = Tuple[int, int]
@@ -96,7 +96,7 @@ class HciAirIndex(AirIndex):
         query reads nothing beyond its initial probe).
         """
         return self.curve.ranges_for_rect(
-            window, max_ranges=96, max_depth=min(self.curve.order, 10)
+            window, max_ranges=WINDOW_MAX_RANGES, max_depth=WINDOW_MAX_DEPTH
         )
 
     def window_query(
@@ -169,7 +169,9 @@ class HciAirIndex(AirIndex):
 
         # Phase 2: a window query over the search circle's bounding box.
         box = circle_bounding_rect(q, radius)
-        cover = self.curve.ranges_for_rect(box, max_ranges=96, max_depth=min(self.curve.order, 10))
+        cover = self.curve.ranges_for_rect(
+            box, max_ranges=WINDOW_MAX_RANGES, max_depth=WINDOW_MAX_DEPTH
+        )
         retrieved, nodes_read, objects_read, sweep_capped = self._range_sweep(
             session, cover, collect_data=True, cache=state
         )

@@ -200,6 +200,7 @@ from ..broadcast.treeair import TreeOnAir
 from ..core.knowledge import ClientKnowledge
 from ..core.structure import DsiIndex
 from ..queries.types import KnnQuery, WindowQuery
+from ..spatial.hilbert import WINDOW_MAX_DEPTH, WINDOW_MAX_RANGES
 
 __all__ = [
     "KernelUnsupported",
@@ -231,10 +232,6 @@ class KernelUnsupported(Exception):
 
 #: Attribute caching the channel-independent static tables on the index.
 _STATIC_ATTR = "_soa_fleet_static"
-
-#: Cover parameters -- must match ``repro.core.window.window_query``.
-_MAX_RANGES = 96
-_MAX_DEPTH_CAP = 10
 
 
 class _Static:
@@ -661,7 +658,6 @@ def _precompute_queries(
     n_q = len(queries)
     n_frames = static.n_frames
     curve = index.curve
-    max_depth = min(curve.order, _MAX_DEPTH_CAP)
     rel = np.zeros((n_q, n_frames), dtype=bool)
     vlen = np.zeros((n_q, n_frames), dtype=np.int64)
     voff = np.zeros((n_q, n_frames), dtype=np.int64)
@@ -673,7 +669,7 @@ def _precompute_queries(
     for qid, query in enumerate(queries):
         window = query.window
         cover = curve.ranges_for_rect(
-            window, max_ranges=_MAX_RANGES, max_depth=max_depth
+            window, max_ranges=WINDOW_MAX_RANGES, max_depth=WINDOW_MAX_DEPTH
         )
         gmin = int(static.mins[0])
         pending = [(max(lo, gmin), hi) for lo, hi in cover if hi >= gmin]
@@ -1477,13 +1473,14 @@ class _KnnCovers:
     """Shared circle covers compiled to rank masks, memoized on cell keys.
 
     ``resolve`` maps every lane's prune radius to the exact cover
-    ``_needed_ranks`` would build (same ``ranges_for_circle`` call, same
-    ``max_ranges``, same infinite-radius full range).  The cover sweep in
-    ``ranges_for_rect`` is a pure function of the clipped bounding rect's
-    ceil/floor cell quantisation -- the invariant its own cover cache
-    memoizes on -- so the quantised key is computed here vectorised for
-    all lanes at once, deduplicated, and only genuinely new covers reach
-    the sweep.  Each new cover compiles to one knowledge-free row of
+    ``_needed_ranks`` would build (the same ``ranges_for_circle`` call with
+    the sweep's default setting, the same infinite-radius full range).  A
+    cover is a pure function of the clipped bounding rect's ceil/floor
+    cell quantisation -- the key ``ranges_for_rect`` memoizes on -- so the
+    quantised key is computed here vectorised for all lanes at once,
+    deduplicated, and only genuinely new covers reach
+    ``covers_for_rects_flat``, the sweep ``ranges_for_rect`` runs for one
+    rect, in one batch.  Each new cover compiles to one knowledge-free row of
     ``masks`` over frame ranks: rank ``r`` is set when some piece's global
     span ``[max(a0, 0), b0 - 1]`` holds it, ``a0`` being the largest rank
     whose minimum is <= the piece's low end and ``b0`` the first rank whose
@@ -1495,12 +1492,11 @@ class _KnnCovers:
     call, channel count and strategy that reaches the same cells.
     """
 
-    __slots__ = ("curve", "mins", "max_ranges", "side", "memo", "masks", "_n")
+    __slots__ = ("curve", "mins", "side", "memo", "masks", "_n")
 
-    def __init__(self, curve: Any, mins: np.ndarray, max_ranges: int = 64) -> None:
+    def __init__(self, curve: Any, mins: np.ndarray) -> None:
         self.curve = curve
         self.mins = mins
-        self.max_ranges = max_ranges
         self.side = float(curve.side)
         self.memo: Dict[int, int] = {}
         self.masks = np.zeros((16, len(mins)), dtype=bool)
@@ -1584,8 +1580,9 @@ class _KnnCovers:
             miss = miss[1:]
         if len(miss):
             # All genuinely new covers sweep in one batched pass (the
-            # clipped circle bounding rects, elementwise as the scalar
-            # path computes them), then compile as one block.
+            # clipped circle bounding rects, elementwise as
+            # ``circle_bounding_rect`` computes them), then compile as one
+            # block.
             fi = first[miss]
             cm = qx[qids[fi]]
             dm = qy[qids[fi]]
@@ -1595,7 +1592,6 @@ class _KnnCovers:
                 np.maximum(0.0, dm - rm),
                 np.minimum(1.0, cm + rm),
                 np.minimum(1.0, dm + rm),
-                max_ranges=self.max_ranges,
             )
             cid0 = self._add_masks(counts, los, his)
             cids[miss] = np.arange(cid0, cid0 + len(miss), dtype=np.int64)

@@ -6,7 +6,10 @@ DSI and HCI both broadcast data objects in the order of their Hilbert curve
 * :class:`HilbertCurve` -- integer encode/decode of arbitrary order plus the
   mapping from unit-square coordinates to curve values;
 * :func:`HilbertCurve.ranges_for_rect` -- a conservative cover of a query
-  window by contiguous HC ranges ("target segments" in paper Algorithm 1);
+  window by contiguous HC ranges ("target segments" in paper Algorithm 1),
+  memoised per curve; it is the one-rect case of
+  :meth:`HilbertCurve.covers_for_rects_flat`, the one quadtree sweep that
+  computes every cover, batched over many rects at once;
 * :func:`HilbertCurve.representative_point` -- the cell centre of an HC
   value, used by the kNN algorithms when an index table only reveals an HC
   value (``o'_i`` in paper Algorithm 2).
@@ -34,9 +37,8 @@ ones.  No third-party dependency is used.
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -155,6 +157,13 @@ _CHILD_STEPS: Tuple[Tuple[Tuple[int, int, int, int], ...], ...] = tuple(
 
 #: Entries kept per curve in the window-cover memo before it is reset.
 _COVER_CACHE_MAX = 8192
+
+#: The window cover setting, shared by the DSI and HCI window planners, the
+#: fleet kernel and HCI kNN's search box: at most this many ranges, from a
+#: quadtree at most this deep (clamped to the curve order).  kNN circle
+#: covers take the sweep's defaults.
+WINDOW_MAX_RANGES = 96
+WINDOW_MAX_DEPTH = 10
 
 # Array form of the child schedule for the level-wise cover sweep: offsets
 # and child states indexed by parent state, children in Hilbert-digit order
@@ -338,34 +347,6 @@ class HilbertCurve:
             d = (d << (2 * k)) | (v >> 2)
             t = v & 3
         return d
-
-    def _quadrant_prefix_state(self, xc: int, yc: int, depth: int) -> Tuple[int, int]:
-        """HC digit prefix and curve state of one level-``depth`` quadrant.
-
-        ``(xc, yc)`` are quadrant coordinates (cell coordinates shifted
-        right by ``order - depth``).  By curve self-similarity this is the
-        table-driven :meth:`encode` run on a depth-``depth`` curve, and the
-        chunk tables additionally thread out the curve state the cover
-        sweep resumes from.
-        """
-        d = 0
-        t = 0
-        remaining = depth
-        first = depth % _MAX_CHUNK
-        schedule: List[Tuple[int, int]] = []
-        if first:
-            remaining -= first
-            schedule.append((first, remaining))
-        while remaining:
-            remaining -= _MAX_CHUNK
-            schedule.append((_MAX_CHUNK, remaining))
-        for k, shift in schedule:
-            mask = (1 << k) - 1
-            table = _ENC_LISTS[k]
-            v = table[(t << (2 * k)) | (((xc >> shift) & mask) << k) | ((yc >> shift) & mask)]
-            d = (d << (2 * k)) | (v >> 2)
-            t = v & 3
-        return d, t
 
     def decode(self, d: int) -> Tuple[int, int]:
         """Grid cell of HC value ``d`` (inverse of :meth:`encode`)."""
@@ -552,152 +533,50 @@ class HilbertCurve:
 
         Ranges are returned sorted, merged and inclusive on both ends.  At
         most ``max_ranges`` ranges are returned (closest gaps are merged
-        first when the limit is exceeded).
+        first when the limit is exceeded).  A window that misses the unit
+        square covers nothing; any other window is clipped to it and swept
+        as the one-rect case of :meth:`covers_for_rects_flat`.
 
-        The decomposition sweeps the quadtree one level at a time with the
-        whole frontier held in flat arrays: pruning, containment tests and
-        child expansion are numpy operations over every surviving quadrant
-        at once, threading the curve state and HC prefix downwards so each
-        emitted quadrant's range is pure integer arithmetic (no per-quadrant
-        encode).  All geometry tests are exact integer/scaled-float
-        comparisons (scaling by the power-of-two grid side is lossless), and
-        the emitted quadrant set is exactly the recursive reference's -- the
-        final sort-and-merge normalises the level-order emission.  Results
-        are memoised per curve: paired trials replay the same query windows
-        against every index variant, and the kNN search re-derives similar
-        circle covers across sweep points.
+        Every geometry test of the sweep compares an integer cell
+        coordinate against the scaled window bounds, so the cover is a pure
+        function of their ceil/floor cell quantisation.  Results are
+        memoised per curve on that integer key: paired trials replay the
+        same query windows against every index variant, and near-identical
+        windows (e.g. the kNN search's slowly shrinking circles) hit the
+        same cached cover exactly.
         """
-        rect = rect.clipped_to_unit()
-        if rect.width < 0 or rect.height < 0:
+        if (
+            rect.min_x > 1.0
+            or rect.max_x < 0.0
+            or rect.min_y > 1.0
+            or rect.max_y < 0.0
+        ):
             return []
+        rect = rect.clipped_to_unit()
         if max_depth is None:
             max_depth = min(self.order, 8)
         max_depth = max(1, min(max_depth, self.order))
-
-        order = self.order
         side = self.side
-        # Window bounds scaled to cell units; multiplying by a power of two
-        # only shifts the float exponent, so comparisons against integer
-        # cell coordinates below are exactly the unit-square comparisons the
-        # reference implementation performed.
-        xlo = rect.min_x * side
-        xhi = rect.max_x * side
-        ylo = rect.min_y * side
-        yhi = rect.max_y * side
-
-        # Every geometry test below compares an integer cell coordinate
-        # against these bounds, so the cover is a pure function of their
-        # ceil/floor cell quantisation -- memoising on that integer key
-        # makes near-identical windows (e.g. the kNN search's slowly
-        # shrinking circles) hit the same cached cover exactly.
         cache_key = (
-            math.ceil(xlo),
-            math.floor(xhi),
-            math.ceil(ylo),
-            math.floor(yhi),
+            math.ceil(rect.min_x * side),
+            math.floor(rect.max_x * side),
+            math.ceil(rect.min_y * side),
+            math.floor(rect.max_y * side),
             max_ranges,
             max_depth,
         )
         cached = self._cover_cache.get(cache_key)
         if cached is not None:
             return list(cached)
-
-        # Levels above the common ancestor of the window's corner cells keep
-        # a single-quadrant frontier and can never emit (the ancestor always
-        # overhangs the window when no scaled bound is cell-aligned), so the
-        # sweep may start directly at the ancestor.  Cell-aligned bounds
-        # admit boundary-touching sibling quadrants and fall back to the
-        # root.
-        start_level, start = 0, (0, 0, 0, 0)  # (cx, cy, state, prefix)
-        if (
-            xlo != math.floor(xlo)
-            and xhi != math.floor(xhi)
-            and ylo != math.floor(ylo)
-            and yhi != math.floor(yhi)
-        ):
-            cx0, cx1 = math.floor(xlo), math.floor(xhi)
-            cy0, cy1 = math.floor(ylo), math.floor(yhi)
-            depth = order - max(
-                (cx0 ^ cx1).bit_length(), (cy0 ^ cy1).bit_length()
-            )
-            depth = min(depth, max_depth)
-            if depth > 0:
-                shift = order - depth
-                prefix0, t0 = self._quadrant_prefix_state(
-                    cx0 >> shift, cy0 >> shift, depth
-                )
-                start_level = depth
-                start = (
-                    (cx0 >> shift) << shift,
-                    (cy0 >> shift) << shift,
-                    t0,
-                    prefix0,
-                )
-
-        # Frontier sweep over a (4, m) state matrix whose rows are the
-        # frontier quadrants' lower-left cell (cx, cy), curve state and HC
-        # digit prefix; a quadrant at ``level`` spans 2**(order - level)
-        # cells per side and covers HC values ``prefix * cells`` to
-        # ``(prefix + 1) * cells - 1``.  The sweep descends up to _MAX_STEP
-        # levels per iteration using the composed descendant tables: a
-        # fully-inside quadrant emitted "late" arrives as its descendants,
-        # whose ranges are contiguous by the curve's nesting and merge back
-        # to the identical cover in the final adjacency pass.
-        state = np.array([[start[0]], [start[1]], [start[2]], [start[3]]], dtype=np.int64)
-        emitted_lo: List[np.ndarray] = []
-        emitted_hi: List[np.ndarray] = []
-        level = start_level
-        while True:
-            size = 1 << (order - level)
-            cx, cy = state[0], state[1]
-            cxe, cye = cx + size, cy + size
-            keep = (cx <= xhi) & (cxe >= xlo) & (cy <= yhi) & (cye >= ylo)
-            shift = 2 * (order - level)
-            if level >= max_depth or size == 1:
-                starts = state[3, keep] << shift
-                if starts.size:
-                    emitted_lo.append(starts)
-                    emitted_hi.append(starts + ((1 << shift) - 1))
-                break
-            inside = keep & (xlo <= cx) & (ylo <= cy) & (cxe <= xhi) & (cye <= yhi)
-            if inside.any():
-                starts = state[3, inside] << shift
-                emitted_lo.append(starts)
-                emitted_hi.append(starts + ((1 << shift) - 1))
-                keep &= ~inside
-            state = state[:, keep]
-            m = state.shape[1]
-            if not m:
-                break
-            step = min(_MAX_STEP, max_depth - level)
-            sub = size >> step
-            t = state[2]
-            children = np.empty((4, m, 4 ** step), dtype=np.int64)
-            children[0] = state[0, :, None] + _STEP_A[step][t] * sub
-            children[1] = state[1, :, None] + _STEP_B[step][t] * sub
-            children[2] = _STEP_T[step][t]
-            children[3] = (state[3] << (2 * step))[:, None] | _STEP_DIGITS[step]
-            state = children.reshape(4, -1)
-            level += step
-
-        merged: List[HCRange] = []
-        if emitted_lo:
-            los = np.concatenate(emitted_lo)
-            his = np.concatenate(emitted_hi)
-            # Level-order emission is not curve order; quadrant ranges are
-            # disjoint, so sorting by start restores it exactly.
-            order_ix = np.argsort(los)
-            los, his = los[order_ix], his[order_ix]
-            # Collapse adjacent ranges (lo == previous hi + 1) in one pass.
-            starts_group = np.empty(los.size, dtype=bool)
-            starts_group[0] = True
-            np.not_equal(los[1:], his[:-1] + 1, out=starts_group[1:])
-            group_lo = los[starts_group]
-            ends_ix = np.flatnonzero(starts_group)
-            group_hi = his[np.append(ends_ix[1:] - 1, los.size - 1)]
-            merged = list(zip(group_lo.tolist(), group_hi.tolist()))
-        result = coalesce_to_limit(merged, max_ranges)
-
+        _counts, los, his = self.covers_for_rects_flat(
+            np.array([rect.min_x]),
+            np.array([rect.min_y]),
+            np.array([rect.max_x]),
+            np.array([rect.max_y]),
+            max_ranges=max_ranges,
+            max_depth=max_depth,
+        )
+        result = list(zip(los.tolist(), his.tolist()))
         if len(self._cover_cache) >= _COVER_CACHE_MAX:
             self._cover_cache.clear()
         self._cover_cache[cache_key] = result
@@ -720,23 +599,29 @@ class HilbertCurve:
         max_ranges: int = 64,
         max_depth: int = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batched :meth:`ranges_for_rect` core over clipped rect arrays.
+        """The cover sweep: :meth:`ranges_for_rect` over clipped rect arrays.
 
-        One frontier sweep carries a rect-id lane, so ``M`` covers cost a
-        handful of numpy passes instead of ``M`` python calls -- the kNN
-        fleet kernel resolves thousands of distinct prune-radius circles
-        this way.  Every rect starts at the root (the scalar method's
-        common-ancestor shortcut only skips levels that provably cannot
-        emit, so the emitted quadrant set is identical); the geometry
-        tests, the adjacency merge and the gap coalescing are the scalar
-        path's verbatim, applied rect-segmented, so per rect the ranges
-        are bit-identical to :meth:`ranges_for_rect`.
+        One level-wise quadtree sweep carries every rect's frontier in flat
+        arrays with a rect-id lane: pruning, containment tests and child
+        expansion are numpy operations over every surviving quadrant at
+        once, threading the curve state and HC prefix downwards so each
+        emitted quadrant's range is pure integer arithmetic (no
+        per-quadrant encode).  ``M`` covers cost a handful of numpy passes
+        instead of ``M`` python calls -- the kNN fleet kernel resolves
+        thousands of distinct prune-radius circles this way, and
+        :meth:`ranges_for_rect` is its one-rect case.  All geometry tests
+        are exact integer/scaled-float comparisons (scaling by the
+        power-of-two grid side is lossless), so per rect the emitted
+        quadrant set is exactly the classical recursive decomposition's;
+        a rect-segmented sort-and-merge normalises the level-order
+        emission and the gap coalescing is :func:`coalesce_to_limit`'s.
 
         Returns ``(counts, los, his)``: flat sorted inclusive ranges,
-        ``counts[i]`` of them per rect.  The cover cache is not consulted
-        or written -- callers that want list results and cache exchange
-        use :meth:`covers_for_rects`.
+        ``counts[i]`` of them per rect.  The cover memo is not consulted
+        or written.
         """
+        if max_ranges < 1:
+            raise ValueError("max_ranges must be >= 1")
         min_x = np.asarray(min_x, dtype=np.float64)
         min_y = np.asarray(min_y, dtype=np.float64)
         max_x = np.asarray(max_x, dtype=np.float64)
@@ -752,7 +637,7 @@ class HilbertCurve:
         ylo = min_y * side
         yhi = max_y * side
         # Degenerate (negative-extent) rects never enter the sweep; their
-        # counts stay 0, matching the scalar method's early [].
+        # counts stay 0.
         alive = (max_x >= min_x) & (max_y >= min_y)
         rid = np.flatnonzero(alive)
         cx = np.zeros(len(rid), dtype=np.int64)
@@ -863,7 +748,7 @@ class HilbertCurve:
             )
         # Rect-segmented sort-and-merge: quadrant ranges are disjoint
         # within a rect, so ordering by (rect, start) then collapsing
-        # adjacency reproduces the scalar merge rect by rect.
+        # adjacency merges each rect's cover on its own.
         rids = np.concatenate(emit_rid)
         los = np.concatenate(emit_lo)
         his = np.concatenate(emit_hi)
@@ -889,7 +774,7 @@ class HilbertCurve:
             return counts, g_lo, g_hi
         # Batched ``coalesce_to_limit``: each rect absorbs its smallest
         # gaps first (leftmost among equals -- the lexsort is stable, like
-        # the scalar's stable argsort), until ``max_ranges`` remain.
+        # its stable argsort), until ``max_ranges`` remain.
         n = len(g_lo)
         same = g_rid[1:] == g_rid[:-1]
         gap_pos = np.flatnonzero(same)
@@ -910,77 +795,6 @@ class HilbertCurve:
         out_hi = g_hi[np.append(out_ix[1:] - 1, n - 1)]
         out_counts = np.bincount(g_rid[start_mask], minlength=m)
         return out_counts, out_lo, out_hi
-
-    def covers_for_rects(
-        self,
-        min_x: np.ndarray,
-        min_y: np.ndarray,
-        max_x: np.ndarray,
-        max_y: np.ndarray,
-        max_ranges: int = 64,
-        max_depth: int = None,
-    ) -> List[List[HCRange]]:
-        """Batched :meth:`ranges_for_rect` with list results and caching.
-
-        The quantised-key cover cache is consulted per rect and new
-        covers (computed by :meth:`covers_for_rects_flat`, deduplicated
-        by key) are written back, so scalar and batched callers exchange
-        covers; per rect the output is bit-identical to
-        :meth:`ranges_for_rect`.
-        """
-        min_x = np.asarray(min_x, dtype=np.float64)
-        min_y = np.asarray(min_y, dtype=np.float64)
-        max_x = np.asarray(max_x, dtype=np.float64)
-        max_y = np.asarray(max_y, dtype=np.float64)
-        if max_depth is None:
-            max_depth = min(self.order, 8)
-        max_depth = max(1, min(max_depth, self.order))
-        side = self.side
-        valid = (max_x >= min_x) & (max_y >= min_y)
-        k0 = np.ceil(min_x * side).astype(np.int64)
-        k1 = np.floor(max_x * side).astype(np.int64)
-        k2 = np.ceil(min_y * side).astype(np.int64)
-        k3 = np.floor(max_y * side).astype(np.int64)
-        keys: List[Optional[tuple]] = [None] * len(min_x)
-        results: Dict[tuple, Optional[List[HCRange]]] = {}
-        sweep_idx: List[int] = []
-        for i in range(len(min_x)):
-            if not valid[i]:
-                continue
-            key = (
-                int(k0[i]), int(k1[i]), int(k2[i]), int(k3[i]),
-                max_ranges, max_depth,
-            )
-            keys[i] = key
-            if key in results:
-                continue
-            cached = self._cover_cache.get(key)
-            if cached is not None:
-                results[key] = cached
-            else:
-                results[key] = None  # claimed; the sweep below fills it
-                sweep_idx.append(i)
-        if sweep_idx:
-            reps = np.asarray(sweep_idx, dtype=np.int64)
-            counts, los, his = self.covers_for_rects_flat(
-                min_x[reps], min_y[reps], max_x[reps], max_y[reps],
-                max_ranges=max_ranges, max_depth=max_depth,
-            )
-            cuts = np.zeros(len(reps) + 1, dtype=np.int64)
-            np.cumsum(counts, out=cuts[1:])
-            lo_list = los.tolist()
-            hi_list = his.tolist()
-            for r, i in enumerate(sweep_idx):
-                result = list(zip(lo_list[cuts[r]: cuts[r + 1]],
-                                  hi_list[cuts[r]: cuts[r + 1]]))
-                if len(self._cover_cache) >= _COVER_CACHE_MAX:
-                    self._cover_cache.clear()
-                self._cover_cache[keys[i]] = result
-                results[keys[i]] = result
-        return [
-            list(results[keys[i]]) if keys[i] is not None else []
-            for i in range(len(min_x))
-        ]
 
 
 def merge_ranges(ranges: Sequence[HCRange]) -> List[HCRange]:
@@ -1003,8 +817,8 @@ def coalesce_to_limit(ranges: List[HCRange], max_ranges: int) -> List[HCRange]:
 
     Gaps between consecutive ranges are absorbed smallest-first (leftmost
     first among equal gaps), which keeps the cover conservative (it only
-    grows).  A lazy-deletion heap over the gaps makes this O(n log n)
-    instead of the quadratic recompute-all-gaps loop.
+    grows).  One stable argsort of the gaps makes this O(n log n) instead
+    of the quadratic recompute-all-gaps loop.
     """
     if max_ranges < 1:
         raise ValueError("max_ranges must be >= 1")

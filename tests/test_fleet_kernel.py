@@ -33,11 +33,12 @@ from repro.broadcast.errors import LinkErrorModel
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.broadcast.timeline import timeline_of
 from repro.mobility import run_journey, trajectory_workload
-from repro.queries.workload import knn_workload, window_workload
+from repro.queries.types import WindowQuery
+from repro.queries.workload import Trial, Workload, knn_workload, window_workload
 from repro.sim.fleet import run_fleet, run_mobile_fleet
 from repro.sim.runner import build_index, execute_query
 from repro.spatial.datasets import uniform_dataset
-from repro.spatial.geometry import Point
+from repro.spatial.geometry import Point, Rect
 
 N_CLIENTS = 300
 MAX_PHASES = 12
@@ -407,6 +408,39 @@ def test_repro_pure_stands_down(monkeypatch):
         assert "REPRO_PURE" in pure.backend_reason
         np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
         np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+@pytest.mark.parametrize("kind", ["dsi", "rtree", "hci"])
+def test_window_outside_the_space_answers_empty(kind, channels, monkeypatch):
+    """A window that misses the unit square answers [] on every index, as
+    in ground truth: the planner returns nothing, and a fleet holding it is
+    correct on the kernel, with the arrays a ``REPRO_PURE=1`` fleet has."""
+    dataset = uniform_dataset(80, seed=11)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index(kind, dataset, config, use_cache=False)
+    outside = WindowQuery(Rect(1.2, 1.2, 1.5, 1.5))
+    view = BroadcastSchedule.for_config(index.program, config).view()
+    outcome = execute_query(index, outside, ClientSession(view, config, start_packet=5))
+    assert outcome.objects == []
+    workload = Workload(
+        "outside", [Trial(outside, 0.0)] + window_workload(3, 0.12, seed=3).trials
+    )
+
+    def run():
+        return run_fleet(index, dataset, config, workload, 500, seed=9,
+                         max_phases=8, verify=True)
+
+    fast = run()
+    assert fast.backend == "numpy"
+    assert fast.result.accuracy == 1.0
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = run()
+    assert pure.backend == "reference"
+    assert pure.result.accuracy == 1.0
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
 
 
 @given(

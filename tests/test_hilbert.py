@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,8 @@ from repro.spatial.hilbert import (
     subtract_range,
     total_length,
 )
+
+from cover_reference import classical_cover
 
 
 class TestEncodeDecode:
@@ -198,12 +201,13 @@ class TestRangeHelpers:
 
 
 class TestBatchedCovers:
-    """The batched cover sweep is bit-identical to the scalar one."""
+    """The one cover sweep, batched or one rect at a time, equals the
+    classical recursive cover."""
 
     @pytest.mark.parametrize("order", [1, 2, 3, 5, 8, 10])
     def test_flat_matches_scalar_per_rect(self, order):
-        import numpy as np
-
+        """The batched call and the scalar entry, rect by rect, both equal
+        the classical cover."""
         rng = np.random.default_rng(order)
         n = 60
         x0 = rng.uniform(0.0, 1.0, n)
@@ -217,15 +221,12 @@ class TestBatchedCovers:
             for i in range(n)
         ]
         for max_ranges, max_depth in ((64, None), (6, None), (64, 2)):
-            # Fresh curves per direction so neither path serves the other
-            # from the shared cover cache.
-            scalar = [
-                HilbertCurve(order).ranges_for_rect(
-                    r, max_ranges=max_ranges, max_depth=max_depth
-                )
+            curve = HilbertCurve(order)
+            expected = [
+                classical_cover(curve, r, max_ranges=max_ranges, max_depth=max_depth)
                 for r in rects
             ]
-            counts, los, his = HilbertCurve(order).covers_for_rects_flat(
+            counts, los, his = curve.covers_for_rects_flat(
                 np.array([r.min_x for r in rects]),
                 np.array([r.min_y for r in rects]),
                 np.array([r.max_x for r in rects]),
@@ -238,31 +239,35 @@ class TestBatchedCovers:
                          his[cuts[i]: cuts[i + 1]].tolist()))
                 for i in range(n)
             ]
-            assert flat == scalar
-            listed = HilbertCurve(order).covers_for_rects(
-                np.array([r.min_x for r in rects]),
-                np.array([r.min_y for r in rects]),
-                np.array([r.max_x for r in rects]),
-                np.array([r.max_y for r in rects]),
-                max_ranges=max_ranges, max_depth=max_depth,
-            )
-            assert listed == scalar
+            assert flat == expected
+            # The flat sweep does not touch the memo, so every rect below
+            # is a miss swept on its own.
+            assert curve._cover_cache == {}
+            one_by_one = [
+                curve.ranges_for_rect(r, max_ranges=max_ranges, max_depth=max_depth)
+                for r in rects
+            ]
+            assert one_by_one == expected
 
-    def test_cache_exchange_with_scalar(self):
-        import numpy as np
-
+    def test_memo_hit_equals_miss(self, monkeypatch):
         curve = HilbertCurve(6)
         rect = Rect(0.21, 0.33, 0.58, 0.71)
-        expected = curve.ranges_for_rect(rect)
-        got = curve.covers_for_rects(
-            np.array([rect.min_x]), np.array([rect.min_y]),
-            np.array([rect.max_x]), np.array([rect.max_y]),
-        )
-        assert got == [expected]
+        miss = curve.ranges_for_rect(rect)
+        assert miss == classical_cover(curve, rect)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a memo hit must not sweep")
+
+        monkeypatch.setattr(curve, "covers_for_rects_flat", no_sweep)
+        hit = curve.ranges_for_rect(rect)
+        assert hit == miss
+        # Callers own the lists they get: mutating one changes neither the
+        # memo nor the next result.
+        hit.append((0, 0))
+        miss.clear()
+        assert curve.ranges_for_rect(rect) == classical_cover(curve, rect)
 
     def test_degenerate_rows_stay_empty(self):
-        import numpy as np
-
         curve = HilbertCurve(5)
         # Negative-extent rows (a rect clipped away entirely) emit nothing
         # and do not disturb their neighbours.
@@ -272,6 +277,33 @@ class TestBatchedCovers:
         )
         assert counts[1] == 0
         assert counts[0] > 0 and counts[2] > 0
-        assert curve.covers_for_rects(
-            np.array([0.9]), np.array([0.9]), np.array([0.1]), np.array([0.1])
-        ) == [[]]
+
+    @pytest.mark.parametrize(
+        "rect",
+        [
+            Rect(1.2, 1.2, 1.5, 1.5),
+            Rect(-0.5, 0.2, -0.1, 0.4),
+            Rect(0.2, -0.5, 0.4, -1e-9),
+            Rect(0.3, 1.0 + 1e-9, 0.6, 2.0),
+        ],
+    )
+    def test_window_outside_the_space_covers_nothing(self, rect):
+        assert HilbertCurve(6).ranges_for_rect(rect) == []
+
+    def test_window_touching_the_border_covers_its_cells(self):
+        curve = HilbertCurve(4)
+        rect = Rect(1.0, 0.5, 1.5, 0.75)
+        got = curve.ranges_for_rect(rect)
+        assert got == classical_cover(curve, rect.clipped_to_unit())
+        assert ranges_contain(got, curve.value_of(Point(1.0, 0.6)))
+
+    @pytest.mark.parametrize("max_ranges", [0, -1])
+    def test_max_ranges_below_one_rejected(self, max_ranges):
+        curve = HilbertCurve(5)
+        with pytest.raises(ValueError, match="max_ranges"):
+            curve.ranges_for_rect(Rect(0.1, 0.1, 0.6, 0.6), max_ranges=max_ranges)
+        with pytest.raises(ValueError, match="max_ranges"):
+            curve.covers_for_rects_flat(
+                np.array([0.1]), np.array([0.1]), np.array([0.6]),
+                np.array([0.6]), max_ranges=max_ranges,
+            )

@@ -5,7 +5,9 @@ obviously-correct counterpart; these tests pin them together:
 
 * table-driven Hilbert encode/decode (and the batch APIs) vs the classical
   per-level loop;
-* the heap-based ``coalesce_to_limit`` vs a naive recompute-all-gaps loop;
+* the Hilbert cover sweep vs the classical recursive cover;
+* ``coalesce_to_limit``'s one stable argsort vs a naive recompute-all-gaps
+  loop;
 * the grid ground truth vs the brute-force oracle;
 * the per-kind broadcast seek vs a bucket-by-bucket channel scan;
 * cached index builds vs fresh builds (identical experiment results).
@@ -35,6 +37,8 @@ from repro.sim.runner import (
 from repro.spatial.datasets import uniform_dataset
 from repro.spatial.geometry import Point, Rect
 from repro.spatial.hilbert import HilbertCurve, coalesce_to_limit, merge_ranges
+
+from cover_reference import classical_cover
 
 
 class TestHilbertFastPath:
@@ -98,34 +102,11 @@ class TestHilbertFastPath:
     )
     @settings(max_examples=40)
     def test_cover_matches_classical_reference(self, x0, y0, w, h):
-        """The prefix-threaded cover equals a cover built with per-quadrant
-        classical encodes (the seed implementation)."""
+        """The cover sweep equals a cover built with per-quadrant classical
+        encodes (the seed implementation)."""
         curve = HilbertCurve(6)
         rect = Rect(x0, y0, min(1.0, x0 + w), min(1.0, y0 + h))
-
-        reference = []
-
-        def visit(cx, cy, level):
-            size = 1 << (curve.order - level)
-            quad = curve.cell_rect(cx, cy).expanded(
-                curve.cell_rect(cx + size - 1, cy + size - 1)
-            )
-            if not quad.intersects(rect):
-                return
-            cells = size * size
-            if rect.contains_rect(quad) or level >= 5 or size == 1:
-                hc = curve.encode_classical(cx, cy)
-                start = (hc // cells) * cells
-                reference.append((start, start + cells - 1))
-                return
-            half = size // 2
-            visit(cx, cy, level + 1)
-            visit(cx + half, cy, level + 1)
-            visit(cx, cy + half, level + 1)
-            visit(cx + half, cy + half, level + 1)
-
-        visit(0, 0, 0)
-        expected = coalesce_to_limit(merge_ranges(reference), 64)
+        expected = classical_cover(curve, rect, max_ranges=64, max_depth=5)
         assert curve.ranges_for_rect(rect, max_ranges=64, max_depth=5) == expected
 
 

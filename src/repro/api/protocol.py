@@ -23,7 +23,7 @@ Query methods return an *outcome* carrying at least ``objects`` (the
 matching :class:`~repro.spatial.datasets.DataObject` instances) and
 ``metrics`` (the session's :class:`~repro.broadcast.client.AccessMetrics`);
 :class:`~repro.core.window.WindowQueryResult` and
-:class:`~repro.rtree.air.TreeQueryResult` are the built-in shapes.
+:class:`~repro.broadcast.treeair.TreeQueryResult` are the built-in shapes.
 
 Conformance is structural as well as nominal: ``issubclass``/``isinstance``
 accept any class that defines the three query members, so third-party
@@ -50,9 +50,10 @@ REQUIRED_MEMBERS = ("describe", "window_query", "knn_query")
 class AirIndex(ABC):
     """Abstract base class / structural protocol for an index on air.
 
-    ``DsiIndex``, ``RTreeAirIndex`` and ``HciAirIndex`` inherit from this
-    class; custom indexes can either inherit or simply provide the same
-    members (``issubclass`` recognises them through ``__subclasshook__``).
+    ``DsiIndex`` and ``TreeAirIndex`` (the base of ``RTreeAirIndex`` and
+    ``HciAirIndex``) inherit from this class; custom indexes can either
+    inherit or simply provide the same members (``issubclass`` recognises
+    them through ``__subclasshook__``).
     """
 
     #: Human-readable name used as the default result label.

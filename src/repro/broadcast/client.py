@@ -30,7 +30,7 @@ totals live with the caller (see :mod:`repro.mobility`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -39,10 +39,6 @@ from .config import SystemConfig
 from .errors import LinkErrorModel, NO_ERRORS
 from .program import BroadcastProgram, Bucket, BucketKind
 from .timeline import timeline_of
-
-#: Kind order used by the session's flat per-kind read counters.
-_KINDS = tuple(BucketKind)
-
 
 @dataclass(slots=True)
 class ReadResult:
@@ -87,7 +83,6 @@ class ClientSession:
         self.start_clock = start_packet
         self.clock = start_packet
         self.tuning_packets = 0
-        self._kind_counts = [0] * len(_KINDS)
         self.lost_reads = 0
         self._probed = False
         # Per-query counter snapshots: zero for a fresh session, reset by
@@ -285,7 +280,6 @@ class ClientSession:
         bucket = self.program.buckets[bucket_index]
         self.clock = start + bucket.n_packets
         self.tuning_packets += bucket.n_packets
-        self._kind_counts[bucket.kind.ordinal] += 1
         if self.channel is not None:
             target = self.program.channel_of(bucket_index)
             if target != self.channel:
@@ -303,13 +297,6 @@ class ClientSession:
         )
 
     # -- metrics ----------------------------------------------------------------
-
-    @property
-    def reads_by_kind(self) -> Dict[BucketKind, int]:
-        """Buckets received so far, by kind (kinds never read are absent)."""
-        return {
-            kind: count for kind, count in zip(_KINDS, self._kind_counts) if count
-        }
 
     @property
     def latency_packets(self) -> int:

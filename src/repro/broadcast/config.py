@@ -83,9 +83,6 @@ class SystemConfig:
             return 1
         return math.ceil(n_bytes / self.packet_capacity)
 
-    def bytes_for_packets(self, n_packets: int) -> int:
-        return n_packets * self.packet_capacity
-
     def with_capacity(self, packet_capacity: int) -> "SystemConfig":
         """A copy of this configuration with a different packet capacity."""
         return replace(self, packet_capacity=packet_capacity)

@@ -58,9 +58,5 @@ class LinkErrorModel:
             return False
         return bool(self._rng.random() < self.theta)
 
-    def reseed(self, seed: Optional[int]) -> None:
-        """Reset the random stream (used to make experiment trials repeatable)."""
-        self._rng = np.random.default_rng(seed)
-
 
 NO_ERRORS = LinkErrorModel(theta=0.0, scope="none")

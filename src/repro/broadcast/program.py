@@ -45,12 +45,6 @@ class BucketKind(Enum):
         return self in (BucketKind.DSI_TABLE, BucketKind.TREE_NODE, BucketKind.CONTROL)
 
 
-# Small dense ordinal on each member: hot per-read counters index flat lists
-# with it instead of hashing the enum (enum __hash__ is a Python-level call).
-for _i, _kind in enumerate(BucketKind):
-    _kind.ordinal = _i
-
-
 @dataclass(slots=True)
 class Bucket:
     """One bucket of the broadcast program.

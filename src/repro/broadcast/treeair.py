@@ -7,14 +7,24 @@ organisation of Imielinski et al. [9]: the top levels of the tree (the
 subtree, followed by that subtree's index nodes (preorder) and then its data
 objects in leaf order.
 
-This module provides the tree-agnostic pieces:
+Both also answer a query with the same search.  Navigation order must
+follow broadcast order (paper Section 2): a node that has already passed is
+only available again at its next copy.  So the client keeps *pending sets*
+of the node and object buckets it still needs, dozes through everything
+else and reads whichever pending bucket arrives next.  This module provides
+the tree-agnostic pieces:
 
 * :class:`AirTreeEntry` / :class:`AirTreeNode` -- a generic paged tree node
   (the ``key`` is an MBR for the R-tree and an HC interval for the B+-tree);
 * :class:`TreeOnAir` -- turns a node dictionary plus a data ordering into a
-  :class:`~repro.broadcast.program.BroadcastProgram`, and offers the
-  client-side helpers the search algorithms need (waiting for the next copy
-  of the root, reading a specific node, reading a data object).
+  :class:`~repro.broadcast.program.BroadcastProgram`, and runs that one
+  pending-set search, :meth:`TreeOnAir.sweep`, under a *pruning rule*
+  (:data:`TreeRule`) that picks the entries of a node the search follows;
+* :class:`TreeAirIndex` -- the shared base of the two baselines and their
+  one window query: probe, ask the index's :meth:`~TreeAirIndex.window_rule`
+  for its rule, sweep under it.  The lockstep fleet kernel
+  (:mod:`repro.sim.fleet_kernel`) compiles the same rule;
+* :class:`TreeQueryResult` -- what a tree query returns.
 
 Error recovery follows the paper's discussion of tree indexes: a node is
 only reachable through its parent, so when a node bucket is corrupted the
@@ -24,16 +34,18 @@ replicated nodes, the next cycle otherwise).
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .client import ClientSession, ReadResult
+from ..api.protocol import AirIndex
+from .client import AccessMetrics, ClientSession
 from .config import SystemConfig
 from .program import BroadcastProgram, Bucket, BucketKind
-from .timeline import timeline_of
 from ..spatial.datasets import DataObject
+from ..spatial.geometry import Rect
 
 
 @dataclass(frozen=True)
@@ -66,29 +78,26 @@ class AirTreeNode:
         return self.level == 0
 
 
-def drain_cached_nodes(
-    pending: set,
-    cache: Dict[int, AirTreeNode],
-    expand: Callable[[AirTreeNode], None],
-) -> bool:
-    """Expand one cached pending node for free; ``True`` when one was found.
+#: A pruning rule: the entries of a node a sweep follows -- child entries
+#: to subtrees it reads next, leaf entries to objects it downloads.
+TreeRule = Callable[[AirTreeNode], List[AirTreeEntry]]
 
-    The warm-session primitive shared by the tree-based search sweeps: a
-    node the client has already paid for is static broadcast content, so a
-    later query expands the cached copy instead of dozing for the next
-    on-air one.  Exactly one node is expanded per call (the lowest pending
-    id, a deterministic order) and the caller re-enters its sweep loop, so
-    cached expansion interleaves with the pending-set updates precisely as
-    an instantaneous read would.  The common no-hit iteration is one set
-    intersection (the helper runs at the top of every sweep step).
-    """
-    hits = pending & cache.keys()
-    if not hits:
-        return False
-    nid = min(hits)
-    pending.discard(nid)
-    expand(cache[nid])
-    return True
+
+@dataclass
+class TreeQueryResult:
+    """Result of a window/kNN query over a tree-based air index."""
+
+    objects: List[DataObject]
+    metrics: AccessMetrics
+    nodes_read: int = 0
+    objects_read: int = 0
+    #: True when a sweep stopped at :attr:`TreeOnAir.sweep_guard` with
+    #: work still pending, so the answer may be incomplete.
+    iterations_capped: bool = False
+
+    @property
+    def object_ids(self) -> List[int]:
+        return sorted(o.oid for o in self.objects)
 
 
 class TreeOnAir:
@@ -207,22 +216,17 @@ class TreeOnAir:
     # -- client-side helpers ------------------------------------------------------
 
     def next_node_occurrence(
-        self, node_id: int, not_before: int, session: Optional[ClientSession] = None
+        self, node_id: int, not_before: int, session: ClientSession
     ) -> Tuple[int, int]:
         """Earliest upcoming ``(bucket_index, start)`` of any copy of a node.
 
-        With a ``session``, arrivals are computed from the session's state
-        (its schedule view and parked channel, including retune latency), so
-        planning ranks copies by the times a read will actually achieve;
-        without one, the tree's own single-channel program is used.
+        Arrivals are computed from the session's state (its schedule view
+        and parked channel, including retune latency), so copies are ranked
+        by the times a read will actually achieve.
         """
-        if session is not None:
-            arrival = lambda b: session.next_arrival(b, not_before)
-        else:
-            arrival = lambda b: self.program.next_occurrence(b, not_before)
         best: Optional[Tuple[int, int]] = None
         for bucket_index in self.node_buckets[node_id]:
-            start = arrival(bucket_index)
+            start = session.next_arrival(bucket_index, not_before)
             if best is None or start < best[1]:
                 best = (bucket_index, start)
         if best is None:
@@ -252,8 +256,8 @@ class TreeOnAir:
         self,
         clock: int,
         node_ids: Iterable[int],
-        oids: Iterable[int] = (),
-        session: Optional[ClientSession] = None,
+        oids: Iterable[int],
+        session: ClientSession,
     ) -> Optional[Tuple[str, int, int]]:
         """Earliest upcoming pending bucket: ``("node"|"data", id, bucket_index)``.
 
@@ -261,8 +265,9 @@ class TreeOnAir:
         they still need; the next relevant bucket on the channel is simply
         the pending bucket with the earliest next occurrence.  All candidate
         buckets (every copy of every pending node, every pending object) are
-        ranked in one batched timeline lookup -- the same buckets, in the
-        very same arrival order, as the scalar occurrence sweep computed.
+        ranked in one batched arrival lookup from the session's state -- the
+        same buckets, in the very same arrival order, as a scalar occurrence
+        sweep would compute.
 
         Candidates are iterated in sorted id order (nodes before objects),
         so arrival ties resolve deterministically: lowest pending node id,
@@ -285,13 +290,7 @@ class TreeOnAir:
             events.append(("data", oid))
         if not buckets:
             return None
-        if session is not None:
-            starts = session.next_arrivals(buckets, not_before=clock)
-        else:
-            timeline = timeline_of(self.program)
-            starts = timeline.next_occurrences(
-                np.asarray(buckets, dtype=np.int64), clock if clock > 0 else 0
-            )
+        starts = session.next_arrivals(buckets, not_before=clock)
         # Segment minima per event (a node's copies form one segment), then
         # the first event attaining the global minimum and its first
         # minimal copy -- identical tie-breaking to the scalar sweep's
@@ -305,53 +304,132 @@ class TreeOnAir:
         kind, ident = events[e]
         return kind, ident, buckets[at]
 
-    def read_node(
-        self, session: ClientSession, node_id: int, max_attempts: int = 48
-    ) -> AirTreeNode:
+    def read_node(self, session: ClientSession, node_id: int) -> AirTreeNode:
         """Doze to the next copy of ``node_id`` and read it.
 
         On a link error the client has no alternative route to the node (the
-        paper's point about tree indexes), so it waits for the next copy.
+        paper's point about tree indexes), so it waits for the next copy, at
+        most :attr:`read_guard` copies in all.
         """
-        attempts = 0
-        while True:
+        for _attempt in range(self.read_guard):
             bucket_index, _ = self.next_node_occurrence(node_id, session.clock, session)
             result = session.read_bucket(bucket_index)
-            attempts += 1
             if result.ok:
                 return result.payload
-            if attempts >= max_attempts:
-                raise RuntimeError(f"node {node_id} unreadable after {attempts} attempts")
+        raise RuntimeError(f"node {node_id} unreadable after {self.read_guard} attempts")
 
-    def read_object(
-        self, session: ClientSession, oid: int, max_attempts: int = 16
-    ) -> Optional[DataObject]:
-        attempts = 0
-        while attempts < max_attempts:
+    def read_object(self, session: ClientSession, oid: int) -> Optional[DataObject]:
+        """Read object ``oid``, trying up to 16 copies; ``None`` if all are lost."""
+        for _attempt in range(16):
             result = session.read_bucket(self.object_bucket[oid])
-            attempts += 1
             if result.ok:
                 return result.payload
         return None
 
-    def root_arrival(self, not_before: int) -> int:
-        return self.next_node_occurrence(self.root_id, not_before)[1]
+    def read_root(
+        self, session: ClientSession, cache: Optional[Dict[int, AirTreeNode]]
+    ) -> Tuple[AirTreeNode, int]:
+        """The root (free from a warm ``cache``) and how many reads it cost."""
+        if cache is not None and self.root_id in cache:
+            return cache[self.root_id], 0
+        root = self.read_node(session, self.root_id)
+        if cache is not None:
+            cache[self.root_id] = root
+        return root, 1
 
-    def index_node_count(self) -> int:
-        return len(self.nodes)
+    def sweep(
+        self,
+        session: ClientSession,
+        rule: Optional[TreeRule],
+        cache: Optional[Dict[int, AirTreeNode]],
+    ) -> Tuple[List[DataObject], int, bool]:
+        """The pending-set search both tree baselines answer queries with.
+
+        The client reads the root, then keeps the node and object buckets it
+        still needs in two pending sets and reads whichever of them arrives
+        next (:meth:`next_pending_event`).  Every node it reads is expanded
+        under ``rule``: the children and objects of the entries the rule
+        picks become pending.  A lost read leaves its bucket pending, so the
+        client waits for the next copy.  A ``None`` rule reads nothing, not
+        even the root.
+
+        With a warm ``cache`` every node read joins it, and a pending node
+        found there is static content the client has already paid for: it is
+        expanded for free instead of dozing for the next on-air copy.  One
+        cached node is expanded per step (the lowest pending id, a
+        deterministic order), so cached expansion interleaves with the
+        pending-set updates precisely as an instantaneous read would.
+
+        Returns ``(objects, nodes_read, capped)``: the objects read, in read
+        order (one per successful data read); the successful node reads; and
+        whether the sweep stopped at :attr:`sweep_guard` with work pending.
+        """
+        if rule is None:
+            return [], 0, False
+        pending_nodes: Set[int] = set()
+        pending_objects: Set[int] = set()
+
+        def expand(node: AirTreeNode) -> None:
+            for entry in rule(node):
+                if entry.is_leaf_entry:
+                    pending_objects.add(entry.oid)
+                else:
+                    pending_nodes.add(entry.child)
+
+        root, nodes_read = self.read_root(session, cache)
+        expand(root)
+        found: List[DataObject] = []
+        guard = self.sweep_guard
+        steps = 0
+        while pending_nodes or pending_objects:
+            hits = pending_nodes & cache.keys() if cache else None
+            if hits:
+                nid = min(hits)
+                pending_nodes.discard(nid)
+                expand(cache[nid])
+                continue
+            steps += 1
+            if steps > guard:
+                return found, nodes_read, True
+            kind, ident, bucket_index = self.next_pending_event(
+                session.clock, pending_nodes, pending_objects, session
+            )
+            result = session.read_bucket(bucket_index)
+            if not result.ok:
+                continue  # wait for the next copy (tree recovery rule)
+            if kind == "node":
+                pending_nodes.discard(ident)
+                nodes_read += 1
+                if cache is not None:
+                    cache[ident] = result.payload
+                expand(result.payload)
+            else:
+                pending_objects.discard(ident)
+                found.append(result.payload)
+        return found, nodes_read, False
 
     @property
     def sweep_guard(self) -> int:
         """How many select steps one sweep over this tree may take.
 
-        The shared safety bound of the R-tree and HCI sweeps and of the
-        fleet kernel's frontier sweeps.  A sweep takes one step per pending
-        event it resolves, lost reads included, so only heavy link loss
-        comes near it.  A reference sweep that reaches it stops and flags
-        its result (``TreeQueryResult.iterations_capped``); the kernel
+        The shared safety bound of :meth:`sweep`, the R-tree's kNN search
+        and the fleet kernel's frontier sweeps.  A sweep takes one step per
+        pending event it resolves, lost reads included, so only heavy link
+        loss comes near it.  A reference sweep that reaches it stops and
+        flags its result (``TreeQueryResult.iterations_capped``); the kernel
         declines instead.
         """
         return 64 * len(self.program) + 256
+
+    @property
+    def read_guard(self) -> int:
+        """How many copies of one node a client tries before giving up.
+
+        The shared retry bound of :meth:`read_node` and of the fleet
+        kernel's root read.  Past it the reference raises ``RuntimeError``;
+        the kernel declines, so its fallback raises the same.
+        """
+        return 48
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -363,3 +441,64 @@ class TreeOnAir:
             "cycle_bytes": self.program.cycle_bytes(self.config.packet_capacity),
             "index_overhead": self.program.index_overhead_fraction(),
         }
+
+
+class TreeAirIndex(AirIndex):
+    """What the R-tree and HCI baselines share: a tree on air and one
+    window query.
+
+    A subclass builds ``air`` (a :class:`TreeOnAir`) and sets ``dataset``
+    and ``fanout``; it defines :meth:`window_rule` and ``knn_query``.
+    """
+
+    air: TreeOnAir
+    fanout: int
+
+    @property
+    def program(self) -> BroadcastProgram:
+        return self.air.program
+
+    def describe(self) -> Dict[str, object]:
+        info = self.air.describe()
+        info.update({"index": self.name, "fanout": self.fanout, "n_objects": len(self.dataset)})
+        return info
+
+    def entry_landmark(self, view, position: int, switch_packets: int = 0):
+        """Delegate to the on-air tree's root-copy seek (fleet trace collapse)."""
+        return self.air.entry_landmark(view, position, switch_packets)
+
+    def new_client_state(self) -> Dict[int, AirTreeNode]:
+        """Warm-session state: a cache of index nodes already received.
+
+        Tree nodes are static broadcast content, so a continuous client that
+        has paid for a node once never needs to wait for another copy of it;
+        cached nodes are expanded for free on later queries (see
+        :mod:`repro.mobility`).
+        """
+        return {}
+
+    @abstractmethod
+    def window_rule(self, window: Rect) -> Optional[TreeRule]:
+        """The window query's pruning rule, or ``None`` to read nothing.
+
+        The one source of truth for which subtrees and objects a window
+        query reads: :meth:`window_query` sweeps under it, and the lockstep
+        fleet kernel (:mod:`repro.sim.fleet_kernel`) compiles it into each
+        query's qualifying subtree, so both prune identically.
+        """
+
+    def window_query(
+        self,
+        window: Rect,
+        session: ClientSession,
+        state: Optional[Dict[int, AirTreeNode]] = None,
+    ) -> TreeQueryResult:
+        session.initial_probe()
+        found, nodes_read, capped = self.air.sweep(session, self.window_rule(window), state)
+        return TreeQueryResult(
+            objects=[o for o in found if window.contains_point(o.point)],
+            metrics=session.metrics(),
+            nodes_read=nodes_read,
+            objects_read=len(found),
+            iterations_capped=capped,
+        )

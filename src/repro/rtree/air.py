@@ -8,45 +8,36 @@ still needs, dozes through everything else, and reads pending buckets as
 they arrive -- exactly the "navigation order must follow broadcast order"
 discipline the paper describes, with the resulting extra latency whenever a
 needed subtree has already gone by.
+
+A window query is the shared :meth:`TreeOnAir.sweep` under this index's
+:meth:`RTreeAirIndex.window_rule` (entries whose MBR meets the window).  A
+kNN query is a branch-and-bound sweep of its own: it drops pending entries
+as they arrive, against a bound that shrinks while it reads.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..api.protocol import AirIndex
-from ..broadcast.client import AccessMetrics, ClientSession
+from ..broadcast.client import ClientSession
 from ..broadcast.config import SystemConfig
-from ..broadcast.treeair import AirTreeNode, TreeOnAir, drain_cached_nodes as _drain_cached
+from ..broadcast.treeair import (
+    AirTreeNode,
+    TreeAirIndex,
+    TreeOnAir,
+    TreeQueryResult,
+    TreeRule,
+)
 from ..spatial.datasets import DataObject, SpatialDataset
 from ..spatial.geometry import Point, Rect
 from .str_pack import build_str_rtree, rtree_fanout
 
-
-@dataclass
-class TreeQueryResult:
-    """Result of a window/kNN query over a tree-based air index."""
-
-    objects: List[DataObject]
-    metrics: AccessMetrics
-    nodes_read: int = 0
-    objects_read: int = 0
-    #: True when a sweep stopped at :attr:`TreeOnAir.sweep_guard` with
-    #: work still pending, so the answer may be incomplete.
-    iterations_capped: bool = False
-
-    @property
-    def object_ids(self) -> List[int]:
-        return sorted(o.oid for o in self.objects)
-
-    @property
-    def ranked_ids(self) -> List[int]:
-        return [o.oid for o in self.objects]
+__all__ = ["RTreeAirIndex", "TreeQueryResult"]
 
 
-class RTreeAirIndex(AirIndex):
+class RTreeAirIndex(TreeAirIndex):
     """STR R-tree over the broadcast channel (the paper's "R-tree" curves)."""
 
     name = "R-tree"
@@ -72,127 +63,9 @@ class RTreeAirIndex(AirIndex):
             name=f"rtree-{dataset.name}",
         )
 
-    @property
-    def program(self):
-        return self.air.program
-
-    def describe(self) -> Dict[str, object]:
-        info = self.air.describe()
-        info.update({"index": self.name, "fanout": self.fanout, "n_objects": len(self.dataset)})
-        return info
-
-    def entry_landmark(self, view, position: int, switch_packets: int = 0):
-        """Delegate to the on-air tree's root-copy seek (fleet trace collapse)."""
-        return self.air.entry_landmark(view, position, switch_packets)
-
-    def new_client_state(self) -> Dict[int, AirTreeNode]:
-        """Warm-session state: a cache of index nodes already received.
-
-        Tree nodes are static broadcast content, so a continuous client that
-        has paid for a node once never needs to wait for another copy of it;
-        cached nodes are expanded for free on later queries (see
-        :mod:`repro.mobility`).
-        """
-        return {}
-
-    def _read_root(
-        self,
-        session: ClientSession,
-        cache: Optional[Dict[int, AirTreeNode]],
-    ) -> Tuple[AirTreeNode, int]:
-        """The tree root (cached for free on a warm session) and its read cost."""
-        if cache is not None and self.air.root_id in cache:
-            return cache[self.air.root_id], 0
-        root = self.air.read_node(session, self.air.root_id)
-        if cache is not None:
-            cache[root.node_id] = root
-        return root, 1
-
-    # -- window query -----------------------------------------------------------
-
-    def window_query(
-        self,
-        window: Rect,
-        session: ClientSession,
-        state: Optional[Dict[int, AirTreeNode]] = None,
-    ) -> TreeQueryResult:
-        session.initial_probe()
-        retrieved: List[DataObject] = []
-        pending_nodes: Set[int] = set()
-        pending_objects: Set[int] = set()
-        root, nodes_read = self._read_root(session, state)
-        self._expand_window(root, window, pending_nodes, pending_objects)
-        objects_read = 0
-
-        guard = self.air.sweep_guard
-        steps = 0
-        capped = False
-        while pending_nodes or pending_objects:
-            if state and _drain_cached(
-                pending_nodes, state,
-                lambda node: self._expand_window(node, window, pending_nodes, pending_objects),
-            ):
-                continue
-            steps += 1
-            if steps > guard:
-                capped = True
-                break
-            kind, ident, bucket_index = self.air.next_pending_event(
-                session.clock, pending_nodes, pending_objects, session=session
-            )
-            result = session.read_bucket(bucket_index)
-            if not result.ok:
-                continue  # wait for the node's next copy (tree recovery rule)
-            if kind == "node":
-                pending_nodes.discard(ident)
-                nodes_read += 1
-                if state is not None:
-                    state[ident] = result.payload
-                self._expand_window(result.payload, window, pending_nodes, pending_objects)
-            else:
-                pending_objects.discard(ident)
-                objects_read += 1
-                retrieved.append(result.payload)
-
-        objects = [o for o in retrieved if window.contains_point(o.point)]
-        return TreeQueryResult(
-            objects=objects,
-            metrics=session.metrics(),
-            nodes_read=nodes_read,
-            objects_read=objects_read,
-            iterations_capped=capped,
-        )
-
-    @staticmethod
-    def window_children(
-        node: AirTreeNode, window: Rect
-    ) -> Tuple[List[int], List[int]]:
-        """The window query's pruning rule: ``(child_ids, oids)`` of the
-        entries whose MBR intersects ``window``.
-
-        The single source of truth for which subtrees and objects a window
-        sweep must read -- shared by the reference sweep above and the
-        lockstep fleet kernel's per-query frontier precompute
-        (:mod:`repro.sim.fleet_kernel`), so both prune identically.
-        """
-        children: List[int] = []
-        oids: List[int] = []
-        for entry in node.entries:
-            if not entry.key.intersects(window):
-                continue
-            if entry.is_leaf_entry:
-                oids.append(entry.oid)
-            else:
-                children.append(entry.child)
-        return children, oids
-
-    @staticmethod
-    def _expand_window(
-        node: AirTreeNode, window: Rect, pending_nodes: Set[int], pending_objects: Set[int]
-    ) -> None:
-        children, oids = RTreeAirIndex.window_children(node, window)
-        pending_nodes.update(children)
-        pending_objects.update(oids)
+    def window_rule(self, window: Rect) -> TreeRule:
+        """Follow the entries whose MBR intersects ``window``."""
+        return lambda node: [e for e in node.entries if e.key.intersects(window)]
 
     # -- kNN query ----------------------------------------------------------------
 
@@ -207,7 +80,7 @@ class RTreeAirIndex(AirIndex):
             raise ValueError("k must be >= 1")
         session.initial_probe()
         sweep = _KnnSweepState(q=q, k=k)
-        root, nodes_read = self._read_root(session, state)
+        root, nodes_read = self.air.read_root(session, state)
         sweep.expand(root)
 
         guard = self.air.sweep_guard
@@ -221,7 +94,7 @@ class RTreeAirIndex(AirIndex):
                 capped = True
                 break
             event = self.air.next_pending_event(
-                session.clock, sweep.pending_nodes, sweep.pending_data, session=session
+                session.clock, sweep.pending_nodes, sweep.pending_data, session
             )
             if event is None:
                 break  # nothing pending; missing answers are fetched below

@@ -170,9 +170,17 @@ class _PopulationView:
     def clients_per_sec(self) -> float:
         return self.n_clients / self.elapsed_s if self.elapsed_s > 0 else math.inf
 
+    def _unique_values(self, metric: str) -> np.ndarray:
+        """The per-execution values of ``"latency"`` or ``"tuning"``."""
+        if metric == "latency":
+            return self.unique_latency
+        if metric == "tuning":
+            return self.unique_tuning
+        raise ValueError(f"metric must be 'latency' or 'tuning', got {metric!r}")
+
     def exact_mean(self, metric: str = "latency") -> float:
         """Exact population mean from the per-execution histogram."""
-        values = self.unique_latency if metric == "latency" else self.unique_tuning
+        values = self._unique_values(metric)
         return float(np.dot(values, self.unique_counts) / self.unique_counts.sum())
 
     def _engine_columns(self, row: Dict[str, Any]) -> Dict[str, Any]:
@@ -255,7 +263,7 @@ class FleetResult(_PopulationView):
         metric -- derived once per metric, reused by every percentile."""
         cached = self._hist_cache.get(metric)
         if cached is None:
-            values = self.unique_latency if metric == "latency" else self.unique_tuning
+            values = self._unique_values(metric)
             hist: Dict[float, int] = {}
             for value, count in zip(values.tolist(), self.unique_counts.tolist()):
                 hist[value] = hist.get(value, 0) + int(count)
@@ -820,10 +828,6 @@ class MobileFleetResult(_PopulationView):
     #: Distinct journeys with at least one hop truncated by a planner's
     #: safety cap (see :class:`FleetResult.capped_executions`).
     capped_executions: int = 0
-
-    @property
-    def queries_per_sec(self) -> float:
-        return self.clients_per_sec * self.n_steps
 
     @property
     def mean_hop_latency_bytes(self) -> float:

@@ -129,31 +129,34 @@ tuning accumulates *per phase* (identical within a lane: every phase of a
 lane pays the same probe, table, directory and data packets).  Answers are
 phase-independent (fact 3), so verification runs once per query.
 
-**Tree indexes** (the R-tree-on-air and HCI baselines) run the same
-lockstep discipline over a different structure: their window sweeps keep a
-*pending set* of tree nodes and data objects and always read the pending
-bucket that arrives next.  The kernel compiles each
+**Tree indexes** (the R-tree-on-air and HCI baselines, both a
+:class:`~repro.broadcast.treeair.TreeAirIndex`) run the same lockstep
+discipline over a different structure: their one window sweep
+(:meth:`~repro.broadcast.treeair.TreeOnAir.sweep`) keeps a *pending set*
+of tree nodes and data objects and always reads the pending bucket that
+arrives next.  The kernel compiles each
 :class:`~repro.broadcast.treeair.TreeOnAir` into flat node tables (dense
 node ids, padded per-node copy matrices, packet sizes) and each query into
 its **qualifying subtree** -- the nodes and objects reachable from the root
 through entries that intersect the window (R-tree MBRs) or its HC-range
-cover (HCI intervals), computed with the indexes' own pruning rules
-(``window_children`` / ``range_children``).  That set is timing-independent:
-whichever order buckets arrive in, the sweep reads exactly the reachable
-nodes and objects, because a successful node read always expands the same
-children and a lost read leaves the node pending.  Each query's events
-(qualifying nodes in sorted id order, then objects in sorted id order --
-the reference's deterministic candidate order) carry a padded copy-bucket
-matrix, a static child-adjacency matrix and a root-expansion mask; a hop
-then advances every lane as a frontier sweep: batched
-``next_occurrences`` over all pending copies, masked argmin (first minimum
-= the reference's tie-break), clear the landed event and OR in its
+cover (HCI intervals), computed with the same pruning rule the reference
+sweeps under, the index's ``window_rule(window)``.  A ``None`` rule (HCI's
+empty cover) reads nothing past the probe on both paths.  That set is
+timing-independent: whichever order buckets arrive in, the sweep reads
+exactly the reachable nodes and objects, because a successful node read
+always expands the same children and a lost read leaves the node pending.
+Each query's events (qualifying nodes in sorted id order, then objects in
+sorted id order -- the reference's deterministic candidate order) carry a
+padded copy-bucket matrix, a static child-adjacency matrix and a
+root-expansion mask; a hop then advances every lane as a frontier sweep:
+batched ``next_occurrences`` over all pending copies, masked argmin (first
+minimum = the reference's tie-break), clear the landed event and OR in its
 adjacency row.  Node reads draw link errors exactly like the reference
 (navigation kind, per-lane streams, in walk order); data reads never do
 under the index scope.  Items with a second hop add a per-lane node-cache
 bitmask: cached pending nodes are expanded for free to a fixpoint at the
-top of every step, the vectorised counterpart of ``drain_cached_nodes``
-(the cascade is order-independent for window sweeps, which only union
+top of every step, the vectorised counterpart of the reference sweep's
+cache drain (the cascade is order-independent for window sweeps, which only union
 pending sets).  One sweep reads each qualifying node once, so a one-step
 item runs without the cache -- its drain scans would cost time and change
 nothing.  The entry-landmark collapse keys on the first root-copy arrival --
@@ -196,7 +199,7 @@ import numpy as np
 
 from ..broadcast.program import BucketKind
 from ..broadcast.timeline import timeline_of
-from ..broadcast.treeair import TreeOnAir
+from ..broadcast.treeair import TreeAirIndex, TreeOnAir
 from ..core.knowledge import ClientKnowledge
 from ..core.structure import DsiIndex
 from ..queries.types import KnnQuery, WindowQuery
@@ -995,7 +998,7 @@ class _TreeGeometry(_Channel):
     candidate order matches -- which it does, nodes sorted before objects).
     """
 
-    __slots__ = ("root_ids", "root_pk", "guard")
+    __slots__ = ("root_ids", "root_pk", "guard", "read_guard")
 
     def __init__(self, static: _TreeStatic, air: TreeOnAir, config: Any,
                  timeline) -> None:
@@ -1016,6 +1019,7 @@ class _TreeGeometry(_Channel):
         self.root_ids = np.asarray(air.node_buckets[air.root_id], dtype=np.int64)
         self.root_pk = int(static.node_pk[static.root_dense])
         self.guard = air.sweep_guard
+        self.read_guard = air.read_guard
 
     def root_arrival(self, nb: np.ndarray) -> np.ndarray:
         """Start of the first root copy at/after each clock in ``nb`` -- the
@@ -1082,56 +1086,36 @@ def _precompute_tree_queries(
     """Compile each window query's qualifying subtree into flat event tables.
 
     The qualifying subtree -- every node/object reachable from the root
-    through entries the index's own pruning rule accepts -- is timing
-    independent (a successful read always expands the same children, a lost
-    read leaves the node pending), so answers and adjacency are static and
-    verification runs once per query.
+    under the index's own ``window_rule`` -- is timing independent (a
+    successful read always expands the same children, a lost read leaves
+    the node pending), so answers and adjacency are static and verification
+    runs once per query.  A query whose rule is ``None`` reads nothing past
+    its probe, not even the root, exactly as :meth:`TreeOnAir.sweep`.
     """
-    from ..hci.air import HciAirIndex
-    from ..rtree.air import RTreeAirIndex
-
     timeline = geo.timeline
-    is_rtree = isinstance(index, RTreeAirIndex)
-    is_hci = isinstance(index, HciAirIndex)
-    if not (is_rtree or is_hci):
-        raise KernelUnsupported("no lockstep kernel for this index type")
     if verify:
         from ..queries.ground_truth import answer, matches_truth
 
     n_q = len(queries)
     width = static.copy_mat.shape[1]
-    per_query: List[Optional[Tuple[List[int], List[int], Dict[int, Tuple[List[int], List[int]]]]]] = []
+    per_query: List[Tuple[List[int], List[int], Dict[int, Tuple[List[int], List[int]]]]] = []
     has_root = np.ones(n_q, dtype=bool)
     correct_q = np.full(n_q, -1, dtype=np.int64)
     n_events = 1
     for qid, query in enumerate(queries):
         window = query.window
-        if is_rtree:
-            def prune(node):
-                return RTreeAirIndex.window_children(node, window)
-        else:
-            cover = index.window_cover(window)
-            if not cover:
-                # The reference's empty-cover early return: the probe is
-                # paid but not even the root is read.
-                has_root[qid] = False
-                per_query.append(None)
-                if verify:
-                    truth = answer(dataset, query)
-                    correct_q[qid] = int(matches_truth(query, truth, []))
-                continue
-
-            def prune(node):
-                return HciAirIndex.range_children(node, cover)
-
+        rule = index.window_rule(window)
+        has_root[qid] = rule is not None
         children_of: Dict[int, Tuple[List[int], List[int]]] = {}
         oid_set: Set[int] = set()
-        stack = [air.root_id]
+        stack = [air.root_id] if rule is not None else []
         while stack:
             nid = stack.pop()
             if nid in children_of:
                 continue
-            kids, oids = prune(air.nodes[nid])
+            hits = rule(air.nodes[nid])
+            kids = [e.child for e in hits if not e.is_leaf_entry]
+            oids = [e.oid for e in hits if e.is_leaf_entry]
             children_of[nid] = (kids, oids)
             oid_set.update(oids)
             stack.extend(kids)
@@ -1160,10 +1144,7 @@ def _precompute_tree_queries(
     tq.root_mask = np.zeros((n_q, n_events), dtype=bool)
     tq.has_root = has_root
     tq.correct = correct_q
-    for qid, ev in enumerate(per_query):
-        if ev is None:
-            continue
-        nodes, oids, children_of = ev
+    for qid, (nodes, oids, children_of) in enumerate(per_query):
         e_of: Dict[Tuple[str, int], int] = {
             ("node", nid): e for e, nid in enumerate(nodes)
         }
@@ -1255,9 +1236,9 @@ class _TreeWalker:
             lost = err.lost(pend)
             pend = pend[lost]
             attempts += 1
-            if len(pend) and attempts >= 48:
-                # read_node's max_attempts: the reference raises
-                # RuntimeError; decline so the fallback reproduces it.
+            if len(pend) and attempts >= geo.read_guard:
+                # The reference raises RuntimeError past TreeOnAir.read_guard;
+                # decline so the fallback reproduces it.
                 raise KernelUnsupported("root read retries exhausted")
 
     def hop(self, qrow: np.ndarray) -> None:
@@ -1277,11 +1258,11 @@ class _TreeWalker:
     def _drain(self, idx: np.ndarray, qv: np.ndarray, P: np.ndarray) -> np.ndarray:
         """Expand cached pending nodes for free, to a fixpoint.
 
-        The vectorised ``drain_cached_nodes`` cascade: the reference drains
-        one cached node per step, but a window sweep's expansion only ever
-        unions pending sets, so draining all of them (and whatever cached
-        nodes that uncovers) before the next on-air read is order
-        independent and lands in the identical pending state.
+        The vectorised cache drain of :meth:`TreeOnAir.sweep`: the
+        reference drains one cached node per step, but a window sweep's
+        expansion only ever unions pending sets, so draining all of them
+        (and whatever cached nodes that uncovers) before the next on-air
+        read is order independent and lands in the identical pending state.
         """
         tq = self.tq
         dense = tq.ev_dense[qv]
@@ -2037,7 +2018,7 @@ def _simulate_items(
     if all(isinstance(q, WindowQuery) for q in queries):
         if isinstance(index, DsiIndex):
             family = _Walker
-        elif isinstance(getattr(index, "air", None), TreeOnAir):
+        elif isinstance(index, TreeAirIndex):
             family = _TreeWalker
         else:
             raise KernelUnsupported("no lockstep kernel for this index type")

@@ -491,6 +491,25 @@ class TestExactHistogramCaching:
         assert p50 == exact.percentile(50)
         assert fleet.exact_percentile(95) == exact.percentile(95)
 
+    def test_unknown_metric_names_raise(self, dsi, dataset, config64, workload):
+        """Only "latency" and "tuning" name a metric: a misspelt name raises
+        on both result kinds instead of silently reading tuning, and
+        nothing is cached under it."""
+        from repro.mobility import trajectory_workload
+
+        fleet = run_fleet(dsi, dataset, config64, workload, 1_000, seed=7)
+        journeys = trajectory_workload(n_journeys=3, n_steps=2, seed=3)
+        mobile = run_mobile_fleet(dsi, dataset, config64, journeys, 1_000, seed=7)
+        for result in (fleet, mobile):
+            assert result.exact_mean("latency") > result.exact_mean("tuning")
+            for name in ("latencies", "Latency", "tune", ""):
+                with pytest.raises(ValueError, match="'latency' or 'tuning'"):
+                    result.exact_mean(name)
+        for name in ("latencies", "Latency"):
+            with pytest.raises(ValueError, match="'latency' or 'tuning'"):
+                fleet.exact_percentile(50, name)
+        assert fleet._hist_cache == {}
+
 
 @pytest.mark.parametrize("case", ["hci_knn_fleet", "journeys_scope_all"])
 def test_reference_fan_out_parallel_matches_serial(case, monkeypatch):

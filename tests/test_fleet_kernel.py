@@ -565,6 +565,58 @@ def test_tree_sweep_guard_flags_capped_executions(kind, monkeypatch):
         assert result.as_row()["capped_executions"] == result.capped_executions
 
 
+@pytest.mark.parametrize("kind", ["rtree", "hci"])
+def test_tree_root_read_retry_bound_is_shared(kind, monkeypatch):
+    """Both tree engines stop retrying a lost root at one bound.
+
+    ``TreeOnAir.read_guard`` bounds the reference's ``read_node`` and the
+    kernel's root read.  Unpatched, an index-scope fleet at θ 0.5 runs on
+    the kernel with the arrays of its ``REPRO_PURE=1`` twin.  Patched down
+    to two tries, the kernel declines with "root read retries exhausted"
+    and the fleet raises the reference's ``RuntimeError``, with and without
+    ``REPRO_PURE=1``.
+    """
+    from repro.broadcast.treeair import TreeOnAir
+    from repro.sim import fleet_kernel
+
+    dataset = uniform_dataset(80, seed=11)
+    config = SystemConfig(packet_capacity=64)
+    windows = window_workload(4, 0.3, seed=3)
+    declines = []
+    simulate = fleet_kernel._simulate_items
+
+    def spy(*args, **kwargs):
+        try:
+            return simulate(*args, **kwargs)
+        except fleet_kernel.KernelUnsupported as exc:
+            declines.append(str(exc))
+            raise
+
+    monkeypatch.setattr(fleet_kernel, "_simulate_items", spy)
+
+    def run(pure):
+        if pure:
+            monkeypatch.setenv("REPRO_PURE", "1")
+        else:
+            monkeypatch.delenv("REPRO_PURE", raising=False)
+        index = build_index(kind, dataset, config, use_cache=False)
+        return run_fleet(index, dataset, config, windows, 500, seed=9,
+                         max_phases=8, error_theta=0.5)
+
+    fast, pure = run(False), run(True)
+    assert (fast.backend, pure.backend) == ("numpy", "reference")
+    assert declines == []
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+
+    monkeypatch.setattr(TreeOnAir, "read_guard", property(lambda self: 2))
+    for pure in (False, True):
+        with pytest.raises(RuntimeError, match="unreadable after 2 attempts"):
+            run(pure)
+    assert declines == ["root read retries exhausted"]
+
+
 @pytest.mark.parametrize("guard", ["window_guard", "knn_guard"])
 def test_dsi_planner_guards_flag_capped_executions(guard, monkeypatch):
     """A DSI window walk or kNN search that reaches its guard is flagged.

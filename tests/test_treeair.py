@@ -82,12 +82,13 @@ class TestLayout:
 
 class TestClientHelpers:
     def test_next_node_occurrence_picks_earliest_copy(self, tree_air):
-        _dataset, _config, air = tree_air
+        _dataset, config, air = tree_air
+        session = ClientSession(air.program, config, start_packet=0)
         copies = air.node_buckets[air.root_id]
         assert len(copies) >= 2
         first_start = air.program.start_of(copies[0])
         second_start = air.program.start_of(copies[1])
-        bucket, start = air.next_node_occurrence(air.root_id, first_start + 1)
+        bucket, start = air.next_node_occurrence(air.root_id, first_start + 1, session)
         assert start == second_start
 
     def test_read_node_and_object(self, tree_air):
@@ -100,7 +101,8 @@ class TestClientHelpers:
         assert session.tuning_packets > 0
 
     def test_root_arrival_monotone(self, tree_air):
-        _dataset, _config, air = tree_air
-        a = air.root_arrival(0)
-        b = air.root_arrival(a + 1)
+        _dataset, config, air = tree_air
+        session = ClientSession(air.program, config, start_packet=0)
+        a = air.next_node_occurrence(air.root_id, 0, session)[1]
+        b = air.next_node_occurrence(air.root_id, a + 1, session)[1]
         assert b > a

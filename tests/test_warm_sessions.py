@@ -12,7 +12,9 @@ queries -- changes only what a query costs, never what it answers:
   per hop and sum correctly across a journey;
 * channel-switch accounting stays exact under striped multi-channel
   schedules **with link errors** (a recording session recomputes switches
-  from the raw read trace).
+  from the raw read trace);
+* a tree query's ``nodes_read`` / ``objects_read`` equal the successful
+  node and data receptions in the same raw trace, cold and warm.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 from repro.broadcast.client import ClientSession
 from repro.broadcast.config import SystemConfig
 from repro.broadcast.errors import LinkErrorModel
+from repro.broadcast.program import BucketKind
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.queries.ground_truth import matches
 from repro.queries.workload import mixed_workload
@@ -166,17 +169,53 @@ class TestSessionContinuity:
 
 
 class _RecordingSession(ClientSession):
-    """A session that logs the channel of every reception."""
+    """A session that logs every reception and the channel it came on."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.read_channels = []
+        self.receptions = []
 
     def _receive(self, bucket_index, start):
         result = super()._receive(bucket_index, start)
         if self.channel is not None:
             self.read_channels.append(self.program.channel_of(bucket_index))
+        self.receptions.append(result)
         return result
+
+
+class TestTreeSweepCounters:
+    """A tree query's counters equal the reads it made: ``nodes_read`` the
+    successful TREE_NODE and CONTROL receptions, ``objects_read`` the
+    successful DATA receptions -- window and kNN, lossy or not, and warm,
+    where cached nodes are expanded without a reception."""
+
+    @pytest.mark.parametrize("scope", [None, "index", "all", "data"])
+    @pytest.mark.parametrize("n_channels", [1, 3])
+    @pytest.mark.parametrize("index_name", ["rtree", "hci"])
+    def test_counters_match_receptions(self, index_name, n_channels, scope):
+        config, index, view = _setup(index_name, n_channels)
+        lost = 0
+        for warm in (False, True):
+            state = index.new_client_state() if warm else None
+            session = _RecordingSession(
+                view, config, start_packet=29,
+                error_model=(None if scope is None
+                             else LinkErrorModel(theta=0.2, scope=scope, seed=41)),
+            )
+            for i, trial in enumerate(_WORKLOAD):
+                if i:
+                    session.next_query(dwell_packets=613)
+                mark = len(session.receptions)
+                outcome = execute_query(index, trial.query, session, state=state)
+                received = [r.bucket.kind for r in session.receptions[mark:] if r.ok]
+                assert outcome.nodes_read == (
+                    received.count(BucketKind.TREE_NODE)
+                    + received.count(BucketKind.CONTROL)
+                )
+                assert outcome.objects_read == received.count(BucketKind.DATA)
+            lost += session.lost_reads
+        assert (lost > 0) == (scope is not None)
 
 
 class TestChannelSwitchAccountingWithErrors:

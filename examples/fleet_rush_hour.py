@@ -8,8 +8,9 @@ ask "what is around me?".  Two things carry the load:
   the data frames are striped across data channels (``channels=4``), so a
   freshly tuned-in phone reaches navigation information quickly;
 * a **client fleet** -- the population is simulated in batch over the
-  vectorised seek machinery with streaming (Welford + P2) metrics, so
-  memory stays flat no matter how many phones show up.
+  vectorised seek machinery, and each distinct outcome enters an exact
+  value->count summary weighted by its phones, so memory stays flat no
+  matter how many phones show up.
 
 The report compares the paper's single channel against the 4-channel
 layout, for the fleet's mean and tail (P95) experience, then sweeps the

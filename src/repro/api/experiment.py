@@ -30,8 +30,9 @@ Sweep axes:
   ``k - 1`` data channels;
 * ``fleet`` varies the client population (declare with
   :meth:`Experiment.fleet`): each cell then runs a population-scale
-  :class:`~repro.sim.fleet.ClientFleet` with streaming metrics instead of
-  per-trial sessions, and rows gain ``n_clients`` plus percentile columns;
+  :class:`~repro.sim.fleet.ClientFleet` with exact population metrics
+  instead of per-trial sessions, and rows gain ``n_clients`` plus
+  percentile columns;
 * ``win_side_ratio``, ``k``, ``n_queries``, ``seed`` vary the declared
   generated workloads;
 * ``theta`` varies the link-error ratio (requires error parameters, or
@@ -197,9 +198,7 @@ class Experiment:
         self._mobility: Optional[Dict[str, Any]] = None
         self._mobility_steps: Optional[int] = None
         self._sched_policy: Optional[str] = None
-        self._sched_opts: Dict[str, Any] = {
-            "budget": 1.5, "beam_width": 8, "branch_factor": 4,
-        }
+        self._sched_budget: float = 1.5
 
     # -- declaration -----------------------------------------------------------
 
@@ -305,8 +304,6 @@ class Experiment:
         self,
         *policies: str,
         budget: float = 1.5,
-        beam_width: int = 8,
-        branch_factor: int = 4,
     ) -> "Experiment":
         """How each cell's broadcast cycle is laid out on the air.
 
@@ -328,9 +325,7 @@ class Experiment:
                 )
         if budget < 1.0:
             raise ValueError(f"budget must be >= 1.0, got {budget}")
-        self._sched_opts = {
-            "budget": budget, "beam_width": beam_width, "branch_factor": branch_factor,
-        }
+        self._sched_budget = budget
         if len(policies) == 1:
             self._sched_policy = policies[0]
             self._axes.pop("schedule_policy", None)
@@ -349,8 +344,8 @@ class Experiment:
 
         ``fleet(100_000)`` fixes the population; ``fleet(1_000, 100_000)``
         declares a ``fleet`` sweep axis.  Fleet cells replace per-trial
-        sessions with a :class:`~repro.sim.fleet.ClientFleet` (streaming
-        summaries, O(1) memory in population); the declared workloads
+        sessions with a :class:`~repro.sim.fleet.ClientFleet` (exact
+        summaries, memory flat in population); the declared workloads
         provide the query mix, ``seed`` drives the client draws and
         ``max_phases`` bounds the tune-in phase resolution.
         """
@@ -626,7 +621,7 @@ def _optimized_schedule(
         index.program,
         demand,
         channels=getattr(config, "n_channels", 1),
-        **experiment._sched_opts,
+        budget=experiment._sched_budget,
     )
 
 

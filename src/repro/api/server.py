@@ -103,8 +103,6 @@ class BroadcastServer:
         demand: Optional[Any] = None,
         *,
         budget: float = 1.5,
-        beam_width: int = 8,
-        branch_factor: int = 4,
     ) -> BroadcastSchedule:
         """Re-air the cycle on a demand-aware schedule (in place).
 
@@ -125,8 +123,6 @@ class BroadcastServer:
             demand,
             channels=self.config.n_channels,
             budget=budget,
-            beam_width=beam_width,
-            branch_factor=branch_factor,
         )
         return self.schedule
 

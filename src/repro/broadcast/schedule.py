@@ -234,8 +234,6 @@ class BroadcastSchedule:
         demand,
         channels: int = 1,
         budget: float = 1.5,
-        beam_width: int = 8,
-        branch_factor: int = 4,
     ) -> "BroadcastSchedule":
         """Demand-aware schedule: tree-search optimized orderings/frequencies.
 
@@ -251,14 +249,7 @@ class BroadcastSchedule:
         """
         from ..sched.search import build_optimized_schedule
 
-        return build_optimized_schedule(
-            program,
-            demand,
-            n_channels=channels,
-            budget=budget,
-            beam_width=beam_width,
-            branch_factor=branch_factor,
-        )
+        return build_optimized_schedule(program, demand, n_channels=channels, budget=budget)
 
     @classmethod
     def for_config(cls, program: BroadcastProgram, config) -> "BroadcastSchedule":

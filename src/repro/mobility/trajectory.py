@@ -44,6 +44,10 @@ class JourneyStep:
     dwell_packets: int
     query: Query
 
+    def __post_init__(self) -> None:
+        if self.dwell_packets < 0:
+            raise ValueError(f"dwell_packets must be >= 0, got {self.dwell_packets}")
+
 
 @dataclass(frozen=True)
 class Journey:

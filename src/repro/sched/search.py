@@ -18,12 +18,12 @@ The pipeline:
    holds per-channel availability times, per-group remaining copies and
    last-placed positions, and the incurred cost -- the ``TreeNode`` idiom
    of multi-channel task scheduling.  Each step extends the earliest-free
-   channel with one of the ``branch_factor`` most *overdue* groups (due
+   channel with one of the :data:`BRANCH_FACTOR` most *overdue* groups (due
    time = last placement + ideal spacing ``C/m``; unplaced groups are due
    immediately, which also pins coverage early so every data channel gets
    work before any second copies land).  Nodes are ranked by incurred cost
    plus an optimistic tail (every remaining gap at its ideal spacing) and
-   pruned against the greedy incumbent; the best ``beam_width`` survive
+   pruned against the greedy incumbent; the best :data:`BEAM_WIDTH` survive
    each depth.  Groups pin to the channel of their first placement, so a
    bucket never airs on two channels and ``channel_of`` stays well defined.
 
@@ -58,12 +58,16 @@ __all__ = ["plan_multiplicities", "build_optimized_schedule"]
 #: Hard cap on per-group copies: bounds both cycle growth and search depth.
 MAX_COPIES = 32
 
+#: The beam search's shape: nodes kept per depth, and overdue groups tried
+#: per expansion (the greedy seed pass runs 1 and 1).
+BEAM_WIDTH = 8
+BRANCH_FACTOR = 4
+
 
 def plan_multiplicities(
     weights: Sequence[float],
     lengths: Sequence[int],
     budget: float,
-    max_copies: int = MAX_COPIES,
 ) -> np.ndarray:
     """Square-root-rule copy counts under an airtime budget.
 
@@ -86,7 +90,7 @@ def plan_multiplicities(
     if denom <= 0.0:  # no demanded group: the flat cycle is optimal
         return np.ones(len(w), dtype=np.int64)
     m = np.floor(airtime * s / denom).astype(np.int64)
-    np.clip(m, 1, max_copies, out=m)
+    np.clip(m, 1, MAX_COPIES, out=m)
 
     def gain(g: int) -> float:
         # Payoff per airtime packet of copy m -> m+1: the expected-wait
@@ -95,7 +99,7 @@ def plan_multiplicities(
         return w[g] / (m[g] * (m[g] + 1) * l[g])
 
     spent = float((m * l).sum())
-    heap = [(-gain(g), g) for g in range(len(w)) if w[g] > 0 and m[g] < max_copies]
+    heap = [(-gain(g), g) for g in range(len(w)) if w[g] > 0 and m[g] < MAX_COPIES]
     heapq.heapify(heap)
     while heap:
         _, g = heapq.heappop(heap)
@@ -103,7 +107,7 @@ def plan_multiplicities(
             continue  # cannot afford this group; a smaller one may still fit
         m[g] += 1
         spent += l[g]
-        if m[g] < max_copies:
+        if m[g] < MAX_COPIES:
             heapq.heappush(heap, (-gain(g), g))
     # Floors can overshoot a tight budget on skewed profiles; shed the
     # cheapest copies (smallest loss per packet freed) down to the budget.
@@ -278,8 +282,6 @@ def build_optimized_schedule(
     demand,
     n_channels: int = 1,
     budget: float = 1.5,
-    beam_width: int = 8,
-    branch_factor: int = 4,
 ) -> BroadcastSchedule:
     """The demand-aware schedule of a flat cycle (see module docstring).
 
@@ -361,7 +363,7 @@ def build_optimized_schedule(
         greedy = _beam_search(weights, lengths, mults, n_data, 1, 1)
         incumbent = min((n.cost for n in greedy), default=float("inf"))
         leaves = _beam_search(
-            weights, lengths, mults, n_data, beam_width, branch_factor,
+            weights, lengths, mults, n_data, BEAM_WIDTH, BRANCH_FACTOR,
             incumbent=incumbent * 1.0001 if incumbent < float("inf") else incumbent,
         )
         seen = set()
@@ -384,8 +386,6 @@ def build_optimized_schedule(
     best.policy = "optimized"
     best.policy_meta = {
         "budget": float(budget),
-        "beam_width": int(beam_width),
-        "branch_factor": int(branch_factor),
         "n_groups": len(groups),
         "max_copies": int(mults.max()),
         "expected_latency_packets": float(best_cost),

@@ -1,6 +1,6 @@
 """Simulation harness: experiment runner, fleets, sweeps and reporting."""
 
-from .metrics import DEFAULT_QUANTILES, ExperimentResult, MetricSummary, deterioration
+from .metrics import ExperimentResult, MetricSummary, deterioration
 from .fleet import (
     ClientFleet,
     FleetResult,
@@ -33,7 +33,6 @@ from .sweep import (
 from .report import figure_report, format_table, metric_columns, pivot_metric
 
 __all__ = [
-    "DEFAULT_QUANTILES",
     "ExperimentResult",
     "MetricSummary",
     "deterioration",

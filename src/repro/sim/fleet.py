@@ -1,4 +1,4 @@
-"""Population-scale client fleets: millions of tune-ins in O(1) memory.
+"""Population-scale client fleets: millions of tune-ins in flat memory.
 
 The paper's model is one server airing a cycle to an unbounded audience of
 independent tuners.  :class:`ClientFleet` simulates that audience at
@@ -32,13 +32,14 @@ tune-in rounding) that keeps the number of distinct executions independent
 of both fleet size and cycle length.  With ``cycle <= max_phases`` the
 simulation is exact per packet.
 
-Metrics enter their summaries as ``(value, client count)`` pairs through
-:meth:`MetricSummary.add_weighted`, whose exact histograms are sized to the
-metric's domain: every percentile is exact, the mean is the exact integer
-total over the population, and memory stays O(unique executions + cycle)
--- constant in ``n_clients``.  The per-execution histogram is kept on the
-result for exact cross-checks (:meth:`FleetResult.exact_mean` /
-:meth:`FleetResult.exact_percentile`).
+Metrics enter plain :class:`MetricSummary` objects as ``(value, client
+count)`` pairs through :meth:`MetricSummary.add_weighted`: every percentile
+is exact, the mean is the exact integer total over the population, and
+memory stays O(unique executions + cycle) -- constant in ``n_clients``,
+because a summary holds at most one value per distinct execution and
+first-hop waits are shorter than one cycle.  The per-execution histogram
+is kept on the result for exact cross-checks
+(:meth:`FleetResult.exact_mean` / :meth:`FleetResult.exact_percentile`).
 
 **One engine.**  A stationary query is hop 1 of a journey, so both public
 drivers hand :func:`_run_population` *items* -- the ``(query,
@@ -69,7 +70,7 @@ from ..purity import pure_mode
 from ..queries.ground_truth import matches_truth
 from ..queries.workload import Workload
 from ..spatial.datasets import SpatialDataset
-from .metrics import DEFAULT_HISTOGRAM_LIMIT, ExperimentResult, MetricSummary
+from .metrics import ExperimentResult, MetricSummary
 from .parallel import default_processes, parallel_map
 
 __all__ = [
@@ -201,8 +202,7 @@ class _PopulationView:
 class FleetResult(_PopulationView):
     """Outcome of one fleet run.
 
-    ``result`` carries the streaming latency/tuning summaries (an
-    :class:`ExperimentResult` built via :meth:`ExperimentResult.streaming`);
+    ``result`` carries the population's exact latency/tuning summaries;
     ``first_index_wait`` is the population's exact per-client wait (bytes)
     from tune-in to the first navigation bucket, computed once per occupied
     tune-in packet and weighted by its clients.  The
@@ -384,11 +384,7 @@ def _draw_population(
         keys = ids * n_phases + (fracs * n_phases).astype(np.int64)
         counts += np.bincount(keys, minlength=counts.size)
         at_packet += np.bincount((fracs * cycle).astype(np.int64), minlength=cycle)
-    # Waits are packet-quantised and bounded by the cycle, so a histogram
-    # sized to it keeps every percentile exact (see MetricSummary).
-    wait = MetricSummary(
-        exact=False, histogram_limit=max(DEFAULT_HISTOGRAM_LIMIT, min(cycle, 1 << 17))
-    )
+    wait = MetricSummary()
     positions = np.flatnonzero(at_packet)
     if timeline is not None:
         try:
@@ -400,25 +396,6 @@ def _draw_population(
     if first is not None:
         wait.add_weighted((first - positions) * capacity, at_packet[positions])
     return counts, wait
-
-
-def _population_result(
-    label: str, workload_name: str, domain: int,
-    uniq_lat: np.ndarray, uniq_tun: np.ndarray, task_counts: np.ndarray,
-) -> ExperimentResult:
-    """The population's latency/tuning summaries, from the per-execution
-    histogram: each distinct execution's outcome weighted by its clients.
-
-    ``domain`` bounds the distinct values (the possible executions), so the
-    exact histograms never overflow and every percentile stays exact.
-    """
-    result = ExperimentResult.streaming(
-        index_name=label, workload_name=workload_name,
-        histogram_limit=max(DEFAULT_HISTOGRAM_LIMIT, domain),
-    )
-    result.latency.add_weighted(uniq_lat, task_counts)
-    result.tuning.add_weighted(uniq_tun, task_counts)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -715,9 +692,10 @@ def _run_population(
         correct_hops = np.array([s[2] for s in sims], dtype=np.int64)
         capped_hops = np.array([s[3] for s in sims], dtype=np.int64)
 
-    result = _population_result(
-        label, workload_name, n_items * n_phases, uniq_lat, uniq_tun, task_counts
-    )
+    # Each distinct execution's outcome, weighted by its clients.
+    result = ExperimentResult(index_name=label, workload_name=workload_name)
+    result.latency.add_weighted(uniq_lat, task_counts)
+    result.tuning.add_weighted(uniq_tun, task_counts)
     if verify:
         n_hops = np.array([len(steps) for steps in items], dtype=np.int64)[key_ids]
         result.correct_trials = int(np.dot(task_counts, correct_hops))

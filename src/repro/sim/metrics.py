@@ -1,27 +1,27 @@
 """Aggregation of per-trial access metrics into experiment statistics.
 
-:class:`MetricSummary` aggregates one metric (latency or tuning, in bytes)
-across trials.  Two modes share the same ``count`` / ``mean`` / ``minimum``
-/ ``maximum`` / ``variance`` / ``percentile`` surface:
+Every metric this package summarises -- access latency, tuning time, the
+first-hop wait -- is a whole number of packets times the packet size, so a
+run has few distinct values however many samples it has.
+:class:`MetricSummary` keeps one exact representation of a metric: the
+running count, sum, range and Welford moments, plus a value->count
+histogram that every percentile reads.  Figure rows, fleets and mobile
+fleets share it, and one percentile algorithm answers them all.
 
-* **streaming** (the default): O(1) memory in the number of samples.  The
-  mean is an exact running sum, variance comes from Welford's online
-  update, and percentiles from a bank of P² quantile estimators (Jain &
-  Chlamtac 1985) -- the form population-scale fleet runs need, where a
-  summary may absorb millions of samples.
-* **exact** (``exact=True``): every sample is retained, percentiles are
-  exact order statistics over a sorted copy that is *cached* between adds
-  (the seed re-sorted on every ``percentile`` call).  The figure and table
-  benchmarks use this mode, so their rows stay bit-identical.
+* :meth:`MetricSummary.add` updates the running sum in arrival order, so a
+  mean is bit-identical to ``sum(values) / len(values)`` -- what keeps the
+  figure rows stable.
+* :meth:`MetricSummary.add_many` folds a batch in with Chan's parallel
+  merge (numpy pairwise sums), which equals the ``add`` loop to rounding.
+* :meth:`MetricSummary.add_weighted` takes a population as ``(value,
+  count)`` pairs -- how fleet runs hand over their per-execution histogram
+  -- and, on integer-valued metrics, keeps the mean bit-identical to
+  per-sample adds.
 
-For samples ingested one by one through :meth:`add`, both modes produce
-bit-identical means for the same sequence (the running sum accumulates in
-arrival order exactly like ``sum(list)`` did -- this is what keeps the
-figure rows stable).  Streaming ``add_many`` batches sum via numpy
-(pairwise summation), trading that last-ulp reproducibility for speed.
-:meth:`MetricSummary.add_weighted` takes a population as ``(value, count)``
-pairs -- how fleet runs hand over their per-execution histogram -- and, on
-integer-valued metrics, keeps the mean bit-identical to per-sample adds.
+A summary is unbounded unless it is given a bound: ``histogram_limit=N``
+(or ``exact=False``, which takes :data:`DEFAULT_HISTOGRAM_LIMIT`) caps its
+distinct values, and an add that would pass the cap raises
+:class:`ValueError` before it changes anything.
 """
 
 from __future__ import annotations
@@ -36,111 +36,22 @@ from ..broadcast.client import AccessMetrics
 
 __all__ = [
     "DEFAULT_HISTOGRAM_LIMIT",
-    "DEFAULT_QUANTILES",
     "ExperimentResult",
     "MetricSummary",
     "deterioration",
 ]
 
-#: Quantiles (in percent) tracked by streaming summaries.  ``percentile``
-#: answers tracked values directly and interpolates between neighbours
-#: (anchored at the exact minimum and maximum) for anything else.
-DEFAULT_QUANTILES: Tuple[float, ...] = (5.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0)
-
-#: Streaming summaries keep an exact value->count histogram while the
-#: metric's value domain stays at most this wide (broadcast metrics are
-#: packet-quantised, so whole fleet runs often fit); beyond it, percentile
-#: queries fall back to the P² markers that tracked every sample all along.
+#: The distinct-value bound of a summary built with ``exact=False``.
 DEFAULT_HISTOGRAM_LIMIT = 4096
-
-
-class _P2Quantile:
-    """One P² estimator: a single quantile in O(1) memory.
-
-    The classic five-marker algorithm: marker heights chase the desired
-    quantile positions, adjusted by a piecewise-parabolic (hence P²)
-    interpolation as samples stream in.  Exact until five samples have
-    arrived (the markers are then the sorted sample itself).
-    """
-
-    __slots__ = ("p", "q", "n", "np_", "dn")
-
-    def __init__(self, p: float) -> None:
-        self.p = p  # quantile in (0, 1)
-        self.q: List[float] = []       # marker heights
-        self.n = [0, 1, 2, 3, 4]       # marker positions (0-based)
-        self.np_ = [0.0, 0.0, 0.0, 0.0, 0.0]  # desired positions
-        self.dn = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def update(self, x: float) -> None:
-        q, n = self.q, self.n
-        if len(q) < 5:
-            q.append(x)
-            if len(q) == 5:
-                q.sort()
-                self.np_ = [0.0, 2.0 * self.p, 4.0 * self.p, 2.0 + 2.0 * self.p, 4.0]
-            return
-        if x < q[0]:
-            q[0] = x
-            k = 0
-        elif x >= q[4]:
-            q[4] = x
-            k = 3
-        else:
-            k = 0
-            while x >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            n[i] += 1
-        np_, dn = self.np_, self.dn
-        for i in range(5):
-            np_[i] += dn[i]
-        for i in (1, 2, 3):
-            d = np_[i] - n[i]
-            if (d >= 1.0 and n[i + 1] - n[i] > 1) or (d <= -1.0 and n[i - 1] - n[i] < -1):
-                sign = 1 if d >= 0 else -1
-                # Piecewise-parabolic prediction of the adjusted height.
-                qp = q[i] + sign / (n[i + 1] - n[i - 1]) * (
-                    (n[i] - n[i - 1] + sign) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-                    + (n[i + 1] - n[i] - sign) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-                )
-                if q[i - 1] < qp < q[i + 1]:
-                    q[i] = qp
-                else:  # parabolic left the bracket: fall back to linear
-                    q[i] = q[i] + sign * (q[i + sign] - q[i]) / (n[i + sign] - n[i])
-                n[i] += sign
-
-    def value(self) -> float:
-        q = self.q
-        if not q:
-            return math.nan
-        if len(q) < 5:  # still exact: interpolate the sorted buffer
-            return _sorted_percentile(sorted(q), self.p * 100.0)
-        return q[2]
-
-
-def _sorted_percentile(ordered: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile of an ascending sequence."""
-    pos = (len(ordered) - 1) * q / 100.0
-    lower = int(math.floor(pos))
-    upper = int(math.ceil(pos))
-    if lower == upper:
-        return ordered[lower]
-    frac = pos - lower
-    return ordered[lower] * (1 - frac) + ordered[upper] * frac
-
-
-def _weighted_percentile(hist: Dict[float, int], n: int, q: float) -> float:
-    """Exact percentile of a value->count histogram (same interpolation as
-    :func:`_sorted_percentile` over the expanded multiset)."""
-    return _weighted_percentile_sorted(sorted(hist.items()), n, q)
 
 
 def _weighted_percentile_sorted(
     items: Sequence[Tuple[float, int]], n: int, q: float
 ) -> float:
-    """:func:`_weighted_percentile` over pre-sorted ``(value, count)`` pairs
-    (callers answering many percentiles sort once and reuse the list)."""
+    """The ``q``-th percentile of ``n`` samples given as ascending ``(value,
+    count)`` pairs: linear interpolation between the order statistics at
+    ``(n - 1) q / 100``, as ``numpy.percentile`` does over the expanded
+    samples."""
     pos = (n - 1) * q / 100.0
     lower = int(math.floor(pos))
     upper = int(math.ceil(pos))
@@ -160,68 +71,61 @@ def _weighted_percentile_sorted(
 
 
 class MetricSummary:
-    """Mean/variance/percentile summary of one metric across trials.
+    """Count, mean, variance, range and exact percentiles of one metric.
 
-    ``exact=True`` retains every sample (exact percentiles, ``values``
-    readable); the default streams in O(1) memory.  ``quantiles`` selects
-    the percentiles tracked in streaming mode.  Constructing with
-    ``values=[...]`` seeds an exact summary (backward compatible with the
-    old list-backed dataclass).
+    ``values=[...]`` seeds the summary sample by sample.  A summary is
+    unbounded (``exact`` is true) unless ``histogram_limit`` or
+    ``exact=False`` bounds its distinct values; see the module docstring.
     """
 
     __slots__ = (
-        "exact",
-        "_values",
-        "_sorted",
+        "_limit",
         "_count",
         "_total",
         "_min",
         "_max",
         "_w_mean",
         "_w_m2",
-        "_quantiles",
-        "_estimators",
         "_hist",
-        "_hist_limit",
+        "_items",
     )
 
     def __init__(
         self,
         values: Optional[Sequence[float]] = None,
         exact: Optional[bool] = None,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        histogram_limit: int = DEFAULT_HISTOGRAM_LIMIT,
+        histogram_limit: Optional[int] = None,
     ) -> None:
-        if exact is None:
-            exact = values is not None
-        self.exact = bool(exact)
-        self._values: Optional[List[float]] = [] if self.exact else None
-        self._sorted: Optional[List[float]] = None
+        if exact and histogram_limit is not None:
+            raise ValueError("an exact summary is unbounded; drop histogram_limit")
+        if exact is False and histogram_limit is None:
+            histogram_limit = DEFAULT_HISTOGRAM_LIMIT
+        if histogram_limit is not None and histogram_limit < 0:
+            raise ValueError(f"histogram_limit must be >= 0, got {histogram_limit}")
+        self._limit = None if histogram_limit is None else int(histogram_limit)
         self._count = 0
         self._total = 0.0
         self._min = math.inf
         self._max = -math.inf
         self._w_mean = 0.0
         self._w_m2 = 0.0
-        qs = tuple(float(q) for q in quantiles)
-        if any(not 0.0 < q < 100.0 for q in qs):
-            raise ValueError("tracked quantiles must be strictly inside (0, 100)")
-        self._quantiles = qs
-        self._estimators: Optional[List[_P2Quantile]] = (
-            None if self.exact else [_P2Quantile(q / 100.0) for q in qs]
-        )
-        self._hist_limit = max(0, int(histogram_limit))
-        self._hist: Optional[Dict[float, int]] = (
-            {} if not self.exact and self._hist_limit > 0 else None
-        )
+        self._hist: Dict[float, int] = {}
+        # The histogram's items in value order, cached between adds.
+        self._items: Optional[List[Tuple[float, int]]] = None
         if values is not None:
             for v in values:
                 self.add(v)
+
+    @property
+    def exact(self) -> bool:
+        """Whether the summary is unbounded (no ``histogram_limit``)."""
+        return self._limit is None
 
     # -- ingestion ------------------------------------------------------------
 
     def add(self, value: float) -> None:
         value = float(value)
+        self._merge_histogram([value], [1])
         self._count += 1
         self._total += value
         if value < self._min:
@@ -231,52 +135,24 @@ class MetricSummary:
         delta = value - self._w_mean
         self._w_mean += delta / self._count
         self._w_m2 += delta * (value - self._w_mean)
-        if self.exact:
-            self._values.append(value)
-            self._sorted = None
-        else:
-            hist = self._hist
-            if hist is not None:
-                # The estimators are dormant while the exact histogram is
-                # alive (percentile() never consults them); they are seeded
-                # from it -- exactly -- if the domain ever outgrows it.
-                hist[value] = hist.get(value, 0) + 1
-                if len(hist) > self._hist_limit:
-                    self._seed_estimators_from_histogram()
-                    self._hist = None  # domain too wide: the P2 markers take over
-            else:
-                for est in self._estimators:
-                    est.update(value)
 
     def add_many(self, values) -> None:
         """Absorb a batch of samples (array-like) in one call.
 
-        Equivalent to ``add`` in a loop; the batch form vectorises the
-        moment updates (Chan's parallel Welford merge) so fleet runs can
-        stream millions of samples cheaply.  Means stay bit-identical to
-        sequential adds only in exact mode; streaming batches trade that
-        for speed (documented accuracy bounds are unaffected).
+        Equivalent to ``add`` in a loop, to rounding: the batch's moments
+        are folded in with Chan's parallel Welford merge, and its sum is
+        numpy's pairwise sum, so fleet-sized batches cost one ``np.unique``.
         """
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size == 0:
+        flat = np.asarray(values, dtype=np.float64).ravel()
+        if flat.size == 0:
             return
-        flat = arr.ravel()
-        if self.exact:
-            for v in flat.tolist():
-                self.add(v)
-            return
+        uniq, counts = np.unique(flat, return_counts=True)
+        self._merge_histogram(uniq.tolist(), counts.tolist())
         mean_b = float(flat.mean())
         self._merge_moments(
             flat.size, float(flat.sum()), mean_b, float(((flat - mean_b) ** 2).sum()),
             float(flat.min()), float(flat.max()),
         )
-        if self._hist is not None:
-            # While the histogram holds the whole distribution the P2
-            # estimators stay dormant (see add()): a fleet-scale batch then
-            # costs one np.unique instead of len(batch) marker updates.
-            self._merge_histogram(*np.unique(flat, return_counts=True))
-        else:
-            self._update_estimators(flat)
 
     def add_weighted(self, values, counts) -> None:
         """Absorb ``counts[i]`` samples of value ``values[i]`` in one call.
@@ -284,24 +160,24 @@ class MetricSummary:
         The histogram form of :meth:`add_many`: a population whose samples
         repeat -- a fleet's clients collapsed onto distinct executions --
         arrives as ``(value, count)`` pairs, costing O(pairs) instead of
-        O(samples).  Pairs may repeat a value.  The moments are the weighted
-        ones and the exact histogram absorbs the pairs as they are.  For
-        integer-valued samples whose total stays below 2**53
+        O(samples).  Pairs may repeat a value; counts must be whole numbers.
+        For integer-valued samples whose total stays below 2**53
         (packet-quantised broadcast metrics) every partial sum is exact, so
         the mean is bit-identical to adding the expanded samples one by one
-        or through ``add_many``; the variance agrees to rounding.  A
-        histogram overflow seeds the P2 markers from the complete histogram
-        as usual; once they have taken over, the expanded batch reaches them
-        in a fixed shuffled order (value-sorted runs would drag the
-        markers).  Exact summaries retain the expanded batch in value order.
+        or through ``add_many``; the variance agrees to rounding.
         """
         vals = np.asarray(values, dtype=np.float64).ravel()
-        cnts = np.asarray(counts, dtype=np.int64).ravel()
-        if vals.shape != cnts.shape:
+        raw = np.asarray(counts).ravel()
+        if vals.shape != raw.shape:
             raise ValueError(
                 f"values and counts must pair up, got {vals.size} values and "
-                f"{cnts.size} counts"
+                f"{raw.size} counts"
             )
+        if raw.dtype.kind not in "iub" and not (
+            np.isfinite(raw).all() and (raw == np.round(raw)).all()
+        ):
+            raise ValueError("counts must be whole numbers")
+        cnts = raw.astype(np.int64)
         if cnts.size and cnts.min() < 0:
             raise ValueError("counts must be non-negative")
         present = cnts > 0
@@ -309,9 +185,7 @@ class MetricSummary:
             return
         vals, inverse = np.unique(vals[present], return_inverse=True)
         cnts = np.bincount(inverse, weights=cnts[present]).astype(np.int64)
-        if self.exact:
-            self.add_many(np.repeat(vals, cnts))
-            return
+        self._merge_histogram(vals.tolist(), cnts.tolist())
         n_b = int(cnts.sum())
         weights = cnts.astype(np.float64)
         total_b = float(np.dot(vals, weights))
@@ -320,12 +194,6 @@ class MetricSummary:
             n_b, total_b, mean_b, float(np.dot(weights, (vals - mean_b) ** 2)),
             float(vals.min()), float(vals.max()),
         )
-        if self._hist is not None:
-            self._merge_histogram(vals, cnts)
-        else:
-            expanded = np.repeat(vals, cnts)
-            np.random.default_rng(0).shuffle(expanded)
-            self._update_estimators(expanded)
 
     def _merge_moments(
         self, n_b: int, total_b: float, mean_b: float, m2_b: float, lo: float, hi: float
@@ -341,82 +209,22 @@ class MetricSummary:
         self._min = min(self._min, lo)
         self._max = max(self._max, hi)
 
-    def _merge_histogram(self, values: np.ndarray, counts: np.ndarray) -> None:
-        """Add ``(value, count)`` pairs to the exact histogram; past its limit
-        the P2 markers are seeded from it and take over."""
+    def _merge_histogram(self, values: List[float], counts: List[int]) -> None:
+        """Count distinct ``values`` into the histogram; past the bound, raise
+        before anything changes."""
         hist = self._hist
-        for v, c in zip(values.tolist(), counts.tolist()):
+        if self._limit is not None:
+            fresh = sum(1 for v in values if v not in hist)
+            if len(hist) + fresh > self._limit:
+                raise ValueError(
+                    f"MetricSummary is bounded to histogram_limit={self._limit} "
+                    f"distinct values; this add would make {len(hist) + fresh}"
+                )
+        for v, c in zip(values, counts):
             hist[v] = hist.get(v, 0) + c
-        if len(hist) > self._hist_limit:
-            self._seed_estimators_from_histogram()
-            self._hist = None
-
-    def _update_estimators(self, flat: np.ndarray) -> None:
-        for est in self._estimators:
-            update = est.update
-            for v in flat.tolist():
-                update(v)
-
-    def _seed_estimators_from_histogram(self) -> None:
-        """Initialise the P² markers from the exact histogram it replaces.
-
-        Called exactly once, when the value domain outgrows the compact
-        histogram.  Each estimator's five markers are placed at the *exact*
-        order statistics of everything seen so far -- a strictly better
-        starting state than streaming the same samples through the classic
-        update rule -- and subsequent samples refine them per value.
-        """
-        if not self._estimators or self._count == 0:
-            return
-        hist = self._hist
-        items = sorted(hist.items())
-        values = [v for v, _ in items]
-        cum = np.cumsum([c for _, c in items])
-        n_total = self._count
-        if n_total < 5:
-            # Too few samples for the five-marker form: replay them (the
-            # expansion is tiny) so the estimators keep their exact buffer.
-            for est in self._estimators:
-                for value, count in items:
-                    for _ in range(count):
-                        est.update(value)
-            return
-        for est in self._estimators:
-            p = est.p
-            desired = [
-                0.0,
-                p * (n_total - 1) / 2.0,
-                p * (n_total - 1),
-                (1.0 + p) * (n_total - 1) / 2.0,
-                float(n_total - 1),
-            ]
-            marks = [int(round(x)) for x in desired]
-            marks[0], marks[4] = 0, n_total - 1
-            for i in (1, 2, 3):
-                marks[i] = max(marks[i], marks[i - 1] + 1)
-            for i in (3, 2, 1):
-                marks[i] = min(marks[i], marks[i + 1] - 1)
-            est.q = [values[int(np.searchsorted(cum, k, side="right"))] for k in marks]
-            est.n = marks
-            est.np_ = desired
-        return
+        self._items = None
 
     # -- the summary surface ---------------------------------------------------
-
-    @property
-    def values(self) -> List[float]:
-        """A copy of the retained samples (exact mode only).
-
-        A copy, because appending to the internal list directly (possible
-        with the old public-dataclass field) would silently desynchronise
-        the running statistics -- new samples go through :meth:`add`.
-        """
-        if self._values is None:
-            raise AttributeError(
-                "a streaming MetricSummary does not retain samples; construct "
-                "with exact=True to keep them"
-            )
-        return list(self._values)
 
     @property
     def count(self) -> int:
@@ -444,77 +252,39 @@ class MetricSummary:
         var = self.variance
         return math.sqrt(var) if not math.isnan(var) else math.nan
 
-    @property
-    def tracked_quantiles(self) -> Tuple[float, ...]:
-        return self._quantiles
-
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (exact, or P²-estimated when streaming).
-
-        Streaming summaries answer tracked quantiles directly and linearly
-        interpolate between the nearest tracked neighbours -- anchored at
-        the exact minimum (q=0) and maximum (q=100) -- for anything else.
-        """
+        """The exact ``q``-th percentile (``numpy.percentile``'s linear
+        interpolation) of every sample added."""
         if not (0.0 <= q <= 100.0):
             raise ValueError("q must be within [0, 100]")
         if not self._count:
             return math.nan
-        if self.exact:
-            if self._sorted is None:
-                self._sorted = sorted(self._values)
-            return _sorted_percentile(self._sorted, q)
-        if q == 0.0:
-            return self._min
-        if q == 100.0:
-            return self._max
-        if self._hist is not None:
-            # The value domain never outgrew the compact histogram: the
-            # percentile is exact (ties and all -- where pure P2 drifts).
-            return _weighted_percentile(self._hist, self._count, q)
-        # Below five samples every estimator still buffers the exact sample
-        # set; interpolate it directly.  (With no tracked quantiles at all,
-        # fall through to the min/max-anchored interpolation below.)
-        if self._count < 5 and self._estimators:
-            return _sorted_percentile(sorted(self._estimators[0].q), q)
-        lo_q, lo_v = 0.0, self._min
-        hi_q, hi_v = 100.0, self._max
-        for tracked, est in zip(self._quantiles, self._estimators):
-            if abs(tracked - q) < 1e-9:
-                return est.value()
-            if tracked < q and tracked > lo_q:
-                lo_q, lo_v = tracked, est.value()
-            elif tracked > q and tracked < hi_q:
-                hi_q, hi_v = tracked, est.value()
-        frac = (q - lo_q) / (hi_q - lo_q)
-        return lo_v * (1 - frac) + hi_v * frac
+        if self._items is None:
+            self._items = sorted(self._hist.items())
+        return _weighted_percentile_sorted(self._items, self._count, q)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        mode = "exact" if self.exact else "streaming"
+        bound = "unbounded" if self._limit is None else f"limit={self._limit}"
         if not self._count:
-            return f"MetricSummary({mode}, empty)"
+            return f"MetricSummary({bound}, empty)"
         return (
-            f"MetricSummary({mode}, n={self._count}, mean={self.mean:.6g}, "
+            f"MetricSummary({bound}, n={self._count}, mean={self.mean:.6g}, "
             f"range=[{self._min:.6g}, {self._max:.6g}])"
         )
-
-
-def _exact_summary() -> MetricSummary:
-    return MetricSummary(exact=True)
 
 
 @dataclass
 class ExperimentResult:
     """Aggregated outcome of running one workload against one index.
 
-    Defaults to **exact** summaries (the figure benchmarks read order
-    statistics and the perf tests compare raw sample lists); population
-    runs construct via :meth:`streaming` to stay O(1) in trial count.
+    Its latency and tuning summaries are unbounded :class:`MetricSummary`
+    objects; :meth:`streaming` builds bounded ones.
     """
 
     index_name: str
     workload_name: str
-    latency: MetricSummary = field(default_factory=_exact_summary)
-    tuning: MetricSummary = field(default_factory=_exact_summary)
+    latency: MetricSummary = field(default_factory=MetricSummary)
+    tuning: MetricSummary = field(default_factory=MetricSummary)
     correct_trials: int = 0
     incorrect_trials: int = 0
     extra: Dict[str, float] = field(default_factory=dict)
@@ -524,24 +294,15 @@ class ExperimentResult:
         cls,
         index_name: str,
         workload_name: str,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
         histogram_limit: int = DEFAULT_HISTOGRAM_LIMIT,
     ) -> "ExperimentResult":
-        """A result whose summaries stream in O(1) memory (fleet runs).
-
-        ``histogram_limit`` sizes the exact value->count histograms; a
-        caller that knows its metric domain bound (the fleet simulator's
-        distinct-execution count) passes it so percentiles stay exact.
-        """
+        """A result whose summaries hold at most ``histogram_limit`` distinct
+        values each; an add past the bound raises."""
         return cls(
             index_name=index_name,
             workload_name=workload_name,
-            latency=MetricSummary(
-                exact=False, quantiles=quantiles, histogram_limit=histogram_limit
-            ),
-            tuning=MetricSummary(
-                exact=False, quantiles=quantiles, histogram_limit=histogram_limit
-            ),
+            latency=MetricSummary(histogram_limit=histogram_limit),
+            tuning=MetricSummary(histogram_limit=histogram_limit),
         )
 
     def record(self, metrics: AccessMetrics, correct: Optional[bool] = None) -> None:

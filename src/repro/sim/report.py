@@ -13,9 +13,9 @@ def metric_columns(
 ) -> "OrderedDict[str, float]":
     """Row columns for one :class:`~repro.sim.metrics.MetricSummary`.
 
-    Works for exact and streaming summaries alike (the mean column keeps
-    the historical ``{prefix}_bytes`` name so fleet rows line up with
-    figure rows; percentile columns are ``{prefix}_p{q}_bytes``).
+    The mean column keeps the historical ``{prefix}_bytes`` name so fleet
+    rows line up with figure rows; percentile columns are
+    ``{prefix}_p{q}_bytes``.
     """
     columns: "OrderedDict[str, float]" = OrderedDict()
     columns[f"{prefix}_bytes"] = summary.mean

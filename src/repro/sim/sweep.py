@@ -222,8 +222,8 @@ def fleet_channel_sweep(
 
     For every channel count, ``n_clients`` seeded clients replay a window
     workload against each index through the population-scale fleet
-    simulator (streaming metrics); rows carry mean and P50/P95 latency and
-    tuning plus fleet throughput.  The N=1 column is the paper's
+    simulator (exact population metrics); rows carry mean and P50/P95
+    latency and tuning plus fleet throughput.  The N=1 column is the paper's
     single-channel system.
     """
     experiment = (

@@ -98,16 +98,31 @@ class TestFleetExactness:
         assert fleet.result.latency.count == len(fractions)
 
     def test_streaming_within_bounds_of_exact(self, dsi, dataset, config64, workload):
-        """The acceptance bound: streaming mean within 1% and P95 within 2%
-        of the exact histogram on a 10k-client cross-check."""
+        """The summaries estimate nothing: on a 10k-client fleet and a 10k-client
+        moving fleet, every summary's mean and percentiles equal the exact
+        values of the expanded per-client samples."""
+        from repro.mobility import trajectory_workload
+
         fleet = run_fleet(dsi, dataset, config64, workload, 10_000, seed=7)
+        journeys = trajectory_workload(n_journeys=4, n_steps=3, seed=7)
+        mobile = run_mobile_fleet(dsi, dataset, config64, journeys, 10_000, seed=7)
+        for result in (fleet, mobile):
+            for metric in ("latency", "tuning"):
+                summary = getattr(result.result, metric)
+                ordered = np.sort(
+                    np.repeat(getattr(result, f"unique_{metric}"), result.unique_counts)
+                )
+                assert summary.count == len(ordered) == 10_000
+                assert summary.mean == result.exact_mean(metric)
+                for q in (5, 50, 95, 99):
+                    pos = (len(ordered) - 1) * q / 100.0
+                    lo, hi = int(np.floor(pos)), int(np.ceil(pos))
+                    frac = pos - lo
+                    expected = float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
+                    assert summary.percentile(q) == expected
         for metric in ("latency", "tuning"):
             summary = getattr(fleet.result, metric)
-            assert summary.count == 10_000
-            assert summary.mean == pytest.approx(fleet.exact_mean(metric), rel=0.01)
-            assert summary.percentile(95) == pytest.approx(
-                fleet.exact_percentile(95, metric), rel=0.02
-            )
+            assert summary.percentile(95) == fleet.exact_percentile(95, metric)
 
     def test_memory_is_constant_in_fleet_size(self, dsi, dataset, config64, workload):
         small = run_fleet(dsi, dataset, config64, workload, 1_000, seed=7)

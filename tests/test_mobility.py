@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.mobility import (
     run_journey,
     trajectory_workload,
 )
+from repro.mobility.trajectory import Journey, JourneyStep, TrajectoryWorkload
 from repro.queries.ground_truth import matches
 from repro.queries.types import KnnQuery, WindowQuery
 from repro.sim.fleet import run_fleet, run_mobile_fleet
@@ -114,6 +117,35 @@ class TestTrajectoryWorkload:
             trajectory_workload(2, 2, query="range")
         with pytest.raises(ValueError, match="n_journeys"):
             trajectory_workload(0, 2)
+
+    def test_negative_dwell_rejected_before_either_engine(self, monkeypatch):
+        """A negative dwell steps the clock backwards.  The step rejects it,
+        so a journey mutated to carry one reaches neither the kernel (which
+        used to run it) nor the reference (which raised mid-run)."""
+        step = trajectory_workload(1, 2, seed=3).journeys[0].steps[1]
+        with pytest.raises(ValueError, match="dwell_packets must be >= 0"):
+            JourneyStep(step.position, -400, step.query)
+        dataset = uniform_dataset(200, seed=3)
+        config = SystemConfig(n_channels=2)
+        index = build_index("dsi", dataset, config)
+        base = trajectory_workload(n_journeys=3, n_steps=3, seed=1)
+
+        def run_mutated():
+            journeys = [
+                Journey(j.jid, j.steps[:1] + tuple(
+                    dataclasses.replace(s, dwell_packets=-400) for s in j.steps[1:]
+                ))
+                for j in base
+            ]
+            workload = TrajectoryWorkload("negative-dwell", journeys, base.model)
+            return run_mobile_fleet(
+                index, dataset, config, workload, 2_000, seed=1, max_phases=16
+            )
+
+        for pure in ("0", "1"):
+            monkeypatch.setenv("REPRO_PURE", pure)
+            with pytest.raises(ValueError, match="dwell_packets must be >= 0"):
+                run_mutated()
 
 
 class TestContinuousClient:

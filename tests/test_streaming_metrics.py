@@ -1,4 +1,4 @@
-"""Streaming MetricSummary: Welford moments, P² percentiles, exact hatch."""
+"""MetricSummary: running moments plus one exact value->count histogram."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.sim.metrics import DEFAULT_QUANTILES, ExperimentResult, MetricSummary
+from repro.sim.metrics import DEFAULT_HISTOGRAM_LIMIT, ExperimentResult, MetricSummary
 
 
 @pytest.fixture(scope="module")
@@ -33,19 +33,9 @@ class TestStreamingMode:
         assert s.variance == pytest.approx(np.var(lognormal, ddof=1), rel=1e-9)
         assert s.stddev == pytest.approx(np.std(lognormal, ddof=1), rel=1e-9)
 
-    @pytest.mark.parametrize("q", [25, 50, 75, 90, 95, 99])
-    def test_p2_percentiles_within_bounds(self, lognormal, q):
-        """Pure P² (histogram disabled) stays within 2% on tracked quantiles
-        of a continuous heavy-tailed distribution."""
-        s = MetricSummary(histogram_limit=0)
-        for chunk in np.array_split(lognormal, 13):
-            s.add_many(chunk)
-        exact = float(np.percentile(lognormal, q))
-        assert s.percentile(q) == pytest.approx(exact, rel=0.02)
-
     def test_histogram_keeps_discrete_metrics_exact(self):
-        """Packet-quantised metrics (heavy ties -- where raw P² drifts) stay
-        exact while the value domain fits the compact histogram."""
+        """Packet-quantised metrics with heavy ties: a batch add and
+        per-sample adds answer the same exact percentiles."""
         data = np.random.default_rng(3).integers(0, 50, 30_000) * 64.0
         s, e = MetricSummary(), MetricSummary(exact=True)
         s.add_many(data)
@@ -62,21 +52,15 @@ class TestStreamingMode:
         assert s.percentile(0) == 1.0 and s.percentile(100) == 4.0
 
     def test_add_many_matches_add_loop(self, lognormal):
-        a, b = MetricSummary(histogram_limit=0), MetricSummary(histogram_limit=0)
+        a, b = MetricSummary(), MetricSummary()
         for v in lognormal[:2_000]:
             a.add(v)
         b.add_many(lognormal[:2_000])
         assert a.count == b.count and a.minimum == b.minimum and a.maximum == b.maximum
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
         assert a.variance == pytest.approx(b.variance, rel=1e-9)
-        # identical sample order -> identical P2 marker states
+        # the same samples -> the same histogram
         assert a.percentile(95) == b.percentile(95)
-
-    def test_values_are_not_retained(self):
-        s = MetricSummary()
-        s.add(1.0)
-        with pytest.raises(AttributeError, match="exact=True"):
-            s.values
 
     def test_empty(self):
         s = MetricSummary()
@@ -86,18 +70,6 @@ class TestStreamingMode:
     def test_invalid_quantiles(self):
         with pytest.raises(ValueError, match="q must be within"):
             MetricSummary().percentile(120)
-        with pytest.raises(ValueError, match="inside"):
-            MetricSummary(quantiles=(0.0, 50.0))
-
-    def test_no_tracked_quantiles_degrades_to_range_interpolation(self):
-        """An estimator-free streaming summary (no quantiles, no histogram)
-        still answers percentile() from its min/max anchors."""
-        s = MetricSummary(quantiles=(), histogram_limit=0)
-        s.add(1.0)
-        s.add(3.0)
-        assert s.percentile(50) == pytest.approx(2.0)
-        s.add_many(np.full(100, 3.0))
-        assert s.percentile(0) == 1.0 and s.percentile(100) == 3.0
 
     def test_pickles_across_processes(self, lognormal):
         s = MetricSummary()
@@ -106,9 +78,6 @@ class TestStreamingMode:
         assert clone.count == s.count
         assert clone.percentile(95) == s.percentile(95)
         clone.add(1.0)  # and keeps streaming
-
-    def test_tracked_quantiles_exposed(self):
-        assert MetricSummary().tracked_quantiles == DEFAULT_QUANTILES
 
 
 class TestWeightedAdds:
@@ -166,37 +135,68 @@ class TestWeightedAdds:
         with pytest.raises(ValueError, match="non-negative"):
             s.add_weighted([1.0], [-1])
 
-    def test_overflow_seeds_markers_at_exact_order_statistics(self):
-        """A batch wider than the histogram lands whole, then seeds the P2
-        markers from the complete (value, count) multiset."""
-        rng = np.random.default_rng(8)
-        values = rng.lognormal(3.0, 0.8, 3_000)
-        counts = rng.integers(1, 20, 3_000)
-        s = MetricSummary(histogram_limit=1_000)
-        s.add_weighted(values, counts)
-        expanded = np.repeat(values, counts)
-        for q in (25, 50, 75, 95):
-            assert s.percentile(q) == pytest.approx(float(np.percentile(expanded, q)), rel=0.01)
-
-    def test_markers_get_the_batch_shuffled(self):
-        """With the P2 markers in charge, the expanded batch reaches them in
-        a fixed shuffled order, so they stay within the streaming bound."""
-        rng = np.random.default_rng(5)
-        values = rng.lognormal(3.0, 0.8, 2_000)
-        counts = rng.integers(1, 10, 2_000)
-        a, b = MetricSummary(histogram_limit=0), MetricSummary(histogram_limit=0)
-        a.add_weighted(values, counts)
-        b.add_weighted(values, counts)
-        expanded = np.repeat(values, counts)
-        for q in (25, 50, 75, 90, 95, 99):
-            assert a.percentile(q) == pytest.approx(float(np.percentile(expanded, q)), rel=0.02)
-            assert a.percentile(q) == b.percentile(q)  # deterministic
+    def test_fractional_counts_are_rejected(self):
+        """A count is a number of clients: 0.5 or 2.7 of one is a caller bug,
+        not something to truncate (which dropped the 10.0 sample and made
+        2.7 into 2).  Whole-valued floats and integer dtypes still pass."""
+        s = MetricSummary()
+        for counts in ([0.5, 2.7], [1.0, np.nan], [1.0, np.inf]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                s.add_weighted([10.0, 20.0], counts)
+        assert s.count == 0
+        s.add_weighted([10.0, 20.0], [1.0, 3.0])
+        s.add_weighted([10.0, 20.0], np.array([2, 0], dtype=np.uint8))
+        assert (s.count, s.mean) == (6, 15.0)
 
     def test_exact_mode_retains_the_expanded_samples(self):
         e = MetricSummary(exact=True)
         e.add_weighted([3.0, 1.0, 3.0], [1, 2, 1])
-        assert e.values == [1.0, 1.0, 3.0, 3.0]
         assert e.percentile(50) == 2.0
+
+
+class TestBound:
+    """A summary given a bound holds at most that many distinct values and
+    raises, unchanged, on the add that would pass it."""
+
+    def _state(self, s):
+        return (s.count, s.mean, s.variance, s.minimum, s.maximum,
+                [s.percentile(q) for q in (0, 50, 100)])
+
+    def test_every_add_raises_past_the_bound(self):
+        s = MetricSummary(histogram_limit=3)
+        s.add_many([1.0, 2.0, 2.0])
+        s.add_weighted([3.0, 1.0], [2, 5])  # the third distinct value fits
+        s.add(2.0)
+        before = self._state(s)
+        for add in (
+            lambda: s.add(4.0),
+            lambda: s.add_many([1.0, 4.0]),
+            lambda: s.add_weighted([2.0, 4.0], [1, 1]),
+        ):
+            with pytest.raises(ValueError, match="histogram_limit=3"):
+                add()
+            assert self._state(s) == before
+        s.add_weighted([4.0], [0])  # a zero count adds no value
+
+    def test_bound_keywords(self):
+        assert MetricSummary().exact and MetricSummary(values=[1.0]).exact
+        assert not MetricSummary(histogram_limit=5).exact
+        bounded = MetricSummary(exact=False)
+        bounded.add_many(np.arange(DEFAULT_HISTOGRAM_LIMIT))
+        with pytest.raises(ValueError, match=f"histogram_limit={DEFAULT_HISTOGRAM_LIMIT}"):
+            bounded.add(-1.0)
+        with pytest.raises(ValueError, match="unbounded"):
+            MetricSummary(exact=True, histogram_limit=10)
+        with pytest.raises(ValueError, match=">= 0"):
+            MetricSummary(histogram_limit=-1)
+        with pytest.raises(ValueError, match="histogram_limit=0"):
+            MetricSummary(histogram_limit=0).add(1.0)
+
+    def test_streaming_results_are_bounded(self):
+        r = ExperimentResult.streaming("dsi", "w", histogram_limit=1)
+        r.latency.add(64.0)
+        with pytest.raises(ValueError, match="histogram_limit=1"):
+            r.latency.add(128.0)
 
 
 class TestExactMode:
@@ -212,7 +212,6 @@ class TestExactMode:
     def test_values_retained_and_legacy_ctor(self):
         e = MetricSummary(values=[2.0, 1.0])
         assert e.exact
-        assert e.values == [2.0, 1.0]
         assert e.mean == 1.5
 
     def test_matches_numpy_interpolation(self):
@@ -222,6 +221,13 @@ class TestExactMode:
             e.add(v)
         for q in (0, 12.5, 50, 97.3, 100):
             assert e.percentile(q) == pytest.approx(float(np.percentile(data, q)), abs=1e-12)
+        # Packet-quantised integers with heavy ties: exactly numpy's answer.
+        packets = np.random.default_rng(11).integers(0, 40, 501) * 64.0
+        e = MetricSummary(exact=True)
+        for v in packets:
+            e.add(v)
+        for q in (0, 12.5, 50, 97.3, 100):
+            assert e.percentile(q) == float(np.percentile(packets, q))
 
 
 class TestExperimentResult:

@@ -167,19 +167,30 @@ like DSI ones.
 per-query search plans.  All static geometry is decoded once per query --
 every table value and directory record collapses to a distance against a
 flat rank-indexed object array (:meth:`DsiIndex.rank_object_arrays`), so
-the planner's HC-keyed estimate/exact dictionaries become boolean bitmask
-rows over object ids with a shared value row.  Each circle cover is
-compiled once per index into a knowledge-free *rank mask* -- the ranks
-its pieces span -- memoized on the circle's quantised cell rect, so
-repeated calls on one index reuse it across queries, channel counts and
-strategies.  A lane's candidates are the ranks whose known-rank segment
-``[B(r), A(r))`` holds a mask bit: the window walkers' segment test with
-the mask in place of the unprocessed relevant ranks, and the rank-space
-image of ``candidate_rank_array``.  The k-th-candidate radius
-is a row-wise ``np.partition`` over radius-dirty lanes, frame selection a
-batched ``argmin`` reproducing the scalar planner's tie-breaks bit-exactly
-(including the ``aggressive`` distance-then-arrival lexsort), and finished
-lanes compact out of the working set.  Comparison distances stay scalar
+the planner's HC-keyed estimate/exact dictionaries become one int8
+group-state row per lane (unseen, estimated, retrieved) and a retrieved
+bitmask over object ids, both read against shared distance tables.
+Each circle cover is compiled once per index into a knowledge-free *rank
+mask* -- the ranks its pieces span -- memoized on the circle's quantised
+cell rect, so repeated calls on one index reuse it across queries, channel
+counts and strategies.  A lane's candidates are the ranks whose known-rank
+segment ``[B(r), A(r))`` holds a mask bit: the window walkers' segment
+test with the mask in place of the unprocessed relevant ranks, and the
+rank-space image of ``candidate_rank_array``.  The k-th-candidate
+radius is kept, not recomputed: each lane holds its W smallest
+candidates (all of them, inf-padded, when it has fewer) sorted in a row
+W wide -- the run's largest k plus a few spares, at most one past the
+object count -- and reads the radius as the row's k-th entry.  A new
+value enters only at or below the row's last slot, its *frontier*; a
+fetch that turns an estimate into its exact distance first drops one
+equal copy of the estimate when that copy is at or below the frontier;
+and a lane rebuilds its row from its masks only at a warm hop's seeding
+or when such a drop lets nothing back in -- exact, because every
+candidate outside the row lies at or above the frontier.  Frame
+selection is a batched ``argmin`` reproducing the scalar planner's
+tie-breaks bit-exactly (including the ``aggressive``
+distance-then-arrival lexsort), and finished lanes compact out of the
+working set.  Comparison distances stay scalar
 ``math.hypot`` -- the vectorised counterpart is not bit-equal -- so only
 the representative-point decode batches.  Later kNN hops seed the
 candidate set from the carried knowledge exactly like the planner's warm
@@ -1378,13 +1389,17 @@ class _KnnStatic:
     ids (``hc_group`` maps objects to groups; duplicates are consecutive
     in the flat order).  Every table's ``learn_table`` estimate set -- its
     own minimum plus its entry landmarks, all frame minima -- becomes a
-    padded row of group ids (``est_grps``/``est_len``).
+    padded row of distinct group ids (``est_grps``, real entries marked
+    in ``est_on``); ``vis_grps``/``vis_on`` add the frame's directory
+    records, the estimates a visit learns from its table and directory (a
+    frame without a directory holds one object, its own minimum, so its
+    row adds nothing).
     """
 
     __slots__ = (
         "n_objects", "n_groups", "flen", "obj_start", "obj_bucket", "oids",
         "hcs", "hc_group", "grp_hcs", "grp_of_rank", "dir_bucket",
-        "est_grps", "est_len", "objects", "covers",
+        "est_grps", "est_on", "vis_grps", "vis_on", "objects", "covers",
     )
 
     def __init__(self, static: _Static, index: Any) -> None:
@@ -1410,16 +1425,14 @@ class _KnnStatic:
         grp_hcs, hc_group = np.unique(hcs, return_inverse=True)
         rank_of_pos = np.empty(n_frames, dtype=np.int64)
         rank_of_pos[static.pos_of_rank] = np.arange(n_frames)
-        width = 1 + max(len(t.entries) for t in index.tables)
-        est_grps = np.zeros((n_frames, width), dtype=np.int64)
-        est_len = np.zeros(n_frames, dtype=np.int64)
         grp_of_rank = hc_group[ro.obj_start]
+        est, vis = [], []
         for rank in range(n_frames):
             table = index.tables[int(static.pos_of_rank[rank])]
             targets = [rank] + [int(rank_of_pos[e.frame_pos]) for e in table.entries]
-            grps = grp_of_rank[targets]
-            est_len[rank] = len(grps)
-            est_grps[rank, : len(grps)] = grps
+            est.append(np.unique(grp_of_rank[targets]))
+            first = ro.obj_start[rank]
+            vis.append(np.union1d(est[-1], hc_group[first: first + ro.flen[rank]]))
         self.n_objects = len(hcs)
         self.n_groups = len(grp_hcs)
         self.flen = ro.flen
@@ -1431,10 +1444,19 @@ class _KnnStatic:
         self.grp_hcs = grp_hcs
         self.grp_of_rank = grp_of_rank
         self.dir_bucket = ro.dir_bucket
-        self.est_grps = est_grps
-        self.est_len = est_len
+        self.est_grps, self.est_on = _padded(est)
+        self.vis_grps, self.vis_on = _padded(vis)
         self.objects = ro.objects
         self.covers = _KnnCovers(index.curve, static.mins)
+
+
+def _padded(rows: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Ragged int rows as one zero-padded matrix plus its real-entry mask."""
+    lens = np.array([len(r) for r in rows])
+    on = np.arange(lens.max()) < lens[:, None]
+    out = np.zeros(on.shape, dtype=np.int64)
+    out[on] = np.concatenate(rows)
+    return out, on
 
 
 def _knn_static_of(index: Any, static: _Static) -> _KnnStatic:
@@ -1585,12 +1607,13 @@ def _knn_query_tables(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Compile the per-query static geometry: every distance, decoded once.
 
-    Returns flat query-major ``(est_g, ex_d)`` distance tables (estimate =
+    Returns query-major ``(est_g, ex_d)`` distance tables (estimate =
     query to each unique HC cell's representative point, exact = query to
-    each object), the per-rank minima estimates ``min_est`` and the ``k``
-    array.  Comparison distances stay scalar ``math.hypot``
-    (``Point.distance_to``) -- its vectorised counterpart is not bit-equal
-    -- so only the representative-point decode batches.
+    each object; the lanes read them with flat indices), the per-rank
+    minima estimates ``min_est`` and the ``k`` array.  Comparison
+    distances stay scalar ``math.hypot`` (``Point.distance_to``) -- its
+    vectorised counterpart is not bit-equal -- so only the
+    representative-point decode batches.
     """
     hc_list = kst.grp_hcs.tolist()
     curve.warm_representative_points(hc_list)
@@ -1604,29 +1627,43 @@ def _knn_query_tables(
         ex_d[qi] = [o.distance_to(q) for o in kst.objects]
     min_est = est_g[:, kst.grp_of_rank].copy()
     k_arr = np.fromiter((int(q.k) for q in queries), dtype=np.int64, count=n_q)
-    return est_g.reshape(-1), ex_d.reshape(-1), min_est, k_arr
+    return est_g, ex_d, min_est, k_arr
+
+
+#: Spare entries a kNN lane's candidate row keeps beyond the run's largest
+#: k.  A fetch whose estimate leaves a full row while its exact distance
+#: lands above the row's frontier costs a rebuild from the lane's
+#: candidate masks; the spares make that rare.
+_KNN_ROW_SPARE = 8
 
 
 class _KnnLanes:
     """One struct-of-arrays block of per-lane kNN search state.
 
-    A working block copies and compacts only the per-lane scalars and
-    rank-wide rows (``LANE_FIELDS``): lane id ``idx``, session position
+    A working block copies and compacts only the per-lane fields
+    (``LANE_FIELDS``): lane id ``idx``, session position
     (``cl``/``ch``/``tn``), ``kn`` known and ``ex`` examined ranks,
-    ``nc``/``nr`` candidate and retrieved counts, the k-th-candidate
-    radius ``rad`` with its ``dirty`` flag, and the query keys.  The
-    object-wide candidate space stays in place, shared and addressed by
-    lane id: ``rt`` retrieved bitmasks over flat object ids, ``es``/``rh``
-    estimate/retrieved-HC bitmasks over unique-HC group ids (disjoint,
-    matching the estimate pop on retrieval), and ``vl`` the value pool (an
-    append-only row of the ``nc`` live values, inf beyond; a retrieval
-    overwrites its group's estimate slot ``sl`` in place, so the pool is
-    the candidate multiset verbatim, at most ``n_objects`` wide).
+    ``nr`` the retrieved count, the candidate row ``top``, and the query
+    keys.  The object-wide candidate space stays in place, shared and
+    addressed by lane id: ``gs`` one int8 state per unique-HC group
+    (0 unseen, 1 estimated, 2 retrieved -- a retrieval pops the group's
+    estimate and blocks its re-estimation) and ``rt`` the retrieved
+    bitmask over flat object ids.  A lane's candidates -- the multiset the
+    planner's radius partitions -- are the estimates of its state-1 groups
+    and the exact distances of its retrieved objects.
+
+    ``top`` keeps the W smallest candidates sorted (all of them, inf
+    beyond, while there are fewer) in a row W wide (W = the run's largest
+    k plus ``_KNN_ROW_SPARE``, at most one past the object count).  Its
+    last slot is its *frontier* -- inf while the row has a free slot --
+    and every candidate outside the row is at or above it.  So the row's
+    k-th entry is the k-th smallest candidate: the radius, inf below k
+    candidates.
     """
 
-    LANE_FIELDS = ("idx", "cl", "ch", "tn", "kn", "ex", "nc", "nr", "rad",
-                   "dirty", "qid", "qo", "qg", "kk")
-    __slots__ = LANE_FIELDS + ("es", "rh", "rt", "vl", "sl")
+    LANE_FIELDS = ("idx", "cl", "ch", "tn", "kn", "ex", "nr", "top",
+                   "qid", "qo", "qg", "kk")
+    __slots__ = LANE_FIELDS + ("gs", "rt")
 
     def copy(self) -> "_KnnLanes":
         """A working block: own lane fields, the shared candidate space."""
@@ -1650,7 +1687,9 @@ class _KnnWalker(_DsiLanes):
     compact; their retrievals already sit in the master block ``S``); the
     walk ends when none remain.  All value comparisons reuse the compiled
     distance tables, so each step is pure array arithmetic plus the
-    occasional new circle cover.  Later hops seed the search space from the
+    occasional new circle cover.  A lane's radius is its candidate row's
+    k-th entry, kept up to date at each change instead of recomputed
+    (:class:`_KnnLanes`).  Later hops seed the search space from the
     knowledge the lane accumulated, which is the planner's warm start
     verbatim (hop 1 always teaches at least the entry table, so the warm
     branch always applies).
@@ -1668,9 +1707,14 @@ class _KnnWalker(_DsiLanes):
         self.kst = _knn_static_of(index, self.static)
         self.geo = _Geometry(self.static, index, config, timeline)
         curve = index.curve
-        self.est_g, self.ex_d, self.min_est, self.k_arr = _knn_query_tables(
+        self.est_g, self.ex_d, self.min_est, k_arr = _knn_query_tables(
             self.kst, curve, queries
         )
+        # No lane holds more candidates than objects, so any k past the
+        # object count reads the same always-inf column one past it.
+        n_obj = self.kst.n_objects
+        self.k_arr = np.minimum(k_arr, n_obj + 1)
+        self.width = min(int(self.k_arr.max()) + _KNN_ROW_SPARE, n_obj + 1)
         self.queries, self.dataset, self.truths = queries, dataset, {}
         self.strategy = strategy
         self.slack = curve.cell_diagonal()
@@ -1702,25 +1746,17 @@ class _KnnWalker(_DsiLanes):
         lanes.cl, lanes.ch = self.clock, self.chan
         lanes.tn, lanes.kn = self.tun, self.know
         lanes.ex = np.zeros_like(self.know)
-        lanes.es = np.zeros((n, kst.n_groups), dtype=bool)
-        lanes.rh = np.zeros((n, kst.n_groups), dtype=bool)
+        lanes.gs = np.zeros((n, kst.n_groups), dtype=np.int8)
         lanes.rt = np.zeros((n, kst.n_objects), dtype=bool)
-        lanes.vl = np.full((n, kst.n_objects), np.inf)
-        lanes.sl = np.zeros((n, kst.n_groups), dtype=np.int32)
-        lanes.nc = np.zeros(n, dtype=np.int64)
         lanes.nr = np.zeros(n, dtype=np.int64)
-        lanes.rad = np.full(n, np.inf)
-        lanes.dirty = np.zeros(n, dtype=bool)
+        lanes.top = np.full((n, self.width), np.inf)
         self.S = lanes
         self._set_queries(qrow)
         rank0 = self._read_entry(err)
-        egrps = kst.est_grps[rank0]
-        elen = kst.est_len[rank0]
-        for e in range(int(elen.max(initial=0))):
-            on = elen > e
-            self._add_est(lanes, lanes.idx[on], egrps[on, e])
         if self.strategy == "conservative":
             self._visit(lanes, lanes.idx, rank0)
+        else:
+            self._add_est(lanes, lanes.idx, kst.est_grps[rank0], kst.est_on[rank0])
         self._walk()
 
     def hop(self, qrow: np.ndarray) -> None:
@@ -1729,104 +1765,112 @@ class _KnnWalker(_DsiLanes):
         carry over), then the planner's warm start -- estimate every known
         frame minimum at once (each is a real object's HC value, so its
         unique-HC group; frame minima are strictly increasing, so the groups
-        are distinct and pool slots just count known ranks along the row)."""
+        are distinct) and build each candidate row from them."""
         self._set_queries(qrow)
         lanes = self.S
         lanes.ex[:] = False
-        lanes.es[:] = False
-        lanes.rh[:] = False
         lanes.rt[:] = False
-        lanes.vl[:] = np.inf
+        lanes.gs[:] = 0
+        lanes.gs[:, self.kst.grp_of_rank] = lanes.kn
         lanes.nr[:] = 0
-        lanes.rad[:] = np.inf
-        grps = self.kst.grp_of_rank
-        lanes.es[:, grps] = lanes.kn
-        rrow, rrk = np.nonzero(lanes.kn)
-        slots = (np.cumsum(lanes.kn, axis=1) - 1)[rrow, rrk]
-        g = grps[rrk]
-        lanes.vl[rrow, slots] = self.est_g[lanes.qg[rrow] + g]
-        lanes.sl[rrow, g] = slots
-        lanes.nc[:] = lanes.kn.sum(axis=1)
-        lanes.dirty[:] = True
+        self._set_rows(
+            lanes, lanes.idx, np.where(lanes.kn, self.min_est[lanes.qid], np.inf)
+        )
         self._walk()
 
     # -- candidate-space maintenance ----------------------------------------
 
-    def _add_est(self, lanes: _KnnLanes, rows: np.ndarray, grp: np.ndarray) -> None:
-        """``add_estimates`` for one HC group per row: idempotent, skipping
-        retrieved HC values, flagging the radius dirty."""
-        if not len(rows):
-            return
-        lid = lanes.idx[rows]
-        new = ~(lanes.es[lid, grp] | lanes.rh[lid, grp])
-        r_new = rows[new]
-        if not len(r_new):
-            return
-        l_new, g_new = lid[new], grp[new]
-        slots = lanes.nc[r_new]
-        lanes.es[l_new, g_new] = True
-        lanes.sl[l_new, g_new] = slots
-        lanes.vl[l_new, slots] = self.est_g[lanes.qg[r_new] + g_new]
-        lanes.nc[r_new] = slots + 1
-        lanes.dirty[r_new] = True
+    def _radius(self, lanes: _KnnLanes, rows: np.ndarray) -> np.ndarray:
+        """The k-th smallest candidate of ``rows`` (inf below k): the same
+        order statistic the scalar partition/heap hybrid takes."""
+        return lanes.top.take(rows * self.width + lanes.kk[rows] - 1)
 
-    def _add_est_many(
-        self, lanes: _KnnLanes, rows: np.ndarray, grp: np.ndarray
+    def _set_rows(self, lanes: _KnnLanes, rows: np.ndarray, vals: np.ndarray) -> None:
+        """Rebuild ``rows``' candidate rows from their whole candidate
+        multisets (``vals``, inf-padded)."""
+        w = self.width
+        if vals.shape[1] > w:
+            vals = np.partition(vals, w - 1, axis=1)[:, :w]
+        vals.sort(axis=1)
+        top = np.full((len(rows), w), np.inf)
+        top[:, : vals.shape[1]] = vals
+        lanes.top[rows] = top
+
+    def _rebuild(self, lanes: _KnnLanes, rows: np.ndarray) -> None:
+        """Rows that dropped an entry from a full candidate row and let
+        nothing back in re-read their W smallest candidates from their
+        masks."""
+        lid, qid = lanes.idx[rows], lanes.qid[rows]
+        self._set_rows(lanes, rows, np.concatenate([
+            np.where(lanes.gs[lid] == 1, self.est_g[qid], np.inf),
+            np.where(lanes.rt[lid], self.ex_d[qid], np.inf),
+        ], axis=1))
+
+    def _add_est(
+        self, lanes: _KnnLanes, rows: np.ndarray, grp: np.ndarray, on: np.ndarray
     ) -> None:
-        """``_add_est`` for several groups per row at once.
-
-        ``rows`` must be sorted and each row's groups distinct (a frame's
-        estimate groups are); new values take consecutive pool slots in
-        input order, the same multiset the per-group calls build.
-        """
+        """``add_estimates`` for a padded matrix of distinct HC groups per
+        row (real entries ``on``): skip groups already estimated or
+        retrieved, merge the new values into each row and keep its W
+        smallest (a value above the frontier sorts past the last slot)."""
         if not len(rows):
             return
-        lid = lanes.idx[rows]
-        new = ~(lanes.es[lid, grp] | lanes.rh[lid, grp])
-        r_new = rows[new]
-        if not len(r_new):
-            return
-        l_new, g_new = lid[new], grp[new]
-        # Within-row rank (r_new stays sorted): offset from the row's
-        # first entry, so simultaneous additions stack like serial ones.
-        first = np.searchsorted(r_new, r_new)
-        slots = lanes.nc[r_new] + (np.arange(len(r_new), dtype=np.int64) - first)
-        lanes.es[l_new, g_new] = True
-        lanes.sl[l_new, g_new] = slots
-        lanes.vl[l_new, slots] = self.est_g[lanes.qg[r_new] + g_new]
-        urows = r_new[first == np.arange(len(r_new))]
-        lanes.nc[urows] += np.bincount(r_new, minlength=0)[urows]
-        lanes.dirty[r_new] = True
+        flat = (lanes.idx[rows] * self.kst.n_groups)[:, None] + grp
+        new = on & (lanes.gs.take(flat) == 0)
+        lanes.gs.reshape(-1)[np.compress(new.ravel(), flat)] = 1
+        vals = self.est_g.take(lanes.qg[rows][:, None] + grp)
+        merged = np.concatenate(
+            [lanes.top.take(rows, axis=0), np.where(new, vals, np.inf)], axis=1
+        )
+        merged.sort(axis=1)
+        lanes.top[rows] = merged[:, : self.width]
 
-    def _sync_radius(self, lanes: _KnnLanes) -> None:
-        """Recompute radius-dirty rows: the k-th smallest candidate value,
-        the same order statistic the scalar partition/heap hybrid takes.
-        Only the pool prefix up to the widest dirty row's value count is
-        partitioned -- every column beyond a row's ``nc`` is inf, and
-        extra inf values never change the k-th smallest."""
-        d = np.flatnonzero(lanes.dirty)
-        if not len(d):
-            return
-        new = np.full(len(d), np.inf)
-        kd = lanes.kk[d]
-        full = lanes.nc[d] >= kd
-        if full.any():
-            for kv in np.unique(kd[full]):
-                m = full & (kd == kv)
-                kth = int(kv) - 1
-                rows_m = d[m]
-                sub = lanes.vl[lanes.idx[rows_m], : int(lanes.nc[rows_m].max())]
-                sub.partition(kth, axis=1)
-                new[m] = sub[:, kth]
-        lanes.rad[d] = new
-        lanes.dirty[d] = False
+    def _add_exact(
+        self, lanes: _KnnLanes, rows: np.ndarray, obj: np.ndarray,
+        grp: np.ndarray, est: np.ndarray,
+    ) -> None:
+        """``add_object`` for one fetched object per row: the exact
+        distance joins, the HC's estimate ``est`` (the float that entered)
+        pops when the group was estimated.  A popped copy at or below the
+        frontier leaves the row and an exact distance at or below it enters
+        -- one slot rewritten, one row re-sorted; a row whose copy left
+        while its exact distance stayed out rebuilds."""
+        w = self.width
+        lid = lanes.idx[rows]
+        gflat = lid * self.kst.n_groups + grp
+        was_est = lanes.gs.take(gflat) == 1
+        lanes.gs.reshape(-1)[gflat] = 2
+        lanes.rt.reshape(-1)[lid * self.kst.n_objects + obj] = True
+        exact = self.ex_d.take(lanes.qo[rows] + obj)
+        front = lanes.top[rows, -1]
+        drop = was_est & (est <= front)
+        enter = exact <= front
+        lanes.nr[rows] += 1
+        upd = drop | enter
+        if not upd.all():
+            rows, est, exact, drop, enter = (
+                a[upd] for a in (rows, est, exact, drop, enter)
+            )
+        row = lanes.top.take(rows, axis=0)
+        # The popped copy's slot is its first equal entry; otherwise the
+        # exact distance displaces the frontier (a free slot, or the
+        # largest entry, which it does not exceed).
+        slot = np.where(drop, np.argmax(row >= est[:, None], axis=1), w - 1)
+        at = np.arange(len(rows)) * w + slot
+        row.reshape(-1)[at] = np.where(enter, exact, np.inf)
+        row.sort(axis=1, kind="stable")
+        lanes.top[rows] = row
+        lost = drop & ~enter
+        if lost.any():
+            self._rebuild(lanes, rows[lost])
 
     # -- the frame visit ----------------------------------------------------
 
     def _visit(self, lanes: _KnnLanes, rows: np.ndarray, fr: np.ndarray) -> None:
-        """Replay ``_visit_frame`` for ``rows`` (frame ``fr[i]`` each):
-        directory read, record estimates, conditional object fetches under
-        the live prune radius, and the examined mark."""
+        """Replay ``learn_table`` and ``_visit_frame`` for ``rows`` (frame
+        ``fr[i]`` each, its table just read): directory read, table and
+        record estimates, conditional object fetches under the live prune
+        radius, and the examined mark."""
         geo, kst = self.geo, self.kst
         timeline = geo.timeline
         dirb = kst.dir_bucket[fr]
@@ -1841,56 +1885,37 @@ class _KnnWalker(_DsiLanes):
             lanes.cl[r_dir] = timeline.next_occurrences(b, nb) + geo.bpk[b]
             lanes.tn[r_dir] += geo.bpk[b]
             lanes.ch[r_dir] = bch
-            # learn_directory re-teaches the frame's own minimum, which the
-            # table read already taught -- no knowledge change.  Estimate
-            # every record (slot order; the set result is order-free).
-            gd = g0[hasdir]
-            fld = flen[hasdir]
-            for j in range(int(fld.max(initial=0))):
-                on = fld > j
-                self._add_est(lanes, r_dir[on], kst.hc_group[gd[on] + j])
+        # learn_table and learn_directory estimate at once (no radius is read
+        # in between); the directory re-teaches the frame's own minimum,
+        # which the table already taught -- no knowledge change.
+        self._add_est(lanes, rows, kst.vis_grps[fr], kst.vis_on[fr])
         slack = self.slack
+        n_obj = kst.n_objects
         for j in range(int(flen.max(initial=0))):
             on = flen > j
             r_on = rows[on]
             g = g0[on] + j
             # Directory visits skip already-retrieved records; the
             # single-object scan compares unconditionally.
-            keep = ~(lanes.rt[lanes.idx[r_on], g] & hasdir[on])
+            keep = ~(lanes.rt.take(lanes.idx[r_on] * n_obj + g) & hasdir[on])
             r_c = r_on[keep]
             if not len(r_c):
                 continue
             g_c = g[keep]
             grp_c = kst.hc_group[g_c]
-            self._sync_radius(lanes)
-            prune = lanes.rad[r_c] + slack
-            fetch = self.est_g[lanes.qg[r_c] + grp_c] <= prune
+            est = self.est_g.take(lanes.qg[r_c] + grp_c)
+            fetch = est <= self._radius(lanes, r_c) + slack
             r_f = r_c[fetch]
             if not len(r_f):
                 continue
             g_f = g_c[fetch]
-            grp_f = grp_c[fetch]
             b = kst.obj_bucket[g_f]
             bch = geo.bchan[b]
             nb = geo.doze(lanes.cl[r_f], lanes.ch[r_f], bch)
             lanes.cl[r_f] = timeline.next_occurrences(b, nb) + geo.bpk[b]
             lanes.tn[r_f] += geo.bpk[b]
             lanes.ch[r_f] = bch
-            # add_object: the exact distance joins, the HC's estimate pops
-            # -- in pool terms the estimate's slot is overwritten in place
-            # (same multiset delta), a group already retrieved appends.
-            l_f = lanes.idx[r_f]
-            was_est = lanes.es[l_f, grp_f]
-            lanes.es[l_f, grp_f] = False
-            lanes.rh[l_f, grp_f] = True
-            slots = np.where(
-                was_est, lanes.sl[l_f, grp_f].astype(np.int64), lanes.nc[r_f]
-            )
-            lanes.vl[l_f, slots] = self.ex_d[lanes.qo[r_f] + g_f]
-            lanes.rt[l_f, g_f] = True
-            lanes.nc[r_f] += ~was_est
-            lanes.nr[r_f] += 1
-            lanes.dirty[r_f] = True
+            self._add_exact(lanes, r_f, g_f, grp_c[fetch], est[fetch])
         lanes.ex[rows, fr] = True
 
     # -- the planner loop ---------------------------------------------------
@@ -1911,8 +1936,9 @@ class _KnnWalker(_DsiLanes):
             # With rank 0 known, the planner's piece expansion
             # [kn_prev(a0), kn_next(b0) - 1] is exactly the union of the
             # segments touching the piece (candidate_rank_array).
-            self._sync_radius(work)
-            cids = covers.resolve(work.qid, self.qx, self.qy, work.rad + slack)
+            rows = np.arange(len(work.idx))
+            prune = self._radius(work, rows) + slack
+            cids = covers.resolve(work.qid, self.qx, self.qy, prune)
             cand = _segment_candidates(work.kn, covers.masks[cids])
             cand &= ~work.ex
             live = cand.any(axis=1)
@@ -1946,10 +1972,6 @@ class _KnnWalker(_DsiLanes):
                 work.cl, work.ch, cand, work.tn
             )
             work.kn |= st.learn[chosen]
-            egrps = kst.est_grps[chosen]
-            elen = kst.est_len[chosen]
-            er, ee = np.nonzero(np.arange(egrps.shape[1])[None, :] < elen[:, None])
-            self._add_est_many(work, er, egrps[er, ee])
             self._visit(work, np.arange(len(work.idx)), chosen)
 
     # -- results ------------------------------------------------------------
@@ -1969,7 +1991,7 @@ class _KnnWalker(_DsiLanes):
                 truth = answer(self.dataset, query)
                 self.truths[qid] = truth
             gids = np.flatnonzero(lanes.rt[row])
-            dists = self.ex_d[lanes.qo[row] + gids]
+            dists = self.ex_d[qid, gids]
             order = np.lexsort((kst.oids[gids], dists))[: int(query.k)]
             objs = [kst.objects[int(g)] for g in gids[order]]
             cor[row] = int(matches_truth(query, truth, objs))

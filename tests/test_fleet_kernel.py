@@ -33,11 +33,11 @@ from repro.broadcast.errors import LinkErrorModel
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.broadcast.timeline import timeline_of
 from repro.mobility import run_journey, trajectory_workload
-from repro.queries.types import WindowQuery
+from repro.queries.types import KnnQuery, WindowQuery
 from repro.queries.workload import Trial, Workload, knn_workload, window_workload
 from repro.sim.fleet import run_fleet, run_mobile_fleet
 from repro.sim.runner import build_index, execute_query
-from repro.spatial.datasets import uniform_dataset
+from repro.spatial.datasets import grid_dataset, uniform_dataset
 from repro.spatial.geometry import Point, Rect
 
 N_CLIENTS = 300
@@ -302,7 +302,7 @@ def test_knn_fleet_matches_brute_force(kind, channels, strategy, data):
     dataset_seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
     workload_seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
     fleet_seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
-    k = data.draw(st.integers(min_value=1, max_value=6))
+    k = data.draw(st.integers(min_value=1, max_value=24))
 
     dataset = uniform_dataset(n_objects, seed=dataset_seed)
     workload = knn_workload(4, k=k, seed=workload_seed)
@@ -351,7 +351,7 @@ def test_knn_mobile_fleet_matches_brute_force(channels, strategy, data):
     dataset_seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
     traj_seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
     fleet_seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
-    k = data.draw(st.integers(min_value=1, max_value=6))
+    k = data.draw(st.integers(min_value=1, max_value=24))
 
     dataset = uniform_dataset(n_objects, seed=dataset_seed)
     trajectories = trajectory_workload(
@@ -733,8 +733,8 @@ def _piece_interval_candidates(mins, kn, covers):
 
 
 def _knn_index_and_run(dataset_seed, workload_seed, channels, strategy, k,
-                       journeys, index=None):
-    dataset = uniform_dataset(70, seed=dataset_seed)
+                       journeys, index=None, curve_order=None):
+    dataset = uniform_dataset(70, seed=dataset_seed, curve_order=curve_order)
     config = SystemConfig(packet_capacity=64, n_channels=channels)
     if index is None:
         index = build_index("dsi", dataset, config, use_cache=False)
@@ -856,6 +856,203 @@ def test_knn_cover_memo_bound_clears_mid_fleet(monkeypatch):
     np.testing.assert_array_equal(full.unique_counts, capped.unique_counts)
     np.testing.assert_array_equal(full.unique_latency, capped.unique_latency)
     np.testing.assert_array_equal(full.unique_tuning, capped.unique_tuning)
+
+
+# --- kNN candidate rows: partition oracle, equal distances, k past n ---------
+
+
+def _partition_radius(walker, lanes, rows):
+    """Test oracle: the kNN lanes' former radius sync.
+
+    Rebuilds each lane's whole candidate multiset from its masks -- the
+    estimates of its estimated groups and the exact distances of its
+    retrieved objects -- and takes the k-th smallest with one row-wise
+    ``np.partition`` per k, inf below k candidates, as the partition of the
+    former value pool did.  Returns ``(radius, multiset size, sorted
+    multiset)``.
+    """
+    lid, qid, kk = lanes.idx[rows], lanes.qid[rows], lanes.kk[rows]
+    pool = np.concatenate([
+        np.where(lanes.gs[lid] == 1, walker.est_g[qid], np.inf),
+        np.where(lanes.rt[lid], walker.ex_d[qid], np.inf),
+    ], axis=1)
+    size = np.isfinite(pool).sum(axis=1)
+    radius = np.full(len(rows), np.inf)
+    for k in np.unique(kk).tolist():
+        full = (kk == k) & (size >= k)
+        if full.any():
+            radius[full] = np.partition(pool[full], k - 1, axis=1)[:, k - 1]
+    pool.sort(axis=1)
+    return radius, size, pool
+
+
+def _check_radius_reads(monkeypatch):
+    """Patch the kNN walker's radius read to check every read against the
+    partition oracle: the k-th entry equals its radius, and the row holds
+    the multiset's W smallest values (all of them, inf beyond, while there
+    are fewer).  Returns one ``(rows, full rows)`` pair per read, a full
+    row holding W candidates or more (so a finite frontier)."""
+    from repro.sim import fleet_kernel as fk
+
+    reads = []
+    real = fk._KnnWalker._radius
+
+    def radius(self, lanes, rows):
+        got = real(self, lanes, rows)
+        want, size, pool = _partition_radius(self, lanes, rows)
+        np.testing.assert_array_equal(got, want)
+        w = self.width
+        head = np.full((len(rows), w), np.inf)
+        head[:, : min(w, pool.shape[1])] = pool[:, :w]
+        np.testing.assert_array_equal(lanes.top[rows], head)
+        reads.append((len(rows), int((size >= w).sum())))
+        return got
+
+    monkeypatch.setattr(fk._KnnWalker, "_radius", radius)
+    return reads
+
+
+#: Curve order 3 (64 cells) for 70 objects: most objects share their HC
+#: value with another, so a fetch whose group another object's fetch
+#: already popped adds a candidate without popping an estimate.
+SHARED_HC_ORDER = 3
+
+
+@pytest.mark.parametrize("journeys", [False, True], ids=["fleet", "journey"])
+@pytest.mark.parametrize("strategy", ["conservative", "aggressive"])
+@pytest.mark.parametrize("channels", [1, 4])
+def test_knn_rows_match_partition_oracle(channels, strategy, journeys, monkeypatch):
+    """Every radius a kNN lane reads is the k-th smallest candidate.
+
+    The walker keeps each lane's smallest candidates in a sorted row and
+    updates it at each change instead of re-partitioning its candidate
+    multiset.  On seeded fleets and 3-hop journeys with k 1, 4 and 10,
+    over data with distinct HC values and over data where objects share
+    them, every read (the cover radius and each object-slot test) must
+    equal the partition oracle over the multiset rebuilt from the lane's
+    masks, and every row must hold the multiset's smallest values.
+    """
+    reads = _check_radius_reads(monkeypatch)
+    for k in (1, 4, 10):
+        _knn_index_and_run(60 + k, 30 + k, channels, strategy, k, journeys)
+        shared = uniform_dataset(70, seed=60 + k, curve_order=SHARED_HC_ORDER)
+        assert len({o.hc for o in shared.objects}) < 50
+        _knn_index_and_run(60 + k, 30 + k, channels, strategy, k, journeys,
+                           curve_order=SHARED_HC_ORDER)
+    assert len(reads) > 40
+
+
+@pytest.mark.parametrize("spare", [0, 1])
+def test_knn_rows_with_few_spares(spare, monkeypatch):
+    """Candidate rows only ``spare`` entries wider than k.
+
+    With few spares a full row often drops an estimate for an exact
+    distance above its frontier; it is then an entry short and rebuilds
+    from the lane's masks.  On data with distinct HC values and on data
+    where objects share them, every radius read equals the partition
+    oracle and every execution equals the run with the default spares.
+    """
+    from repro.sim import fleet_kernel as fk
+
+    cells = [((88, 6, 4, "conservative", 5, False), None),
+             ((60, 40, 4, "aggressive", 10, False), SHARED_HC_ORDER)]
+    default = [_knn_index_and_run(*cell, curve_order=order)[1]
+               for cell, order in cells]
+    reads = _check_radius_reads(monkeypatch)
+    rebuilt = []
+    real_rebuild = fk._KnnWalker._rebuild
+
+    def rebuild(self, lanes, rows):
+        rebuilt.append(len(rows))
+        return real_rebuild(self, lanes, rows)
+
+    monkeypatch.setattr(fk, "_KNN_ROW_SPARE", spare)
+    monkeypatch.setattr(fk._KnnWalker, "_rebuild", rebuild)
+    for (cell, order), want in zip(cells, default):
+        n_rebuilt = sum(rebuilt)
+        _, few = _knn_index_and_run(*cell, curve_order=order)
+        assert sum(rebuilt) > n_rebuilt
+        np.testing.assert_array_equal(want.unique_counts, few.unique_counts)
+        np.testing.assert_array_equal(want.unique_latency, few.unique_latency)
+        np.testing.assert_array_equal(want.unique_tuning, few.unique_tuning)
+    assert sum(n_full for _, n_full in reads) > 0
+
+
+def _grid_knn_workload(side, ks):
+    """kNN queries on ``grid_dataset(side)`` whose answers cut rings of
+    equal distance: at the grid centre, at a cell corner and at a cell
+    centre (a data point), each with every k of ``ks``."""
+    s = float(side)
+    points = [Point(0.5, 0.5), Point(1 / s, 2 / s), Point(2.5 / s, 1.5 / s)]
+    trials = [
+        Trial(query=KnnQuery(point=p, k=k), tune_in_fraction=0.0)
+        for p in points for k in ks
+    ]
+    return Workload(name=f"grid-{side}-knn", trials=trials)
+
+
+@pytest.mark.parametrize("strategy", ["conservative", "aggressive"])
+@pytest.mark.parametrize("channels", [1, 4])
+@pytest.mark.parametrize("side", [6, 8, 16])
+def test_knn_equal_distance_grids_match_brute_force(side, channels, strategy):
+    """kNN fleets on data with equal distances equal brute force.
+
+    Grid data puts rings of equidistant objects (and estimates) around
+    each query; k 1, 4, 5, 8 and 9 close or cut those rings, so the
+    radius, the candidate rows and the fetch tests all meet ties.  Every
+    execution must equal a fresh scalar session and every answer verify.
+    """
+    dataset = grid_dataset(side)
+    workload = _grid_knn_workload(side, (1, 4, 5, 8, 9))
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    result = run_fleet(
+        index, dataset, config, workload, N_CLIENTS, seed=side,
+        max_phases=MAX_PHASES, verify=True, knn_strategy=strategy,
+    )
+    lat, tun, counts = _brute_force_uniques(
+        index, config, list(workload), n_clients=N_CLIENTS, seed=side,
+        max_phases=MAX_PHASES, theta=None, error_seed=0, knn_strategy=strategy,
+    )
+    assert result.backend == "numpy", result.backend_reason
+    np.testing.assert_array_equal(result.unique_counts, counts)
+    np.testing.assert_array_equal(result.unique_latency, lat)
+    np.testing.assert_array_equal(result.unique_tuning, tun)
+    assert result.result.correct_trials == N_CLIENTS
+    assert result.result.incorrect_trials == 0
+
+
+@pytest.mark.parametrize("strategy", ["conservative", "aggressive"])
+@pytest.mark.parametrize("channels", [1, 4])
+@pytest.mark.parametrize("n_objects, k", [(40, 40), (40, 45), (12, 30), (8, 8)])
+def test_knn_k_at_and_past_the_object_count(n_objects, k, channels, strategy,
+                                            monkeypatch):
+    """k at or past the object count: past it the radius stays infinite,
+    and the candidate row is wider than the whole candidate space.  Kernel
+    arrays equal the reference's (``REPRO_PURE=1``), every radius read
+    equals the partition oracle, and every answer verifies."""
+    dataset = uniform_dataset(n_objects, seed=n_objects + k)
+    workload = knn_workload(4, k=k, seed=k)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index("dsi", dataset, config, use_cache=False)
+
+    def run():
+        return run_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=k,
+            max_phases=MAX_PHASES, verify=True, knn_strategy=strategy,
+        )
+
+    reads = _check_radius_reads(monkeypatch)
+    fast = run()
+    assert reads
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = run()
+    assert fast.backend == "numpy", fast.backend_reason
+    assert pure.backend == "reference"
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+    assert fast.result.incorrect_trials == 0
 
 
 def test_static_declines_tables_that_skip_rank_zero(monkeypatch):

@@ -70,7 +70,7 @@ def _padded_offsets(ids: np.ndarray, offs: np.ndarray, n_rows: int) -> np.ndarra
 class _KindTable:
     """Occurrence table of one bucket kind on one channel."""
 
-    __slots__ = ("starts", "bucket_ids", "cycle", "channel", "_occ")
+    __slots__ = ("starts", "bucket_ids", "cycle", "channel")
 
     def __init__(
         self, starts: np.ndarray, bucket_ids: np.ndarray, cycle: int, channel: int
@@ -79,22 +79,6 @@ class _KindTable:
         self.bucket_ids = bucket_ids  # global bucket ids airing at those offsets
         self.cycle = cycle
         self.channel = channel
-        self._occ = None
-
-    def occurrence_matrix(self):
-        """``(distinct_ids, offsets)``: this kind's airings grouped by bucket.
-
-        ``distinct_ids`` is the sorted unique global bucket ids of the kind
-        and ``offsets`` the padded ``(len(distinct_ids), multiplicity)``
-        matrix of their start offsets within the channel cycle (see
-        :func:`_padded_offsets`) -- the per-kind counterpart of the
-        timeline-wide ``_occ_offsets``, computed lazily and cached.  The
-        fleet kernel's wait matrices are built from this.
-        """
-        if self._occ is None:
-            ids, inv = np.unique(self.bucket_ids, return_inverse=True)
-            self._occ = (ids, _padded_offsets(inv, self.starts, len(ids)))
-        return self._occ
 
 
 class CompiledTimeline:

@@ -29,8 +29,7 @@ visit rule, behind one protocol:
 The geometries share one channel base (:class:`_Channel`: timeline, switch
 cost, capacity, index channel and the switch-adjusted doze), and the two
 DSI walkers share their master session, entry-table read and lane retire
-(:class:`_DsiLanes`) and the nearest-candidate table read
-(:meth:`_Geometry.read_nearest`).
+(:class:`_DsiLanes`) and the table geometry (:class:`_Geometry`).
 
 The reference path (:func:`repro.sim.fleet._simulate_item_batch`)
 replays one full :class:`~repro.broadcast.client.ClientSession` per distinct
@@ -50,9 +49,9 @@ the reference walk carries:
 
 * ``clock`` / ``channel`` -- the session position (unwrapped packets) and
   the channel the radio is parked on;
-* ``K``   -- which frame *ranks* have a known minimum HC value (the
-  knowledge a :class:`~repro.core.knowledge.ClientKnowledge` accumulates);
-* ``EX`` / ``PD`` -- which ranks this query has examined / has pending.
+* which frame *ranks* have a known minimum HC value (the knowledge a
+  :class:`~repro.core.knowledge.ClientKnowledge` accumulates);
+* which ranks this query has examined / has pending.
 
 Three structural facts about DSI make the lockstep walk exact, not
 approximate (each is asserted at precompute and the kernel refuses --
@@ -69,8 +68,15 @@ falling back to the reference -- when one fails):
    unprocessed relevant ranks, and the reference's value-space candidate
    test reduces to: rank ``r`` is a candidate iff some pending rank lies
    in ``[B(r), A(r))``, where ``B``/``A`` are the nearest known ranks
-   at/below and strictly above ``r`` (0 / ``F`` when none): one segment-id
-   count, one scatter and one gather per hop (:func:`_segment_candidates`).
+   at/below and strictly above ``r`` (0 / ``F`` when none).  Every table
+   teaches its own rank and the first rank of every DSI segment, so an
+   examined rank is a segment start and no segment crosses a DSI segment:
+   the candidates are the pending ranks' segments, less their examined
+   starts.  The window walker keeps each pending rank's segment bounds per
+   lane, exact across every read by an elementwise max/min against two
+   static (table, rank) lookups (:class:`_Walker`); the kNN walker, whose
+   hits are cover masks, runs one segment-id count, one scatter and one
+   gather per hop (:func:`_segment_candidates`).
 3. **Visit cost is static per (query, rank).**  Because extents are
    disjoint, the qualified objects of a relevant frame -- and therefore the
    exact bucket-read sequence of its visit (directory, then qualified data
@@ -79,17 +85,17 @@ falling back to the reference -- when one fails):
    and replayed per lane as pure occurrence arithmetic.
 
 Per hop every live lane picks the earliest-arriving candidate table.  All
-DSI tables air on one channel (the control channel when striped), so
-arrival is modular arithmetic over that channel's cycle.  On *replicated*
-(demand-aware) schedules a rank may air several times per cycle; the hop
-keeps a per-rank **occurrence matrix** (padded with the first airing) and
-takes the wait to each rank's *nearest* copy -- ``min`` over the matrix
-columns -- before the candidate argmin.  Distinct airings occupy distinct
-cycle offsets, so waits never tie and the reference's lowest-rank tie-break
-stays vacuous.  Visits replay through
+DSI tables air on one channel (the control channel when striped), each
+once per cycle of that channel and in broadcast-position order: striping
+moves data groups off that channel and the demand-aware optimizer
+replicates data groups, never tables (:class:`_Geometry` declines any
+other layout).  So arrival order is position order from the lane's next
+position, and a candidate's wait is one modular difference.  Distinct
+ranks air at distinct cycle offsets, so waits never tie and the
+reference's lowest-rank tie-break stays vacuous.  Visits replay through
 :meth:`~repro.broadcast.timeline.CompiledTimeline.next_occurrences`, whose
-replicated branch already takes the minimum over every copy of a directory
-or data bucket.  A lane exits when its candidate set empties, which happens
+replicated branch takes the minimum over every copy of a directory or data
+bucket.  A lane exits when its candidate set empties, which happens
 exactly when all its relevant ranks are processed -- the reference loop's
 termination condition.
 
@@ -116,7 +122,8 @@ retry chain advances each lane independently.
 **Later hops** reuse the same hop engine with persistent lanes: the
 knowledge bitmask and the parked channel survive across hops (exactly what
 a warm session carries), while examined/processed reset per hop
-(``begin_query``).  Hop 1 runs the cold entry (probe + first table +
+(``begin_query``); the window walker keeps the dense bitmask only when a
+later hop reads it.  Hop 1 runs the cold entry (probe + first table +
 opportunistic entry processing); later hops advance the clock by the
 step's dwell, pay the re-armed probe, and walk with the same global-minimum
 clamp -- every table teaches rank 0 (``_Static`` declines indexes where one
@@ -174,9 +181,9 @@ Each circle cover is compiled once per index into a knowledge-free *rank
 mask* -- the ranks its pieces span -- memoized on the circle's quantised
 cell rect, so repeated calls on one index reuse it across queries, channel
 counts and strategies.  A lane's candidates are the ranks whose known-rank
-segment ``[B(r), A(r))`` holds a mask bit: the window walkers' segment
-test with the mask in place of the unprocessed relevant ranks, and the
-rank-space image of ``candidate_rank_array``.  The k-th-candidate
+segment ``[B(r), A(r))`` holds a mask bit: fact 2's segment test with
+the mask in place of the unprocessed relevant ranks, and the rank-space
+image of ``candidate_rank_array``.  The k-th-candidate
 radius is kept, not recomputed: each lane holds its W smallest
 candidates (all of them, inf-padded, when it has fewer) sorted in a row
 W wide -- the run's largest k plus a few spares, at most one past the
@@ -249,9 +256,26 @@ _STATIC_ATTR = "_soa_fleet_static"
 
 
 class _Static:
-    """Per-index constants: frame minima, extents and the learn matrix."""
+    """Per-index constants: frame minima, extents, the learn matrix and its
+    segment-bound tables.
 
-    __slots__ = ("n_frames", "mins", "ext_lo", "ext_hi", "learn", "pos_of_rank")
+    ``learn[t]`` is what table ``t`` teaches.  Every table must teach its
+    own rank and the first rank of every DSI segment (``seg_size`` ranks
+    each, ``n_segments`` of them); the constructor declines an index where
+    one does not.  Then rank 0 is known after any first table read,
+    examined ranks are known, and no known-rank segment crosses a DSI
+    segment.  ``prev_taught[t, p]`` / ``next_taught[t, p]`` are the
+    largest rank ``<= p`` / smallest rank ``> p`` that table ``t`` teaches
+    (``n_frames`` when none), in ``rdt``, the smallest integer dtype that
+    holds twice the frame count.  Knowledge only grows by OR-ing learn
+    rows, so a walker keeps the bounds ``[B, A)`` of the segment holding
+    rank ``p`` exact across a read of table ``t`` with one elementwise
+    ``max(B, prev_taught[t, p])`` and ``min(A, next_taught[t, p])``.
+    """
+
+    __slots__ = ("n_frames", "n_segments", "seg_size", "mins", "ext_lo",
+                 "ext_hi", "learn", "pos_of_rank", "rdt", "prev_taught",
+                 "next_taught")
 
     def __init__(self, index: DsiIndex) -> None:
         n_frames = index.n_frames
@@ -289,18 +313,49 @@ class _Static:
                         "table teaches a value that is not the frame minimum"
                     )
                 learn[rank, taught] = True
-        if not learn[:, 0].all():
+        m = index.params.n_segments
+        seg_size = n_frames // m
+        for seg in range(m):
             # Rank 0 known after the first table read is what lets warm
             # hops share the cold clamp and kNN covers test candidacy by
-            # known-rank segments.
-            raise KernelUnsupported("a table does not teach rank 0")
+            # known-rank segments; every segment start known keeps each
+            # known-rank segment inside one DSI segment.
+            if not learn[:, seg * seg_size].all():
+                raise KernelUnsupported(
+                    f"a table does not teach rank {seg * seg_size}, the first "
+                    f"rank of DSI segment {seg}"
+                )
+        if not learn.diagonal().all():
+            # A table read marks its rank examined; a known examined rank
+            # is a segment start, never inside a segment.
+            raise KernelUnsupported("a table does not teach its own rank")
+
+        rdt = np.int16 if 2 * n_frames < np.iinfo(np.int16).max else np.int32
+        self.prev_taught, self.next_taught = _rank_bounds(learn, rdt)
 
         self.n_frames = n_frames
+        self.n_segments = m
+        self.seg_size = seg_size
         self.mins = mins
         self.ext_lo = ext_lo
         self.ext_hi = ext_hi
         self.learn = learn
         self.pos_of_rank = pos_of_rank
+        self.rdt = rdt
+
+
+def _rank_bounds(mask: np.ndarray, rdt: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """For each row of a ``(rows, F)`` rank mask and each rank ``p``: the
+    largest set rank ``<= p`` (0 when none) and the smallest set rank
+    ``> p`` (``F`` when none), as two ``(rows, F)`` arrays of ``rdt``."""
+    n_frames = mask.shape[1]
+    ranks = np.arange(n_frames, dtype=rdt)
+    below = np.maximum.accumulate(np.where(mask, ranks, rdt(0)), axis=1)
+    above = np.full(mask.shape, n_frames, dtype=rdt)
+    above[:, :-1] = np.minimum.accumulate(
+        np.where(mask, ranks, rdt(n_frames))[:, :0:-1], axis=1
+    )[:, ::-1]
+    return below, above
 
 
 def _static_of(index: Any) -> _Static:
@@ -393,16 +448,21 @@ class _Channel:
 class _Geometry(_Channel):
     """Compiled channel geometry of one (index, schedule view) pair.
 
-    Verifies the layout facts the lockstep walk relies on (all index
-    tables on the clients' home channel, every rank aired) and bundles the
-    multiplicity-aware arrival tables: per-airing arrays for the entry
-    kind-seek and the padded per-rank occurrence matrix for in-walk wait
-    arithmetic.
+    Verifies the layout facts the lockstep walk relies on: all index
+    tables air on the clients' home channel, each exactly once per cycle
+    of that channel and in broadcast-position order.  Every layout the
+    library builds does -- striping moves data groups off the table
+    channel and the demand-aware optimizer replicates data groups only --
+    and a layout that does not is declined.  So ``starts[p]``, the cycle
+    offset of position ``p``'s table, ascends with ``p``: the entry
+    kind-seek is one ``searchsorted`` and the table airing next after a
+    clock is the next position.  ``occ_rank`` is each rank's one offset,
+    for the kNN walker's wait matrix and the error retry chain.
     """
 
     __slots__ = (
-        "cc", "airing_starts", "airing_rank", "occ_rank", "occ_small", "wdtype",
-        "pk_of_rank", "rank_of_pos", "bchan", "bpk",
+        "cc", "starts", "occ_rank", "occ_small", "wdtype", "pk_of_rank",
+        "rank_of_pos", "bchan", "bpk",
     )
 
     def __init__(self, static: _Static, index: Any, config: Any, timeline) -> None:
@@ -413,87 +473,63 @@ class _Geometry(_Channel):
         if kt.channel != timeline.home_channel:
             raise KernelUnsupported("tables must air on the clients' home channel")
         n_frames = static.n_frames
+        if not np.array_equal(
+            timeline.bucket_frame[kt.bucket_ids], np.arange(n_frames)
+        ):
+            raise KernelUnsupported(
+                "index tables must air once per cycle, in broadcast-position order"
+            )
         super().__init__(config, timeline, kt.channel)
         self.cc = int(kt.cycle)  # the table channel's cycle
-
-        m = index.params.n_segments
-        seg_size = n_frames // m
-        # Per *airing* (possibly several per rank on replicated schedules):
-        # sorted cycle offsets plus the rank airing at each, for entry seeks.
-        bf = timeline.bucket_frame[kt.bucket_ids]
-        self.airing_starts = kt.starts
-        self.airing_rank = (bf % m) * seg_size + bf // m
-        # Per *rank*: the padded occurrence matrix and packet size.
-        ids, occ = kt.occurrence_matrix()
-        if len(ids) != n_frames:
-            raise KernelUnsupported("table buckets and frames disagree")
-        bfd = timeline.bucket_frame[ids]
-        rank_of_row = (bfd % m) * seg_size + bfd // m
-        if not np.array_equal(np.sort(rank_of_row), np.arange(n_frames)):
-            raise KernelUnsupported("table buckets do not cover every rank once")
-        row_of_rank = np.empty(n_frames, dtype=np.int64)
-        row_of_rank[rank_of_row] = np.arange(n_frames)
-        self.occ_rank = occ[row_of_rank]
-        self.pk_of_rank = timeline.bucket_packets[ids[row_of_rank]]
+        self.starts = kt.starts
         rank_of_pos = np.empty(n_frames, dtype=np.int64)
         rank_of_pos[static.pos_of_rank] = np.arange(n_frames)
         self.rank_of_pos = rank_of_pos
-        # The hop loop is memory-bound: wait matrices use the smallest
-        # dtype the cycle fits (offsets and waits both live in [0, cc)).
+        self.occ_rank = kt.starts[static.pos_of_rank]
+        self.pk_of_rank = timeline.bucket_packets[kt.bucket_ids[static.pos_of_rank]]
+        # The kNN hop loop is memory-bound: its wait matrix uses the
+        # smallest dtype the cycle fits (offsets and waits live in [0, cc)).
         self.wdtype = np.int32 if self.cc < np.iinfo(np.int32).max else np.int64
         self.occ_small = self.occ_rank.astype(self.wdtype)
         self.bchan = timeline.bucket_channel
         self.bpk = timeline.bucket_packets
 
-    def entry_seek(self, nb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """First table airing at/after ``nb``: ``(start, rank)`` arrays.
+    def next_position(self, nb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(off, pos)``: the within-cycle offset of each clock in ``nb``
+        and the first broadcast position whose table airs at/after it in
+        this cycle (``n_frames`` when none does)."""
+        off = nb - (nb // self.cc) * self.cc
+        return off, np.searchsorted(self.starts, off, side="left")
 
-        The kind-seek the reference's ``read_first_table`` performs, over
-        every airing -- on replicated schedules the nearest *copy* wins.
-        """
-        base = (nb // self.cc) * self.cc
-        off = nb - base
-        j = np.searchsorted(self.airing_starts, off, side="left")
-        wrap = j == len(self.airing_starts)
-        j = np.where(wrap, 0, j)
-        start = base + self.airing_starts[j] + wrap * self.cc
-        return start, self.airing_rank[j]
+    def entry_seek(self, nb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """First table airing at/after ``nb``: ``(start, rank)`` arrays --
+        the kind-seek the reference's ``read_first_table`` performs."""
+        off, pos = self.next_position(nb)
+        wrap = pos == len(self.starts)
+        pos = np.where(wrap, 0, pos)
+        start = nb - off + self.starts[pos] + wrap * self.cc
+        return start, self.rank_of_pos[pos]
 
     def wait_matrix(self, off: np.ndarray) -> np.ndarray:
-        """``(rows, F)`` packets until each rank's *nearest* airing.
-
-        ``off`` holds within-cycle offsets; the elementwise min over the
-        occurrence-matrix columns realises the replicated-schedule wait
-        (padding repeats the first airing, which never wins wrongly).
-        Airings and offsets lie in ``[0, cc)``: ``+ cc`` where negative is ``% cc``.
-        """
-        occ = self.occ_small
-        o = off.astype(self.wdtype)[:, None]
-        cyc = self.wdtype(self.cc)
-        w = occ[:, 0][None, :] - o
-        w += cyc * (w < 0)
-        for c in range(1, occ.shape[1]):
-            d = occ[:, c][None, :] - o
-            d += cyc * (d < 0)
-            np.minimum(w, d, out=w)
+        """``(rows, F)`` packets from within-cycle offsets ``off`` until each
+        rank's airing.  Airings and offsets lie in ``[0, cc)``: ``+ cc``
+        where negative is ``% cc``."""
+        w = self.occ_small[None, :] - off.astype(self.wdtype)[:, None]
+        w += self.wdtype(self.cc) * (w < 0)
         return w
 
     def wait_rows(self, nb: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """Packets from absolute clocks ``nb`` to the nearest airing of
-        ``ranks`` (one rank per row; the error retry chain's arrival)."""
-        occ = self.occ_rank[ranks]
-        off = nb - (nb // self.cc) * self.cc
-        return ((occ - off[:, None]) % self.cc).min(axis=1)
+        """Packets from absolute clocks ``nb`` to the airing of ``ranks``."""
+        return (self.occ_rank[ranks] - nb) % self.cc
 
     def read_nearest(
         self, cl: np.ndarray, ch: np.ndarray, cand: np.ndarray, tn: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Doze to each row's earliest-arriving ``cand`` table and read it.
 
-        Waits run from the switch-adjusted clock to each rank's *nearest*
-        airing; distinct airings sit at distinct cycle offsets, so waits
-        never tie and the reference's lowest-rank tie-break stays vacuous.
-        Returns ``(rank, clock, channel, tuning)`` after the read.
+        Distinct ranks air at distinct cycle offsets, so waits never tie
+        and the reference's lowest-rank tie-break stays vacuous.  Returns
+        ``(rank, clock, channel, tuning)`` after the read.
         """
         nb = self.doze(cl, ch, self.ctrl)
         wait = self.wait_matrix(nb - (nb // self.cc) * self.cc)
@@ -735,16 +771,21 @@ class _DsiLanes:
     hold every lane's session state.  A walk compacts them to the live
     lanes and :meth:`_retire` scatters each lane back as it leaves, so a
     later hop starts from the carried session and :func:`_simulate_items`
-    reads the final clocks off the masters.
+    reads the final clocks off the masters.  ``know``, the dense known-rank
+    mask, is ``None`` for a window walker whose items have one step: no
+    later hop reads it.
     """
 
     def entry(self, nb: np.ndarray) -> np.ndarray:
         """The lane collapse's entry airing: the first table at/after ``nb``."""
         return self.geo.entry_seek(nb)[0]
 
-    def _start(self, lane_start: np.ndarray) -> None:
+    def _start(self, lane_start: np.ndarray, dense: bool = True) -> None:
         self.clock, self.chan, self.tun = _tune_in(lane_start, self.geo.ctrl)
-        self.know = np.zeros((len(lane_start), self.static.n_frames), dtype=bool)
+        self.know = (
+            np.zeros((len(lane_start), self.static.n_frames), dtype=bool)
+            if dense else None
+        )
 
     def _read_entry(self, err: Optional[_ErrStreams]) -> np.ndarray:
         """The first index-table read after the probe (the reference's
@@ -761,7 +802,8 @@ class _DsiLanes:
             self.tun[pend] += pk
             ok = np.ones(len(pend), dtype=bool) if err is None else ~err.lost(pend)
             rank0[pend[ok]] = r[ok]
-            self.know[pend[ok]] |= st.learn[r[ok]]
+            if self.know is not None:
+                self.know[pend[ok]] |= st.learn[r[ok]]
             pend = pend[~ok]
             attempts += 1
             if len(pend) and attempts > st.n_frames + 1:
@@ -781,27 +823,87 @@ class _DsiLanes:
         self.clock[ids] = cl[done]
         self.chan[ids] = ch[done]
         self.tun[ids] = tn[done]
-        self.know[ids] = kn[done]
+        if kn is not None:
+            self.know[ids] = kn[done]
+
+
+class _SlotLanes:
+    """One working block of window lanes.
+
+    Per lane: lane id ``idx``, session (``cl``/``ch``/``tn``), query row
+    ``qr`` and, when a later hop reads it, the dense known mask ``kn``.
+    Per (slot, lane), slot-major so that every reduction over a lane's
+    slots is elementwise over lanes: the slot's rank ``rank`` and the
+    bounds ``[lo, hi)`` of its candidates.  A slot that is settled --
+    processed, or padding -- holds ``lo = F, hi = 0``.
+    """
+
+    __slots__ = ("idx", "cl", "ch", "tn", "qr", "kn", "rank", "lo", "hi")
+
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep the lanes ``keep`` (ascending positions)."""
+        for f in ("idx", "cl", "ch", "tn", "qr", "kn"):
+            value = getattr(self, f)
+            if value is not None:
+                setattr(self, f, value[keep])
+        for f in ("rank", "lo", "hi"):
+            setattr(self, f, getattr(self, f).take(keep, axis=1))
 
 
 class _Walker(_DsiLanes):
-    """The DSI window walker: per-(query, rank) visit plans replayed by the
-    rank-space hop.  A walk carries its own ``examined`` and ``pending``
-    (relevant, not yet processed) masks on the live lanes."""
+    """The DSI window walker: per-(query, rank) visit plans replayed over
+    per-lane *pending slots*.
+
+    A query's slots are its relevant ranks, padded to the run's largest
+    relevant count (``slot_rank``; ``slot_on`` marks the real ones).  While
+    slot rank ``p`` is pending (relevant, not yet processed) a lane keeps
+    the known-rank segment ``[B, A)`` holding it as ``lo`` -- ``B``, or
+    ``B + 1`` once ``B`` is examined -- and ``hi = A``.  The reference's
+    candidates are the unexamined ranks of the segments that hold a
+    pending rank, and an examined rank is known, so a segment start: the
+    candidates are exactly the union of the pending slots' ``[lo, hi)``.
+    Built tables also teach their successor, so there an examined rank's
+    segment holds no other rank and the ``+ 1`` never changes a pick; it
+    keeps the walker exact for every index :class:`_Static` accepts.
+
+    A table read keeps both bounds exact with one elementwise max/min
+    against :class:`_Static`'s ``prev_taught`` / ``next_taught``.  No
+    segment crosses a DSI segment, whose rank ``s·S + t`` airs at position
+    ``s + m·t`` once per cycle in position order (:class:`_Geometry`), so
+    a slot's first candidate airing at or after the lane's next position
+    ``i`` is ``max(lo, s·S + ceil((i - s) / m))`` -- or, when that reaches
+    ``hi``, ``lo`` one cycle later -- and the nearest candidate is the slot
+    minimum of ``(wrap, position)``: no ``(lanes, F)`` matrix per hop.  The
+    dense known mask is kept only when a later hop of the items reads it,
+    and a warm hop derives its slots' bounds from it.
+    """
 
     def __init__(self, index, timeline, config, queries, n_steps, verify,
                  dataset, scope, strategy) -> None:
-        self.static = _static_of(index)
-        self.geo = _Geometry(self.static, index, config, timeline)
+        self.static = st = _static_of(index)
+        self.geo = _Geometry(st, index, config, timeline)
         _index_scope(scope)
         # One precompute row per (item, step): knowledge clamps pending at
         # the global minimum, which hop 1's entry read always teaches
         # (_Static gates that every table teaches rank 0), so warm hops
         # share the cold clamp and the per-row tables are hop-invariant.
         self.rel, self.vlen, self.voff, self.vflat, self.correct = (
-            _precompute_queries(self.static, index, queries, verify, dataset)
+            _precompute_queries(st, index, queries, verify, dataset)
         )
         self.guard = index.air_view().window_guard
+        self.n_steps = n_steps
+        n_frames, rdt = st.n_frames, st.rdt
+        n_rel = self.rel.sum(axis=1)
+        width = max(int(n_rel.max(initial=0)), 1)
+        # Slot-major (width, queries) tables, like the lanes' blocks.
+        self.slot_on = (np.arange(width)[:, None] < n_rel).copy()
+        first = np.argsort(~self.rel, axis=1, kind="stable")[:, :width].T
+        self.slot_rank = np.where(self.slot_on, first, 0).astype(rdt)
+        # Position of each rank, and at rank F -- a settled slot's ``lo``
+        # -- F itself, so a settled slot's key is 2F, above every live one.
+        self.pos_small = np.append(st.pos_of_rank, n_frames).astype(rdt)
+        # The rank behind a (wrap, position) key.
+        self.rank_of_key = np.tile(self.geo.rank_of_pos, 2)
 
     def _visit_on(
         self,
@@ -843,61 +945,76 @@ class _Walker(_DsiLanes):
         """The cold hop: probe, first table read, then the reference's
         opportunistic entry-frame processing and the walk."""
         self.err = err
-        self._start(lane_start)
+        self.hops_left = self.n_steps - 1
+        self._start(lane_start, dense=self.hops_left > 0)
         rank0 = self._read_entry(err)
         # Entry frame: opportunistically processed when relevant; when not,
         # the table alone proved it irrelevant but it is *not* marked
         # examined (the reference only marks frames read inside the walk).
         ev = np.flatnonzero(self.rel[qrow, rank0])
-        examined = np.zeros(self.know.shape, dtype=bool)
-        examined[ev, rank0[ev]] = True
         self._visit_on(self.clock, self.chan, self.tun, ev, rank0[ev], qrow)
-        self._walk(qrow, examined)
+        self._walk(qrow, rank0)
 
     def hop(self, qrow: np.ndarray) -> None:
-        self._walk(qrow, np.zeros(self.know.shape, dtype=bool))
+        self.hops_left -= 1
+        self._walk(qrow, None)
 
     def verify(self, qrow: np.ndarray) -> np.ndarray:
         return self.correct[qrow]
 
-    def _walk(self, qr: np.ndarray, ex: np.ndarray) -> None:
-        """Advance every lane to pending-set exhaustion (one query hop),
-        taking over the hop's examined mask ``ex``.  Ranks examined before
-        a walk are exactly the processed ones, so they start it not pending."""
+    def _slots(self, qr: np.ndarray, rank0: Optional[np.ndarray]) -> _SlotLanes:
+        """Every lane's working block at the start of a walk.
+
+        The cold hop (``rank0``, the entry ranks) knows what the entry
+        table taught and has examined -- and processed -- the entry rank
+        when relevant; a warm hop reads its bounds off the carried known
+        mask and has examined nothing.
+        """
+        st = self.static
+        n_frames = st.n_frames
+        w = _SlotLanes()
+        w.idx = np.arange(len(qr))
+        w.cl, w.ch, w.tn = self.clock.copy(), self.chan.copy(), self.tun.copy()
+        w.qr = qr
+        w.rank = self.slot_rank.take(qr, axis=1)
+        on = self.slot_on.take(qr, axis=1)
+        if rank0 is None:
+            below, above = _rank_bounds(self.know, st.rdt)
+            at = w.idx * n_frames + w.rank
+            w.lo = below.take(at)
+            w.hi = above.take(at)
+        else:
+            at = rank0 * n_frames + w.rank
+            w.lo = st.prev_taught.take(at)
+            w.hi = st.next_taught.take(at)
+            w.lo += (w.lo == rank0) & self.rel[qr, rank0]
+            on &= w.rank != rank0
+        w.lo[~on] = n_frames
+        w.hi[~on] = 0
+        w.kn = self.know.copy() if self.hops_left > 0 else None
+        return w
+
+    def _walk(self, qr: np.ndarray, rank0: Optional[np.ndarray]) -> None:
+        """Advance every lane to pending-set exhaustion (one query hop)."""
         geo, st, err = self.geo, self.static, self.err
         n_frames = st.n_frames
-        idx = np.arange(len(self.clock))
-        cl = self.clock.copy()
-        ch = self.chan.copy()
-        tn = self.tun.copy()
-        kn = self.know.copy()
-        pd = self.rel[qr] & ~ex
-        for hop in range(self.guard + 1):
-            if not len(idx):
-                break
-            # Candidacy: r is a candidate iff it is unexamined and its
-            # known-rank segment holds a pending rank.
-            cand = _segment_candidates(kn, pd)
-            cand &= ~ex
-            has = cand.any(axis=1)
-            if not has.all():
-                self._retire(idx, has, cl, ch, tn, kn)
-                idx = idx[has]
-                if not len(idx):
-                    break
-                cl, ch, tn = cl[has], ch[has], tn[has]
-                kn, ex, pd = kn[has], ex[has], pd[has]
-                qr, cand = qr[has], cand[has]
-            if hop == self.guard:
+        w = self._slots(qr, rank0)
+        for step in range(self.guard + 1):
+            live = (w.lo < w.hi).any(axis=0)
+            if not live.all():
+                self._retire(w.idx, live, w.cl, w.ch, w.tn, w.kn)
+                w.compact(np.flatnonzero(live))
+            if not len(w.idx):
+                return
+            if step == self.guard:
                 raise KernelUnsupported("hop limit exceeded")
-
-            fr, cl, ch, tn = geo.read_nearest(cl, ch, cand, tn)
+            fr = self._nearest(w)
             if err is not None:
                 # The reference's read_table retry chain: a lost read pays
                 # its packets (parking the radio on the table channel) and
                 # retries the *next broadcast position*'s table from the
                 # new clock, up to n_frames failures.
-                active = np.flatnonzero(err.lost(idx))
+                active = np.flatnonzero(err.lost(w.idx))
                 attempts = 0
                 while len(active):
                     attempts += 1
@@ -907,20 +1024,65 @@ class _Walker(_DsiLanes):
                         raise KernelUnsupported("index-table retries exhausted")
                     r = geo.rank_of_pos[(st.pos_of_rank[fr[active]] + 1) % n_frames]
                     fr[active] = r
-                    nbv = cl[active]
+                    nbv = w.cl[active]
                     pk = geo.pk_of_rank[r]
-                    cl[active] = nbv + geo.wait_rows(nbv, r) + pk
-                    tn[active] += pk
-                    active = active[err.lost(idx[active])]
+                    w.cl[active] = nbv + geo.wait_rows(nbv, r) + pk
+                    w.tn[active] += pk
+                    active = active[err.lost(w.idx[active])]
+            self._absorb(w, fr)
 
-            # Absorb the (successfully read) table; process when still
-            # pending -- exactly overlaps_pending.
-            rows_all = np.arange(len(idx))
-            kn |= st.learn[fr]
-            ex[rows_all, fr] = True
-            rows = np.flatnonzero(pd[rows_all, fr])
-            pd[rows, fr[rows]] = False
-            self._visit_on(cl, ch, tn, rows, fr[rows], qr)
+    def _nearest(self, w: _SlotLanes) -> np.ndarray:
+        """Doze every lane to its earliest-arriving candidate table and
+        read it; returns the ranks read.  Each slot offers its first
+        candidate airing at or after the lane's next position (or, past
+        ``hi``, its first candidate one cycle later); ranks air at distinct
+        positions, so the least ``(wrap, position)`` key names the
+        reference's nearest candidate."""
+        geo, st = self.geo, self.static
+        rdt, n_frames, m = st.rdt, st.n_frames, st.n_segments
+        nb = geo.doze(w.cl, w.ch, geo.ctrl)
+        off, pos = geo.next_position(nb)
+        # DSI segment s airs its rank s·S + t at position s + m·t, so its
+        # first rank airing at/after ``pos`` is s·S + ceil((pos - s) / m).
+        seg = w.rank // rdt(st.seg_size)
+        first = (pos.astype(rdt) - seg + rdt(m - 1)) // rdt(m) + seg * rdt(st.seg_size)
+        cand = np.maximum(w.lo, first)
+        wrap = cand >= w.hi
+        np.copyto(cand, w.lo, where=wrap)
+        key = self.pos_small.take(cand)
+        key += wrap * rdt(n_frames)
+        fr = self.rank_of_key[key.min(axis=0)]
+        wait = geo.occ_rank[fr] - off
+        wait += geo.cc * (wait < 0)
+        pk = geo.pk_of_rank[fr]
+        w.cl = nb + wait + pk
+        w.ch[:] = geo.ctrl
+        w.tn = w.tn + pk
+        return fr
+
+    def _absorb(self, w: _SlotLanes, fr: np.ndarray) -> None:
+        """Learn the table of rank ``fr`` each lane read, mark it examined
+        and process it where it is pending -- exactly ``overlaps_pending``.
+        A slot's ``B`` rises to the table's largest taught rank at or below
+        the slot rank when that is larger; the lane did not know that rank,
+        so it is examined only if it is ``fr``.  An unmoved ``B`` that is
+        ``fr`` becomes examined too.  Either way ``lo`` becomes the larger
+        of itself and that taught rank, plus one when the rank is ``fr``."""
+        st = self.static
+        n_frames = st.n_frames
+        fs = fr.astype(st.rdt)
+        hit = (w.rank == fs) & (w.hi > 0)
+        at = fr * n_frames + w.rank
+        prev = st.prev_taught.take(at)
+        np.maximum(w.lo, prev + (prev == fs), out=w.lo)
+        np.minimum(w.hi, st.next_taught.take(at), out=w.hi)
+        rows = np.flatnonzero(hit.any(axis=0))
+        if len(rows):
+            np.copyto(w.lo, st.rdt(n_frames), where=hit)
+            np.copyto(w.hi, st.rdt(0), where=hit)
+        if w.kn is not None:
+            w.kn |= st.learn[fr]
+        self._visit_on(w.cl, w.ch, w.tn, rows, fr[rows], w.qr)
 
 
 def _lanes(

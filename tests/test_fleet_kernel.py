@@ -1105,14 +1105,8 @@ def _sweep_segment_candidates(kn, hit):
 
 
 def _modulo_wait_matrix(self, off):
-    """Test oracle: ``_Geometry.wait_matrix`` as it was, with ``% cc``."""
-    occ = self.occ_small
-    o = off.astype(self.wdtype)[:, None]
-    cyc = self.wdtype(self.cc)
-    w = (occ[:, 0][None, :] - o) % cyc
-    for c in range(1, occ.shape[1]):
-        np.minimum(w, (occ[:, c][None, :] - o) % cyc, out=w)
-    return w
+    """Test oracle: ``_Geometry.wait_matrix`` with ``% cc``."""
+    return (self.occ_small[None, :] - off.astype(self.wdtype)[:, None]) % self.wdtype(self.cc)
 
 
 def _segment_corpus(rng, n_frames):
@@ -1155,33 +1149,379 @@ def test_segment_candidates_match_sweep_oracle(n_frames):
         np.testing.assert_array_equal(got, want[row : row + 1])
 
 
-@pytest.mark.parametrize("width", [1, 4], ids=["flat", "replicated"])
 @pytest.mark.parametrize("wdtype", [np.int32, np.int64])
-def test_wait_matrix_matches_modulo_oracle(width, wdtype):
+def test_wait_matrix_matches_modulo_oracle(wdtype):
     """The division-free wait matrix equals the ``% cc`` one on seeded
-    occurrence matrices (flat, or padded with each rank's first airing),
-    at offsets 0 and ``cc - 1`` and in between."""
+    airing offsets (one per rank), at offsets 0 and ``cc - 1`` and in
+    between."""
     from repro.sim.fleet_kernel import _Geometry
 
-    rng = np.random.default_rng(77 + width)
+    rng = np.random.default_rng(77)
     for n_frames, cc in [(1, 1), (1, 5), (2, 8), (20, 60), (100, 2700)]:
-        per_rank = rng.integers(1, width + 1, size=n_frames)
-        per_rank[0] = width
-        per_rank = np.minimum(per_rank, cc // n_frames)  # distinct offsets
-        airings = np.sort(rng.choice(cc, size=int(per_rank.sum()), replace=False))
+        airings = np.sort(rng.choice(cc, size=n_frames, replace=False))
         airings[[0, -1]] = 0, cc - 1  # an airing at each cycle edge
-        rank = rng.permutation(np.repeat(np.arange(n_frames), per_rank))
-        occ = np.empty((n_frames, width), dtype=np.int64)
-        for r in range(n_frames):
-            mine = airings[rank == r]
-            occ[r, : len(mine)] = mine
-            occ[r, len(mine):] = mine[0]
         geo = object.__new__(_Geometry)
-        geo.cc, geo.wdtype, geo.occ_small = cc, wdtype, occ.astype(wdtype)
+        geo.cc, geo.wdtype = cc, wdtype
+        geo.occ_small = rng.permutation(airings).astype(wdtype)
         off = np.concatenate([[0, cc - 1], rng.integers(0, cc, size=50)])
         got = geo.wait_matrix(off)
         assert got.dtype == wdtype
         np.testing.assert_array_equal(got, _modulo_wait_matrix(geo, off))
+
+
+# --- the window walker's pending slots vs the dense rank-space hop -----------
+
+
+def _dense_window_hops(monkeypatch, drive=False):
+    """Patch the dense window hop the slot walker replaced into
+    :class:`_Walker` as a test oracle, and return its logs ``(walks,
+    reads)``.
+
+    The oracle mirrors every lane's dense known, examined and pending
+    ranks: a walk starts from the entry table's row of the learn matrix
+    (the cold hop, which examined and processed the entry rank when
+    relevant) or from the carried known mask (a warm hop), and every read
+    ORs in the table's row, marks its rank examined and clears it from
+    pending.  Before each slot-walker read it computes the former hop --
+    ``_segment_candidates`` over the pending ranks, minus the examined
+    ones, then ``_Geometry.read_nearest`` -- and asserts that the walker
+    retired exactly the lanes left without a candidate; at the end of a
+    walk, that every remaining lane has none.  Without ``drive`` it also
+    asserts that the slot walker reads the same rank at the same clock;
+    with ``drive`` the oracle's read replaces the slot walker's.
+    ``walks`` gets one ``(lanes, slot width, frames, entry ranks relevant,
+    entry ranks not relevant, padded queries)`` record per walk and
+    ``reads`` the lane count of every read.
+    """
+    from repro.sim import fleet_kernel as fk
+
+    walks, reads = [], []
+    real_walk = fk._Walker._walk
+    real_nearest = fk._Walker._nearest
+    real_absorb = fk._Walker._absorb
+
+    def candidates(self, lanes):
+        cand = fk._segment_candidates(self.known[lanes], self.pending[lanes])
+        return cand & ~self.examined[lanes]
+
+    def walk(self, qr, rank0):
+        n_lanes = len(qr)
+        self.examined = np.zeros((n_lanes, self.static.n_frames), dtype=bool)
+        relevant = np.zeros(n_lanes, dtype=bool)
+        if rank0 is not None:
+            self.known = self.static.learn[rank0]
+            relevant = self.rel[qr, rank0]
+            self.examined[np.flatnonzero(relevant), rank0[relevant]] = True
+        self.pending = self.rel[qr] & ~self.examined
+        self.lanes = np.arange(n_lanes)
+        width = self.slot_rank.shape[0]
+        padded = int((self.rel.sum(axis=1) < width).sum())
+        walks.append((n_lanes, width, self.static.n_frames,
+                      int(relevant.sum()) if rank0 is not None else 0,
+                      int((~relevant).sum()) if rank0 is not None else 0, padded))
+        real_walk(self, qr, rank0)
+        assert not candidates(self, self.lanes).any()
+
+    def nearest(self, w):
+        cand = candidates(self, self.lanes)
+        live = cand.any(axis=1)
+        np.testing.assert_array_equal(w.idx, self.lanes[live])
+        self.lanes = w.idx.copy()
+        want = self.geo.read_nearest(w.cl, w.ch, cand[live], w.tn)
+        reads.append(len(w.idx))
+        if drive:
+            fr, w.cl, w.ch, w.tn = want
+            return fr
+        fr = real_nearest(self, w)
+        np.testing.assert_array_equal(fr, want[0])
+        np.testing.assert_array_equal(w.cl, want[1])
+        np.testing.assert_array_equal(w.tn, want[3])
+        return fr
+
+    def absorb(self, w, fr):
+        self.known[w.idx] |= self.static.learn[fr]
+        self.examined[w.idx, fr] = True
+        self.pending[w.idx, fr] = False
+        real_absorb(self, w, fr)
+
+    monkeypatch.setattr(fk._Walker, "_walk", walk)
+    monkeypatch.setattr(fk._Walker, "_nearest", nearest)
+    monkeypatch.setattr(fk._Walker, "_absorb", absorb)
+    return walks, reads
+
+
+def _params_fleet(n_objects, dataset_seed, n_segments, index_base, channels,
+                  capacity, kind, workload, seed, theta=None, max_phases=MAX_PHASES,
+                  n_clients=N_CLIENTS):
+    """One fleet over a DSI index with explicit :class:`DsiParameters`:
+    ``kind`` "journey" runs ``workload`` as trajectories, "window" as
+    stationary trials (window or kNN).  Returns ``(index, result)``."""
+    from repro.core.structure import DsiIndex, DsiParameters
+
+    dataset = uniform_dataset(n_objects, seed=dataset_seed)
+    config = SystemConfig(packet_capacity=capacity, n_channels=channels)
+    index = DsiIndex(dataset, config, DsiParameters(n_segments=n_segments,
+                                                    index_base=index_base))
+    run = run_mobile_fleet if kind == "journey" else run_fleet
+    return index, run(index, dataset, config, workload, n_clients, seed=seed,
+                      max_phases=max_phases, error_theta=theta, error_seed=3,
+                      verify=theta is None)
+
+
+@given(data=st.data())
+@settings(**_SETTINGS)
+def test_slot_walker_matches_dense_hop_oracle(data):
+    """Every hop of the slot walker is the dense rank-space hop.
+
+    Hypothesis draws the dataset, the window side (0.02--0.9), the phase
+    count, the DSI segment count (1--5) and base, the channel count, loss
+    and stationary or 3-hop items; at every read the slot walker must pick
+    the dense oracle's rank at its clock and retire exactly the lanes the
+    oracle leaves without a candidate.
+    """
+    m = data.draw(st.integers(min_value=1, max_value=5), label="n_segments")
+    n_objects = data.draw(st.integers(min_value=12, max_value=160))
+    side = data.draw(st.floats(min_value=0.02, max_value=0.9), label="side")
+    kind = data.draw(st.sampled_from(["window", "journey"]))
+    seed = data.draw(st.integers(min_value=0, max_value=1 << 16))
+    if kind == "journey":
+        workload = trajectory_workload(n_journeys=3, n_steps=3, seed=seed,
+                                       win_side_ratio=side)
+    else:
+        workload = window_workload(4, side, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        walks, reads = _dense_window_hops(mp)
+        _, result = _params_fleet(
+            n_objects, seed, m, data.draw(st.sampled_from([2, 3])),
+            data.draw(st.sampled_from([1, 4])), 64, kind, workload, seed,
+            theta=data.draw(st.sampled_from([None, 0.12])),
+            max_phases=data.draw(st.integers(min_value=1, max_value=64), label="phases"),
+        )
+    assert result.backend == "numpy", result.backend_reason
+    assert result.result.incorrect_trials == 0
+    assert walks
+
+
+def _windows(*rects):
+    """A workload of stationary window trials over ``rects``."""
+    return Workload("windows", [Trial(WindowQuery(r), 0.0) for r in rects])
+
+
+#: Fixed (name, workload, n_segments, channels, theta) cells for the slot
+#: walker's edges.  The corner window lies below the dataset's least HC
+#: value, so it has no relevant rank; the whole-space window makes every
+#: rank relevant (slot width F); the mixed run pads its small windows'
+#: slots.  The "no-successor" cells run both engines on tables that teach
+#: no successor rank (unless it starts a DSI segment): built tables always
+#: do, which leaves a read rank's segment nothing else to hold, so only
+#: there does a walk resume a segment whose first rank it examined.
+_SLOT_EDGE_CELLS = [
+    ("no-relevant-rank",
+     _windows(Rect(0.0, 0.0, 0.001, 0.001), Rect(0.3, 0.3, 0.4, 0.4)), 2, 1, None),
+    ("every-frame", _windows(Rect(0.0, 0.0, 1.0, 1.0)), 3, 4, None),
+    ("padding", _windows(Rect(0.0, 0.0, 0.9, 0.9), Rect(0.5, 0.5, 0.52, 0.52),
+                         Rect(0.1, 0.6, 0.2, 0.7)), 2, 4, None),
+    ("retry-chains", window_workload(6, 0.3, seed=5), 4, 1, 0.12),
+    ("retry-chains-4ch", window_workload(6, 0.3, seed=6), 5, 4, 0.12),
+    ("no-successor", window_workload(6, 0.3, seed=7), 1, 1, None),
+    ("no-successor-4ch", window_workload(6, 0.3, seed=8), 3, 4, 0.12),
+]
+
+
+def _drop_successors(monkeypatch):
+    """Make every table teach no successor rank -- for both engines,
+    which absorb tables through ``ClientKnowledge.table_pairs`` -- except
+    where the successor starts a DSI segment (``_Static`` gates those)."""
+    from repro.core.knowledge import ClientKnowledge
+
+    real_pairs = ClientKnowledge.table_pairs
+
+    def pairs(self, table):
+        nxt = self.rank_of_pos(table.frame_pos) + 1
+        got = real_pairs(self, table)
+        if nxt % self.seg_size == 0:
+            return got
+        return tuple(p for p in got if p[0] != nxt)
+
+    monkeypatch.setattr(ClientKnowledge, "table_pairs", pairs)
+
+
+@pytest.mark.parametrize(
+    "name, workload, n_segments, channels, theta", _SLOT_EDGE_CELLS,
+    ids=[cell[0] for cell in _SLOT_EDGE_CELLS],
+)
+def test_slot_walker_edges_match_dense_hop_oracle(
+    name, workload, n_segments, channels, theta, monkeypatch
+):
+    """The slot walker's edges, each against the dense hop oracle and the
+    reference: a query with no relevant rank, a window covering every
+    frame, queries with different relevant counts (padded slots), entry
+    ranks relevant and not, index-scope loss retry chains, and tables
+    that teach no successor."""
+    from repro.sim import fleet_kernel as fk
+
+    losses = []
+    real_lost = fk._ErrStreams.lost
+
+    def lost(self, lanes):
+        out = real_lost(self, lanes)
+        losses.append(int(out.sum()))
+        return out
+
+    def run():
+        return _params_fleet(90, 21, n_segments, 2, channels, 64, "window",
+                             workload, 4, theta=theta, max_phases=48)
+
+    if name.startswith("no-successor"):
+        _drop_successors(monkeypatch)
+    monkeypatch.setattr(fk._ErrStreams, "lost", lost)
+    with monkeypatch.context() as mp:
+        walks, reads = _dense_window_hops(mp)
+        index, fast = run()
+    assert fast.backend == "numpy", fast.backend_reason
+    monkeypatch.setenv("REPRO_PURE", "1")
+    _, pure = run()
+    assert pure.backend == "reference"
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+    if theta is None:
+        assert fast.result.incorrect_trials == 0
+
+    [(n_lanes, width, n_frames, entry_rel, entry_irrel, padded)] = walks
+    assert reads
+    rel = fk._precompute_queries(
+        fk._static_of(index), index, [t.query for t in workload], False, None
+    )[0]
+    counts = rel.sum(axis=1)
+    assert width == counts.max()
+    if name == "no-relevant-rank":
+        assert counts[0] == 0 < counts[1]
+    elif name == "every-frame":
+        assert width == n_frames and rel.all()
+    else:
+        assert entry_rel and entry_irrel
+    if name == "padding":
+        assert padded == 2 and counts.min() < width
+    if theta is not None:
+        assert sum(losses) > 20
+
+
+@pytest.mark.parametrize("skip", ["own rank", "segment start"])
+def test_static_declines_tables_that_skip_their_own_or_a_segment_start(
+    skip, monkeypatch
+):
+    """The slot walker relies on every table teaching its own rank and
+    the first rank of every DSI segment; an index where one does not is
+    declined, and its fleet runs on the reference with that reason."""
+    from repro.core.knowledge import ClientKnowledge
+    from repro.sim import fleet_kernel as fk
+
+    dataset = uniform_dataset(60, seed=3)
+    config = SystemConfig(packet_capacity=64)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    static = fk._Static(index)
+    seg_size = static.seg_size
+    assert static.n_segments == 2 and seg_size > 1
+    real_pairs = ClientKnowledge.table_pairs
+
+    def pairs(self, table):
+        own = self.rank_of_pos(table.frame_pos)
+        got = real_pairs(self, table)
+        if skip == "own rank":
+            # Rank 1 is no segment start: only its own table teaches it.
+            return tuple(p for p in got if p[0] != 1 or own != 1)
+        return tuple(p for p in got if p[0] != seg_size or own == seg_size)
+
+    monkeypatch.setattr(ClientKnowledge, "table_pairs", pairs)
+    want = "own rank" if skip == "own rank" else f"rank {seg_size}, the first"
+    with pytest.raises(fk.KernelUnsupported, match=want):
+        fk._Static(index)
+    result = run_fleet(index, dataset, config, window_workload(3, 0.2, seed=1),
+                       200, seed=2, max_phases=8)
+    assert result.backend == "reference"
+    assert want in result.backend_reason
+
+
+def test_geometry_declines_a_table_airing_twice(monkeypatch):
+    """A raw single-channel schedule that airs one index table twice per
+    cycle breaks the once-per-cycle fact the slot walker's arithmetic
+    rests on: the fleet runs on the reference, says why, and its arrays
+    equal a ``REPRO_PURE=1`` fleet's."""
+    from repro.broadcast.channel import Channel, ChannelRole
+    from repro.broadcast.program import BroadcastProgram
+
+    dataset = uniform_dataset(80, seed=11)
+    config = SystemConfig(packet_capacity=64)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    program = index.program
+    ids = list(range(len(program))) + [index.table_bucket[0]]
+    channel = Channel(
+        cid=0, role=ChannelRole.HYBRID,
+        program=BroadcastProgram([program.buckets[g] for g in ids], name="twice"),
+        global_ids=tuple(ids),
+    )
+    schedule = BroadcastSchedule((channel,), program)
+    assert schedule.max_multiplicity == 2
+    workload = window_workload(4, 0.15, seed=2)
+
+    def run():
+        return run_fleet(index, dataset, config, workload, 500, seed=3,
+                         max_phases=16, verify=True, schedule=schedule)
+
+    fast = run()
+    assert fast.backend == "reference"
+    assert "once per cycle, in broadcast-position order" in fast.backend_reason
+    assert fast.result.incorrect_trials == 0
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = run()
+    assert "REPRO_PURE" in pure.backend_reason
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+
+
+#: The deterministic DSI-parameter grid: every (n_segments, index_base,
+#: kind) cell runs at 1 and 3 channels and 64 and 256 B packets.
+_PARAM_KINDS = ["window", "lossy", "knn", "journey"]
+
+
+@pytest.mark.parametrize("kind", _PARAM_KINDS)
+@pytest.mark.parametrize("index_base", [2, 3])
+@pytest.mark.parametrize("n_segments", [1, 3, 4, 5])
+def test_kernel_matches_reference_across_dsi_parameters(
+    n_segments, index_base, kind, monkeypatch
+):
+    """Kernel arrays equal ``REPRO_PURE=1`` arrays off the registry's DSI
+    parameters (``n_segments=2``, ``index_base=2``), where the slot
+    walker's position arithmetic meets other segment counts ``m``:
+    windows, index-scope lossy windows, 4NN and 3-hop journeys at 1 and 3
+    channels and 64 and 256 B packets; lossless answers verify."""
+    seed = 10 * n_segments + index_base
+    if kind == "journey":
+        workload = trajectory_workload(n_journeys=3, n_steps=3, seed=seed,
+                                       win_side_ratio=0.15)
+    elif kind == "knn":
+        workload = knn_workload(3, k=4, seed=seed)
+    else:
+        workload = window_workload(4, 0.15, seed=seed)
+    theta = 0.12 if kind == "lossy" else None
+    for channels in (1, 3):
+        for capacity in (64, 256):
+            cell = (60, seed, n_segments, index_base, channels, capacity,
+                    "journey" if kind == "journey" else "window", workload, seed)
+            monkeypatch.delenv("REPRO_PURE", raising=False)
+            index, fast = _params_fleet(*cell, theta=theta, n_clients=200)
+            assert index.params.n_segments == n_segments
+            monkeypatch.setenv("REPRO_PURE", "1")
+            _, pure = _params_fleet(*cell, theta=theta, n_clients=200)
+            assert fast.backend == "numpy", fast.backend_reason
+            assert pure.backend == "reference"
+            np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+            np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+            np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+            if theta is None:
+                assert fast.result.incorrect_trials == 0
 
 
 #: Fixed (query kind, channels, schedule, theta) fleet cells replayed with
@@ -1205,9 +1545,11 @@ _HELPER_CELLS = [
     ids=["-".join(str(p) for p in cell) for cell in _HELPER_CELLS],
 )
 def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeypatch):
-    """Fleets through the new candidacy and wait helpers equal fleets with
-    the four-sweep and ``% cc`` oracles patched back in, execution for
-    execution."""
+    """Fleets through the kernel's lane hops equal fleets run on the
+    former formulations, execution for execution: the four-sweep segment
+    test and the ``% cc`` wait matrix patched in for the kNN walker's
+    helpers, and -- for window and journey cells -- the dense window hop
+    driving the window walker's reads over those helpers."""
     from repro.sim import fleet_kernel as fk
 
     dataset = uniform_dataset(120, seed=42 + channels)
@@ -1245,8 +1587,13 @@ def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeyp
 
     monkeypatch.setattr(fk, "_segment_candidates", counted(_sweep_segment_candidates))
     monkeypatch.setattr(fk._Geometry, "wait_matrix", counted(_modulo_wait_matrix))
+    window = not query.startswith("knn")
+    if window:
+        _, reads = _dense_window_hops(monkeypatch, drive=True)
     old = run()
     assert {"_sweep_segment_candidates", "_modulo_wait_matrix"} <= set(calls)
+    if window:
+        assert reads  # the dense hop drove the window walker's reads
     assert new.backend == old.backend == "numpy"
     np.testing.assert_array_equal(new.unique_counts, old.unique_counts)
     np.testing.assert_array_equal(new.unique_latency, old.unique_latency)

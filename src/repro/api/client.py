@@ -10,7 +10,9 @@ Tune-in positions default to a **seeded random** packet of the cycle (the
 physical situation of a user switching the radio on at an arbitrary time);
 ``at=`` accepts an explicit packet position or a cycle fraction in
 ``[0, 1)``.  A pluggable :class:`~repro.broadcast.errors.LinkErrorModel`
-makes the client's link lossy.
+makes the client's link lossy; each session the client opens runs on that
+model re-seeded by the session's ordinal, so repeated queries draw
+independent losses.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Union
 
 from ..broadcast.client import AccessMetrics, ClientSession
-from ..broadcast.errors import LinkErrorModel
+from ..broadcast.errors import LinkErrorModel, _session_model
 from ..queries.types import KnnQuery, Query, WindowQuery
 from ..queries.workload import Trial, Workload
 from ..sim.metrics import ExperimentResult
@@ -57,6 +59,7 @@ class MobileClient:
         self.config = server.config
         self.error_model = error_model
         self._rng = random.Random(seed)
+        self._sessions = 0
         self.history: List[QueryRecord] = []
 
     # -- tuning in -------------------------------------------------------------
@@ -77,6 +80,16 @@ class MobileClient:
             return int(at * cycle) % cycle
         raise TypeError("at must be an int packet position or a float fraction")
 
+    def _session_errors(self) -> Optional[LinkErrorModel]:
+        """The link model of the next session this client opens: the
+        client's model re-seeded by its session ordinal, so a query repeated
+        at one position draws fresh losses (the tune-in stream is not
+        touched)."""
+        if self.error_model is None:
+            return None
+        self._sessions += 1
+        return _session_model(self.error_model, self._sessions)
+
     def tune_in(self, at: Optional[Union[int, float]] = None) -> ClientSession:
         """Open a session on the channel.
 
@@ -93,7 +106,7 @@ class MobileClient:
             self.server.schedule.view(),
             self.config,
             start_packet=self._start_packet(at),
-            error_model=self.error_model,
+            error_model=self._session_errors(),
         )
 
     # -- single queries ----------------------------------------------------------
@@ -188,7 +201,7 @@ class MobileClient:
             self.server.schedule.view(),
             self.config,
             start_packet=self._start_packet(at),
-            error_model=self.error_model,
+            error_model=self._session_errors(),
             knn_strategy=knn_strategy,
             speed=motion.speed,
         )

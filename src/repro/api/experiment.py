@@ -253,11 +253,13 @@ class Experiment:
     ) -> "Experiment":
         """Make the channel lossy.
 
-        Pass a :class:`LinkErrorModel` instance to share it across all runs
-        (its random stream flows through them in declaration order), or
-        ``theta=``/``scope=``/``seed=`` to create a fresh seeded model per
-        sweep point -- the deterministic choice for parallel sweeps and the
-        form the ``theta`` sweep axis requires.
+        Pass a :class:`LinkErrorModel` instance to share it across all runs,
+        or ``theta=``/``scope=``/``seed=`` to create a fresh seeded model per
+        sweep point -- the form the ``theta`` sweep axis and fleets require.
+        A loss depends only on the model's seed and the airing a trial
+        reads (every trial runs on the model re-seeded for its own key), so
+        a shared model gives the same rows in any index order, serially or
+        in parallel, as a fresh model with the same seed per point.
         """
         if model is not None and theta is not None:
             raise ValueError("pass either a model instance or theta=, not both")
@@ -444,12 +446,6 @@ class Experiment:
             raise ValueError("declare at least one workload (or mobility) before run()")
         self._validate_axes()
         points = self._expand_points()
-        if self._error_model is not None and len(points) > 1:
-            raise ValueError(
-                "a shared LinkErrorModel instance is not reproducible across "
-                "sweep points (its random stream would depend on execution "
-                "order); declare errors(theta=..., scope=..., seed=...) instead"
-            )
         tasks = [(self, params) for params in points]
         per_point = parallel_map(
             _run_point, tasks, processes=1 if not parallel else processes

@@ -285,7 +285,7 @@ class ClientSession:
             if target != self.channel:
                 self.channel_switches += 1
                 self.channel = target
-        lost = False if self._lossless else self.error_model.is_lost(bucket)
+        lost = False if self._lossless else self.error_model.is_lost(bucket, start)
         if lost:
             self.lost_reads += 1
         return ReadResult(

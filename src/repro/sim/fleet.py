@@ -63,7 +63,7 @@ import numpy as np
 
 from ..broadcast.client import ClientSession
 from ..broadcast.config import SystemConfig
-from ..broadcast.errors import LinkErrorModel
+from ..broadcast.errors import LinkErrorModel, _session_seed
 from ..broadcast.schedule import BroadcastSchedule
 from ..broadcast.timeline import timeline_of
 from ..purity import pure_mode
@@ -516,9 +516,9 @@ def _simulate_item_batch(iid: int, phases: Sequence[int]) -> List[Tuple[int, int
         if theta is not None:
             # Every client sharing this (item, phase) execution experiences
             # the same loss realisation; distinct executions are independent.
-            key = iid * n_phases + phase
             error_model = LinkErrorModel(
-                theta=theta, scope=scope, seed=(error_seed * 1_000_003 + key) & 0x7FFFFFFF
+                theta=theta, scope=scope,
+                seed=_session_seed(error_seed, iid * n_phases + phase),
             )
             lat_packets, tun_bytes, correct, capped = simulate(start_packet, error_model)
         else:

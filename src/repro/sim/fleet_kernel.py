@@ -8,7 +8,7 @@ a stationary trial is a one-step item, a journey one step per hop.
 the run's index family and query kind -- :class:`_Walker` (DSI windows),
 :class:`_TreeWalker` (R-tree and HCI windows) or :class:`_KnnWalker` (DSI
 kNN) -- and runs the session frame every client shares exactly once: the
-loss streams, the lane collapse, the cold hop, the warm-hop loop (dwell,
+loss tests, the lane collapse, the cold hop, the warm-hop loop (dwell,
 re-armed probe, walk), the per-hop verification and the landmark shift of
 latencies back to keys.  A walker contributes only its family's plans and
 visit rule, behind one protocol:
@@ -100,17 +100,15 @@ exactly when all its relevant ranks are processed -- the reference loop's
 termination condition.
 
 **Link errors** (``scope="index"``, the experiments' default) vectorise
-too: every execution owns one PCG64 stream seeded exactly like its
-reference :class:`~repro.broadcast.errors.LinkErrorModel`, and under the
-index scope that model draws one uniform per index-*table* reception
-attempt, in walk order, and nothing else (probes read no bucket; directory
-and data buckets are out of scope).  A chunked stream prefix equals the
-same number of scalar ``.random()`` calls, so the kernel buffers each
-lane's stream in batched array reads (:class:`_ErrStreams`, which advances
-every lane's PCG64 as flat uint64 arrays -- no per-lane ``Generator``
-objects -- seeded bit-identically to numpy's) and replays the
-reference's retry rules draw for draw: a lost entry read re-seeks the next
-table airing (giving up, like the reference's ``RuntimeError``, after
+too: every execution owns the :class:`~repro.broadcast.errors.LinkErrorModel`
+its reference run gets, and a model loses a read by a hash of its seed and
+the read's start packet alone -- it keeps no stream -- so one vectorised
+test decides any set of lanes' reads in any order
+(:class:`~repro.broadcast.errors._Losses`).
+Under the index scope only index-table reads can be lost (probes read no
+bucket; directory and data buckets are out of scope).  The walker replays
+the reference's retry rules: a lost entry read re-seeks the next table
+airing (giving up, like the reference's ``RuntimeError``, after
 ``n_frames + 1`` attempts -- the kernel declines so the fallback reproduces
 the error); a lost in-walk read chains to the *next broadcast position*'s
 table until one lands (cap ``n_frames``).  Lost reads pay latency and
@@ -158,9 +156,9 @@ padded copy-bucket matrix, a static child-adjacency matrix and a
 root-expansion mask; a hop then advances every lane as a frontier sweep:
 batched ``next_occurrences`` over all pending copies, masked argmin (first
 minimum = the reference's tie-break), clear the landed event and OR in its
-adjacency row.  Node reads draw link errors exactly like the reference
-(navigation kind, per-lane streams, in walk order); data reads never do
-under the index scope.  Items with a second hop add a per-lane node-cache
+adjacency row.  Node reads are lost exactly like the reference's
+(navigation kind, each lane's model key and the read's start); data reads
+never are under the index scope.  Items with a second hop add a per-lane node-cache
 bitmask: cached pending nodes are expanded for free to a fixpoint at the
 top of every step, the vectorised counterpart of the reference sweep's
 cache drain (the cascade is order-independent for window sweeps, which only union
@@ -215,6 +213,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..broadcast.errors import _Losses, _session_seed
 from ..broadcast.program import BucketKind
 from ..broadcast.timeline import timeline_of
 from ..broadcast.treeair import TreeAirIndex, TreeOnAir
@@ -539,147 +538,6 @@ class _Geometry(_Channel):
         return chosen, cl, np.full(len(chosen), self.ctrl, dtype=np.int64), tn + pk
 
 
-# --- vectorized PCG64 lanes -----------------------------------------------
-#
-# ``np.random.default_rng(seed)`` is Generator(PCG64(SeedSequence(seed))).
-# Building thousands of those objects costs more than the whole lockstep
-# walk (~15 us apiece), so the error streams run the same algorithms as
-# flat uint64 lanes instead: O'Neill's seed-hash (SeedSequence) to expand
-# each 32-bit seed into PCG64's 256-bit init, then the 128-bit LCG with
-# XSL-RR output, carried as (hi, lo) uint64 pairs.  Every constant below is
-# numpy's; `tests/test_fleet_kernel.py` pins the streams draw-for-draw
-# against ``default_rng`` (numpy guarantees stream stability per seed).
-
-_U32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-_XSHIFT = np.uint64(16)
-_M32 = (1 << 32) - 1
-_PCG_MULT_HI = np.uint64(0x2360ED051FC65DA4)
-_PCG_MULT_LO = np.uint64(0x4385DF649FCCF645)
-_D53 = 1.0 / 9007199254740992.0  # 2**-53, Generator.random's scaling
-
-
-def _seedseq_state(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, uint64)`` for a vector of scalar
-    32-bit entropies: (4, n) uint64 -- PCG64's (state, inc) init words."""
-    n = len(seeds)
-    ent = np.asarray(seeds, dtype=np.uint64) & _U32
-    # hash constants evolve identically across lanes (data-independent),
-    # so they stay python scalars while the values vectorise.
-    hc = [0x43B0D7E5]  # INIT_A
-
-    def hashmix(val: np.ndarray) -> np.ndarray:
-        val = (val ^ np.uint64(hc[0])) & _U32
-        hc[0] = (hc[0] * 0x931E8875) & _M32  # MULT_A
-        val = (val * np.uint64(hc[0])) & _U32
-        return val ^ (val >> _XSHIFT)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        r = ((x * np.uint64(0xCA01F9DD)) - (y * np.uint64(0x4973F715))) & _U32
-        return r ^ (r >> _XSHIFT)
-
-    pool = [hashmix(ent)]
-    for _ in range(3):
-        pool.append(hashmix(np.zeros(n, dtype=np.uint64)))
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    hcb = 0x8B51F9DD  # INIT_B
-    out32 = []
-    for i in range(8):
-        v = pool[i % 4] ^ np.uint64(hcb)
-        hcb = (hcb * 0x58F38DED) & _M32  # MULT_B
-        v = (v * np.uint64(hcb)) & _U32
-        out32.append(v ^ (v >> _XSHIFT))
-    out64 = np.empty((4, n), dtype=np.uint64)
-    for j in range(4):  # uint32 word pairs assemble little-endian
-        out64[j] = out32[2 * j] | (out32[2 * j + 1] << _S32)
-    return out64
-
-
-def _pcg64_step(shi, slo, ihi, ilo):
-    """One LCG step ``state = state * PCG_MULT + inc`` in 128 bits."""
-    al, ah = slo & _U32, slo >> _S32
-    bl, bh = _PCG_MULT_LO & _U32, _PCG_MULT_LO >> _S32
-    ll = al * bl
-    lh = al * bh
-    hl = ah * bl
-    mid = (ll >> _S32) + (lh & _U32) + (hl & _U32)
-    lo = (ll & _U32) | ((mid & _U32) << _S32)
-    hi = ah * bh + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    hi = hi + slo * _PCG_MULT_HI + shi * _PCG_MULT_LO
-    lo2 = lo + ilo
-    return hi + ihi + (lo2 < lo), lo2
-
-
-def _pcg64_init(seeds: np.ndarray):
-    """Per-lane (state_hi, state_lo, inc_hi, inc_lo) after PCG64 seeding:
-    ``inc = (initseq << 1) | 1; state = 0; step; state += initstate; step``."""
-    init_hi, init_lo, seq_hi, seq_lo = _seedseq_state(seeds)
-    ihi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
-    ilo = (seq_lo << np.uint64(1)) | np.uint64(1)
-    shi, slo = _pcg64_step(np.zeros_like(ihi), np.zeros_like(ilo), ihi, ilo)
-    lo2 = slo + init_lo
-    shi, slo = shi + init_hi + (lo2 < slo), lo2
-    shi, slo = _pcg64_step(shi, slo, ihi, ilo)
-    return shi, slo, ihi, ilo
-
-
-class _ErrStreams:
-    """Per-lane link-error draw streams, bit-equal to the reference models.
-
-    The reference path seeds one :class:`LinkErrorModel` per ``(query,
-    phase)`` execution; under ``scope="index"`` it draws exactly one
-    uniform per index-table reception attempt, in walk order.  This helper
-    advances the matching PCG64 stream for every lane at once (flat uint64
-    state arrays, no ``Generator`` objects) and serves the draws from a
-    batched buffer: the chunked prefix of a lane's stream equals the same
-    number of scalar ``.random()`` calls, so extending every lane's buffer
-    by chunks preserves draw-for-draw equality.
-    """
-
-    __slots__ = ("theta", "_shi", "_slo", "_ihi", "_ilo", "_buf", "_ptr")
-
-    _CHUNK = 16
-
-    def __init__(self, seeds: np.ndarray, theta: float) -> None:
-        self.theta = float(theta)
-        self._shi, self._slo, self._ihi, self._ilo = _pcg64_init(seeds)
-        self._buf = self._draw(self._CHUNK)
-        self._ptr = np.zeros(len(seeds), dtype=np.int64)
-
-    def _draw(self, k: int) -> np.ndarray:
-        """Advance every lane ``k`` draws: (n, k) uniforms in [0, 1).
-
-        ``Generator.random`` is ``(next_uint64 >> 11) * 2**-53``; the
-        XSL-RR output mixes the *post-step* 128-bit state (rotate the
-        xor-folded halves by the top 6 bits).
-        """
-        shi, slo = self._shi, self._slo
-        ihi, ilo = self._ihi, self._ilo
-        out = np.empty((len(slo), k), dtype=np.float64)
-        r11, r58, r63, r64 = (np.uint64(11), np.uint64(58), np.uint64(63),
-                              np.uint64(64))
-        for j in range(k):
-            shi, slo = _pcg64_step(shi, slo, ihi, ilo)
-            rot = shi >> r58
-            x = shi ^ slo
-            word = (x >> rot) | (x << ((r64 - rot) & r63))
-            out[:, j] = (word >> r11).astype(np.float64) * _D53
-        self._shi, self._slo = shi, slo
-        return out
-
-    def lost(self, lanes: np.ndarray) -> np.ndarray:
-        """One loss draw per requested lane (lanes must be unique)."""
-        width = self._buf.shape[1]
-        if len(lanes) and int(self._ptr[lanes].max()) >= width:
-            self._buf = np.concatenate([self._buf, self._draw(width)], axis=1)
-        p = self._ptr[lanes]
-        self._ptr[lanes] = p + 1
-        return self._buf[lanes, p] < self.theta
-
-
 def _index_scope(scope: Optional[str]) -> None:
     """Decline a lossy scope other than ``index``: it loses buckets the
     window walkers' visit replay does not model losing."""
@@ -787,7 +645,7 @@ class _DsiLanes:
             if dense else None
         )
 
-    def _read_entry(self, err: Optional[_ErrStreams]) -> np.ndarray:
+    def _read_entry(self, err: Optional[_Losses]) -> np.ndarray:
         """The first index-table read after the probe (the reference's
         ``read_first_table`` kind-seek), with loss retries; every lane
         learns its table.  Returns each lane's entry rank."""
@@ -800,7 +658,7 @@ class _DsiLanes:
             pk = geo.pk_of_rank[r]
             self.clock[pend] = start + pk
             self.tun[pend] += pk
-            ok = np.ones(len(pend), dtype=bool) if err is None else ~err.lost(pend)
+            ok = np.ones(len(pend), dtype=bool) if err is None else ~err.lost(pend, start)
             rank0[pend[ok]] = r[ok]
             if self.know is not None:
                 self.know[pend[ok]] |= st.learn[r[ok]]
@@ -941,7 +799,7 @@ class _Walker(_DsiLanes):
         tun[rows] += paid
 
     def begin(self, lane_start: np.ndarray, qrow: np.ndarray,
-              err: Optional[_ErrStreams]) -> None:
+              err: Optional[_Losses]) -> None:
         """The cold hop: probe, first table read, then the reference's
         opportunistic entry-frame processing and the walk."""
         self.err = err
@@ -1014,7 +872,7 @@ class _Walker(_DsiLanes):
                 # its packets (parking the radio on the table channel) and
                 # retries the *next broadcast position*'s table from the
                 # new clock, up to n_frames failures.
-                active = np.flatnonzero(err.lost(w.idx))
+                active = np.flatnonzero(err.lost(w.idx, w.cl - geo.pk_of_rank[fr]))
                 attempts = 0
                 while len(active):
                     attempts += 1
@@ -1026,9 +884,10 @@ class _Walker(_DsiLanes):
                     fr[active] = r
                     nbv = w.cl[active]
                     pk = geo.pk_of_rank[r]
-                    w.cl[active] = nbv + geo.wait_rows(nbv, r) + pk
+                    start = nbv + geo.wait_rows(nbv, r)
+                    w.cl[active] = start + pk
                     w.tn[active] += pk
-                    active = active[err.lost(w.idx[active])]
+                    active = active[err.lost(w.idx[active], start)]
             self._absorb(w, fr)
 
     def _nearest(self, w: _SlotLanes) -> np.ndarray:
@@ -1102,7 +961,7 @@ def _lanes(
     for DSI, the first root copy for trees -- and the start, not just the
     bucket, keys the dedup, which is what lets replicated (demand-aware)
     schedules collapse exactly like striped ones.  Under link errors every
-    execution draws its own loss realisation, so every key is its own lane.
+    execution has its own loss realisation, so every key is its own lane.
     Returns ``(start_p, lane_of_key, lane_ids, lane_start)``.
     """
     start_p = (key_phases * cycle) // n_phases
@@ -1374,7 +1233,7 @@ class _TreeWalker:
         self.entry = self.geo.root_arrival
 
     def begin(self, lane_start: np.ndarray, qrow: np.ndarray,
-              err: Optional[_ErrStreams]) -> None:
+              err: Optional[_Losses]) -> None:
         """The cold hop: the probe, then one window sweep per lane."""
         self.err = err
         self.clock, self.chan, self.tun = _tune_in(lane_start, self.geo.ctrl)
@@ -1403,11 +1262,11 @@ class _TreeWalker:
         pend = rows
         attempts = 0
         while len(pend):
-            self.clock[pend] = self._root_arrival(pend) + geo.root_pk
+            start = self._root_arrival(pend)
+            self.clock[pend] = start + geo.root_pk
             self.tun[pend] += geo.root_pk
             self.chan[pend] = geo.ctrl
-            lost = err.lost(pend)
-            pend = pend[lost]
+            pend = pend[err.lost(pend, start)]
             attempts += 1
             if len(pend) and attempts >= geo.read_guard:
                 # The reference raises RuntimeError past TreeOnAir.read_guard;
@@ -1512,19 +1371,17 @@ class _TreeWalker:
             rows = np.arange(len(idx))
             e = np.argmin(np.where(P, arr, big), axis=1)
             epk = pk[rows, e]
-            cl = arr[rows, e] + epk
+            start = arr[rows, e]
+            cl = start + epk
             tn = tn + epk
             ch = chn[rows, e].copy()
             node_ev = isn[rows, e]
-            if err is None:
-                ok = np.ones(len(idx), dtype=bool)
-            else:
-                # Only navigation buckets draw under the index scope, in
-                # walk order -- one uniform per node reception attempt.
-                ok = np.ones(len(idx), dtype=bool)
+            ok = np.ones(len(idx), dtype=bool)
+            if err is not None:
+                # Only navigation buckets can be lost under the index scope.
                 nodes = np.flatnonzero(node_ev)
                 if len(nodes):
-                    ok[nodes] = ~err.lost(idx[nodes])
+                    ok[nodes] = ~err.lost(idx[nodes], start[nodes])
             okr = np.flatnonzero(ok)
             P[okr, e[okr]] = False
             expand = np.flatnonzero(ok & node_ev)
@@ -1895,7 +1752,7 @@ class _KnnWalker(_DsiLanes):
         lanes.kk = self.k_arr[qid]
 
     def begin(self, lane_start: np.ndarray, qrow: np.ndarray,
-              err: Optional[_ErrStreams]) -> None:
+              err: Optional[_Losses]) -> None:
         """The cold hop: the probe plus ``read_first_table`` (kind-seek) and
         its ``learn_table`` estimates; the conservative strategy also visits
         the entry frame (aggressive leaves it unexamined).  Then the walk."""
@@ -2211,7 +2068,7 @@ def _simulate_items(
     else:
         noun = "workloads" if n_steps == 1 else "journeys"
         raise KernelUnsupported(f"mixed window/kNN {noun} take the reference path")
-    # theta == 0 and scope "none" sessions draw nothing and run the
+    # theta == 0 and scope "none" sessions lose nothing and run the
     # (deduplicated) lossless path; the walker declines scopes it cannot run.
     lossless = error_theta is None or float(error_theta) == 0.0 or error_scope == "none"
     walker = family(index, timeline, config, queries, n_steps, verify, dataset,
@@ -2224,10 +2081,9 @@ def _simulate_items(
     )
     err = None
     if not lossless:
-        # One stream per execution, seeded like its reference LinkErrorModel.
+        # One model per execution, seeded like its reference LinkErrorModel.
         keys = key_ids * np.int64(n_phases) + key_phases
-        seeds = (np.int64(int(error_seed) * 1_000_003) + keys) & np.int64(0x7FFFFFFF)
-        err = _ErrStreams(seeds, float(error_theta))
+        err = _Losses(_session_seed(int(error_seed), keys), float(error_theta))
 
     dwell = np.array([[d for _, d in steps] for steps in items], dtype=np.int64)
     qrow = ids_c * n_steps

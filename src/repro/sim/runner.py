@@ -25,7 +25,7 @@ from ..api.registry import (
 )
 from ..broadcast.client import ClientSession
 from ..broadcast.config import SystemConfig
-from ..broadcast.errors import LinkErrorModel
+from ..broadcast.errors import LinkErrorModel, _session_model
 from ..broadcast.schedule import BroadcastSchedule
 from ..core.structure import DsiIndex
 from ..hci.air import HciAirIndex
@@ -97,6 +97,9 @@ def run_workload(
     schedule view *is* the legacy program, packet for packet.  An explicit
     ``schedule`` (e.g. a demand-aware :meth:`BroadcastSchedule.optimized`
     layout of the same program) overrides the config-derived one.
+    ``error_model`` gives each trial its own model, re-seeded for the key
+    ``trial * cycle + start packet``, so the rows do not depend on what
+    else the model served.
     """
     result = ExperimentResult(
         index_name=label or getattr(index, "name", type(index).__name__),
@@ -108,10 +111,16 @@ def run_workload(
         raise ValueError("schedule was built for a different broadcast program")
     view = schedule.view()
     cycle = view.cycle_packets
-    for trial in workload:
+    for t, trial in enumerate(workload):
         start = int(trial.tune_in_fraction * cycle) % cycle
+        # Trial t loses what a fleet execution of item t at phase ``start``
+        # (one phase per packet) would lose.
         session = ClientSession(
-            view, config, start_packet=start, error_model=error_model
+            view, config, start_packet=start,
+            error_model=(
+                None if error_model is None
+                else _session_model(error_model, t * cycle + start)
+            ),
         )
         query = trial.query
         outcome = execute_query(index, query, session, knn_strategy=knn_strategy)

@@ -73,21 +73,6 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match="shared LinkErrorModel"):
             experiment.run(parallel=False)
 
-    def test_shared_error_model_rejected_for_multi_point_sweeps(self, dataset):
-        from repro import LinkErrorModel
-
-        experiment = (
-            Experiment(dataset)
-            .indexes("dsi")
-            .window_workload(n_queries=2, seed=1)
-            .errors(LinkErrorModel(theta=0.2, scope="index", seed=1))
-            .sweep(capacity=[64, 128])
-        )
-        # A shared model's RNG state would flow differently through serial
-        # and forked-parallel runs, breaking row reproducibility.
-        with pytest.raises(ValueError, match="not reproducible across"):
-            experiment.run(parallel=False)
-
     def test_inert_workload_axis_rejected(self, dataset):
         # Sweeping k with only a window workload would label rows with k
         # values that never changed anything.

@@ -206,25 +206,25 @@ class TestLinkErrorModel:
 
     def test_theta_zero_never_loses(self):
         model = LinkErrorModel(theta=0.0, scope="all", seed=1)
-        assert not any(model.is_lost(self._bucket(BucketKind.DSI_TABLE)) for _ in range(100))
+        assert not any(model.is_lost(self._bucket(BucketKind.DSI_TABLE), t) for t in range(100))
 
     def test_theta_one_always_loses_in_scope(self):
         model = LinkErrorModel(theta=1.0, scope="index", seed=1)
-        assert all(model.is_lost(self._bucket(BucketKind.DSI_TABLE)) for _ in range(10))
-        assert not any(model.is_lost(self._bucket(BucketKind.DATA)) for _ in range(10))
+        assert all(model.is_lost(self._bucket(BucketKind.DSI_TABLE), t) for t in range(10))
+        assert not any(model.is_lost(self._bucket(BucketKind.DATA), t) for t in range(10))
 
     def test_scope_data(self):
         model = LinkErrorModel(theta=1.0, scope="data", seed=1)
-        assert model.is_lost(self._bucket(BucketKind.DATA))
-        assert not model.is_lost(self._bucket(BucketKind.DSI_TABLE))
+        assert model.is_lost(self._bucket(BucketKind.DATA), 0)
+        assert not model.is_lost(self._bucket(BucketKind.DSI_TABLE), 1)
 
     def test_scope_none(self):
         model = LinkErrorModel(theta=0.9, scope="none", seed=1)
-        assert not model.is_lost(self._bucket(BucketKind.DATA))
+        assert not model.is_lost(self._bucket(BucketKind.DATA), 0)
 
     def test_loss_rate_close_to_theta(self):
         model = LinkErrorModel(theta=0.3, scope="all", seed=7)
-        losses = sum(model.is_lost(self._bucket(BucketKind.DATA)) for _ in range(4000))
+        losses = sum(model.is_lost(self._bucket(BucketKind.DATA), t) for t in range(4000))
         assert 0.25 < losses / 4000 < 0.35
 
     def test_invalid_parameters(self):

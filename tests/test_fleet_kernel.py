@@ -410,6 +410,50 @@ def test_repro_pure_stands_down(monkeypatch):
         np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
 
 
+_LOSSY_GRID = [
+    (kind, items, channels, theta)
+    for kind, items in (("dsi", "windows"), ("rtree", "windows"), ("hci", "windows"),
+                        ("dsi", "journeys"))
+    for channels in (1, 4)
+    for theta in (0.12, 0.5)
+]
+
+
+@pytest.mark.parametrize(
+    "kind, items, channels, theta", _LOSSY_GRID,
+    ids=[f"{k}-{i}-{c}ch-{t}" for k, i, c, t in _LOSSY_GRID],
+)
+def test_lossy_grid_kernel_matches_reference(kind, items, channels, theta, monkeypatch):
+    """A fixed grid of index-scope lossy fleets -- DSI, R-tree and HCI
+    windows and DSI 3-hop journeys, on 1 and 4 channels -- runs on the
+    kernel with exactly the arrays of its ``REPRO_PURE=1`` twin: every
+    lane tests the read it makes against its execution's model key."""
+    dataset = uniform_dataset(150, seed=21)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index(kind, dataset, config, use_cache=False)
+    if items == "journeys":
+        workload = trajectory_workload(n_journeys=4, n_steps=3, seed=5,
+                                       win_side_ratio=0.15)
+        run = run_mobile_fleet
+    else:
+        workload = window_workload(5, 0.15, seed=5)
+        run = run_fleet
+
+    def fleet():
+        return run(index, dataset, config, workload, 600, seed=17, max_phases=24,
+                   error_theta=theta, error_seed=29, verify=True)
+
+    fast = fleet()
+    assert fast.backend == "numpy", fast.backend_reason
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = fleet()
+    assert pure.backend == "reference"
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+    assert fast.result.accuracy == pure.result.accuracy == 1.0
+
+
 @pytest.mark.parametrize("channels", [1, 4])
 @pytest.mark.parametrize("kind", ["dsi", "rtree", "hci"])
 def test_window_outside_the_space_answers_empty(kind, channels, monkeypatch):
@@ -441,32 +485,6 @@ def test_window_outside_the_space_answers_empty(kind, channels, monkeypatch):
     np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
     np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
     np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
-
-
-@given(
-    seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=32),
-    rounds=st.integers(1, 40),
-)
-@settings(max_examples=30, deadline=None)
-def test_err_streams_match_default_rng(seeds, rounds):
-    """The vectorized PCG64 lanes reproduce numpy's seeded streams exactly.
-
-    `_ErrStreams` reimplements SeedSequence hashing and the 128-bit LCG in
-    flat uint64 arrays; every buffered uniform must equal what
-    ``np.random.default_rng(seed).random()`` would have drawn, including
-    across buffer growths.
-    """
-    from repro.sim.fleet_kernel import _ErrStreams
-
-    streams = _ErrStreams(np.asarray(seeds, dtype=np.int64), theta=0.5)
-    all_lanes = np.arange(len(seeds))
-    for _ in range(rounds):
-        streams.lost(all_lanes)  # lockstep draws force periodic growth
-    width = streams._buf.shape[1]
-    reference = np.array(
-        [np.random.default_rng(int(s)).random(width) for s in seeds]
-    )
-    assert np.array_equal(streams._buf, reference)
 
 
 def test_kernel_backend_selection():
@@ -1361,10 +1379,10 @@ def test_slot_walker_edges_match_dense_hop_oracle(
     from repro.sim import fleet_kernel as fk
 
     losses = []
-    real_lost = fk._ErrStreams.lost
+    real_lost = fk._Losses.lost
 
-    def lost(self, lanes):
-        out = real_lost(self, lanes)
+    def lost(self, lanes, starts):
+        out = real_lost(self, lanes, starts)
         losses.append(int(out.sum()))
         return out
 
@@ -1374,7 +1392,7 @@ def test_slot_walker_edges_match_dense_hop_oracle(
 
     if name.startswith("no-successor"):
         _drop_successors(monkeypatch)
-    monkeypatch.setattr(fk._ErrStreams, "lost", lost)
+    monkeypatch.setattr(fk._Losses, "lost", lost)
     with monkeypatch.context() as mp:
         walks, reads = _dense_window_hops(mp)
         index, fast = run()

@@ -30,15 +30,21 @@ Sweep axes:
   ``k - 1`` data channels;
 * ``fleet`` varies the client population (declare with
   :meth:`Experiment.fleet`): each cell then runs a population-scale
-  :class:`~repro.sim.fleet.ClientFleet` with exact population metrics
-  instead of per-trial sessions, and rows gain ``n_clients`` plus
-  percentile columns;
+  fleet with exact population metrics instead of one client per trial,
+  and rows gain ``n_clients`` plus percentile columns;
 * ``win_side_ratio``, ``k``, ``n_queries``, ``seed`` vary the declared
   generated workloads;
 * ``theta`` varies the link-error ratio (requires error parameters, or
   defaults to the paper's index-scope model).
 
 Multiple axes form a cartesian product in declaration order.
+
+Every cell -- per-trial, fleet or mobility -- runs through one cell runner
+on the fleet engine (:mod:`repro.sim.fleet`).  Cells differ only in their
+keys (one client per trial at its own tune-in packet, or a seeded fleet
+draw), their items (trials run cold, mobility journeys warm) and their row
+columns, and they read one channel: :meth:`Experiment.errors` resolves to
+one ``(theta, scope, seed)`` per sweep point, seed 0 when none is given.
 """
 
 from __future__ import annotations
@@ -253,13 +259,15 @@ class Experiment:
     ) -> "Experiment":
         """Make the channel lossy.
 
-        Pass a :class:`LinkErrorModel` instance to share it across all runs,
-        or ``theta=``/``scope=``/``seed=`` to create a fresh seeded model per
-        sweep point -- the form the ``theta`` sweep axis and fleets require.
-        A loss depends only on the model's seed and the airing a trial
-        reads (every trial runs on the model re-seeded for its own key), so
-        a shared model gives the same rows in any index order, serially or
-        in parallel, as a fresh model with the same seed per point.
+        Pass a :class:`LinkErrorModel` instance, or ``theta=``/``scope=``/
+        ``seed=`` (the form a ``theta`` sweep axis varies).  Either way every
+        cell -- per-trial, fleet or mobility -- runs on the same
+        ``(theta, scope, seed)``: a model gives its own three fields, and a
+        declaration without a seed uses seed 0, so a run's rows are a pure
+        function of the declaration.  A loss depends only on the seed and
+        the airing an execution reads (each execution runs on the model
+        re-seeded for its own key), so rows do not depend on index order or
+        on serial versus parallel runs.
         """
         if model is not None and theta is not None:
             raise ValueError("pass either a model instance or theta=, not both")
@@ -345,11 +353,12 @@ class Experiment:
         """Run each cell as a population-scale client fleet.
 
         ``fleet(100_000)`` fixes the population; ``fleet(1_000, 100_000)``
-        declares a ``fleet`` sweep axis.  Fleet cells replace per-trial
-        sessions with a :class:`~repro.sim.fleet.ClientFleet` (exact
-        summaries, memory flat in population); the declared workloads
-        provide the query mix, ``seed`` drives the client draws and
-        ``max_phases`` bounds the tune-in phase resolution.
+        declares a ``fleet`` sweep axis.  A cell without a fleet replays one
+        client per trial, each at its own tune-in packet; a fleet cell runs
+        the same engine on a seeded draw of that many clients over the
+        declared workloads' queries (:func:`repro.sim.fleet.run_fleet`:
+        exact summaries, memory flat in population).  ``seed`` drives the
+        client draws and ``max_phases`` bounds the tune-in phase resolution.
         """
         if not sizes:
             raise ValueError("fleet() needs at least one population size")
@@ -478,23 +487,30 @@ class Experiment:
         specs = self._specs if self._specs is not None else default_specs()
         return [spec for spec in specs if index_entry(spec.kind).is_supported(config)]
 
-    def _error_settings_at(self, params: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-        """The seeded error parameters at one sweep point (None = lossless)."""
-        if self._error_params is None and "theta" not in params:
-            return None
-        cfg = dict(self._error_params or {"theta": None, "scope": "index", "seed": None})
-        theta = params.get("theta", cfg["theta"])
+    def _errors_at(self, params: Dict[str, Any]) -> Optional[Tuple[float, str, int]]:
+        """The channel at one sweep point as ``(theta, scope, seed)``, or
+        ``None`` when lossless -- the one error rule of every cell."""
+        if self._error_model is not None:
+            model = self._error_model
+            return model.theta, model.scope, model.seed
+        declared = self._error_params or {"theta": None, "scope": "index", "seed": None}
+        theta = params.get("theta", declared["theta"])
         if theta is None:
             return None
-        return {"theta": theta, "scope": cfg["scope"], "seed": cfg["seed"]}
+        seed = declared["seed"]
+        return theta, declared["scope"], 0 if seed is None else seed
 
-    def _error_model_at(self, params: Dict[str, Any]) -> Optional[LinkErrorModel]:
-        if self._error_model is not None:
-            return self._error_model
-        settings = self._error_settings_at(params)
-        if settings is None:
-            return None
-        return LinkErrorModel(**settings)
+    def _workloads_at(self, params: Dict[str, Any]) -> List[Tuple[str, Any]]:
+        """``(label, workload)`` of every workload at one sweep point: the
+        declared ones, or the one trajectory workload of mobility cells."""
+        if self._mobility is None:
+            return [(decl.label, decl.realise(params)) for decl in self._workloads]
+        from ..mobility.trajectory import trajectory_workload
+
+        trajectories = trajectory_workload(
+            n_steps=params.get("steps", self._mobility_steps), **self._mobility
+        )
+        return [(trajectories.name, trajectories)]
 
     def _row_extras(self, params: Dict[str, Any]) -> "OrderedDict[str, Any]":
         extras: "OrderedDict[str, Any]" = OrderedDict()
@@ -567,12 +583,6 @@ class Experiment:
             for value in self._axes.get(axis, ()):
                 if not isinstance(value, int) or isinstance(value, bool) or not check(value):
                     raise ValueError(f"{axis} axis values must be {noun}, got {value!r}")
-        if self._fleet_n is not None and self._error_model is not None:
-            raise ValueError(
-                "fleet runs derive one seeded error model per (query, phase) "
-                "execution; declare errors(theta=..., scope=..., seed=...) "
-                "instead of a shared LinkErrorModel instance"
-            )
         if "theta" in self._axes and self._error_model is not None:
             raise ValueError(
                 "a theta sweep cannot vary a shared LinkErrorModel instance; "
@@ -623,189 +633,96 @@ def _optimized_schedule(
 
 def _run_point(experiment: Experiment, params: Dict[str, Any]) -> PointResult:
     """Run one sweep point (module-level so it pickles into workers)."""
-    from ..sim.runner import run_workload
-
     config = experiment._config_at(params)
     point = PointResult(params=params, config=config)
     specs = experiment._specs_at(config)
     extras = experiment._row_extras(params)
-    multi = len(experiment._workloads) > 1
-    fleet_n = (
-        params.get("fleet", experiment._fleet_n)
-        if experiment._fleet_n is not None
-        else None
-    )
-    # Fleet cells derive per-execution seeded models themselves.
-    error_model = None if fleet_n is not None else experiment._error_model_at(params)
+    errors = experiment._errors_at(params)
+    workloads = experiment._workloads_at(params)
     # One build per spec per point, even with several workloads and the
     # cache off (building is the dominant cost the build cache exists for).
     built = {
         spec: build_index(spec, experiment.dataset, config, use_cache=experiment._use_cache)
         for spec in specs
     }
-    if experiment._mobility is not None and fleet_n is not None:
-        _run_mobility_point(experiment, params, point, specs, built, config, fleet_n, extras)
-        return point
-    policy = params.get("schedule_policy", experiment._sched_policy)
-    for decl in experiment._workloads:
-        workload = decl.realise(params)
+    for label, workload in workloads:
         for spec in specs:
-            index = built[spec]
             row: Dict[str, Any] = {"index": spec.display_name}
-            if multi:
-                row["workload"] = decl.label
+            if len(workloads) > 1:
+                row["workload"] = label
             row.update(extras)
-            schedule = None
-            if policy == "optimized":
-                schedule = _optimized_schedule(
-                    experiment, index, config, [t.query for t in workload]
-                )
-            if fleet_n is not None:
-                result = _run_fleet_cell(
-                    experiment, params, index, config, workload, spec, fleet_n,
-                    row, schedule=schedule,
-                )
-            else:
-                result = run_workload(
-                    index,
-                    experiment.dataset,
-                    config,
-                    workload,
-                    error_model=error_model,
-                    verify=experiment._verify,
-                    knn_strategy=spec.knn_strategy,
-                    label=spec.display_name,
-                    schedule=schedule,
-                )
-                row["latency_bytes"] = result.mean_latency_bytes
-                row["tuning_bytes"] = result.mean_tuning_bytes
-                row["accuracy"] = result.accuracy
-                if policy is not None:
-                    row["schedule_policy"] = (
-                        "flat" if schedule is None
-                        else getattr(schedule, "policy", policy)
-                    )
-            point.records.append(RunRecord(workload=decl.label, spec=spec, result=result))
+            result = _run_cell(
+                experiment, params, config, spec, built[spec], workload, errors, row
+            )
+            point.records.append(RunRecord(workload=label, spec=spec, result=result))
             point.rows.append(row)
     return point
 
 
-def _run_mobility_point(
+def _run_cell(
     experiment: Experiment,
     params: Dict[str, Any],
-    point: PointResult,
-    specs: Sequence[IndexSpec],
-    built: Dict[IndexSpec, Any],
     config: SystemConfig,
-    fleet_n: int,
-    extras: "OrderedDict[str, Any]",
-) -> None:
-    """Run one sweep point in mobility mode (moving fleets per index)."""
-    from ..mobility.trajectory import trajectory_workload
-    from ..sim.fleet import DEFAULT_MAX_PHASES, run_mobile_fleet
-
-    decl = experiment._mobility
-    n_steps = params.get("steps", experiment._mobility_steps)
-    trajectories = trajectory_workload(
-        n_journeys=decl["n_journeys"],
-        n_steps=n_steps,
-        model=decl["model"],
-        query=decl["query"],
-        win_side_ratio=decl["win_side_ratio"],
-        k=decl["k"],
-        dwell_packets=decl["dwell_packets"],
-        seed=decl["seed"],
-    )
-    errors = experiment._error_settings_at(params)
-    policy = params.get("schedule_policy", experiment._sched_policy)
-    for spec in specs:
-        schedule = None
-        if policy == "optimized":
-            # Journey hops are the demand source: every step's query of every
-            # journey weighs the buckets its ground-truth answer lives in.
-            queries = [
-                step.query for journey in trajectories for step in journey.steps
-            ]
-            schedule = _optimized_schedule(experiment, built[spec], config, queries)
-        fleet_result = run_mobile_fleet(
-            built[spec],
-            experiment.dataset,
-            config,
-            trajectories,
-            fleet_n,
-            schedule=schedule,
-            seed=experiment._fleet_seed,
-            max_phases=(
-                DEFAULT_MAX_PHASES
-                if experiment._fleet_max_phases is None
-                else experiment._fleet_max_phases
-            ),
-            error_theta=None if errors is None else errors["theta"],
-            error_scope="index" if errors is None else errors["scope"],
-            error_seed=0 if errors is None or errors["seed"] is None else errors["seed"],
-            verify=experiment._verify,
-            knn_strategy=spec.knn_strategy,
-            label=spec.display_name,
-        )
-        row: Dict[str, Any] = {"index": spec.display_name}
-        row.update(extras)
-        fleet_row = fleet_result.as_row()
-        # Rows must be bit-identical between serial and parallel runs;
-        # throughput is wall-clock and stays on the MobileFleetResult.
-        for key in ("index", "workload", "clients_per_sec"):
-            fleet_row.pop(key, None)
-        if "steps" in experiment._axes:
-            fleet_row.pop("steps", None)  # already present via the axis extras
-        row.update(fleet_row)
-        if not experiment._verify:
-            row.pop("accuracy", None)
-        point.records.append(
-            RunRecord(workload=trajectories.name, spec=spec, result=fleet_result.result)
-        )
-        point.rows.append(row)
-
-
-def _run_fleet_cell(
-    experiment: Experiment,
-    params: Dict[str, Any],
-    index: Any,
-    config: SystemConfig,
-    workload: Workload,
     spec: IndexSpec,
-    fleet_n: int,
+    index: Any,
+    workload: Any,
+    errors: Optional[Tuple[float, str, int]],
     row: Dict[str, Any],
-    schedule: Any = None,
-):
-    """One (workload, index) cell of a fleet-mode sweep point."""
-    from ..sim.fleet import DEFAULT_MAX_PHASES, run_fleet
+) -> ExperimentResult:
+    """One (workload, index) cell, on the fleet engine (:mod:`repro.sim.fleet`).
 
-    errors = experiment._error_settings_at(params)
-    fleet_result = run_fleet(
-        index,
-        experiment.dataset,
-        config,
-        workload,
-        fleet_n,
-        seed=experiment._fleet_seed,
-        max_phases=(
-            DEFAULT_MAX_PHASES
-            if experiment._fleet_max_phases is None
-            else experiment._fleet_max_phases
-        ),
-        error_theta=None if errors is None else errors["theta"],
-        error_scope="index" if errors is None else errors["scope"],
-        error_seed=0 if errors is None or errors["seed"] is None else errors["seed"],
-        verify=experiment._verify,
-        knn_strategy=spec.knn_strategy,
-        label=spec.display_name,
-        schedule=schedule,
+    Cells differ only in their keys -- explicit, one client per trial at its
+    own tune-in packet (:func:`~repro.sim.runner.run_workload`), or drawn
+    for a fleet -- in their items -- trials run cold, mobility journeys
+    warm (:func:`~repro.sim.fleet.run_mobile_fleet`) -- and in the columns
+    they add to ``row``.
+    """
+    from ..sim.fleet import DEFAULT_MAX_PHASES, run_fleet, run_mobile_fleet
+    from ..sim.runner import run_workload
+
+    mobility = experiment._mobility is not None
+    policy = params.get("schedule_policy", experiment._sched_policy)
+    schedule = None
+    if policy == "optimized":
+        # Journey hops are the demand source of a mobility cell: every
+        # step's query weighs the buckets its ground-truth answer lives in.
+        queries = (
+            [step.query for journey in workload for step in journey.steps]
+            if mobility else [trial.query for trial in workload]
+        )
+        schedule = _optimized_schedule(experiment, index, config, queries)
+    theta, scope, seed = errors or (None, "index", 0)
+    common = dict(
+        verify=experiment._verify, knn_strategy=spec.knn_strategy,
+        label=spec.display_name, schedule=schedule,
     )
-    fleet_row = fleet_result.as_row()
+    fleet_n = params.get("fleet", experiment._fleet_n)
+    if fleet_n is None:
+        result = run_workload(
+            index, experiment.dataset, config, workload,
+            error_model=None if errors is None else LinkErrorModel(theta, scope, seed),
+            **common,
+        )
+        row["latency_bytes"] = result.mean_latency_bytes
+        row["tuning_bytes"] = result.mean_tuning_bytes
+        row["accuracy"] = result.accuracy
+        if policy is not None:
+            row["schedule_policy"] = "flat" if schedule is None else schedule.policy
+        return result
+    run = run_mobile_fleet if mobility else run_fleet
+    out = run(
+        index, experiment.dataset, config, workload, fleet_n,
+        seed=experiment._fleet_seed,
+        max_phases=experiment._fleet_max_phases or DEFAULT_MAX_PHASES,
+        error_theta=theta, error_scope=scope, error_seed=seed, **common,
+    )
+    columns = out.as_row()
     # Rows must be bit-identical between serial and parallel runs; throughput
-    # is wall-clock and stays on the FleetResult.
+    # is wall-clock and stays on the fleet result.  A steps axis already
+    # labels the row.
     for key in ("index", "workload", "clients_per_sec"):
-        fleet_row.pop(key, None)
-    row.update(fleet_row)
-    if not experiment._verify:
-        row.pop("accuracy", None)
-    return fleet_result.result
+        columns.pop(key, None)
+    if "steps" in experiment._axes:
+        columns.pop("steps", None)
+    row.update(columns)
+    return out.result

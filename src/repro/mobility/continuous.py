@@ -22,10 +22,12 @@ moving client legitimately owns:
 This engine runs journeys one client at a time: the API's
 :meth:`~repro.api.MobileClient.travel` goes through
 :class:`ContinuousClient`.  Population-scale fleets
-(:func:`~repro.sim.fleet.run_mobile_fleet`) do not: their engine walks the
-same ``(query, dwell)`` steps on one session per distinct execution (or on
-the lockstep kernels of :mod:`repro.sim.fleet_kernel`), and the fleet
-brute-force suites pin those numbers to :func:`run_journey`'s.
+(:func:`~repro.sim.fleet.run_mobile_fleet`), stationary fleets and
+workload replays do not: the one fleet engine
+(:func:`repro.sim.fleet._run_executions`) walks the same ``(query,
+dwell)`` steps on one session per distinct execution (or on the lockstep
+kernels of :mod:`repro.sim.fleet_kernel`), and the fleet brute-force
+suites pin those numbers to :func:`run_journey`'s.
 """
 
 from __future__ import annotations

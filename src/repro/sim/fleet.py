@@ -41,15 +41,29 @@ first-hop waits are shorter than one cycle.  The per-execution histogram
 is kept on the result for exact cross-checks
 (:meth:`FleetResult.exact_mean` / :meth:`FleetResult.exact_percentile`).
 
-**One engine.**  A stationary query is hop 1 of a journey, so both public
-drivers hand :func:`_run_population` *items* -- the ``(query,
-dwell_packets)`` steps one client walks on one session.  :func:`run_fleet`
-passes each trial as a one-step item run cold; :func:`run_mobile_fleet`
-passes each :class:`~repro.mobility.trajectory.TrajectoryWorkload` journey
-and runs it *warm* (the index's ``new_client_state()`` carried across
-hops, see :mod:`repro.mobility`).  The landmark collapse covers whole items:
-phases sharing the first hop's entry landmark share the item's whole
-absolute trace (see :func:`_simulate_item_batch`).
+**One engine.**  Every path that executes queries is a view over
+:func:`_run_executions`, which takes *items* -- the ``(query,
+dwell_packets)`` steps one client walks on one session -- and explicit
+keys: an ``(item id, phase, client count)`` triple per distinct execution,
+with ``n_phases`` phases per cycle.  It runs the kernel dispatch, the
+reference fan-out and the result assembly once for all of them:
+
+* :func:`run_fleet` draws its keys (:func:`_run_population`: one seeded
+  draw, at most ``max_phases`` phases, plus the first-hop waits) and runs
+  each trial as a one-step item, cold;
+* :func:`run_mobile_fleet` draws its keys the same way over
+  :class:`~repro.mobility.trajectory.TrajectoryWorkload` journeys and runs
+  them *warm* (the index's ``new_client_state()`` carried across hops, see
+  :mod:`repro.mobility`);
+* :func:`repro.sim.runner.run_workload` -- the paper's figure rows -- gives
+  trial ``t`` one key of its own: its start packet as the phase, with one
+  phase per packet (``n_phases = cycle``) and one client.
+
+A key's losses come from the model seeded for ``item * n_phases + phase``,
+so trial ``t`` of a replay keeps its key ``t * cycle + start``.  The
+landmark collapse covers whole items: phases sharing the first hop's entry
+landmark share the item's whole absolute trace (see
+:func:`_simulate_item_batch`).
 """
 
 from __future__ import annotations
@@ -556,12 +570,28 @@ def _fleet_spec(
     )
 
 
-def _run_population(
+def _schedule_view(
+    index: Any, config: SystemConfig, schedule: Optional[BroadcastSchedule]
+) -> Tuple[BroadcastSchedule, Any]:
+    """The schedule a run airs and its view: ``schedule`` when given (it must
+    air ``index``'s program), else the one ``config`` derives."""
+    if schedule is None:
+        schedule = BroadcastSchedule.for_config(index.program, config)
+    elif schedule.base_program is not index.program:
+        raise ValueError("schedule was built for a different broadcast program")
+    return schedule, schedule.view()
+
+
+def _run_executions(
     index: Any,
     dataset: SpatialDataset,
     config: SystemConfig,
-    spec: FleetSpec,
+    view: Any,
     items: List[_Steps],
+    key_ids: np.ndarray,
+    key_phases: np.ndarray,
+    key_counts: np.ndarray,
+    n_phases: int,
     *,
     warm: bool,
     label: str,
@@ -573,46 +603,25 @@ def _run_population(
     knn_strategy: str,
     parallel: bool,
     processes: Optional[int],
-    schedule: Optional[BroadcastSchedule],
-) -> Tuple[Dict[str, Any], np.ndarray]:
-    """The one fleet engine behind :func:`run_fleet` and :func:`run_mobile_fleet`.
+    ship_view: bool,
+) -> Dict[str, Any]:
+    """The one execution engine behind fleets, journey fleets and workload
+    replays.
 
-    Draws the population once onto ``(item, phase)`` keys, simulates each
-    distinct key once -- on the lockstep kernels when they accept the run,
-    else on :func:`_simulate_item_batch`, serially or sharded over a worker
-    pool -- and weights every outcome by its clients.  ``warm`` carries the
-    index's client state across hops on the reference path; the kernels
-    read warmth from the items themselves (see
-    :mod:`repro.sim.fleet_kernel`).  Returns the result fields both fleet
-    results share, plus the realized client draws per item.
+    Key ``i`` is item ``key_ids[i]`` tuned in at phase ``key_phases[i]`` of
+    ``n_phases`` per cycle, shared by ``key_counts[i]`` clients; keys are
+    distinct and sorted by item, and each loses what the model seeded for
+    ``item * n_phases + phase`` loses.  Every key runs once -- on the
+    lockstep kernels when they accept the run, else on
+    :func:`_simulate_item_batch`, serially or sharded over a worker pool
+    (``ship_view`` sends workers the view, which they cannot rebuild from
+    the config for an explicit schedule) -- and its outcome is weighted by
+    its clients.  ``warm`` carries the index's client state across hops on
+    the reference path; the kernels read warmth from the items themselves
+    (see :mod:`repro.sim.fleet_kernel`).  Returns the result fields every
+    caller shares.
     """
-    if error_theta is not None and not (0.0 <= error_theta <= 1.0):
-        raise ValueError("error_theta must be within [0, 1]")
-
-    t0 = time.perf_counter()
-    explicit_schedule = schedule is not None
-    if schedule is None:
-        schedule = BroadcastSchedule.for_config(index.program, config)
-    elif schedule.base_program is not index.program:
-        raise ValueError("schedule was built for a different broadcast program")
-    view = schedule.view()
-    pure = pure_mode()
-    timeline = None if pure else timeline_of(view)
     cycle = view.cycle_packets
-    n_items = len(items)
-    n_phases = min(cycle, spec.max_phases)
-
-    # -- draw clients once, onto (item, phase) keys and tune-in packets --------
-    counts, wait_summary = _draw_population(
-        spec, n_items, n_phases, view, timeline, config.packet_capacity
-    )
-
-    # -- simulate each distinct execution once ---------------------------------
-    keys = np.flatnonzero(counts)
-    task_counts = counts[keys]
-    key_ids = keys // n_phases
-    key_phases = keys % n_phases
-
     # The structure-of-arrays kernels advance every distinct execution in
     # lockstep as flat arrays, no per-phase python walk.  They decline
     # (KernelUnsupported) anything outside their proven-exact envelope; the
@@ -621,7 +630,7 @@ def _run_population(
     backend = "reference"
     backend_reason: Optional[str] = None
     kernel_out = None
-    if pure:
+    if pure_mode():
         backend_reason = "REPRO_PURE forces the reference path"
     else:
         from .fleet_kernel import KernelUnsupported, _simulate_items
@@ -643,7 +652,7 @@ def _run_population(
         uniq_tun = tun_b.astype(np.float64)
         # The kernels decline any lane whose search would hit a planner's
         # safety cap, so kernel-run executions are never truncated.
-        capped_hops = np.zeros(len(keys), dtype=np.int64)
+        capped_hops = np.zeros(len(key_ids), dtype=np.int64)
     else:
         # Reference path, batched per item.  One task per (item, phase-run):
         # items are contiguous in key order, and large phase runs are split
@@ -654,11 +663,11 @@ def _run_population(
         tasks: List[Tuple[int, List[int]]] = []
         n_workers = processes if processes is not None else default_processes()
         use_parallel = parallel and n_workers > 1
-        target_chunks = max(n_items, 2 * n_workers) if use_parallel else n_items
-        max_chunk = max(1, -(-len(keys) // max(target_chunks, 1)))
+        target_chunks = max(len(items), 2 * n_workers) if use_parallel else len(items)
+        max_chunk = max(1, -(-len(key_ids) // max(target_chunks, 1)))
         starts = np.flatnonzero(np.diff(key_ids, prepend=-1))
         for i, start in enumerate(starts):
-            stop = starts[i + 1] if i + 1 < len(starts) else len(keys)
+            stop = starts[i + 1] if i + 1 < len(starts) else len(key_ids)
             iid = int(key_ids[start])
             for at in range(int(start), int(stop), max_chunk):
                 tasks.append((iid, key_phases[at:min(at + max_chunk, stop)].tolist()))
@@ -670,11 +679,9 @@ def _run_population(
         )
         if verify:
             ctx["dataset"] = dataset
-        if not use_parallel or explicit_schedule:
+        if not use_parallel or ship_view:
             # Workers rebuild the view from (program, config) -- see
-            # _install_sim_ctx; in-process runs reuse the one already built,
-            # and an explicit schedule MUST ship because for_config cannot
-            # reproduce an optimized layout.
+            # _install_sim_ctx; in-process runs reuse the one already built.
             ctx["view"] = view
         try:
             outs = parallel_map(
@@ -694,31 +701,71 @@ def _run_population(
 
     # Each distinct execution's outcome, weighted by its clients.
     result = ExperimentResult(index_name=label, workload_name=workload_name)
-    result.latency.add_weighted(uniq_lat, task_counts)
-    result.tuning.add_weighted(uniq_tun, task_counts)
+    result.latency.add_weighted(uniq_lat, key_counts)
+    result.tuning.add_weighted(uniq_tun, key_counts)
     if verify:
         n_hops = np.array([len(steps) for steps in items], dtype=np.int64)[key_ids]
-        result.correct_trials = int(np.dot(task_counts, correct_hops))
-        result.incorrect_trials = int(np.dot(task_counts, n_hops - correct_hops))
-
-    fields = dict(
+        result.correct_trials = int(np.dot(key_counts, correct_hops))
+        result.incorrect_trials = int(np.dot(key_counts, n_hops - correct_hops))
+    return dict(
         result=result,
+        n_executions=len(key_ids),
+        unique_latency=uniq_lat,
+        unique_tuning=uniq_tun,
+        unique_counts=key_counts,
+        backend=backend,
+        backend_reason=backend_reason,
+        capped_executions=int(np.count_nonzero(capped_hops)),
+    )
+
+
+def _run_population(
+    index: Any,
+    dataset: SpatialDataset,
+    config: SystemConfig,
+    spec: FleetSpec,
+    items: List[_Steps],
+    *,
+    error_theta: Optional[float],
+    schedule: Optional[BroadcastSchedule],
+    **engine: Any,
+) -> Tuple[Dict[str, Any], np.ndarray]:
+    """The fleet front end of :func:`run_fleet` and :func:`run_mobile_fleet`.
+
+    Draws the population once onto ``(item, phase)`` keys -- at most
+    ``spec.max_phases`` phases per cycle -- with its first-hop waits, and
+    runs the occupied keys on :func:`_run_executions` (``engine`` holds its
+    keywords).  Returns the result fields both fleet results share, plus the
+    realized client draws per item.
+    """
+    if error_theta is not None and not (0.0 <= error_theta <= 1.0):
+        raise ValueError("error_theta must be within [0, 1]")
+
+    t0 = time.perf_counter()
+    explicit_schedule = schedule is not None
+    schedule, view = _schedule_view(index, config, schedule)
+    timeline = None if pure_mode() else timeline_of(view)
+    cycle = view.cycle_packets
+    n_phases = min(cycle, spec.max_phases)
+    counts, wait_summary = _draw_population(
+        spec, len(items), n_phases, view, timeline, config.packet_capacity
+    )
+    keys = np.flatnonzero(counts)
+    fields = _run_executions(
+        index, dataset, config, view, items, keys // n_phases, keys % n_phases,
+        counts[keys], n_phases, error_theta=error_theta,
+        ship_view=explicit_schedule, **engine,
+    )
+    fields.update(
         n_clients=spec.n_clients,
-        n_executions=len(keys),
         n_phases=n_phases,
         cycle_packets=cycle,
         quantized=n_phases < cycle,
         elapsed_s=time.perf_counter() - t0,
         first_index_wait=wait_summary,
-        unique_latency=uniq_lat,
-        unique_tuning=uniq_tun,
-        unique_counts=task_counts,
-        backend=backend,
         schedule_policy=getattr(schedule, "policy", "flat"),
-        backend_reason=backend_reason,
-        capped_executions=int(np.count_nonzero(capped_hops)),
     )
-    return fields, counts.reshape(n_items, n_phases).sum(axis=1)
+    return fields, counts.reshape(len(items), n_phases).sum(axis=1)
 
 
 def run_fleet(

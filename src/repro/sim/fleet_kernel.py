@@ -1,9 +1,10 @@
 """Structure-of-arrays fleet kernels: lockstep DSI window, tree and DSI kNN
 walks in numpy.
 
-The fleet engine (:func:`repro.sim.fleet._run_population`) hands every run
-over as *items* -- the ``(query, dwell_packets)`` steps one client walks:
-a stationary trial is a one-step item, a journey one step per hop.
+The one execution engine (:func:`repro.sim.fleet._run_executions`) hands
+every fleet, journey fleet and workload replay over as *items* -- the
+``(query, dwell_packets)`` steps one client walks: a stationary trial is a
+one-step item, a journey one step per hop.
 :func:`_simulate_items` runs every family's lanes.  It picks the walker of
 the run's index family and query kind -- :class:`_Walker` (DSI windows),
 :class:`_TreeWalker` (R-tree and HCI windows) or :class:`_KnnWalker` (DSI

@@ -4,16 +4,20 @@ This is the layer the benchmark harness (and the examples) drive.  Index
 construction is delegated to the public registry in
 :mod:`repro.api.registry` -- ``build_index`` here is a thin shim kept for
 backward compatibility, as is ``compare_indexes`` (now a single-point
-:class:`repro.api.experiment.Experiment`).  The one piece of real machinery
-left in this module is :func:`run_workload`, which replays a
+:class:`repro.api.experiment.Experiment`).  :func:`run_workload` replays a
 :class:`~repro.queries.workload.Workload` against a built index with a
 given link-error model, verifying every answer against brute force when
-asked.
+asked; it is a view over the fleet engine (:mod:`repro.sim.fleet`), one
+client per trial, so the paper's figure rows run on the same kernels and
+reference planners as every fleet.  :func:`execute_query` is the one
+per-query dispatch those reference planners run.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Union
+
+import numpy as np
 
 from ..api.registry import (
     IndexSpec,
@@ -25,15 +29,15 @@ from ..api.registry import (
 )
 from ..broadcast.client import ClientSession
 from ..broadcast.config import SystemConfig
-from ..broadcast.errors import LinkErrorModel, _session_model
+from ..broadcast.errors import LinkErrorModel
 from ..broadcast.schedule import BroadcastSchedule
 from ..core.structure import DsiIndex
 from ..hci.air import HciAirIndex
-from ..queries.ground_truth import matches
 from ..queries.types import KnnQuery, WindowQuery
 from ..queries.workload import Workload
 from ..rtree.air import RTreeAirIndex
 from ..spatial.datasets import SpatialDataset
+from .fleet import _run_executions, _schedule_view
 from .metrics import ExperimentResult
 
 #: The built-in index names (``dsi`` is the reorganized broadcast the paper
@@ -58,11 +62,11 @@ def execute_query(
     knn_strategy: str = "conservative",
     state=None,
 ):
-    """Run one query through one session (the per-trial dispatch).
+    """Run one query through one session (the per-query dispatch).
 
-    Shared by the per-trial workload replay below, the fleet simulator's
-    unique-execution path and the mobility journey engine, so all produce
-    identical outcomes for the same (query, session) pair.  ``knn_strategy``
+    Shared by the fleet engine's reference path (and so by every workload
+    replay) and the mobility journey engine, so all produce identical
+    outcomes for the same (query, session) pair.  ``knn_strategy``
     applies to DSI only.  ``state`` optionally passes a continuous client's
     warm state through (``None`` -- the cold default -- is never forwarded,
     so third-party indexes without a ``state=`` keyword keep working).
@@ -92,41 +96,38 @@ def run_workload(
 ) -> ExperimentResult:
     """Replay every trial of ``workload`` against ``index``.
 
-    The index's packet cycle is aired as the channel schedule
-    ``config.n_channels`` asks for; with one channel (the default) the
-    schedule view *is* the legacy program, packet for packet.  An explicit
-    ``schedule`` (e.g. a demand-aware :meth:`BroadcastSchedule.optimized`
-    layout of the same program) overrides the config-derived one.
-    ``error_model`` gives each trial its own model, re-seeded for the key
-    ``trial * cycle + start packet``, so the rows do not depend on what
-    else the model served.
+    The replay is a fleet of one client per trial on the fleet engine
+    (:mod:`repro.sim.fleet`): trial ``t`` is a cold one-step item tuned in
+    at packet ``start = int(tune_in_fraction * cycle) % cycle``, with one
+    phase per packet, so it runs on the lockstep kernels when they accept
+    the workload and on the reference planners otherwise.  The index's
+    packet cycle is aired as the channel schedule ``config.n_channels``
+    asks for; with one channel (the default) the schedule view *is* the
+    legacy program, packet for packet.  An explicit ``schedule`` (e.g. a
+    demand-aware :meth:`BroadcastSchedule.optimized` layout of the same
+    program) overrides the config-derived one.  ``error_model`` gives each
+    trial its own model, re-seeded for the key ``t * cycle + start``, so
+    the rows do not depend on what else the model served.  The replay runs
+    in-process, so sweep workers start no nested pools.
     """
-    result = ExperimentResult(
-        index_name=label or getattr(index, "name", type(index).__name__),
-        workload_name=workload.name,
-    )
-    if schedule is None:
-        schedule = BroadcastSchedule.for_config(index.program, config)
-    elif schedule.base_program is not index.program:
-        raise ValueError("schedule was built for a different broadcast program")
-    view = schedule.view()
+    _, view = _schedule_view(index, config, schedule)
     cycle = view.cycle_packets
-    for t, trial in enumerate(workload):
-        start = int(trial.tune_in_fraction * cycle) % cycle
-        # Trial t loses what a fleet execution of item t at phase ``start``
-        # (one phase per packet) would lose.
-        session = ClientSession(
-            view, config, start_packet=start,
-            error_model=(
-                None if error_model is None
-                else _session_model(error_model, t * cycle + start)
-            ),
-        )
-        query = trial.query
-        outcome = execute_query(index, query, session, knn_strategy=knn_strategy)
-        correct = matches(dataset, query, outcome.objects) if verify else None
-        result.record(outcome.metrics, correct)
-    return result
+    trials = list(workload)
+    fracs = np.array([trial.tune_in_fraction for trial in trials], dtype=np.float64)
+    starts = (fracs * cycle).astype(np.int64) % cycle
+    fields = _run_executions(
+        index, dataset, config, view, [((trial.query, 0),) for trial in trials],
+        np.arange(len(trials), dtype=np.int64), starts,
+        np.ones(len(trials), dtype=np.int64), cycle, warm=False,
+        label=label or getattr(index, "name", type(index).__name__),
+        workload_name=workload.name,
+        error_theta=None if error_model is None else error_model.theta,
+        error_scope="index" if error_model is None else error_model.scope,
+        error_seed=0 if error_model is None else error_model.seed,
+        verify=verify, knn_strategy=knn_strategy, parallel=False, processes=None,
+        ship_view=False,
+    )
+    return fields["result"]
 
 
 def compare_indexes(

@@ -210,6 +210,53 @@ class TestRowsAndSweeps:
         assert math.isnan(rows[0]["accuracy"])
 
 
+class TestOneErrorRule:
+    """Every cell -- per-trial, fleet or mobility -- reads one channel,
+    ``(theta, scope, seed)``, resolved once per sweep point."""
+
+    @staticmethod
+    def lossy(fleet=None):
+        experiment = (
+            Experiment(uniform_dataset(300, seed=3))
+            .indexes("dsi")
+            .window_workload(n_queries=5, seed=1)
+        )
+        if fleet is not None:
+            experiment.fleet(fleet, seed=1)
+        return experiment
+
+    def test_unseeded_errors_give_the_same_rows_every_run(self):
+        def rows(**run):
+            experiment = self.lossy().errors(theta=0.3).sweep(capacity=[64, 128])
+            return repr(experiment.run(**run).rows)
+
+        first = rows(parallel=False)
+        assert rows(parallel=False) == first
+        assert rows(processes=2) == first
+        seeded = repr(
+            self.lossy().errors(theta=0.3, seed=0).sweep(capacity=[64, 128])
+            .run(parallel=False).rows
+        )
+        assert seeded == first
+        # The fleet cell of the same declaration reads seed 0 too.
+        fleet = self.lossy(fleet=2000).errors(theta=0.3).run(parallel=False).rows
+        assert fleet[0]["latency_bytes"] == 461_667.136
+
+    def test_shared_model_rows_equal_its_seeded_declaration(self):
+        from repro.broadcast import LinkErrorModel
+
+        shared = LinkErrorModel(theta=0.1, seed=1)
+        for make in (
+            lambda: self.lossy(fleet=500),
+            lambda: Experiment(uniform_dataset(300, seed=3)).indexes("dsi", "hci")
+            .fleet(500, seed=1).mobility(1, 3, n_journeys=4, seed=2),
+        ):
+            with_model = make().errors(shared).run(parallel=False).rows
+            declared = make().errors(theta=0.1, seed=1).run(parallel=False).rows
+            assert repr(with_model) == repr(declared)
+            assert with_model[0]["backend"] == "numpy"
+
+
 class TestKernelCoverage:
     def test_fleet_grid_coverage_counts_backends(self, dataset):
         run = (

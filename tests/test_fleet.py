@@ -257,19 +257,6 @@ class TestExperimentComposition:
         assert rows[0]["backend"] == "reference"
         assert "reference path" in rows[0]["backend_reason"]
 
-    def test_fleet_rejects_shared_error_model_instance(self, dataset):
-        from repro.broadcast import LinkErrorModel
-
-        experiment = (
-            Experiment(dataset)
-            .indexes("dsi")
-            .window_workload(n_queries=4, seed=5)
-            .fleet(100, seed=1)
-            .errors(LinkErrorModel(theta=0.1, seed=1))
-        )
-        with pytest.raises(ValueError, match="seeded error model"):
-            experiment.run(parallel=False)
-
     def test_sweep_fleet_requires_fleet_mode(self, dataset):
         experiment = (
             Experiment(dataset)

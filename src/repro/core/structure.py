@@ -8,8 +8,16 @@ table has one entry per exponential distance: entry *i* points to the
 
 Sizing follows the paper's Section 4 rule: one packet is reserved for the
 table, so the number of entries is ``floor(capacity / entry_size)`` and
-``nF = r ** entries`` (capped at the number of objects ``N``); the object
-factor is then ``n_o = ceil(N / nF)``.
+``nF = r ** entries`` (capped at the number of distinct HC values ``D``);
+the object factor is then ``n_o = ceil(N / nF)``.
+
+Each frame's HC extent runs from its minimum ``HC'_i`` to the next
+frame's, and both query algorithms skip whole frames by extent.  That is
+exact only if no HC value lies in two frames, so objects sharing an HC
+value always share a frame: the build cuts frames between equal-HC runs
+(a frame may then hold more or fewer than ``n_o`` objects) and checks
+that every frame is non-empty, that every frame's largest HC value lies
+below the next frame's minimum and that ``nF`` is a multiple of ``m``.
 
 Two reproduction extensions, both documented in DESIGN.md:
 
@@ -25,6 +33,7 @@ Two reproduction extensions, both documented in DESIGN.md:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,9 +69,10 @@ class DsiParameters:
     """Tunable knobs of the DSI index.
 
     ``index_base`` is the exponential base *r*; ``object_factor`` is the
-    number of objects per frame *n_o* (``None`` derives it from ``sizing``);
-    ``n_segments`` is the broadcast-reorganization factor *m*
-    (1 = original ascending-HC broadcast, 2 = the paper's reorganized
+    target number of objects per frame *n_o*, which sets ``nF`` (``None``
+    derives it from ``sizing``; frames cut between equal-HC runs may hold
+    more or fewer); ``n_segments`` is the broadcast-reorganization factor
+    *m* (1 = original ascending-HC broadcast, 2 = the paper's reorganized
     broadcast); ``use_directory`` controls the intra-frame directory.
     """
 
@@ -93,15 +103,24 @@ class FrameLayout:
 
 
 def derive_frame_layout(
-    n_objects: int, config: SystemConfig, params: DsiParameters
+    n_objects: int,
+    config: SystemConfig,
+    params: DsiParameters,
+    n_distinct: Optional[int] = None,
 ) -> FrameLayout:
-    """Apply the paper's sizing rule (Section 4) to obtain ``nF`` and ``n_o``."""
+    """Apply the paper's sizing rule (Section 4) to obtain ``nF`` and ``n_o``.
+
+    ``n_distinct`` is the number of distinct HC values among the objects
+    (``n_objects`` when omitted): no HC value may span two frames, so it
+    caps ``nF``.
+    """
     if n_objects < 1:
         raise ValueError("need at least one object")
     m = params.n_segments
-    if n_objects < m:
+    distinct = n_objects if n_distinct is None else n_distinct
+    if distinct < m:
         raise ValueError(
-            f"cannot split {n_objects} objects into {m} broadcast segments"
+            f"cannot split {distinct} distinct HC values into {m} broadcast segments"
         )
     r = params.index_base
     if params.object_factor is not None:
@@ -118,8 +137,8 @@ def derive_frame_layout(
         n_frames = math.ceil(n_objects / object_factor)
     # The reorganized broadcast needs nF to be a multiple of m so that the
     # position <-> HC-rank mapping stays pure arithmetic on the client, and
-    # nF may never exceed N (every frame holds at least one object).
-    n_frames = max(m, min(n_frames, n_objects))
+    # nF may never exceed D (every frame holds at least one HC value).
+    n_frames = max(m, min(n_frames, distinct))
     if n_frames % m != 0:
         n_frames = (n_frames // m) * m
         n_frames = max(n_frames, m)
@@ -204,11 +223,25 @@ class DsiFrame:
 
     @property
     def min_hc(self) -> int:
-        return self.objects[0].hc if self.objects else 0
+        return self.objects[0].hc
 
     @property
     def max_hc(self) -> int:
-        return self.objects[-1].hc if self.objects else 0
+        return self.objects[-1].hc
+
+
+def check_frames(frames: Sequence[DsiFrame], n_segments: int) -> None:
+    """Raise ``ValueError`` unless the rank-ordered frames are a valid DSI
+    layout: every frame non-empty, every frame's largest HC value below the
+    next frame's minimum (so each HC value lies in exactly one frame and
+    the extents partition the HC space) and ``nF`` a multiple of ``m``."""
+    if len(frames) % n_segments:
+        raise ValueError(f"{len(frames)} frames do not split into {n_segments} segments")
+    for rank, frame in enumerate(frames):
+        if not frame.objects:
+            raise ValueError(f"frame rank {rank} is empty")
+        if rank and frame.min_hc <= frames[rank - 1].max_hc:
+            raise ValueError(f"HC value {frame.min_hc} lies in frame ranks {rank - 1} and {rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,42 +275,46 @@ class DsiIndex(AirIndex):
         self.config = config
         self.params = params if params is not None else DsiParameters()
         self.curve: HilbertCurve = dataset.curve
-        self.layout = derive_frame_layout(len(dataset), config, self.params)
+        ordered = dataset.objects_by_hc()
+        runs = [i for i, o in enumerate(ordered) if i == 0 or o.hc != ordered[i - 1].hc]
+        self.layout = derive_frame_layout(len(ordered), config, self.params, len(runs))
 
-        self._build_frames()
+        self._build_frames(ordered, runs)
+        check_frames(self.frames_by_rank, self.params.n_segments)
         self._build_tables()
         self._build_program()
 
     # -- construction ---------------------------------------------------------
 
-    def _build_frames(self) -> None:
-        ordered = self.dataset.objects_by_hc()
+    def _build_frames(self, ordered: List[DataObject], runs: List[int]) -> None:
+        """Cut the HC-sorted objects into ``nF`` frames, never inside an
+        equal-HC run (``runs`` holds the index of each run's first object).
+
+        The even split would start rank ``r`` at ``r·base + min(r, extra)``
+        (``base, extra = divmod(N, nF)``).  Each inner cut moves instead to
+        the nearest run start, ties going down, clamped to lie strictly
+        after the previous cut and early enough that every later rank still
+        gets a run of its own.  ``nF <= D`` (see :func:`derive_frame_layout`)
+        makes that always possible.
+        """
         n_frames = self.layout.n_frames
-        m = self.params.n_segments
-
-        # Split the HC-sorted objects into nF contiguous chunks whose sizes
-        # differ by at most one (so every frame holds at least one object).
-        n = len(ordered)
-        base, extra = divmod(n, n_frames)
-        chunks: List[List[DataObject]] = []
-        at = 0
-        for rank in range(n_frames):
-            size = base + (1 if rank < extra else 0)
-            chunks.append(ordered[at : at + size])
-            at += size
-
-        seg_size = n_frames // m
-        self.frames: List[DsiFrame] = [None] * n_frames  # type: ignore[list-item]
-        for rank, objects in enumerate(chunks):
-            segment = rank // seg_size if m > 1 else 0
-            segment = min(segment, m - 1)
-            pos = self.pos_of_rank(rank)
-            self.frames[pos] = DsiFrame(
-                broadcast_pos=pos, hc_rank=rank, segment=segment, objects=objects
-            )
-        self.frames_by_rank: List[DsiFrame] = sorted(self.frames, key=lambda f: f.hc_rank)
+        base, extra = divmod(len(ordered), n_frames)
+        first = [0]  # index into ``runs`` of each rank's first run
+        for rank in range(1, n_frames):
+            target = rank * base + min(rank, extra)
+            j = bisect.bisect_right(runs, target) - 1
+            if j + 1 < len(runs) and runs[j + 1] - target < target - runs[j]:
+                j += 1
+            first.append(min(max(j, first[-1] + 1), len(runs) - n_frames + rank))
+        cuts = [runs[j] for j in first] + [len(ordered)]
+        seg_size = n_frames // self.params.n_segments
+        self.frames_by_rank: List[DsiFrame] = [
+            DsiFrame(self.pos_of_rank(rank), rank, rank // seg_size, ordered[a:b])
+            for rank, (a, b) in enumerate(zip(cuts, cuts[1:]))
+        ]
+        self.frames = sorted(self.frames_by_rank, key=lambda f: f.broadcast_pos)
         self.segment_boundaries: Tuple[int, ...] = tuple(
-            self.frames_by_rank[s * seg_size].min_hc for s in range(m)
+            self.frames_by_rank[s * seg_size].min_hc for s in range(self.params.n_segments)
         )
 
     def _build_tables(self) -> None:

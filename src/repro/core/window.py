@@ -40,8 +40,6 @@ from ..spatial.hilbert import (
     WINDOW_MAX_DEPTH,
     WINDOW_MAX_RANGES,
     HCRange,
-    merge_ranges,
-    ranges_contain,
     subtract_range,
 )
 from .eef import read_table
@@ -144,7 +142,6 @@ def window_query(
     # is itself the prefix maximum), rebuilt only when a processed frame's
     # extent is subtracted.
     pending_arr = np.asarray(pending, dtype=np.int64).reshape(-1, 2)
-    clamped = pending  # the whole clamped cover, kept as pending shrinks
     p_los = [lo for lo, _ in pending]
     p_his = [hi for _, hi in pending]
 
@@ -164,18 +161,9 @@ def window_query(
     def process(frame_table: DsiTable) -> None:
         nonlocal pending, pending_arr, p_los, p_his, frames_visited, lost_objects
         lo, hi = frame_extent(frame_table)
-        ranges, ranges_arr = pending, pending_arr
-        # Equal HC values may straddle a frame boundary: this frame's last
-        # objects can share the next frame's minimum, a value cleared from
-        # ``pending`` with the next frame's extent if that frame was
-        # processed first.  They are still wanted while the clamped cover
-        # holds the value.
-        edge = frame_table.next_hc_min
-        if ranges_contain(clamped, edge) and not ranges_contain(pending, edge):
-            ranges, ranges_arr = merge_ranges(pending + [(edge, edge)]), None
         visit = visit_frame_for_ranges(
-            session, view, knowledge, frame_table.frame_pos, frame_table, ranges,
-            ranges_arr=ranges_arr,
+            session, view, knowledge, frame_table.frame_pos, frame_table, pending,
+            ranges_arr=pending_arr,
         )
         frames_visited += 1
         retrieved.extend(visit.retrieved)

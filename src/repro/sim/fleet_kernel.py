@@ -55,8 +55,11 @@ the reference walk carries:
 * which ranks this query has examined / has pending.
 
 Three structural facts about DSI make the lockstep walk exact, not
-approximate (each is asserted at precompute and the kernel refuses --
-falling back to the reference -- when one fails):
+approximate.  The index build guarantees the frame layout they rest on:
+every frame is non-empty and every HC value lies in exactly one frame
+(:func:`~repro.core.structure.check_frames`), so frame minima strictly
+increase.  What each table teaches is checked at precompute, and the
+kernel refuses -- falling back to the reference -- when that fails:
 
 1. **Knowledge is a bitmask.**  Everything a table teaches is a true frame
    minimum (own rank, successor, entry targets, segment boundaries), so a
@@ -237,11 +240,11 @@ class KernelUnsupported(Exception):
     (unequal or empty steps, mixed window/kNN queries, window queries on an
     index type without a walker) and by a walker's constructor for runs
     outside its envelope: kNN trials on tree indexes, kNN runs with link
-    errors or an unknown strategy, directory-less layouts, duplicate frame
-    minima, lossy scopes other than ``index``, or any precompute invariant
-    the exactness argument relies on failing to hold.  A walk raises it
-    where the reference raises or truncates: exhausted loss retries, or a
-    walk past a planner guard (:attr:`~repro.core.structure.DsiAirView.window_guard`,
+    errors or an unknown strategy, directory-less layouts, lossy scopes
+    other than ``index``, or any precompute invariant the exactness
+    argument relies on failing to hold.  A walk raises it where the
+    reference raises or truncates: exhausted loss retries, or a walk past
+    a planner guard (:attr:`~repro.core.structure.DsiAirView.window_guard`,
     :attr:`~repro.core.structure.DsiAirView.knn_guard`,
     :attr:`~repro.broadcast.treeair.TreeOnAir.sweep_guard`).  The fleet
     engine behind :func:`repro.sim.fleet.run_fleet` /
@@ -282,11 +285,6 @@ class _Static:
         mins = np.fromiter(
             (f.min_hc for f in index.frames_by_rank), dtype=np.int64, count=n_frames
         )
-        if n_frames > 1 and not np.all(mins[1:] > mins[:-1]):
-            # Tied minima make visit contents order-dependent (two frames
-            # sharing a minimum share HC values across the extent boundary);
-            # the reference path handles that, the lockstep kernel does not.
-            raise KernelUnsupported("frame minima are not strictly increasing")
         hc_space = index.curve.max_value
         ext_lo = mins.copy()
         ext_lo[0] = 0
@@ -603,8 +601,6 @@ def _precompute_queries(
                 if directory is None:
                     # use_directory=True means None <=> a single object: the
                     # scan path reads it unconditionally, retrieves on match.
-                    if len(object_buckets) != 1:
-                        raise KernelUnsupported("multi-object frame without directory")
                     seq = [object_buckets[0]]
                     if inside[0]:
                         objs.append(frame.objects[0])
@@ -1406,14 +1402,17 @@ class _KnnStatic:
     sharing a cell share one estimate, and a retrieved HC blocks its
     re-estimation).  Both compile to flat integer spaces here: object ids
     (``obj_start[rank] + slot``, global HC order) and unique-HC *group*
-    ids (``hc_group`` maps objects to groups; duplicates are consecutive
-    in the flat order).  Every table's ``learn_table`` estimate set -- its
-    own minimum plus its entry landmarks, all frame minima -- becomes a
-    padded row of distinct group ids (``est_grps``, real entries marked
-    in ``est_on``); ``vis_grps``/``vis_on`` add the frame's directory
-    records, the estimates a visit learns from its table and directory (a
-    frame without a directory holds one object, its own minimum, so its
-    row adds nothing).
+    ids (``hc_group`` maps objects to groups).  The built index keeps each
+    HC value inside one non-empty, HC-sorted frame
+    (:func:`~repro.core.structure.check_frames`), so a group's objects are
+    consecutive within one frame and slot 0 holds the frame's minimum.
+    Every table's ``learn_table`` estimate set -- its own minimum plus its
+    entry landmarks, all frame minima -- becomes a padded row of distinct
+    group ids (``est_grps``, real entries marked in ``est_on``);
+    ``vis_grps``/``vis_on`` add the frame's directory records, the
+    estimates a visit learns from its table and directory (a frame without
+    a directory holds one object, its own minimum, so its row adds
+    nothing).
     """
 
     __slots__ = (
@@ -1426,22 +1425,6 @@ class _KnnStatic:
         ro = index.rank_object_arrays()
         hcs = ro.hcs
         n_frames = static.n_frames
-        if np.any(ro.flen < 1):
-            raise KernelUnsupported("empty frames take the reference path")
-        if len(hcs) > 1 and np.any(hcs[1:] < hcs[:-1]):
-            raise KernelUnsupported(
-                "unsorted broadcast objects take the reference path"
-            )
-        if not np.array_equal(static.mins, hcs[ro.obj_start]):
-            raise KernelUnsupported(
-                "frame minima do not map to slot-0 objects"
-            )
-        if np.any((ro.dir_bucket < 0) & (ro.flen > 1)):
-            # The reference would scan such a frame unconditionally; the
-            # built structure never produces it under use_directory.
-            raise KernelUnsupported(
-                "multi-object frame without directory takes the reference path"
-            )
         grp_hcs, hc_group = np.unique(hcs, return_inverse=True)
         rank_of_pos = np.empty(n_frames, dtype=np.int64)
         rank_of_pos[static.pos_of_rank] = np.arange(n_frames)
@@ -1491,6 +1474,11 @@ def _knn_static_of(index: Any, static: _Static) -> _KnnStatic:
 #: same cap ``repro.spatial.hilbert`` puts on its window-cover memo).
 _KNN_COVER_MEMO_MAX = 8192
 
+#: New covers swept per ``covers_for_rects_flat`` batch.  The sweep's
+#: working set grows with its batch (about 53 KB per rect on the
+#: fleet benchmark's 4-channel kNN inputs), so one batch bounds the peak.
+_KNN_COVER_CHUNK = 256
+
 
 class _KnnCovers:
     """Shared circle covers compiled to rank masks, memoized on cell keys.
@@ -1503,12 +1491,13 @@ class _KnnCovers:
     quantised key is computed here vectorised for all lanes at once,
     deduplicated, and only genuinely new covers reach
     ``covers_for_rects_flat``, the sweep ``ranges_for_rect`` runs for one
-    rect, in one batch.  Each new cover compiles to one knowledge-free row of
-    ``masks`` over frame ranks: rank ``r`` is set when some piece's global
-    span ``[max(a0, 0), b0 - 1]`` holds it, ``a0`` being the largest rank
-    whose minimum is <= the piece's low end and ``b0`` the first rank whose
-    minimum exceeds its high end.  Lanes test those rows against their own
-    knowledge with :func:`_segment_candidates` -- the rank-space image of
+    rect, in batches of ``_KNN_COVER_CHUNK``.  Each new cover compiles to
+    one knowledge-free row of ``masks`` over frame ranks: rank ``r`` is set
+    when some piece's global span ``[max(a0, 0), b0 - 1]`` holds it, ``a0``
+    being the largest rank whose minimum is <= the piece's low end and
+    ``b0`` the first rank whose minimum exceeds its high end.  Lanes test
+    those rows against their own knowledge with
+    :func:`_segment_candidates` -- the rank-space image of
     ``ClientKnowledge.candidate_rank_array``.  A cover depends only on the
     curve, the frame minima, the query point and the radius, so one memo
     per index (on :class:`_KnnStatic`) serves every lane, phase, query,
@@ -1563,8 +1552,9 @@ class _KnnCovers:
         scaled-bound quantisation of ``ranges_for_rect`` elementwise (the
         same IEEE operations, so the same integers); an infinite radius
         keys the full-range cover.  Keys the memo has not seen sweep in
-        one ``covers_for_rects_flat`` batch.  The ids stay valid until the
-        next call: a full memo is reset only here, on entry.
+        ``covers_for_rects_flat`` batches of ``_KNN_COVER_CHUNK``.  The ids
+        stay valid until the next call: a full memo is reset only here, on
+        entry.
         """
         if len(self.memo) >= _KNN_COVER_MEMO_MAX:
             self.memo.clear()
@@ -1601,12 +1591,13 @@ class _KnnCovers:
                 np.full(1, top, dtype=np.int64),
             )
             miss = miss[1:]
-        if len(miss):
-            # All genuinely new covers sweep in one batched pass (the
-            # clipped circle bounding rects, elementwise as
-            # ``circle_bounding_rect`` computes them), then compile as one
-            # block.
-            fi = first[miss]
+        for at in range(0, len(miss), _KNN_COVER_CHUNK):
+            # Genuinely new covers sweep in batched passes of at most
+            # _KNN_COVER_CHUNK rects (the clipped circle bounding rects,
+            # elementwise as ``circle_bounding_rect`` computes them), each
+            # compiled as one block, so ids follow ``miss`` order.
+            chunk = miss[at: at + _KNN_COVER_CHUNK]
+            fi = first[chunk]
             cm = qx[qids[fi]]
             dm = qy[qids[fi]]
             rm = prune[fi]
@@ -1617,8 +1608,8 @@ class _KnnCovers:
                 np.minimum(1.0, dm + rm),
             )
             cid0 = self._add_masks(counts, los, his)
-            cids[miss] = np.arange(cid0, cid0 + len(miss), dtype=np.int64)
-            memo.update(zip(uniq[miss].tolist(), cids[miss].tolist()))
+            cids[chunk] = np.arange(cid0, cid0 + len(chunk), dtype=np.int64)
+        memo.update(zip(uniq[miss].tolist(), cids[miss].tolist()))
         return cids[inv]
 
 

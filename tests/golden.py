@@ -26,11 +26,14 @@ the list of moved rows.
     PYTHONPATH=src python tests/golden.py --check uniform/table1 fleet/real
 
 Under ``REPRO_PURE=1`` every engine is the reference, so ``--check``
-compares every field but ``backend`` and ``backend_reason``.  A change that
-moves an output on purpose commits the rewritten JSON and names the moved
-blocks; tier-1 (``tests/test_golden.py``) recomputes the Table 1 and
-Figure 9-11 blocks and a slice of the fleet grid, CI's ``golden`` job the
-reduced-scale files and its ``golden-paper`` job the paper-scale rows.
+compares every field but ``backend`` and ``backend_reason``.  ``--check``
+also fails on a wrong answer whatever the committed rows say: every
+recomputed ``accuracy`` must read 1 and every lossless fleet cell must
+count no incorrect trial.  A change that moves an output on purpose
+commits the rewritten JSON and names the moved blocks; tier-1
+(``tests/test_golden.py``) recomputes the Table 1 and Figure 9-11 blocks
+and a slice of the fleet grid, CI's ``golden`` job the reduced-scale
+files and its ``golden-paper`` job the paper-scale rows.
 """
 
 from __future__ import annotations
@@ -417,6 +420,19 @@ def diff(block: str, want: List[Dict[str, Any]], got: List[Dict[str, Any]]) -> L
     return out
 
 
+def wrong_answers(block: str, rows: List[Dict[str, Any]]) -> List[str]:
+    """Wrong answers among freshly computed rows, whatever the committed
+    file says: a row that carries ``accuracy`` must read exactly 1, and a
+    lossless fleet cell must count no incorrect trial."""
+    out = []
+    for i, row in enumerate(rows):
+        if "accuracy" in row and row["accuracy"] != [1, 1]:
+            out.append(f"{block}[{i}]: accuracy {json.dumps(row['accuracy'])}, not 1")
+        if row.get("cell", "").endswith("/lossless") and row["incorrect"]:
+            out.append(f"{block}[{i}]: {row['incorrect']} incorrect trials, lossless")
+    return out
+
+
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = parser.add_mutually_exclusive_group(required=True)
@@ -451,7 +467,10 @@ def main(argv: List[str]) -> int:
         if path.exists():
             stored.update(load(path))
     problems = [
-        line for name in names for line in diff(name, stored.get(name, []), fresh[name])
+        line
+        for name in names
+        for line in diff(name, stored.get(name, []), fresh[name])
+        + wrong_answers(name, fresh[name])
     ]
     print("\n".join(problems) if problems else
           f"{sum(map(len, fresh.values()))} rows in {len(fresh)} blocks match")

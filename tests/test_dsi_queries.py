@@ -80,10 +80,12 @@ class TestWindowQueryCorrectness:
 
     @pytest.mark.parametrize("scan", [False, True], ids=["directory", "scan"])
     def test_hc_value_straddling_frames(self, scan, monkeypatch):
-        """Objects 0 and 35 share HC 1657: object 0 ends frame rank 3 and
-        1657 is rank 4's minimum.  Tuning in at 6/12 or 7/12 of the cycle
-        processes rank 4 first; rank 3's visit must still fetch object 0,
-        through its directory or, with the directory lost, the scan."""
+        """Objects 0 and 35 share HC 1657.  An even split ends frame rank 3
+        with object 0 and starts rank 4 with object 35; the build keeps
+        both in one frame instead.  Tuning in at 6/12 or 7/12 of the cycle,
+        where an extent-skipping walk once missed object 0, fetches it
+        through the frame's directory or, with the directory lost, the
+        scan."""
         from repro.core import visit
         from repro.queries.workload import window_workload
         from repro.sim.runner import build_index
@@ -91,8 +93,9 @@ class TestWindowQueryCorrectness:
         dataset = uniform_dataset(59, seed=934)
         config = SystemConfig(packet_capacity=64)
         index = build_index("dsi", dataset, config, use_cache=False)
-        assert [o.oid for o in index.frames_by_rank[3].objects][-1] == 0
-        assert index.frames_by_rank[4].min_hc == dataset.objects[0].hc
+        assert dataset.objects[0].hc == dataset.objects[35].hc == 1657
+        frame = index.frames_by_rank[index.frame_rank_covering(1657)]
+        assert {0, 35} <= {o.oid for o in frame.objects}
         if scan:
             monkeypatch.setattr(visit, "read_directory", lambda *a, **k: None)
         query = list(window_workload(2, 0.12, seed=934))[0].query

@@ -6,8 +6,13 @@ import pytest
 
 from repro.broadcast import BucketKind, SystemConfig
 from repro.core import DsiIndex, DsiParameters, derive_frame_layout
-from repro.core.structure import SIZING_RULES
-from repro.spatial import running_example_dataset, uniform_dataset
+from repro.core.structure import SIZING_RULES, check_frames
+from repro.spatial import (
+    HilbertCurve,
+    SpatialDataset,
+    running_example_dataset,
+    uniform_dataset,
+)
 
 
 class TestParameters:
@@ -73,6 +78,92 @@ class TestFrameLayout:
     def test_zero_objects_rejected(self):
         with pytest.raises(ValueError):
             derive_frame_layout(0, SystemConfig(), DsiParameters())
+
+    def test_frames_capped_at_distinct_hc_values(self):
+        layout = derive_frame_layout(
+            100, SystemConfig(), DsiParameters(object_factor=1), n_distinct=37
+        )
+        assert layout.n_frames == 37 and layout.object_factor == 3
+
+    def test_more_segments_than_distinct_values_rejected(self):
+        with pytest.raises(ValueError):
+            derive_frame_layout(
+                10, SystemConfig(), DsiParameters(n_segments=4), n_distinct=3
+            )
+
+
+def _runs_dataset(run_lengths):
+    """Objects whose ascending HC values 0, 1, 2, ... repeat
+    ``run_lengths[v]`` times each."""
+    curve = HilbertCurve(3)
+    points = [
+        curve.representative_point(hc)
+        for hc, length in enumerate(run_lengths)
+        for _ in range(length)
+    ]
+    return SpatialDataset(points, name="runs", curve_order=3)
+
+
+class TestFrameCuts:
+    @pytest.mark.parametrize(
+        "runs, object_factor, sizes",
+        [
+            # Targets 3, 6, 9: the nearest run starts are 4, 6 and 10.
+            ([1, 3, 1, 1, 4, 2], 3, [4, 2, 4, 2]),
+            # Target 4 lies between run starts 3 and 5: the tie goes down.
+            ([3, 2, 3], 4, [3, 5]),
+            # Targets 2, 4, 6 all sit nearest run start 0 or 5: each cut
+            # moves past the previous one.
+            ([5, 1, 1, 1], 2, [5, 1, 1, 1]),
+            # Targets 2, 4, 6 sit at or past the third run start: each cut
+            # stays early enough to leave one run per later frame.
+            ([1, 1, 1, 5], 2, [1, 1, 1, 5]),
+            # object_factor=1 asks for 8 frames; 4 distinct values cap it.
+            ([5, 1, 1, 1], 1, [5, 1, 1, 1]),
+        ],
+    )
+    def test_cuts_move_to_the_nearest_run_start(self, runs, object_factor, sizes):
+        index = DsiIndex(
+            _runs_dataset(runs), SystemConfig(),
+            DsiParameters(object_factor=object_factor),
+        )
+        assert [len(f.objects) for f in index.frames_by_rank] == sizes
+        assert index.layout.object_factor == -(-sum(runs) // len(sizes))
+
+    def test_fewer_distinct_values_than_segments_rejected(self):
+        with pytest.raises(ValueError):
+            DsiIndex(_runs_dataset([4, 4, 4]), SystemConfig(), DsiParameters(n_segments=4))
+
+    def test_build_rejects_a_value_in_two_frames(self, monkeypatch):
+        cut = DsiIndex._build_frames
+
+        def straddle(self, *args):
+            cut(self, *args)
+            first, second = self.frames_by_rank[:2]
+            second.objects.insert(0, first.objects.pop())
+
+        monkeypatch.setattr(DsiIndex, "_build_frames", straddle)
+        with pytest.raises(ValueError, match="HC value 0 lies in frame ranks 0 and 1"):
+            DsiIndex(
+                _runs_dataset([2, 2, 2, 2]), SystemConfig(),
+                DsiParameters(object_factor=2),
+            )
+
+    def test_check_frames_rejects_an_empty_frame(self):
+        index = DsiIndex(
+            _runs_dataset([2, 2, 2, 2]), SystemConfig(), DsiParameters(object_factor=2)
+        )
+        index.frames_by_rank[1].objects.clear()
+        with pytest.raises(ValueError, match="frame rank 1 is empty"):
+            check_frames(index.frames_by_rank, 1)
+
+    def test_check_frames_rejects_a_ragged_segment_split(self):
+        index = DsiIndex(
+            _runs_dataset([1, 1, 1]), SystemConfig(), DsiParameters(object_factor=1)
+        )
+        assert index.n_frames == 3
+        with pytest.raises(ValueError, match="3 frames"):
+            check_frames(index.frames_by_rank, 2)
 
 
 class TestDsiIndexStructure:

@@ -32,12 +32,20 @@ from repro.broadcast.config import SystemConfig
 from repro.broadcast.errors import LinkErrorModel
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.broadcast.timeline import timeline_of
+from repro.core import DsiIndex, DsiParameters
 from repro.mobility import run_journey, trajectory_workload
+from repro.queries import matches
 from repro.queries.types import KnnQuery, WindowQuery
-from repro.queries.workload import Trial, Workload, knn_workload, window_workload
+from repro.queries.workload import (
+    Trial,
+    Workload,
+    knn_workload,
+    skewed_workload,
+    window_workload,
+)
 from repro.sim.fleet import run_fleet, run_mobile_fleet
 from repro.sim.runner import build_index, execute_query
-from repro.spatial.datasets import grid_dataset, uniform_dataset
+from repro.spatial.datasets import grid_dataset, real_surrogate_dataset, uniform_dataset
 from repro.spatial.geometry import Point, Rect
 
 N_CLIENTS = 300
@@ -1622,8 +1630,9 @@ def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeyp
 
 
 def _straddling_hc_fleet():
-    """Objects 0 and 35 share HC 1657, which ends frame rank 3 and is rank
-    4's minimum; executions 6-7 (query 0, phases 6-7) need object 0."""
+    """Objects 0 and 35 share HC 1657, which an even split would put at the
+    end of frame rank 3 and the start of rank 4; the build keeps both in
+    rank 4.  Executions 6-7 (query 0, phases 6-7) need object 0."""
     dataset = uniform_dataset(59, seed=934)
     config = SystemConfig(packet_capacity=64)
     index = build_index("dsi", dataset, config, use_cache=False)
@@ -1633,17 +1642,17 @@ def _straddling_hc_fleet():
 
 
 def test_kernel_answers_hc_value_straddling_frames():
-    """The kernel's static per-(query, rank) visits fetch the object."""
+    """The kernel's static per-(query, rank) visits fetch the object, at
+    the latencies one reference session per tune-in pays."""
     result = _straddling_hc_fleet()
     assert result.backend == "numpy"
     assert result.result.incorrect_trials == 0
-    np.testing.assert_array_equal(result.unique_latency[6:8], [65_536, 60_224])
+    np.testing.assert_array_equal(result.unique_latency[6:8], [61_376, 65_792])
 
 
 def test_reference_answers_hc_value_straddling_frames(monkeypatch):
-    """Clearing rank 4's extent first no longer drops object 0 from rank
-    3's visit on the reference planner: it answers correctly, and its
-    executions cost what the kernel's do."""
+    """The reference planner answers correctly too, and its executions
+    cost what the kernel's do."""
     kernel = _straddling_hc_fleet()
     monkeypatch.setenv("REPRO_PURE", "1")
     result = _straddling_hc_fleet()
@@ -1678,9 +1687,11 @@ def test_reference_answers_hc_value_straddling_frames(monkeypatch):
 def test_straddling_hc_draws_match_brute_force(
     fleet, n_objects, dataset_seed, workload_seed, channels, theta
 ):
-    """Shrunk property-test draws whose datasets end a frame with the next
-    frame's minimum HC: the kernel equals the scalar brute force on each
-    (flat windows, optimized layouts at budget 2.0, 3-hop journeys)."""
+    """Shrunk property-test draws whose datasets hold an equal-HC run that
+    an even split ends one frame and starts the next with (the build now
+    keeps each run in one frame): the kernel equals the scalar brute force
+    on each (flat windows, optimized layouts at budget 2.0, 3-hop
+    journeys)."""
     dataset = uniform_dataset(n_objects, seed=dataset_seed)
     config = SystemConfig(packet_capacity=64, n_channels=channels)
     index = build_index("dsi", dataset, config, use_cache=False)
@@ -1720,3 +1731,90 @@ def test_straddling_hc_draws_match_brute_force(
     np.testing.assert_array_equal(result.unique_counts, counts)
     np.testing.assert_array_equal(result.unique_latency, lat)
     np.testing.assert_array_equal(result.unique_tuning, tun)
+
+
+# --- one HC value, one frame --------------------------------------------------
+
+
+def _kernel_and_pure(monkeypatch, run):
+    """``run()`` on the kernel and under ``REPRO_PURE=1``: every trial
+    verified correct on both, with equal per-execution arrays."""
+    fast = run()
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = run()
+    monkeypatch.delenv("REPRO_PURE")
+    assert fast.backend == "numpy", fast.backend_reason
+    assert pure.backend == "reference"
+    assert fast.result.incorrect_trials == pure.result.incorrect_trials == 0
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+
+
+def test_equal_hc_run_shares_one_frame(monkeypatch):
+    """Objects 295 and 356 share HC 53,832.  An even split ends frame rank
+    69 with object 295 and starts rank 70 with object 356; window 21 of
+    this skewed workload covers the value but not the rest of rank 69's
+    extent, so both engines skipped rank 69 and missed object 295 at every
+    tune-in.  The build keeps the run in one frame: every tune-in at
+    ``k·cycle/8`` answers exactly, and so does a verified fleet."""
+    dataset = uniform_dataset(500, seed=756459025)
+    config = SystemConfig(packet_capacity=64)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    assert dataset.objects[295].hc == dataset.objects[356].hc == 53_832
+    frame = index.frames_by_rank[index.frame_rank_covering(53_832)]
+    assert {295, 356} <= {o.oid for o in frame.objects}
+    trial = skewed_workload(60, zipf_s=1.1, seed=2913021248).trials[21]
+    cycle = index.program.cycle_packets
+    for k in range(8):
+        session = ClientSession(index.program, config, start_packet=k * cycle // 8)
+        result = index.window_query(trial.query.window, session)
+        assert matches(dataset, trial.query, result.objects)
+    workload = Workload("window-21", [trial])
+    _kernel_and_pure(monkeypatch, lambda: run_fleet(
+        index, dataset, config, workload, 300, seed=0, max_phases=12, verify=True,
+    ))
+
+
+def test_one_object_per_frame_caps_at_distinct_values(monkeypatch):
+    """``object_factor=1`` on the real surrogate: 1,000 objects hold 880
+    distinct HC values, so the layout has 880 frames and no two frames
+    share a minimum.  The window fleet runs on the kernel and answers
+    every trial, as the reference does."""
+    dataset = real_surrogate_dataset(1000, seed=11)
+    config = SystemConfig(packet_capacity=64)
+    index = DsiIndex(dataset, config, DsiParameters(object_factor=1))
+    assert index.n_frames == len({o.hc for o in dataset.objects}) == 880
+    workload = window_workload(5, 0.1, seed=5)
+    _kernel_and_pure(monkeypatch, lambda: run_fleet(
+        index, dataset, config, workload, 500, seed=1, max_phases=8, verify=True,
+    ))
+
+
+@pytest.mark.parametrize("query", ["window", "knn"])
+@pytest.mark.parametrize("object_factor", [None, 1, 3])
+@pytest.mark.parametrize("n_segments", [1, 2, 4])
+@pytest.mark.parametrize("order", [2, 3])
+def test_long_equal_hc_runs(order, n_segments, object_factor, query, monkeypatch):
+    """200 objects on a curve of 16 or 64 cells: equal-HC runs longer than
+    a frame.  Every frame is non-empty, ``nF`` is a multiple of ``m`` and
+    at most the distinct count, each object lies in the frame whose extent
+    covers its HC value, and window and 5NN fleets run on the kernel with
+    the arrays of their ``REPRO_PURE=1`` twins, every trial correct."""
+    dataset = uniform_dataset(200, seed=order, curve_order=order)
+    config = SystemConfig(packet_capacity=64)
+    index = DsiIndex(dataset, config, DsiParameters(
+        n_segments=n_segments, object_factor=object_factor,
+    ))
+    assert all(frame.objects for frame in index.frames_by_rank)
+    assert index.n_frames % n_segments == 0
+    assert index.n_frames <= len({o.hc for o in dataset.objects})
+    for rank, frame in enumerate(index.frames_by_rank):
+        assert all(index.frame_rank_covering(o.hc) == rank for o in frame.objects)
+    if query == "window":
+        workload = window_workload(4, 0.2, seed=order)
+    else:
+        workload = knn_workload(4, k=5, seed=order)
+    _kernel_and_pure(monkeypatch, lambda: run_fleet(
+        index, dataset, config, workload, 200, seed=3, max_phases=8, verify=True,
+    ))

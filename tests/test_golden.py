@@ -56,6 +56,7 @@ def test_paper_and_fleet_files_hold_every_block():
 def test_golden_rows_reproduce(block, committed):
     fresh = golden.compute(block)
     assert golden.diff(block, committed[block], fresh) == []
+    assert golden.wrong_answers(block, fresh) == []
 
 
 def test_golden_fleet_cells_reproduce():
@@ -64,3 +65,17 @@ def test_golden_fleet_cells_reproduce():
     cells = {row["cell"]: row for row in golden.load(golden.FLEET_PATH)["fleet/uniform"]}
     want = [cells[row["cell"]] for row in fresh]
     assert golden.diff("fleet/uniform", want, fresh) == []
+    assert golden.wrong_answers("fleet/uniform", fresh) == []
+
+
+def test_wrong_answers_flag_accuracy_and_lossless_cells():
+    rows = [
+        {"accuracy": [1, 1]},
+        {"accuracy": [19, 20]},
+        {"accuracy": "nan"},
+        {"cell": "uniform/dsi/1ch/window/lossless", "incorrect": 0},
+        {"cell": "uniform/dsi/1ch/window/lossless", "incorrect": 2},
+        {"cell": "uniform/dsi/1ch/window/all", "incorrect": 2},
+    ]
+    flagged = [line.split(":")[0] for line in golden.wrong_answers("b", rows)]
+    assert flagged == ["b[1]", "b[2]", "b[4]"]

@@ -48,6 +48,10 @@ __all__ = [
 #: How data-frame groups are assigned to data channels.
 STRIPE_ASSIGNMENTS = ("balanced", "round_robin")
 
+#: Attribute holding, on a program, the schedules :meth:`BroadcastSchedule.
+#: for_config` derived from it, keyed by channel count.
+_FOR_CONFIG_ATTR = "_config_schedules"
+
 
 def control_and_groups(program: BroadcastProgram) -> Tuple[List[int], List[List[int]]]:
     """Split a flat cycle into control buckets and data *frame groups*.
@@ -256,12 +260,25 @@ class BroadcastSchedule:
         """The schedule a :class:`SystemConfig` asks for.
 
         ``n_channels == 1`` is the legacy single-channel system; ``n >= 2``
-        is a control channel plus ``n - 1`` striped data channels.
+        is a control channel plus ``n - 1`` striped data channels.  The
+        program is immutable, so each channel count's schedule is built
+        once and returned to every later call -- and with it the timeline
+        :func:`~repro.broadcast.timeline.timeline_of` caches on it.  Only
+        this constructor shares: :meth:`single` and :meth:`striped` build
+        afresh, so the demand-aware search can label the flat candidate it
+        picks ``"optimized"`` without relabelling a shared schedule.
         """
-        n = getattr(config, "n_channels", 1)
-        if n <= 1:
-            return cls.single(program)
-        return cls.striped(program, data_channels=n - 1)
+        n = max(int(getattr(config, "n_channels", 1)), 1)
+        built = getattr(program, _FOR_CONFIG_ATTR, None)
+        if built is None:
+            built = {}
+            setattr(program, _FOR_CONFIG_ATTR, built)
+        schedule = built.get(n)
+        if schedule is None:
+            schedule = built[n] = (
+                cls.single(program) if n == 1 else cls.striped(program, data_channels=n - 1)
+            )
+        return schedule
 
     # -- basic accessors ------------------------------------------------------
 

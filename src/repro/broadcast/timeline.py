@@ -103,7 +103,6 @@ class CompiledTimeline:
         "_occ_offsets",
         "_kind_tables",
         "_nav_tables",
-        "aux",
     )
 
     def __init__(self, view) -> None:
@@ -131,12 +130,6 @@ class CompiledTimeline:
         self.bucket_frame = np.full(n, -1, dtype=np.int64)
         self._kind_tables: Dict[BucketKind, List[_KindTable]] = {}
         self._nav_tables: List[_KindTable] = []
-        # Scratch cache for compiled per-timeline derivatives (the fleet
-        # kernel hangs its verified tree-lane geometry here, keyed by
-        # consumer).  Lives and dies with the timeline, which is itself
-        # cached on the immutable program/schedule, so entries never go
-        # stale -- "build a new program" invalidates everything at once.
-        self.aux: Dict[object, object] = {}
 
         all_gids: List[np.ndarray] = []
         all_offs: List[np.ndarray] = []

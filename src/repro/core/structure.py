@@ -218,7 +218,6 @@ class DsiFrame:
 
     broadcast_pos: int
     hc_rank: int
-    segment: int
     objects: List[DataObject]
 
     @property
@@ -309,7 +308,7 @@ class DsiIndex(AirIndex):
         cuts = [runs[j] for j in first] + [len(ordered)]
         seg_size = n_frames // self.params.n_segments
         self.frames_by_rank: List[DsiFrame] = [
-            DsiFrame(self.pos_of_rank(rank), rank, rank // seg_size, ordered[a:b])
+            DsiFrame(self.pos_of_rank(rank), rank, ordered[a:b])
             for rank, (a, b) in enumerate(zip(cuts, cuts[1:]))
         ]
         self.frames = sorted(self.frames_by_rank, key=lambda f: f.broadcast_pos)
@@ -588,9 +587,9 @@ class DsiAirView:
 
     The query algorithms never touch the server-side frame contents; they
     only use (a) the system constants a real client would learn from the
-    broadcast header -- number of frames, number of segments, curve order,
-    frame layout -- and (b) the arithmetic that maps a frame's broadcast
-    position to the bucket positions of its table, directory and data slots.
+    broadcast header -- number of frames, number of segments, curve order --
+    and (b) the arithmetic that maps a frame's broadcast position to the
+    bucket positions of its table, directory and data slots.
     Everything else must be obtained by paying for bucket reads through a
     :class:`~repro.broadcast.client.ClientSession`.
     """
@@ -601,7 +600,6 @@ class DsiAirView:
         self.curve = index.curve
         self.n_frames = index.layout.n_frames
         self.n_segments = index.params.n_segments
-        self.object_factor = index.layout.object_factor
         self.program = index.program
 
     # -- planner guards --------------------------------------------------------

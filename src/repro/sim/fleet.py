@@ -431,10 +431,14 @@ def _install_sim_ctx(ctx: Dict[str, Any]) -> None:
 
     The context arrives once per worker at pool start-up; every chunk after
     that ships integers only.  Parallel runs keep the context *slim*: the
-    schedule view (and its compiled timeline) is deliberately absent and
-    rebuilt here from the index's cached program and the config -- both
-    deterministic -- so workers never depend on carrying compiled seek
-    state across the process boundary.
+    view of a config-derived schedule is deliberately absent and derived
+    here from the index's program and the config through
+    :meth:`BroadcastSchedule.for_config`, which keeps one schedule (and the
+    timeline cached on it) per program and channel count -- a forked
+    worker finds the one its parent built, any other worker builds it once
+    -- so workers never depend on carrying compiled seek state across the
+    process boundary.  An explicit schedule cannot be derived, so its view
+    arrives in the context.
     """
     _SIM_CTX.clear()
     _SIM_CTX.update(ctx)
@@ -574,7 +578,9 @@ def _schedule_view(
     index: Any, config: SystemConfig, schedule: Optional[BroadcastSchedule]
 ) -> Tuple[BroadcastSchedule, Any]:
     """The schedule a run airs and its view: ``schedule`` when given (it must
-    air ``index``'s program), else the one ``config`` derives."""
+    air ``index``'s program), else the one ``config`` derives -- built once
+    per program and channel count, so a repeated call reuses it and the
+    timeline compiled on it."""
     if schedule is None:
         schedule = BroadcastSchedule.for_config(index.program, config)
     elif schedule.base_program is not index.program:

@@ -14,7 +14,7 @@ re-armed probe, walk), the per-hop verification and the landmark shift of
 latencies back to keys.  A walker contributes only its family's plans and
 visit rule, behind one protocol:
 
-* the constructor compiles the per-query plans, or declines (raises
+* the constructor stacks the per-query plans, or declines (raises
   :class:`KernelUnsupported`) before compiling anything when the run lies
   outside its envelope;
 * ``entry(nb)`` -- the entry airing a tune-in at clock ``nb`` reads first
@@ -85,8 +85,8 @@ kernel refuses -- falling back to the reference -- when that fails:
    disjoint, the qualified objects of a relevant frame -- and therefore the
    exact bucket-read sequence of its visit (directory, then qualified data
    slots) -- depend only on the *initial* clamped cover, never on the order
-   frames are processed in.  Visit sequences are precomputed once per query
-   and replayed per lane as pure occurrence arithmetic.
+   frames are processed in.  Visit sequences are compiled once per
+   (index, query) and replayed per lane as pure occurrence arithmetic.
 
 Per hop every live lane picks the earliest-arriving candidate table.  All
 DSI tables air on one channel (the control channel when striped), each
@@ -173,8 +173,9 @@ exactly :meth:`TreeOnAir.entry_landmark` -- so lossless lanes dedup just
 like DSI ones.
 
 **kNN fleets** over DSI run the same lockstep discipline with compiled
-per-query search plans.  All static geometry is decoded once per query --
-every table value and directory record collapses to a distance against a
+per-query search plans.  All static geometry is decoded once per (index,
+query point) -- every table value and directory record collapses to a
+distance against a
 flat rank-indexed object array (:meth:`DsiIndex.rank_object_arrays`), so
 the planner's HC-keyed estimate/exact dictionaries become one int8
 group-state row per lane (unseen, estimated, retrieved) and a retrieved
@@ -205,6 +206,22 @@ the representative-point decode batches.  Later kNN hops seed the
 candidate set from the carried knowledge exactly like the planner's warm
 start.
 
+**Compile once per index.**  What a walker compiles depends only on the
+index and each query's value, so it is compiled once and kept in one
+bounded memo idiom (:func:`_memo`): the index holds its family's static
+tables, keyed by their class; each static holds its per-query plans,
+keyed by the query's value -- a window plan's relevant ranks, visit
+sequences and answer, a tree window's qualifying subtree, a kNN point's
+distance rows -- and the kNN covers hold their rank masks, keyed by
+quantised cells.  A call stacks the rows its queries need.  What depends
+on anything else is read per call and never stored: the schedule's
+timeline (geometry, and the packets and channel of a tree's object
+events), each query's ``k`` and the verdict against the call's dataset.
+The flat schedule and its timeline are built once per program and
+channel count (:meth:`~repro.broadcast.schedule.BroadcastSchedule.
+for_config`), so a repeated fleet call compiles nothing it compiled
+before.
+
 Everything matches the reference walk integer for integer;
 ``tests/test_fleet_kernel.py`` pins both against a brute-force per-phase
 replay across indexes, schedules, error models and journeys.
@@ -212,7 +229,6 @@ replay across indexes, schedules, error models and journeys.
 
 from __future__ import annotations
 
-import weakref
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -254,8 +270,44 @@ class KernelUnsupported(Exception):
     """
 
 
-#: Attribute caching the channel-independent static tables on the index.
-_STATIC_ATTR = "_soa_fleet_static"
+#: Entries one kernel memo holds before it is emptied (the cap
+#: ``repro.spatial.hilbert`` puts on its window-cover memo).
+_MEMO_MAX = 8192
+
+#: Attribute holding a host's kernel memo.
+_MEMO_ATTR = "_kernel_memo"
+
+
+def _memo(host: Any) -> Dict[Any, Any]:
+    """The kernel memo on ``host``, emptied on entry once it holds
+    ``_MEMO_MAX`` entries.
+
+    Every memo the walkers keep is one of these dicts, one per host: an
+    index holds its per-family statics, keyed by their class; a static
+    holds its family's per-query plans, keyed by the query's value (a
+    window's rect, a kNN point); the kNN covers hold their rank-mask ids,
+    keyed by quantised cells.  A host and its keys are immutable, so an
+    entry never goes stale; what else a run's arrays depend on -- the
+    schedule's timeline, ``k``, the dataset a verdict is checked against
+    -- is read per call and never stored.  A reset drops the memo's
+    references only: a value a walker already holds stays valid.
+    """
+    memo = getattr(host, _MEMO_ATTR, None)
+    if memo is None:
+        memo = {}
+        setattr(host, _MEMO_ATTR, memo)
+    elif len(memo) >= _MEMO_MAX:
+        memo.clear()
+    return memo
+
+
+def _memoized(host: Any, key: Any, build: Callable[..., Any], *args: Any) -> Any:
+    """``host``'s memo entry for ``key``, ``build(*args)`` on a miss."""
+    memo = _memo(host)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = build(*args)
+    return value
 
 
 class _Static:
@@ -278,7 +330,7 @@ class _Static:
 
     __slots__ = ("n_frames", "n_segments", "seg_size", "mins", "ext_lo",
                  "ext_hi", "learn", "pos_of_rank", "rdt", "prev_taught",
-                 "next_taught")
+                 "next_taught", _MEMO_ATTR)
 
     def __init__(self, index: DsiIndex) -> None:
         n_frames = index.n_frames
@@ -361,11 +413,7 @@ def _static_of(index: Any) -> _Static:
         raise KernelUnsupported("the SoA kernel handles DSI indexes only")
     if not index.params.use_directory:
         raise KernelUnsupported("directory-less frames take the scan path")
-    static = getattr(index, _STATIC_ATTR, None)
-    if static is None:
-        static = _Static(index)
-        setattr(index, _STATIC_ATTR, static)
-    return static
+    return _memoized(index, _Static, _Static, index)
 
 
 def _rank_relevance(
@@ -552,70 +600,106 @@ def _tune_in(
     return lane_start + 1, np.full(n, ctrl, dtype=np.int64), np.ones(n, dtype=np.int64)
 
 
+class _WindowPlan:
+    """One window's compiled walk over one DSI index: its relevant ranks
+    (ascending), the bucket sequence each one's visit reads (``vseq``,
+    ``vlen[i]`` buckets for ``ranks[i]``) and the objects the walk
+    answers."""
+
+    __slots__ = ("ranks", "vlen", "vseq", "answer")
+
+
+def _window_plan(static: _Static, index: Any, window: Any) -> _WindowPlan:
+    """Compile one window's plan (the memo entry behind
+    :func:`_precompute_queries`): the reference's clamped cover, its
+    ``overlaps_pending`` ranks and each relevant frame's visit."""
+    cover = index.curve.ranges_for_rect(
+        window, max_ranges=WINDOW_MAX_RANGES, max_depth=WINDOW_MAX_DEPTH
+    )
+    gmin = int(static.mins[0])
+    pending = [(max(lo, gmin), hi) for lo, hi in cover if hi >= gmin]
+    ranks: List[int] = []
+    vlen: List[int] = []
+    vseq: List[int] = []
+    objs: List[Any] = []
+    if pending:
+        bounds = np.asarray(pending, dtype=np.int64).reshape(-1, 2)
+        p_los = np.ascontiguousarray(bounds[:, 0])
+        p_his = np.ascontiguousarray(bounds[:, 1])
+        ranks = np.flatnonzero(_rank_relevance(static, p_los, p_his)).tolist()
+        for rank in ranks:
+            frame = index.frames_by_rank[rank]
+            pos = frame.broadcast_pos
+            directory = index.directory_bucket[pos]
+            object_buckets = index.frame_object_buckets[pos]
+            hcs = np.fromiter(
+                (o.hc for o in frame.objects),
+                dtype=np.int64,
+                count=len(frame.objects),
+            )
+            inside = _qualified_mask(hcs, bounds)
+            if directory is None:
+                # use_directory=True means None <=> a single object: the
+                # scan path reads it unconditionally, retrieves on match.
+                seq = [object_buckets[0]]
+                if inside[0]:
+                    objs.append(frame.objects[0])
+            else:
+                slots = np.flatnonzero(inside).tolist()
+                seq = [directory] + [object_buckets[s] for s in slots]
+                objs.extend(frame.objects[s] for s in slots)
+            vlen.append(len(seq))
+            vseq.extend(seq)
+    plan = _WindowPlan()
+    plan.ranks = np.asarray(ranks, dtype=np.int64)
+    plan.vlen = np.asarray(vlen, dtype=np.int64)
+    plan.vseq = np.asarray(vseq, dtype=np.int64)
+    plan.answer = [o for o in objs if window.contains_point(o.point)]
+    return plan
+
+
+def _verdicts(
+    queries: Sequence[Any], answers: Sequence[Any], verify: bool, dataset: Any
+) -> np.ndarray:
+    """Whether each query's answer matches ground truth over ``dataset``
+    (0/1 per query; -1 each when not verifying).  Never memoised: the
+    dataset is the call's."""
+    if not verify:
+        return np.full(len(queries), -1, dtype=np.int64)
+    from ..queries.ground_truth import answer, matches_truth
+
+    return np.fromiter(
+        (int(matches_truth(q, answer(dataset, q), a)) for q, a in zip(queries, answers)),
+        dtype=np.int64, count=len(queries),
+    )
+
+
 def _precompute_queries(
     static: _Static, index: Any, queries: Sequence[WindowQuery], verify: bool,
     dataset: Any,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-query relevance masks, visit sequences and (optional) answers.
+    """Per-query relevance masks, visit sequences and (optional) verdicts,
+    stacked from each window's memoised :class:`_WindowPlan`.
 
     Returns ``(rel, vlen, voff, vflat, correct)``: the relevant-rank mask,
     the flattened per-(query, rank) visit bucket sequences, and the
     verification verdict per query (-1 when not verifying).
     """
-    n_q = len(queries)
-    n_frames = static.n_frames
-    curve = index.curve
-    rel = np.zeros((n_q, n_frames), dtype=bool)
-    vlen = np.zeros((n_q, n_frames), dtype=np.int64)
-    voff = np.zeros((n_q, n_frames), dtype=np.int64)
-    vflat: List[int] = []
-    correct_q = np.full(n_q, -1, dtype=np.int64)
-    if verify:
-        from ..queries.ground_truth import answer, matches_truth
-
-    for qid, query in enumerate(queries):
-        window = query.window
-        cover = curve.ranges_for_rect(
-            window, max_ranges=WINDOW_MAX_RANGES, max_depth=WINDOW_MAX_DEPTH
-        )
-        gmin = int(static.mins[0])
-        pending = [(max(lo, gmin), hi) for lo, hi in cover if hi >= gmin]
-        objs: List[Any] = []
-        if pending:
-            bounds = np.asarray(pending, dtype=np.int64).reshape(-1, 2)
-            p_los = np.ascontiguousarray(bounds[:, 0])
-            p_his = np.ascontiguousarray(bounds[:, 1])
-            rel_q = _rank_relevance(static, p_los, p_his)
-            rel[qid] = rel_q
-            for rank in np.flatnonzero(rel_q).tolist():
-                frame = index.frames_by_rank[rank]
-                pos = frame.broadcast_pos
-                directory = index.directory_bucket[pos]
-                object_buckets = index.frame_object_buckets[pos]
-                hcs = np.fromiter(
-                    (o.hc for o in frame.objects),
-                    dtype=np.int64,
-                    count=len(frame.objects),
-                )
-                inside = _qualified_mask(hcs, bounds)
-                if directory is None:
-                    # use_directory=True means None <=> a single object: the
-                    # scan path reads it unconditionally, retrieves on match.
-                    seq = [object_buckets[0]]
-                    if inside[0]:
-                        objs.append(frame.objects[0])
-                else:
-                    slots = np.flatnonzero(inside).tolist()
-                    seq = [directory] + [object_buckets[s] for s in slots]
-                    objs.extend(frame.objects[s] for s in slots)
-                voff[qid, rank] = len(vflat)
-                vlen[qid, rank] = len(seq)
-                vflat.extend(seq)
-        if verify:
-            final = [o for o in objs if window.contains_point(o.point)]
-            truth = answer(dataset, query)
-            correct_q[qid] = int(matches_truth(query, truth, final))
-    return rel, vlen, voff, np.asarray(vflat, dtype=np.int64), correct_q
+    plans = [_memoized(static, q.window, _window_plan, static, index, q.window)
+             for q in queries]
+    n_q = len(plans)
+    shape = (n_q, static.n_frames)
+    at = (np.repeat(np.arange(n_q), [len(p.ranks) for p in plans]),
+          np.concatenate([p.ranks for p in plans]))
+    lens = np.concatenate([p.vlen for p in plans])
+    rel = np.zeros(shape, dtype=bool)
+    rel[at] = True
+    vlen = np.zeros(shape, dtype=np.int64)
+    vlen[at] = lens
+    voff = np.zeros(shape, dtype=np.int64)
+    voff[at] = np.cumsum(lens) - lens
+    correct = _verdicts(queries, [p.answer for p in plans], verify, dataset)
+    return rel, vlen, voff, np.concatenate([p.vseq for p in plans]), correct
 
 
 class _DsiLanes:
@@ -972,15 +1056,11 @@ def _lanes(
 
 # --- tree-index lanes (R-tree on air, HCI) ----------------------------------
 
-#: Attribute caching the schedule-independent tree tables on the TreeOnAir.
-_TREE_STATIC_ATTR = "_soa_tree_static"
-
-
 class _TreeStatic:
     """Per-tree constants: dense node ids and padded copy/packet tables."""
 
     __slots__ = ("node_ids", "dense_of", "n_nodes", "root_dense", "copy_mat",
-                 "node_pk")
+                 "node_pk", _MEMO_ATTR)
 
     def __init__(self, air: TreeOnAir) -> None:
         node_ids = sorted(air.node_buckets)
@@ -1006,14 +1086,6 @@ class _TreeStatic:
             node_pk[i] = pks.pop()
         self.copy_mat = copy_mat
         self.node_pk = node_pk
-
-
-def _tree_static_of(air: TreeOnAir) -> _TreeStatic:
-    static = getattr(air, _TREE_STATIC_ATTR, None)
-    if static is None:
-        static = _TreeStatic(air)
-        setattr(air, _TREE_STATIC_ATTR, static)
-    return static
 
 
 class _TreeGeometry(_Channel):
@@ -1059,34 +1131,6 @@ class _TreeGeometry(_Channel):
         ).min(axis=1)
 
 
-def _tree_geometry_of(
-    static: _TreeStatic, air: TreeOnAir, config: Any, timeline
-) -> _TreeGeometry:
-    """The verified geometry, cached on the timeline's scratch ``aux`` slot.
-
-    Keyed weakly by the air layout plus the config facts that enter the
-    geometry (capacity, switch cost), so repeated fleet calls over the same
-    schedule skip re-verification without ever serving a stale geometry.
-    """
-    cache = timeline.aux.get("tree_geometry")
-    if cache is None:
-        cache = weakref.WeakKeyDictionary()
-        timeline.aux["tree_geometry"] = cache
-    per_air = cache.get(air)
-    if per_air is None:
-        per_air = {}
-        cache[air] = per_air
-    key = (
-        int(config.packet_capacity),
-        int(getattr(config, "channel_switch_packets", 0)),
-    )
-    geo = per_air.get(key)
-    if geo is None:
-        geo = _TreeGeometry(static, air, config, timeline)
-        per_air[key] = geo
-    return geo
-
-
 class _TreeQueries:
     """Per-query qualifying subtrees on a padded common event axis.
 
@@ -1103,6 +1147,71 @@ class _TreeQueries:
                  "correct")
 
 
+class _TreePlan:
+    """One window's qualifying subtree on one tree index.
+
+    ``nodes`` are its qualifying nodes' dense ids (sorted by node id, the
+    root left out) and ``obj_buckets`` the buckets of its qualifying
+    objects (sorted by oid); together they are the query's events, in the
+    candidate order ``next_pending_event`` iterates.  The static expansion
+    over those events is kept as its edges -- reading node event
+    ``adj_from[i]`` adds event ``adj_to[i]``, reading the root adds the
+    events ``root_to`` -- since a dense (events, events) matrix per
+    memoised window would hold a square where a tree has one edge per
+    event.  ``has_root`` is False where the rule is ``None``.  ``answer``
+    holds the objects the sweep answers.
+    """
+
+    __slots__ = ("has_root", "nodes", "obj_buckets", "adj_from", "adj_to",
+                 "root_to", "answer")
+
+
+def _tree_plan(static: _TreeStatic, index: Any, air: TreeOnAir, window: Any) -> _TreePlan:
+    """Compile one window's qualifying subtree (the memo entry behind
+    :func:`_precompute_tree_queries`) under the index's own
+    ``window_rule``."""
+    rule = index.window_rule(window)
+    children_of: Dict[int, Tuple[List[int], List[int]]] = {}
+    oid_set: Set[int] = set()
+    stack = [air.root_id] if rule is not None else []
+    while stack:
+        nid = stack.pop()
+        if nid in children_of:
+            continue
+        hits = rule(air.nodes[nid])
+        kids = [e.child for e in hits if not e.is_leaf_entry]
+        oids = [e.oid for e in hits if e.is_leaf_entry]
+        children_of[nid] = (kids, oids)
+        oid_set.update(oids)
+        stack.extend(kids)
+    nodes = sorted(children_of.keys() - {air.root_id})
+    oids = sorted(oid_set)
+    e_of: Dict[Tuple[str, int], int] = {("node", nid): e for e, nid in enumerate(nodes)}
+    for e, oid in enumerate(oids):
+        e_of[("data", oid)] = len(nodes) + e
+    adj_from: List[int] = []
+    adj_to: List[int] = []
+    root_to: List[int] = []
+    for nid, (kids, n_oids) in children_of.items():
+        to = [e_of[("node", child)] for child in kids]
+        to += [e_of[("data", oid)] for oid in n_oids]
+        if nid == air.root_id:
+            root_to.extend(to)
+        else:
+            adj_from.extend([e_of[("node", nid)]] * len(to))
+            adj_to.extend(to)
+    plan = _TreePlan()
+    plan.has_root = rule is not None
+    plan.adj_from = np.array(adj_from, dtype=np.int64)
+    plan.adj_to = np.array(adj_to, dtype=np.int64)
+    plan.root_to = np.array(root_to, dtype=np.int64)
+    plan.nodes = np.array([static.dense_of[nid] for nid in nodes], dtype=np.int64)
+    plan.obj_buckets = np.array([air.object_bucket[oid] for oid in oids], dtype=np.int64)
+    objs = [air.program.buckets[b].payload for b in plan.obj_buckets.tolist()]
+    plan.answer = [o for o in objs if window.contains_point(o.point)]
+    return plan
+
+
 def _precompute_tree_queries(
     static: _TreeStatic,
     index: Any,
@@ -1112,55 +1221,24 @@ def _precompute_tree_queries(
     verify: bool,
     dataset: Any,
 ) -> _TreeQueries:
-    """Compile each window query's qualifying subtree into flat event tables.
+    """Stack each window's memoised :class:`_TreePlan` into flat event
+    tables.
 
     The qualifying subtree -- every node/object reachable from the root
     under the index's own ``window_rule`` -- is timing independent (a
     successful read always expands the same children, a lost read leaves
     the node pending), so answers and adjacency are static and verification
     runs once per query.  A query whose rule is ``None`` reads nothing past
-    its probe, not even the root, exactly as :meth:`TreeOnAir.sweep`.
+    its probe, not even the root, exactly as :meth:`TreeOnAir.sweep`.  The
+    packets and channel of an object event are the schedule's, read here
+    off the call's timeline.
     """
     timeline = geo.timeline
-    if verify:
-        from ..queries.ground_truth import answer, matches_truth
-
-    n_q = len(queries)
+    plans = [_memoized(static, q.window, _tree_plan, static, index, air, q.window)
+             for q in queries]
+    n_q = len(plans)
+    n_events = max(1, max(len(p.nodes) + len(p.obj_buckets) for p in plans))
     width = static.copy_mat.shape[1]
-    per_query: List[Tuple[List[int], List[int], Dict[int, Tuple[List[int], List[int]]]]] = []
-    has_root = np.ones(n_q, dtype=bool)
-    correct_q = np.full(n_q, -1, dtype=np.int64)
-    n_events = 1
-    for qid, query in enumerate(queries):
-        window = query.window
-        rule = index.window_rule(window)
-        has_root[qid] = rule is not None
-        children_of: Dict[int, Tuple[List[int], List[int]]] = {}
-        oid_set: Set[int] = set()
-        stack = [air.root_id] if rule is not None else []
-        while stack:
-            nid = stack.pop()
-            if nid in children_of:
-                continue
-            hits = rule(air.nodes[nid])
-            kids = [e.child for e in hits if not e.is_leaf_entry]
-            oids = [e.oid for e in hits if e.is_leaf_entry]
-            children_of[nid] = (kids, oids)
-            oid_set.update(oids)
-            stack.extend(kids)
-        nodes = sorted(children_of.keys() - {air.root_id})
-        oids = sorted(oid_set)
-        per_query.append((nodes, oids, children_of))
-        n_events = max(n_events, len(nodes) + len(oids))
-        if verify:
-            objs = [
-                air.program.buckets[air.object_bucket[oid]].payload
-                for oid in oids
-            ]
-            final = [o for o in objs if window.contains_point(o.point)]
-            truth = answer(dataset, query)
-            correct_q[qid] = int(matches_truth(query, truth, final))
-
     tq = _TreeQueries()
     tq.n_events = n_events
     tq.n_nodes = static.n_nodes
@@ -1171,36 +1249,21 @@ def _precompute_tree_queries(
     tq.ev_dense = np.full((n_q, n_events), -1, dtype=np.int64)
     tq.ev_adj = np.zeros((n_q, n_events, n_events), dtype=bool)
     tq.root_mask = np.zeros((n_q, n_events), dtype=bool)
-    tq.has_root = has_root
-    tq.correct = correct_q
-    for qid, (nodes, oids, children_of) in enumerate(per_query):
-        e_of: Dict[Tuple[str, int], int] = {
-            ("node", nid): e for e, nid in enumerate(nodes)
-        }
-        base = len(nodes)
-        for e, oid in enumerate(oids):
-            e_of[("data", oid)] = base + e
-        for e, nid in enumerate(nodes):
-            d = static.dense_of[nid]
-            tq.ev_ids[qid, e] = static.copy_mat[d]
-            tq.ev_pk[qid, e] = static.node_pk[d]
-            tq.ev_node[qid, e] = True
-            tq.ev_dense[qid, e] = d
-        for e, oid in enumerate(oids):
-            b = air.object_bucket[oid]
-            tq.ev_ids[qid, base + e] = b
-            tq.ev_pk[qid, base + e] = timeline.bucket_packets[b]
-            tq.ev_chan[qid, base + e] = timeline.bucket_channel[b]
-        for nid, (kids, n_oids) in children_of.items():
-            row = (
-                tq.root_mask[qid]
-                if nid == air.root_id
-                else tq.ev_adj[qid, e_of[("node", nid)]]
-            )
-            for child in kids:
-                row[e_of[("node", child)]] = True
-            for oid in n_oids:
-                row[e_of[("data", oid)]] = True
+    tq.has_root = np.array([p.has_root for p in plans], dtype=bool)
+    for qid, plan in enumerate(plans):
+        nn = len(plan.nodes)
+        n_ev = nn + len(plan.obj_buckets)
+        tq.ev_ids[qid, :nn] = static.copy_mat[plan.nodes]
+        tq.ev_pk[qid, :nn] = static.node_pk[plan.nodes]
+        tq.ev_node[qid, :nn] = True
+        tq.ev_dense[qid, :nn] = plan.nodes
+        b = plan.obj_buckets
+        tq.ev_ids[qid, nn:n_ev] = b[:, None]
+        tq.ev_pk[qid, nn:n_ev] = timeline.bucket_packets[b]
+        tq.ev_chan[qid, nn:n_ev] = timeline.bucket_channel[b]
+        tq.ev_adj[qid, plan.adj_from, plan.adj_to] = True
+        tq.root_mask[qid, plan.root_to] = True
+    tq.correct = _verdicts(queries, [p.answer for p in plans], verify, dataset)
     return tq
 
 
@@ -1217,8 +1280,8 @@ class _TreeWalker:
     def __init__(self, index, timeline, config, queries, n_steps, verify,
                  dataset, scope, strategy) -> None:
         air = index.air
-        static = _tree_static_of(air)
-        self.geo = _tree_geometry_of(static, air, config, timeline)
+        static = _memoized(index, _TreeStatic, _TreeStatic, air)
+        self.geo = _TreeGeometry(static, air, config, timeline)
         _index_scope(scope)
         self.tq = _precompute_tree_queries(
             static, index, air, self.geo, queries, verify, dataset
@@ -1391,9 +1454,6 @@ class _TreeWalker:
 # --- kNN lanes (DSI) --------------------------------------------------------
 
 
-_KNN_STATIC_ATTR = "_soa_knn_static"
-
-
 class _KnnStatic:
     """Per-index kNN constants: flat object geometry plus table estimate rows.
 
@@ -1418,7 +1478,8 @@ class _KnnStatic:
     __slots__ = (
         "n_objects", "n_groups", "flen", "obj_start", "obj_bucket", "oids",
         "hcs", "hc_group", "grp_hcs", "grp_of_rank", "dir_bucket",
-        "est_grps", "est_on", "vis_grps", "vis_on", "objects", "covers",
+        "est_grps", "est_on", "vis_grps", "vis_on", "objects", "reps", "covers",
+        _MEMO_ATTR,
     )
 
     def __init__(self, static: _Static, index: Any) -> None:
@@ -1450,7 +1511,12 @@ class _KnnStatic:
         self.est_grps, self.est_on = _padded(est)
         self.vis_grps, self.vis_on = _padded(vis)
         self.objects = ro.objects
-        self.covers = _KnnCovers(index.curve, static.mins)
+        # Each unique HC cell's representative point, decoded in one batch.
+        curve = index.curve
+        hc_list = grp_hcs.tolist()
+        curve.warm_representative_points(hc_list)
+        self.reps = [curve.representative_point(hc) for hc in hc_list]
+        self.covers = _KnnCovers(curve, static.mins)
 
 
 def _padded(rows: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -1463,16 +1529,8 @@ def _padded(rows: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _knn_static_of(index: Any, static: _Static) -> _KnnStatic:
-    kst = getattr(index, _KNN_STATIC_ATTR, None)
-    if kst is None:
-        kst = _KnnStatic(static, index)
-        setattr(index, _KNN_STATIC_ATTR, kst)
-    return kst
+    return _memoized(index, _KnnStatic, _KnnStatic, static, index)
 
-
-#: Covers kept per index in the kNN cover memo before it is reset (the
-#: same cap ``repro.spatial.hilbert`` puts on its window-cover memo).
-_KNN_COVER_MEMO_MAX = 8192
 
 #: New covers swept per ``covers_for_rects_flat`` batch.  The sweep's
 #: working set grows with its batch (about 53 KB per rect on the
@@ -1500,17 +1558,17 @@ class _KnnCovers:
     :func:`_segment_candidates` -- the rank-space image of
     ``ClientKnowledge.candidate_rank_array``.  A cover depends only on the
     curve, the frame minima, the query point and the radius, so one memo
-    per index (on :class:`_KnnStatic`) serves every lane, phase, query,
-    call, channel count and strategy that reaches the same cells.
+    per index (this object's kernel memo, cell key -> row of ``masks``)
+    serves every lane, phase, query, call, channel count and strategy that
+    reaches the same cells.
     """
 
-    __slots__ = ("curve", "mins", "side", "memo", "masks", "_n")
+    __slots__ = ("curve", "mins", "side", "masks", "_n", _MEMO_ATTR)
 
     def __init__(self, curve: Any, mins: np.ndarray) -> None:
         self.curve = curve
         self.mins = mins
         self.side = float(curve.side)
-        self.memo: Dict[int, int] = {}
         self.masks = np.zeros((16, len(mins)), dtype=bool)
         self._n = 0
 
@@ -1554,10 +1612,10 @@ class _KnnCovers:
         keys the full-range cover.  Keys the memo has not seen sweep in
         ``covers_for_rects_flat`` batches of ``_KNN_COVER_CHUNK``.  The ids
         stay valid until the next call: a full memo is reset only here, on
-        entry.
+        entry, and an empty one hands out rows from 0 again.
         """
-        if len(self.memo) >= _KNN_COVER_MEMO_MAX:
-            self.memo.clear()
+        memo = _memo(self)
+        if not memo:
             self._n = 0
         side = self.side
         key = np.full(len(prune), -1, dtype=np.int64)
@@ -1577,7 +1635,6 @@ class _KnnCovers:
             k = k * base + np.floor(yhi).astype(np.int64)
             key[finite] = k
         uniq, first, inv = np.unique(key, return_index=True, return_inverse=True)
-        memo = self.memo
         cids = np.fromiter(
             (memo.get(uk, -1) for uk in uniq.tolist()), dtype=np.int64, count=len(uniq)
         )
@@ -1613,32 +1670,35 @@ class _KnnCovers:
         return cids[inv]
 
 
+def _knn_rows(kst: _KnnStatic, point: Any) -> Tuple[np.ndarray, np.ndarray]:
+    """One query point's distance rows (the memo entry behind
+    :func:`_knn_query_tables`): to each unique HC cell's representative
+    point, and to each object."""
+    return (
+        np.array([point.distance_to(p) for p in kst.reps], dtype=np.float64),
+        np.array([o.distance_to(point) for o in kst.objects], dtype=np.float64),
+    )
+
+
 def _knn_query_tables(
-    kst: _KnnStatic, curve: Any, queries: Sequence[KnnQuery]
+    kst: _KnnStatic, queries: Sequence[KnnQuery]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Compile the per-query static geometry: every distance, decoded once.
+    """The per-query static geometry, stacked from each query point's
+    memoised rows.
 
     Returns query-major ``(est_g, ex_d)`` distance tables (estimate =
     query to each unique HC cell's representative point, exact = query to
     each object; the lanes read them with flat indices), the per-rank
-    minima estimates ``min_est`` and the ``k`` array.  Comparison
-    distances stay scalar ``math.hypot`` (``Point.distance_to``) -- its
-    vectorised counterpart is not bit-equal -- so only the
+    minima estimates ``min_est`` and the ``k`` array, which is the call's.
+    Comparison distances stay scalar ``math.hypot`` (``Point.distance_to``)
+    -- its vectorised counterpart is not bit-equal -- so only the
     representative-point decode batches.
     """
-    hc_list = kst.grp_hcs.tolist()
-    curve.warm_representative_points(hc_list)
-    reps = [curve.representative_point(hc) for hc in hc_list]
-    n_q = len(queries)
-    est_g = np.empty((n_q, kst.n_groups), dtype=np.float64)
-    ex_d = np.empty((n_q, kst.n_objects), dtype=np.float64)
-    for qi, query in enumerate(queries):
-        q = query.point
-        est_g[qi] = [q.distance_to(p) for p in reps]
-        ex_d[qi] = [o.distance_to(q) for o in kst.objects]
-    min_est = est_g[:, kst.grp_of_rank].copy()
-    k_arr = np.fromiter((int(q.k) for q in queries), dtype=np.int64, count=n_q)
-    return est_g, ex_d, min_est, k_arr
+    rows = [_memoized(kst, q.point, _knn_rows, kst, q.point) for q in queries]
+    est_g = np.stack([est for est, _ in rows])
+    ex_d = np.stack([ex for _, ex in rows])
+    k_arr = np.fromiter((int(q.k) for q in queries), dtype=np.int64, count=len(queries))
+    return est_g, ex_d, est_g[:, kst.grp_of_rank], k_arr
 
 
 #: Spare entries a kNN lane's candidate row keeps beyond the run's largest
@@ -1718,9 +1778,7 @@ class _KnnWalker(_DsiLanes):
         self.kst = _knn_static_of(index, self.static)
         self.geo = _Geometry(self.static, index, config, timeline)
         curve = index.curve
-        self.est_g, self.ex_d, self.min_est, k_arr = _knn_query_tables(
-            self.kst, curve, queries
-        )
+        self.est_g, self.ex_d, self.min_est, k_arr = _knn_query_tables(self.kst, queries)
         # No lane holds more candidates than objects, so any k past the
         # object count reads the same always-inf column one past it.
         n_obj = self.kst.n_objects

@@ -23,6 +23,8 @@ draws a hundred fresh ones (see ``tests/conftest.py``).
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -33,7 +35,7 @@ from repro.broadcast.errors import LinkErrorModel
 from repro.broadcast.schedule import BroadcastSchedule
 from repro.broadcast.timeline import timeline_of
 from repro.core import DsiIndex, DsiParameters
-from repro.mobility import run_journey, trajectory_workload
+from repro.mobility import TrajectoryWorkload, run_journey, trajectory_workload
 from repro.queries import matches
 from repro.queries.types import KnnQuery, WindowQuery
 from repro.queries.workload import (
@@ -846,9 +848,12 @@ def test_knn_warm_cover_memo_matches_cold(channels, strategy, journeys):
     its circles from covers the first one compiled; both must equal each
     other and a call on a freshly built index, execution for execution.
     """
+    from repro.sim import fleet_kernel as fk
+
     cell = (77, 5, channels, strategy, 4, journeys)
     index, first = _knn_index_and_run(*cell)
-    memo = index._soa_knn_static.covers.memo
+    covers = fk._knn_static_of(index, fk._static_of(index)).covers
+    memo = getattr(covers, fk._MEMO_ATTR)
     assert memo
     n_covers = len(memo)
     _, second = _knn_index_and_run(*cell, index=index)
@@ -872,10 +877,10 @@ def test_knn_cover_memo_bound_clears_mid_fleet(monkeypatch):
     real_resolve = fk._KnnCovers.resolve
 
     def resolve(self, *args):
-        clears.append(len(self.memo) >= fk._KNN_COVER_MEMO_MAX)
+        clears.append(len(getattr(self, fk._MEMO_ATTR, ())) >= fk._MEMO_MAX)
         return real_resolve(self, *args)
 
-    monkeypatch.setattr(fk, "_KNN_COVER_MEMO_MAX", 3)
+    monkeypatch.setattr(fk, "_MEMO_MAX", 3)
     monkeypatch.setattr(fk._KnnCovers, "resolve", resolve)
     _, capped = _knn_index_and_run(*cell)
     assert sum(clears) >= 2 and not clears[0]
@@ -1818,3 +1823,306 @@ def test_long_equal_hc_runs(order, n_segments, object_factor, query, monkeypatch
     _kernel_and_pure(monkeypatch, lambda: run_fleet(
         index, dataset, config, workload, 200, seed=3, max_phases=8, verify=True,
     ))
+
+
+# --- the kernel memo: compile once per (index, query) -------------------------
+
+
+@contextlib.contextmanager
+def _memos_set_aside(*indexes):
+    """Run the body with none of ``indexes``' memos: the kernel memo on
+    each index (its statics, and with them every plan and cover), and the
+    flat schedules and timeline on each program.  What the body compiles
+    is dropped afterwards and the memos come back, so an interleaving of
+    calls keeps its own memo state."""
+    from repro.broadcast.schedule import _FOR_CONFIG_ATTR
+    from repro.broadcast.timeline import _CACHE_ATTR
+    from repro.sim.fleet_kernel import _MEMO_ATTR
+
+    held = [(obj, name)
+            for index in indexes
+            for obj, name in ((index, _MEMO_ATTR), (index.program, _FOR_CONFIG_ATTR),
+                              (index.program, _CACHE_ATTR))]
+    saved = [vars(obj).pop(name, None) for obj, name in held]
+    try:
+        yield
+    finally:
+        for (obj, name), value in zip(held, saved):
+            vars(obj).pop(name, None)
+            if value is not None:
+                setattr(obj, name, value)
+
+
+def _same_on_cleared_and_pure(monkeypatch, run, *indexes):
+    """``run()`` three ways: on the memos earlier calls left, with every
+    memo of ``indexes`` set aside, and under ``REPRO_PURE=1``.  The first
+    two run on the kernel; all three give equal per-execution arrays and
+    verdict counts.  Returns the first."""
+    warm = run()
+    with _memos_set_aside(*indexes):
+        cold = run()
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = run()
+    monkeypatch.delenv("REPRO_PURE")
+    assert warm.backend == cold.backend == "numpy", warm.backend_reason
+    assert pure.backend == "reference"
+    for other in (cold, pure):
+        np.testing.assert_array_equal(warm.unique_counts, other.unique_counts)
+        np.testing.assert_array_equal(warm.unique_latency, other.unique_latency)
+        np.testing.assert_array_equal(warm.unique_tuning, other.unique_tuning)
+        assert (warm.result.correct_trials, warm.result.incorrect_trials) == (
+            other.result.correct_trials, other.result.incorrect_trials)
+    return warm
+
+
+def test_memo_one_program_across_channel_counts(monkeypatch):
+    """One program aired at 1, then 4, then 1 channels: each channel count
+    gets its own flat schedule and timeline from the program's memo, and
+    the 1-channel call after the 4-channel one gets the first schedule
+    back."""
+    dataset = uniform_dataset(90, seed=41)
+    index = build_index("dsi", dataset, SystemConfig(packet_capacity=64), use_cache=False)
+    workload = window_workload(5, 0.15, seed=4)
+    cycles, schedules = [], []
+    for channels in (1, 4, 1):
+        config = SystemConfig(packet_capacity=64, n_channels=channels,
+                              channel_switch_packets=2)
+        warm = _same_on_cleared_and_pure(monkeypatch, lambda: run_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=7, max_phases=MAX_PHASES,
+            verify=True,
+        ), index)
+        cycles.append(warm.cycle_packets)
+        schedules.append(BroadcastSchedule.for_config(index.program, config))
+    assert cycles[0] == cycles[2] != cycles[1]
+    assert schedules[0] is schedules[2] is not schedules[1]
+
+
+@pytest.mark.parametrize("pair", ["dsi-m1-m2", "rtree-hci"])
+def test_memo_indexes_sharing_query_objects(pair, monkeypatch):
+    """Two indexes over one dataset -- DSI with one and with two segments,
+    or an R-tree and an HCI -- run the very same query objects in turn;
+    each index compiles its own plans from them."""
+    dataset = uniform_dataset(120, seed=43)
+    config = SystemConfig(packet_capacity=64, n_channels=4)
+    if pair == "dsi-m1-m2":
+        indexes = [DsiIndex(dataset, config, DsiParameters(n_segments=m)) for m in (1, 2)]
+    else:
+        indexes = [build_index(kind, dataset, config, use_cache=False)
+                   for kind in ("rtree", "hci")]
+    workload = window_workload(6, 0.2, seed=8)
+    for index in indexes + indexes:
+        _same_on_cleared_and_pure(monkeypatch, lambda: run_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=5, max_phases=MAX_PHASES,
+            verify=True,
+        ), *indexes)
+
+
+def test_memo_tree_plans_read_channels_per_call(monkeypatch):
+    """One R-tree at 1 channel, then at 4 with a retune cost: an object
+    event's packets and channel come from the call's timeline, not from
+    the plan the 1-channel call compiled."""
+    dataset = uniform_dataset(120, seed=47)
+    index = build_index("rtree", dataset, SystemConfig(packet_capacity=64), use_cache=False)
+    workload = window_workload(5, 0.2, seed=9)
+    for channels in (1, 4):
+        config = SystemConfig(packet_capacity=64, n_channels=channels,
+                              channel_switch_packets=3)
+        _same_on_cleared_and_pure(monkeypatch, lambda: run_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=4, max_phases=MAX_PHASES,
+        ), index)
+
+
+@pytest.mark.parametrize("kind", ["dsi", "rtree", "dsi-journeys", "dsi-knn"])
+def test_memo_verdicts_follow_each_call(kind, monkeypatch):
+    """A ``verify=False`` call warms the memo; a ``verify=True`` call on it
+    still checks every answer against the call's dataset: no wrong
+    answer, and one right answer per client and hop."""
+    dataset = uniform_dataset(100, seed=51)
+    config = SystemConfig(packet_capacity=64, n_channels=4)
+    index = build_index(kind.split("-")[0], dataset, config, use_cache=False)
+    hops = 1
+    if kind == "dsi-journeys":
+        workload = trajectory_workload(n_journeys=4, n_steps=3, seed=2,
+                                       win_side_ratio=0.15)
+        hops = 3
+    elif kind == "dsi-knn":
+        workload = knn_workload(4, k=4, seed=2)
+    else:
+        workload = window_workload(5, 0.15, seed=2)
+    run = run_mobile_fleet if kind == "dsi-journeys" else run_fleet
+
+    def fleet(verify):
+        return run(index, dataset, config, workload, N_CLIENTS, seed=6,
+                   max_phases=MAX_PHASES, verify=verify)
+
+    assert fleet(False).result.correct_trials == 0
+    out = _same_on_cleared_and_pure(monkeypatch, lambda: fleet(True), index)
+    assert out.result.incorrect_trials == 0
+    assert out.result.correct_trials == N_CLIENTS * hops
+
+
+def test_memo_knn_rows_leave_k_to_each_query(monkeypatch):
+    """kNN queries sharing a point with k 1, 4 and 9 share the point's
+    distance rows; each keeps its own ``k``."""
+    dataset = uniform_dataset(90, seed=53)
+    config = SystemConfig(packet_capacity=64, n_channels=4)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    points = [t.query.point for t in knn_workload(2, k=1, seed=5).trials]
+    workload = Workload("shared-points", [
+        Trial(KnnQuery(point, k), 0.0) for point in points for k in (1, 4, 9)
+    ])
+    for _ in range(2):
+        out = _same_on_cleared_and_pure(monkeypatch, lambda: run_fleet(
+            index, dataset, config, workload, N_CLIENTS, seed=3, max_phases=MAX_PHASES,
+            verify=True,
+        ), index)
+        assert out.result.incorrect_trials == 0
+
+
+def test_memo_warm_window_journeys(monkeypatch):
+    """Window journeys repeated on one index: every call after the first
+    stacks its hops' plans from the memo."""
+    dataset = uniform_dataset(120, seed=59)
+    config = SystemConfig(packet_capacity=64, n_channels=4, channel_switch_packets=2)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    journeys = trajectory_workload(n_journeys=4, n_steps=3, seed=6, win_side_ratio=0.15)
+    for _ in range(3):
+        _same_on_cleared_and_pure(monkeypatch, lambda: run_mobile_fleet(
+            index, dataset, config, journeys, N_CLIENTS, seed=11, max_phases=MAX_PHASES,
+            verify=True,
+        ), index)
+
+
+@pytest.mark.parametrize("kind", ["dsi", "rtree", "dsi-knn", "dsi-journeys"])
+def test_memo_bound_clears_mid_fleet(kind, monkeypatch):
+    """With the memo bound patched to 2 every memo empties again and again
+    inside one fleet call -- statics, plans and kNN covers -- and the
+    arrays stay those of the unbounded memo, a cleared one and
+    ``REPRO_PURE=1``."""
+    from repro.sim import fleet_kernel as fk
+
+    dataset = uniform_dataset(100, seed=57)
+    config = SystemConfig(packet_capacity=64, n_channels=4)
+    index = build_index(kind.split("-")[0], dataset, config, use_cache=False)
+    if kind == "dsi-journeys":
+        workload = trajectory_workload(n_journeys=4, n_steps=3, seed=3,
+                                       win_side_ratio=0.2)
+    elif kind == "dsi-knn":
+        workload = knn_workload(5, k=5, seed=3)
+    else:
+        workload = window_workload(6, 0.2, seed=3)
+    run = run_mobile_fleet if kind == "dsi-journeys" else run_fleet
+
+    def fleet():
+        return run(index, dataset, config, workload, N_CLIENTS, seed=8,
+                   max_phases=MAX_PHASES, verify=True)
+
+    unbounded = fleet()
+    clears = []
+    real_memo = fk._memo
+
+    def memo(host):
+        held = len(getattr(host, fk._MEMO_ATTR, ()))
+        out = real_memo(host)
+        clears.append(held > len(out))
+        return out
+
+    monkeypatch.setattr(fk, "_MEMO_MAX", 2)
+    monkeypatch.setattr(fk, "_memo", memo)
+    for _ in range(2):
+        n_before = sum(clears)
+        bounded = _same_on_cleared_and_pure(monkeypatch, fleet, index)
+        assert sum(clears) - n_before >= 3
+        np.testing.assert_array_equal(bounded.unique_counts, unbounded.unique_counts)
+        np.testing.assert_array_equal(bounded.unique_latency, unbounded.unique_latency)
+        np.testing.assert_array_equal(bounded.unique_tuning, unbounded.unique_tuning)
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+def test_memo_flat_schedule_keeps_its_policy(channels):
+    """The demand-aware search labels the candidate it picks
+    ``"optimized"`` -- on uniform demand the flat layout it built itself
+    -- while the program's memoised flat schedule stays ``"flat"``, and
+    so does every flat fleet after it."""
+    from repro.broadcast.demand import DemandProfile
+
+    dataset = uniform_dataset(90, seed=61)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    workload = window_workload(5, 0.15, seed=4)
+    flat = BroadcastSchedule.for_config(index.program, config)
+    optimized = BroadcastSchedule.optimized(
+        index.program, DemandProfile.uniform(index.program), channels=channels
+    )
+    assert optimized.policy == "optimized" and optimized is not flat
+    assert BroadcastSchedule.for_config(index.program, config) is flat
+    assert flat.policy == "flat"
+    kw = dict(seed=2, max_phases=MAX_PHASES)
+    opt_run = run_fleet(index, dataset, config, workload, N_CLIENTS,
+                        schedule=optimized, **kw)
+    flat_run = run_fleet(index, dataset, config, workload, N_CLIENTS, **kw)
+    assert (opt_run.schedule_policy, flat_run.schedule_policy) == ("optimized", "flat")
+
+
+#: What a memo interleaving draws its calls from: an index family and its
+#: query kind.
+_MEMO_KINDS = ("dsi", "rtree", "hci", "dsi-knn", "dsi-journeys")
+
+
+@given(data=st.data())
+@settings(**_SETTINGS)
+def test_memo_interleavings_match_cleared_runs(data):
+    """Any interleaving of calls on shared memos equals cleared-memo runs.
+
+    Hypothesis draws a dataset and a sequence of two to six calls, each an
+    (index kind, channel count, ``verify``, query subset) over DSI, R-tree
+    and HCI indexes built once: DSI, R-tree and HCI windows, DSI kNN and
+    DSI window journeys.  Each call on the memos the calls before it left
+    must give the arrays and verdict counts of the same call with its
+    index's memos set aside, and a verified call must answer everything.
+    """
+    seed = data.draw(st.integers(min_value=0, max_value=1 << 16), label="seed")
+    dataset = uniform_dataset(data.draw(st.integers(min_value=40, max_value=120)),
+                              seed=seed)
+    base = SystemConfig(packet_capacity=64)
+    indexes = {kind: build_index(kind, dataset, base, use_cache=False)
+               for kind in ("dsi", "rtree", "hci")}
+    side = data.draw(st.floats(min_value=0.05, max_value=0.4), label="side")
+    windows = window_workload(5, side, seed=seed).trials
+    nearest = knn_workload(5, k=data.draw(st.integers(1, 8), label="k"), seed=seed).trials
+    moves = trajectory_workload(n_journeys=5, n_steps=2, seed=seed, win_side_ratio=side)
+    calls = data.draw(st.lists(
+        st.tuples(st.sampled_from(_MEMO_KINDS), st.sampled_from([1, 4]), st.booleans(),
+                  st.sets(st.integers(min_value=0, max_value=4), min_size=1)),
+        min_size=2, max_size=6,
+    ), label="calls")
+    for kind, channels, verify, subset in calls:
+        picked = sorted(subset)
+        index = indexes[kind.split("-")[0]]
+        config = SystemConfig(packet_capacity=64, n_channels=channels,
+                              channel_switch_packets=2)
+        if kind == "dsi-journeys":
+            workload = TrajectoryWorkload(
+                "picked", [moves.journeys[i] for i in picked], moves.model
+            )
+            run = run_mobile_fleet
+        else:
+            trials = nearest if kind == "dsi-knn" else windows
+            workload = Workload("picked", [trials[i] for i in picked])
+            run = run_fleet
+
+        def fleet():
+            return run(index, dataset, config, workload, N_CLIENTS, seed=seed,
+                       max_phases=MAX_PHASES, verify=verify)
+
+        warm = fleet()
+        with _memos_set_aside(index):
+            cold = fleet()
+        assert warm.backend == cold.backend == "numpy", warm.backend_reason
+        np.testing.assert_array_equal(warm.unique_counts, cold.unique_counts)
+        np.testing.assert_array_equal(warm.unique_latency, cold.unique_latency)
+        np.testing.assert_array_equal(warm.unique_tuning, cold.unique_tuning)
+        assert (warm.result.correct_trials, warm.result.incorrect_trials) == (
+            cold.result.correct_trials, cold.result.incorrect_trials)
+        if verify:
+            assert warm.result.incorrect_trials == 0

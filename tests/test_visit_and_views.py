@@ -114,7 +114,6 @@ class TestAirView:
         view = index.air_view()
         assert view.n_frames == index.n_frames
         assert view.n_segments == index.params.n_segments
-        assert view.object_factor == index.layout.object_factor
         assert view.config is config
 
     def test_view_bucket_addressing_roundtrip(self, built):

@@ -86,7 +86,19 @@ kernel refuses -- falling back to the reference -- when that fails:
    exact bucket-read sequence of its visit (directory, then qualified data
    slots) -- depend only on the *initial* clamped cover, never on the order
    frames are processed in.  Visit sequences are compiled once per
-   (index, query) and replayed per lane as pure occurrence arithmetic.
+   (index, query), and each call compiles every (query, relevant rank)
+   visit once more into its timing (:class:`_Visits`).  A visit starts
+   where its rank's table read ends, so its clock is known modulo the
+   table channel's cycle; a read waits a static time whenever its
+   bucket's channel cycle divides the modulus known at that point, and a
+   *seek* -- a read whose cycle does not -- leaves the clock known modulo
+   its own bucket's cycle when that bucket airs once per cycle.  So on one
+   channel a visit is a per-(query, rank) constant, and on striped layouts
+   one seek (the directory, on its frame group's data channel) plus
+   constants.  A layout where a visit would seek twice, or seek a bucket
+   airing more than once per cycle (multi-channel demand-optimized
+   layouts), replays its visits per lane as occurrence arithmetic, the
+   replay the compile runs and stops at the first read that needs it.
 
 Per hop every live lane picks the earliest-arriving candidate table.  All
 DSI tables air on one channel (the control channel when striped), each
@@ -211,9 +223,11 @@ index and each query's value, so it is compiled once and kept in one
 bounded memo idiom (:func:`_memo`): the index holds its family's static
 tables, keyed by their class; each static holds its per-query plans,
 keyed by the query's value -- a window plan's relevant ranks, visit
-sequences and answer, a tree window's qualifying subtree, a kNN point's
-distance rows -- and the kNN covers hold their rank masks, keyed by
-quantised cells.  A call stacks the rows its queries need.  What depends
+sequences and answer, a tree window's qualifying subtree -- and the kNN
+covers hold their rank masks, keyed by quantised cells.  A kNN point's
+distance rows depend only on the rank-ordered objects, so the dataset's
+curve holds them once for every DSI index over that dataset
+(:class:`_KnnRows`).  A call stacks the rows its queries need.  What depends
 on anything else is read per call and never stored: the schedule's
 timeline (geometry, and the packets and channel of a tree's object
 events), each query's ``k`` and the verdict against the call's dataset.
@@ -285,8 +299,10 @@ def _memo(host: Any) -> Dict[Any, Any]:
     Every memo the walkers keep is one of these dicts, one per host: an
     index holds its per-family statics, keyed by their class; a static
     holds its family's per-query plans, keyed by the query's value (a
-    window's rect, a kNN point); the kNN covers hold their rank-mask ids,
-    keyed by quantised cells.  A host and its keys are immutable, so an
+    window's rect); a dataset's curve holds the kNN distance rows of each
+    rank-ordered object set (:class:`_KnnRows`), which hold them keyed by
+    the query point; the kNN covers hold their rank-mask ids, keyed by
+    quantised cells.  A host and its keys are immutable, so an
     entry never goes stale; what else a run's arrays depend on -- the
     schedule's timeline, ``k``, the dataset a verdict is checked against
     -- is read per call and never stored.  A reset drops the memo's
@@ -503,12 +519,11 @@ class _Geometry(_Channel):
     offset of position ``p``'s table, ascends with ``p``: the entry
     kind-seek is one ``searchsorted`` and the table airing next after a
     clock is the next position.  ``occ_rank`` is each rank's one offset,
-    for the kNN walker's wait matrix and the error retry chain.
+    for the table reads and the error retry chain.
     """
 
     __slots__ = (
-        "cc", "starts", "occ_rank", "occ_small", "wdtype", "pk_of_rank",
-        "rank_of_pos", "bchan", "bpk",
+        "cc", "starts", "occ_rank", "pk_of_rank", "rank_of_pos", "bchan", "bpk",
     )
 
     def __init__(self, static: _Static, index: Any, config: Any, timeline) -> None:
@@ -533,10 +548,6 @@ class _Geometry(_Channel):
         self.rank_of_pos = rank_of_pos
         self.occ_rank = kt.starts[static.pos_of_rank]
         self.pk_of_rank = timeline.bucket_packets[kt.bucket_ids[static.pos_of_rank]]
-        # The kNN hop loop is memory-bound: its wait matrix uses the
-        # smallest dtype the cycle fits (offsets and waits live in [0, cc)).
-        self.wdtype = np.int32 if self.cc < np.iinfo(np.int32).max else np.int64
-        self.occ_small = self.occ_rank.astype(self.wdtype)
         self.bchan = timeline.bucket_channel
         self.bpk = timeline.bucket_packets
 
@@ -556,32 +567,43 @@ class _Geometry(_Channel):
         start = nb - off + self.starts[pos] + wrap * self.cc
         return start, self.rank_of_pos[pos]
 
-    def wait_matrix(self, off: np.ndarray) -> np.ndarray:
-        """``(rows, F)`` packets from within-cycle offsets ``off`` until each
-        rank's airing.  Airings and offsets lie in ``[0, cc)``: ``+ cc``
-        where negative is ``% cc``."""
-        w = self.occ_small[None, :] - off.astype(self.wdtype)[:, None]
-        w += self.wdtype(self.cc) * (w < 0)
-        return w
-
     def wait_rows(self, nb: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         """Packets from absolute clocks ``nb`` to the airing of ``ranks``."""
         return (self.occ_rank[ranks] - nb) % self.cc
 
+    def read(
+        self, nb: np.ndarray, off: np.ndarray, ranks: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read the tables of ``ranks`` from clocks ``nb`` (within-cycle
+        offsets ``off``, both on the table channel): ``(clock, packets)``
+        after each read."""
+        wait = self.occ_rank[ranks] - off
+        wait += self.cc * (wait < 0)
+        pk = self.pk_of_rank[ranks]
+        return nb + wait + pk, pk
+
     def read_nearest(
         self, cl: np.ndarray, ch: np.ndarray, cand: np.ndarray, tn: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Doze to each row's earliest-arriving ``cand`` table and read it.
+        """Doze to each row's earliest-arriving ``cand`` table (a dense
+        ``(rows, F)`` rank mask) and read it.
 
-        Distinct ranks air at distinct cycle offsets, so waits never tie
-        and the reference's lowest-rank tie-break stays vacuous.  Returns
-        ``(rank, clock, channel, tuning)`` after the read.
+        Tables air in position order, so that is the first candidate
+        position at or after the next position (:meth:`next_position`),
+        else the first candidate one cycle later.  Distinct ranks air at
+        distinct positions, so arrivals never tie and the reference's
+        lowest-rank tie-break stays vacuous.  Returns ``(rank, clock,
+        channel, tuning)`` after the read.
         """
         nb = self.doze(cl, ch, self.ctrl)
-        wait = self.wait_matrix(nb - (nb // self.cc) * self.cc)
-        chosen = np.argmin(np.where(cand, wait, self.wdtype(self.cc)), axis=1)
-        pk = self.pk_of_rank[chosen]
-        cl = nb + wait[np.arange(len(chosen)), chosen].astype(np.int64) + pk
+        off, pos = self.next_position(nb)
+        at = cand.take(self.rank_of_pos, axis=1)
+        ahead = at & (np.arange(at.shape[1]) >= pos[:, None])
+        first = ahead.argmax(axis=1)
+        wrap = ~ahead[np.arange(len(first)), first]
+        np.copyto(first, at.argmax(axis=1), where=wrap)
+        chosen = self.rank_of_pos[first]
+        cl, pk = self.read(nb, off, chosen)
         return chosen, cl, np.full(len(chosen), self.ctrl, dtype=np.int64), tn + pk
 
 
@@ -677,29 +699,160 @@ def _verdicts(
 def _precompute_queries(
     static: _Static, index: Any, queries: Sequence[WindowQuery], verify: bool,
     dataset: Any,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-query relevance masks, visit sequences and (optional) verdicts,
     stacked from each window's memoised :class:`_WindowPlan`.
 
-    Returns ``(rel, vlen, voff, vflat, correct)``: the relevant-rank mask,
-    the flattened per-(query, rank) visit bucket sequences, and the
-    verification verdict per query (-1 when not verifying).
+    Returns ``(rel, pair, vlen, voff, vflat, correct)``: the relevant-rank
+    mask; the id of each relevant (query, rank) *pair* (-1 elsewhere), in
+    row-major order; per pair, the length and offset of its visit bucket
+    sequence in the flat ``vflat``; and the verification verdict per query
+    (-1 when not verifying).
     """
     plans = [_memoized(static, q.window, _window_plan, static, index, q.window)
              for q in queries]
     n_q = len(plans)
-    shape = (n_q, static.n_frames)
     at = (np.repeat(np.arange(n_q), [len(p.ranks) for p in plans]),
           np.concatenate([p.ranks for p in plans]))
-    lens = np.concatenate([p.vlen for p in plans])
-    rel = np.zeros(shape, dtype=bool)
+    vlen = np.concatenate([p.vlen for p in plans])
+    rel = np.zeros((n_q, static.n_frames), dtype=bool)
     rel[at] = True
-    vlen = np.zeros(shape, dtype=np.int64)
-    vlen[at] = lens
-    voff = np.zeros(shape, dtype=np.int64)
-    voff[at] = np.cumsum(lens) - lens
+    pair = np.full(rel.shape, -1, dtype=np.int64)
+    pair[at] = np.arange(len(vlen))
     correct = _verdicts(queries, [p.answer for p in plans], verify, dataset)
-    return rel, vlen, voff, np.concatenate([p.vseq for p in plans]), correct
+    return (rel, pair, vlen, np.cumsum(vlen) - vlen,
+            np.concatenate([p.vseq for p in plans]), correct)
+
+
+class _Visits:
+    """The frame visits of a call's relevant (query, rank) pairs: each
+    pair's bucket sequence, ``vflat[voff[p]:][:vlen[p]]``, and -- when the
+    layout allows -- its compiled form.
+
+    A visit starts where its rank's table read ends, parked on the table
+    channel, so its clock is known modulo that channel's cycle ``cc``.  A
+    read's wait depends only on its doze-adjusted clock modulo its
+    bucket's channel cycle, so it is static whenever that cycle divides
+    the modulus known at that point; a read whose cycle does not is a
+    *seek*.  After a seek on a bucket that airs once per cycle the clock
+    is known modulo that bucket's cycle instead.  The compile replays
+    every pair once from its table-end offset (``occ_rank + pk_of_rank``)
+    and records a static prefix ``pre`` up to the seek's doze (the whole
+    visit when there is none), the seek bucket (-1 when none), the static
+    ``post`` from the seek's airing on, the packets ``paid`` and the final
+    channel ``fch``.  A visit then costs gathers plus, where it seeks, one
+    ``next_occurrences``.  On one channel no read seeks; on striped layouts
+    a visit's first read on its data channel does, the directory whose
+    frame group travels with it (``control_and_groups``).  A layout where
+    some visit would seek twice, or seek a bucket airing more than once
+    per cycle (multi-channel demand-optimized layouts), keeps the per-lane
+    replay, the same code the compile runs; the compile stops at the first
+    read that needs it, so such a layout pays for the bucket positions up
+    to that read only.
+    """
+
+    __slots__ = ("geo", "vlen", "voff", "vflat", "pre", "seek", "post",
+                 "paid", "fch")
+
+    def __init__(self, geo: _Geometry, ranks: np.ndarray, vlen: np.ndarray,
+                 voff: np.ndarray, vflat: np.ndarray) -> None:
+        self.geo = geo
+        self.vlen, self.voff, self.vflat = vlen, voff, vflat
+        self.pre = self.seek = self.post = self.paid = self.fch = None
+        self._compile(ranks)
+
+    def _replay(
+        self, clock: np.ndarray, chan: np.ndarray, pairs: np.ndarray,
+        seen: Optional[Callable[..., bool]] = None,
+    ) -> Optional[np.ndarray]:
+        """Replay the visits of ``pairs`` bucket by bucket from ``clock`` /
+        ``chan`` (advanced in place) and return the packets each paid;
+        ``seen(on, b, nb, start)`` is told every bucket position's reads
+        and stops the replay, which then returns None, by returning True.
+        Visits read directory and data buckets only, which the index error
+        scope never loses, so the lossless and error paths share this
+        replay."""
+        geo = self.geo
+        timeline = geo.timeline
+        lengths = self.vlen[pairs]
+        offsets = self.voff[pairs]
+        paid = np.zeros(len(pairs), dtype=np.int64)
+        for i in range(int(lengths.max(initial=0))):
+            on = lengths > i
+            b = self.vflat[offsets[on] + i]
+            ch = geo.bchan[b]
+            nb = geo.doze(clock[on], chan[on], ch)
+            # next_occurrences handles replicated buckets (min over copies).
+            start = timeline.next_occurrences(b, nb)
+            if seen is not None and seen(on, b, nb, start):
+                return None
+            clock[on] = start + geo.bpk[b]
+            chan[on] = ch
+            paid[on] += geo.bpk[b]
+        return paid
+
+    def _compile(self, ranks: np.ndarray) -> None:
+        """Compile every pair's visit (``ranks[p]`` is pair ``p``'s rank),
+        or leave the replay in place at the first read that needs it."""
+        geo = self.geo
+        timeline = geo.timeline
+        copies = timeline._occ_offsets
+        n = len(ranks)
+        begin = geo.occ_rank[ranks] + geo.pk_of_rank[ranks]
+        modulus = np.full(n, geo.cc, dtype=np.int64)
+        seek = np.full(n, -1, dtype=np.int64)
+        doze = np.zeros(n, dtype=np.int64)
+        airing = np.zeros(n, dtype=np.int64)
+
+        def seen(on, b, nb, start) -> bool:
+            cycle = timeline.bucket_cycle[b]
+            moving = modulus[on] % cycle != 0
+            if not moving.any():
+                return False
+            at = np.flatnonzero(on)[moving]
+            b, cycle = b[moving], cycle[moving]
+            # The compiled form holds one seek, after which the clock is
+            # known modulo its bucket's cycle: a second seek, or a seek
+            # bucket airing more than once per cycle, needs the replay.
+            twice = bool((seek[at] >= 0).any())
+            replicated = copies is not None and bool((copies[b] != copies[b, :1]).any())
+            if twice or replicated:
+                return True
+            seek[at] = b
+            doze[at] = nb[moving]
+            airing[at] = start[moving]
+            modulus[at] = cycle
+            return False
+
+        clock = begin.copy()
+        chan = np.full(n, geo.ctrl, dtype=np.int64)
+        paid = self._replay(clock, chan, np.arange(n), seen)
+        if paid is None:
+            return
+        self.pre = np.where(seek >= 0, doze, clock) - begin
+        self.seek = seek
+        self.post = clock - airing
+        self.paid = paid
+        self.fch = chan
+
+    def apply(self, clock: np.ndarray, chan: np.ndarray, tun: np.ndarray,
+              rows: np.ndarray, pairs: np.ndarray) -> None:
+        """Advance ``rows`` of the session arrays through the visits of
+        ``pairs`` (one each), each starting where its table read ended."""
+        if self.pre is None:
+            cl, ch = clock[rows], chan[rows]
+            tun[rows] += self._replay(cl, ch, pairs)
+            clock[rows] = cl
+            chan[rows] = ch
+            return
+        cl = clock[rows] + self.pre[pairs]
+        b = self.seek[pairs]
+        at = np.flatnonzero(b >= 0)
+        cl[at] = (self.geo.timeline.next_occurrences(b[at], cl[at])
+                  + self.post[pairs[at]])
+        clock[rows] = cl
+        chan[rows] = self.fch[pairs]
+        tun[rows] += self.paid[pairs]
 
 
 class _DsiLanes:
@@ -790,8 +943,8 @@ class _SlotLanes:
 
 
 class _Walker(_DsiLanes):
-    """The DSI window walker: per-(query, rank) visit plans replayed over
-    per-lane *pending slots*.
+    """The DSI window walker: per-(query, rank) frame visits
+    (:class:`_Visits`) applied over per-lane *pending slots*.
 
     A query's slots are its relevant ranks, padded to the run's largest
     relevant count (``slot_rank``; ``slot_on`` marks the real ones).  While
@@ -826,9 +979,10 @@ class _Walker(_DsiLanes):
         # the global minimum, which hop 1's entry read always teaches
         # (_Static gates that every table teaches rank 0), so warm hops
         # share the cold clamp and the per-row tables are hop-invariant.
-        self.rel, self.vlen, self.voff, self.vflat, self.correct = (
+        self.rel, self.pair, vlen, voff, vflat, self.correct = (
             _precompute_queries(st, index, queries, verify, dataset)
         )
+        self.visits = _Visits(self.geo, np.nonzero(self.rel)[1], vlen, voff, vflat)
         self.guard = index.air_view().window_guard
         self.n_steps = n_steps
         n_frames, rdt = st.n_frames, st.rdt
@@ -853,31 +1007,10 @@ class _Walker(_DsiLanes):
         ranks: np.ndarray,
         qr: np.ndarray,
     ) -> None:
-        """Replay the visit sequences of ``ranks`` for compacted ``rows``:
-        pure occurrence arithmetic advancing clock/channel/tuning.  Visits
-        read directory and data buckets only, which the index error scope
-        never loses, so the lossless and error paths share this replay."""
-        if not len(rows):
-            return
-        geo = self.geo
-        timeline = geo.timeline
-        lengths = self.vlen[qr[rows], ranks]
-        offsets = self.voff[qr[rows], ranks]
-        vclock = clock[rows]
-        vchan = chan[rows]
-        paid = np.zeros(len(rows), dtype=np.int64)
-        for i in range(int(lengths.max(initial=0))):
-            on = lengths > i
-            b = self.vflat[offsets[on] + i]
-            ch = geo.bchan[b]
-            nb = geo.doze(vclock[on], vchan[on], ch)
-            # next_occurrences handles replicated buckets (min over copies).
-            vclock[on] = timeline.next_occurrences(b, nb) + geo.bpk[b]
-            vchan[on] = ch
-            paid[on] += geo.bpk[b]
-        clock[rows] = vclock
-        chan[rows] = vchan
-        tun[rows] += paid
+        """Visit frame ``ranks`` for compacted ``rows`` (query rows ``qr``),
+        advancing clock/channel/tuning (:class:`_Visits`)."""
+        if len(rows):
+            self.visits.apply(clock, chan, tun, rows, self.pair[qr[rows], ranks])
 
     def begin(self, lane_start: np.ndarray, qrow: np.ndarray,
               err: Optional[_Losses]) -> None:
@@ -992,10 +1125,7 @@ class _Walker(_DsiLanes):
         key = self.pos_small.take(cand)
         key += wrap * rdt(n_frames)
         fr = self.rank_of_key[key.min(axis=0)]
-        wait = geo.occ_rank[fr] - off
-        wait += geo.cc * (wait < 0)
-        pk = geo.pk_of_rank[fr]
-        w.cl = nb + wait + pk
+        w.cl, pk = geo.read(nb, off, fr)
         w.ch[:] = geo.ctrl
         w.tn = w.tn + pk
         return fr
@@ -1472,14 +1602,15 @@ class _KnnStatic:
     ``vis_grps``/``vis_on`` add the frame's directory records, the
     estimates a visit learns from its table and directory (a frame without
     a directory holds one object, its own minimum, so its row adds
-    nothing).
+    nothing).  ``rows`` holds the query points' distance rows, shared with
+    the other DSI indexes over the same rank-ordered objects
+    (:class:`_KnnRows`).
     """
 
     __slots__ = (
         "n_objects", "n_groups", "flen", "obj_start", "obj_bucket", "oids",
         "hcs", "hc_group", "grp_hcs", "grp_of_rank", "dir_bucket",
-        "est_grps", "est_on", "vis_grps", "vis_on", "objects", "reps", "covers",
-        _MEMO_ATTR,
+        "est_grps", "est_on", "vis_grps", "vis_on", "objects", "rows", "covers",
     )
 
     def __init__(self, static: _Static, index: Any) -> None:
@@ -1511,12 +1642,31 @@ class _KnnStatic:
         self.est_grps, self.est_on = _padded(est)
         self.vis_grps, self.vis_on = _padded(vis)
         self.objects = ro.objects
-        # Each unique HC cell's representative point, decoded in one batch.
         curve = index.curve
+        self.rows = _memoized(curve, (_KnnRows, ro.oids.tobytes()), _KnnRows,
+                              curve, grp_hcs, ro.objects)
+        self.covers = _KnnCovers(curve, static.mins)
+
+
+class _KnnRows:
+    """The distance rows of one rank-ordered object set, memoised per
+    query point (the memo entries behind :func:`_knn_query_tables`).
+
+    A row depends only on the objects, their order and the query point.
+    Every DSI index over a dataset orders the same objects by HC value and
+    shares the dataset's curve, so the indexes whose rank-ordered object
+    ids are equal share one of these, memoised on that curve: one copy of
+    each point's rows per dataset, not per index.
+    """
+
+    __slots__ = ("reps", "objects", _MEMO_ATTR)
+
+    def __init__(self, curve: Any, grp_hcs: np.ndarray, objects: Sequence[Any]) -> None:
+        # Each unique HC cell's representative point, decoded in one batch.
         hc_list = grp_hcs.tolist()
         curve.warm_representative_points(hc_list)
         self.reps = [curve.representative_point(hc) for hc in hc_list]
-        self.covers = _KnnCovers(curve, static.mins)
+        self.objects = objects
 
 
 def _padded(rows: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
@@ -1670,13 +1820,13 @@ class _KnnCovers:
         return cids[inv]
 
 
-def _knn_rows(kst: _KnnStatic, point: Any) -> Tuple[np.ndarray, np.ndarray]:
+def _knn_rows(rows: _KnnRows, point: Any) -> Tuple[np.ndarray, np.ndarray]:
     """One query point's distance rows (the memo entry behind
     :func:`_knn_query_tables`): to each unique HC cell's representative
     point, and to each object."""
     return (
-        np.array([point.distance_to(p) for p in kst.reps], dtype=np.float64),
-        np.array([o.distance_to(point) for o in kst.objects], dtype=np.float64),
+        np.array([point.distance_to(p) for p in rows.reps], dtype=np.float64),
+        np.array([o.distance_to(point) for o in rows.objects], dtype=np.float64),
     )
 
 
@@ -1694,7 +1844,8 @@ def _knn_query_tables(
     -- its vectorised counterpart is not bit-equal -- so only the
     representative-point decode batches.
     """
-    rows = [_memoized(kst, q.point, _knn_rows, kst, q.point) for q in queries]
+    shared = kst.rows
+    rows = [_memoized(shared, q.point, _knn_rows, shared, q.point) for q in queries]
     est_g = np.stack([est for est, _ in rows])
     ex_d = np.stack([ex for _, ex in rows])
     k_arr = np.fromiter((int(q.k) for q in queries), dtype=np.int64, count=len(queries))

@@ -1,0 +1,184 @@
+"""Committed mutation checks: evidence that the equality suites bite.
+
+A *mutant* is one exact ``(file, old text, new text)`` replacement in the
+package sources plus the test ids that must fail under it.  For each
+mutant the runner copies ``src/`` to a temporary directory, applies the
+replacement there (never in the checkout), and runs the mutant's tests in
+a plain pytest subprocess with ``PYTHONPATH`` pointing at the copy.  The
+run fails when a named test fails on the unmutated sources (its failure
+under a mutant would show nothing), when a named test passes under its
+mutant -- the suite no longer tells the mutant from the program -- and
+when a mutant's old text no longer occurs exactly once, so that a rewrite
+of a guarded region has to update or replace its mutant::
+
+    python tests/mutants.py                 # every mutant
+    python tests/mutants.py NAME [NAME ...] # the named ones
+    python tests/mutants.py --list          # names and what each breaks
+
+Run it from the repository root; it needs nothing beyond pytest.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import List, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+_KERNEL = "repro/sim/fleet_kernel.py"
+_VISITS = "tests/test_fleet_kernel.py::test_compiled_visits_match_replay"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    """One replacement of ``old`` by ``new`` in ``path`` (relative to
+    ``src/``); every test in ``tests`` must fail under it."""
+
+    name: str
+    why: str
+    path: str
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS: Tuple[Mutant, ...] = (
+    Mutant(
+        "visit-from-table-start",
+        "a compiled visit starts where its table read starts, not where it ends",
+        _KERNEL,
+        "begin = geo.occ_rank[ranks] + geo.pk_of_rank[ranks]",
+        "begin = geo.occ_rank[ranks]",
+        (f"{_VISITS}[flat-1ch-lossless-stationary]",
+         f"{_VISITS}[optimized-1ch-errors-journeys]"),
+    ),
+    Mutant(
+        "every-read-static",
+        "the divisibility test is dropped: every read of a visit counts as static",
+        _KERNEL,
+        "moving = modulus[on] % cycle != 0",
+        "moving = modulus[on] % cycle < 0",
+        (f"{_VISITS}[flat-2ch-lossless-stationary]",
+         f"{_VISITS}[flat-4ch-errors-journeys]"),
+    ),
+    Mutant(
+        "replicated-seek-compiled",
+        "the replicated-seek fallback is dropped: a seek bucket airing more "
+        "than once per cycle is compiled",
+        _KERNEL,
+        "replicated = copies is not None and bool((copies[b] != copies[b, :1]).any())",
+        "replicated = False",
+        (f"{_VISITS}[optimized-2ch-lossless-stationary]",
+         f"{_VISITS}[optimized-4ch-lossless-stationary]"),
+    ),
+    Mutant(
+        "final-channel-of-first-read",
+        "a compiled visit ends on its first read's channel, not its last's",
+        _KERNEL,
+        "self.fch = chan",
+        "self.fch = geo.bchan[self.vflat[self.voff]]",
+        (f"{_VISITS}[split-directory-2ch-lossless-stationary]",
+         f"{_VISITS}[split-directory-2ch-errors-journeys]"),
+    ),
+    Mutant(
+        "knn-nearest-no-wrap",
+        "the kNN nearest pick loses its wrap branch: a lane whose candidates "
+        "all aired before its clock reads position 0",
+        _KERNEL,
+        "np.copyto(first, at.argmax(axis=1), where=wrap)",
+        "pass",
+        ("tests/test_fleet_kernel.py::test_read_nearest_matches_wait_matrix_oracle[20-60]",
+         "tests/test_fleet_kernel.py::test_lane_hop_matches_former_helpers"
+         "[knn-conservative-4-flat-None]"),
+    ),
+)
+
+
+def _apply(mutant: Mutant, src: Path) -> None:
+    """Apply ``mutant`` to the source copy rooted at ``src``."""
+    target = src / mutant.path
+    text = target.read_text()
+    found = text.count(mutant.old)
+    if found != 1:
+        raise SystemExit(
+            f"mutant {mutant.name}: its old text occurs {found} times in "
+            f"{mutant.path}, not once -- update or replace the mutant"
+        )
+    target.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _failed_ids(output: str) -> List[str]:
+    """Test ids of the ``FAILED`` lines of pytest's ``-rf`` summary."""
+    return [line[len("FAILED "):].split(" - ")[0].strip()
+            for line in output.splitlines() if line.startswith("FAILED ")]
+
+
+def _pytest(src: Path, tests: Sequence[str]) -> Tuple[int, List[str], str]:
+    """Run ``tests`` in a pytest subprocess importing the package from
+    ``src``: ``(exit code, failed test ids, output)``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    output = proc.stdout + proc.stderr
+    return proc.returncode, _failed_ids(proc.stdout), output
+
+
+def run(mutant: Mutant) -> Tuple[bool, str]:
+    """Run ``mutant``'s tests against a mutated copy of ``src/``: ``(killed,
+    report)``, killed when every named test failed."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        _apply(mutant, src)
+        code, failed, output = _pytest(src, mutant.tests)
+    if code not in (0, 1):
+        return False, f"pytest exited {code}:\n{output}"
+    survived = [t for t in mutant.tests if t not in failed]
+    if survived:
+        return False, "passed under the mutant: " + ", ".join(survived)
+    return True, f"{len(failed)} named test(s) failed"
+
+
+def main(argv: Sequence[str] = ()) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}: {m.why}")
+        return 0
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] if args.names else list(MUTANTS)
+    named = sorted({t for m in chosen for t in m.tests})
+    code, _, output = _pytest(SRC, named)
+    if code != 0:
+        print(f"the named tests do not all pass on the unmutated sources:\n{output}")
+        return 1
+    survivors = 0
+    for mutant in chosen:
+        t0 = time.perf_counter()
+        killed, report = run(mutant)
+        survivors += not killed
+        print(f"{'killed ' if killed else 'SURVIVED'} {mutant.name} "
+              f"({time.perf_counter() - t0:.1f} s): {report}", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1135,9 +1135,17 @@ def _sweep_segment_candidates(kn, hit):
     return cand
 
 
-def _modulo_wait_matrix(self, off):
-    """Test oracle: ``_Geometry.wait_matrix`` with ``% cc``."""
-    return (self.occ_small[None, :] - off.astype(self.wdtype)[:, None]) % self.wdtype(self.cc)
+def _wait_matrix_nearest(geo, cl, ch, cand, tn):
+    """Test oracle: ``_Geometry.read_nearest`` as the ``(rows, F)`` wait
+    matrix the kNN walker read before -- packets from each row's
+    within-cycle offset to every rank's airing, ``% cc`` -- and its masked
+    ``argmin``."""
+    nb = geo.doze(cl, ch, geo.ctrl)
+    wait = (geo.occ_rank[None, :] - (nb % geo.cc)[:, None]) % geo.cc
+    chosen = np.argmin(np.where(cand, wait, geo.cc), axis=1)
+    pk = geo.pk_of_rank[chosen]
+    cl = nb + wait[np.arange(len(chosen)), chosen] + pk
+    return chosen, cl, np.full(len(chosen), geo.ctrl, dtype=np.int64), tn + pk
 
 
 def _segment_corpus(rng, n_frames):
@@ -1180,24 +1188,40 @@ def test_segment_candidates_match_sweep_oracle(n_frames):
         np.testing.assert_array_equal(got, want[row : row + 1])
 
 
-@pytest.mark.parametrize("wdtype", [np.int32, np.int64])
-def test_wait_matrix_matches_modulo_oracle(wdtype):
-    """The division-free wait matrix equals the ``% cc`` one on seeded
-    airing offsets (one per rank), at offsets 0 and ``cc - 1`` and in
-    between."""
+@pytest.mark.parametrize("n_frames, cc", [(1, 1), (1, 5), (2, 8), (20, 60), (100, 2700)])
+def test_read_nearest_matches_wait_matrix_oracle(n_frames, cc):
+    """The first candidate position at or after the next position, else
+    the first candidate, reads the table the wait matrix's ``argmin``
+    reads, at the same clock: seeded airings (one per position, one at
+    each cycle edge, ranks in a shuffled position order), clocks at and
+    between airings and at both cycle edges, and candidate rows from one
+    rank to all of them -- rows whose candidates all air before the clock
+    take the wrap."""
     from repro.sim.fleet_kernel import _Geometry
 
-    rng = np.random.default_rng(77)
-    for n_frames, cc in [(1, 1), (1, 5), (2, 8), (20, 60), (100, 2700)]:
-        airings = np.sort(rng.choice(cc, size=n_frames, replace=False))
-        airings[[0, -1]] = 0, cc - 1  # an airing at each cycle edge
-        geo = object.__new__(_Geometry)
-        geo.cc, geo.wdtype = cc, wdtype
-        geo.occ_small = rng.permutation(airings).astype(wdtype)
-        off = np.concatenate([[0, cc - 1], rng.integers(0, cc, size=50)])
-        got = geo.wait_matrix(off)
-        assert got.dtype == wdtype
-        np.testing.assert_array_equal(got, _modulo_wait_matrix(geo, off))
+    rng = np.random.default_rng(77 + n_frames)
+    starts = np.sort(rng.choice(cc, size=n_frames, replace=False))
+    starts[[0, -1]] = 0, cc - 1
+    geo = object.__new__(_Geometry)
+    geo.cc, geo.starts, geo.switch, geo.ctrl = cc, starts, 0, 0
+    geo.rank_of_pos = rng.permutation(n_frames)
+    pos_of_rank = np.argsort(geo.rank_of_pos)
+    geo.occ_rank = starts[pos_of_rank]
+    geo.pk_of_rank = rng.integers(1, 4, size=n_frames)
+    n = 400
+    off = np.concatenate([starts, starts + 1, [0, cc - 1], rng.integers(0, cc, size=n)])[:n] % cc
+    cl = off + cc * rng.integers(0, 5, size=n)
+    cand = rng.random((n, n_frames)) < rng.choice([0.02, 0.3, 1.0], size=(n, 1))
+    cand[np.arange(n), rng.integers(0, n_frames, size=n)] = True
+    ch = np.zeros(n, dtype=np.int64)
+    tn = rng.integers(0, 9, size=n)
+    want = _wait_matrix_nearest(geo, cl, ch, cand, tn)
+    got = geo.read_nearest(cl, ch, cand, tn)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+    if n_frames > 1:
+        ahead = cand & (geo.occ_rank[None, :] >= off[:, None])
+        assert (~ahead.any(axis=1)).any() and ahead.any(axis=1).any()
 
 
 # --- the window walker's pending slots vs the dense rank-space hop -----------
@@ -1215,9 +1239,9 @@ def _dense_window_hops(monkeypatch, drive=False):
     ORs in the table's row, marks its rank examined and clears it from
     pending.  Before each slot-walker read it computes the former hop --
     ``_segment_candidates`` over the pending ranks, minus the examined
-    ones, then ``_Geometry.read_nearest`` -- and asserts that the walker
-    retired exactly the lanes left without a candidate; at the end of a
-    walk, that every remaining lane has none.  Without ``drive`` it also
+    ones, then the wait-matrix read :func:`_wait_matrix_nearest` -- and
+    asserts that the walker retired exactly the lanes left without a
+    candidate; at the end of a walk, that every remaining lane has none.  Without ``drive`` it also
     asserts that the slot walker reads the same rank at the same clock;
     with ``drive`` the oracle's read replaces the slot walker's.
     ``walks`` gets one ``(lanes, slot width, frames, entry ranks relevant,
@@ -1258,7 +1282,7 @@ def _dense_window_hops(monkeypatch, drive=False):
         live = cand.any(axis=1)
         np.testing.assert_array_equal(w.idx, self.lanes[live])
         self.lanes = w.idx.copy()
-        want = self.geo.read_nearest(w.cl, w.ch, cand[live], w.tn)
+        want = _wait_matrix_nearest(self.geo, w.cl, w.ch, cand[live], w.tn)
         reads.append(len(w.idx))
         if drive:
             fr, w.cl, w.ch, w.tn = want
@@ -1578,9 +1602,9 @@ _HELPER_CELLS = [
 def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeypatch):
     """Fleets through the kernel's lane hops equal fleets run on the
     former formulations, execution for execution: the four-sweep segment
-    test and the ``% cc`` wait matrix patched in for the kNN walker's
-    helpers, and -- for window and journey cells -- the dense window hop
-    driving the window walker's reads over those helpers."""
+    test and the ``% cc`` wait matrix's nearest read patched in for the
+    kNN walker's helpers, and -- for window and journey cells -- the dense
+    window hop driving the window walker's reads over those helpers."""
     from repro.sim import fleet_kernel as fk
 
     dataset = uniform_dataset(120, seed=42 + channels)
@@ -1617,18 +1641,134 @@ def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeyp
         return call
 
     monkeypatch.setattr(fk, "_segment_candidates", counted(_sweep_segment_candidates))
-    monkeypatch.setattr(fk._Geometry, "wait_matrix", counted(_modulo_wait_matrix))
+    monkeypatch.setattr(fk._Geometry, "read_nearest", counted(_wait_matrix_nearest))
     window = not query.startswith("knn")
     if window:
         _, reads = _dense_window_hops(monkeypatch, drive=True)
     old = run()
-    assert {"_sweep_segment_candidates", "_modulo_wait_matrix"} <= set(calls)
+    assert "_sweep_segment_candidates" in calls
     if window:
         assert reads  # the dense hop drove the window walker's reads
+    else:
+        assert "_wait_matrix_nearest" in calls
     assert new.backend == old.backend == "numpy"
     np.testing.assert_array_equal(new.unique_counts, old.unique_counts)
     np.testing.assert_array_equal(new.unique_latency, old.unique_latency)
     np.testing.assert_array_equal(new.unique_tuning, old.unique_tuning)
+
+
+# --- compiled frame visits vs the per-lane replay ----------------------------
+
+
+def _split_directory_schedule(index):
+    """A two-channel layout the library does not build: index tables and
+    directories on the table channel, data objects on a second channel.
+    A directory read waits a static time and the first data read seeks,
+    so a visit ends on another channel than its first read's."""
+    from repro.broadcast.channel import Channel, ChannelRole
+    from repro.broadcast.program import BroadcastProgram, BucketKind
+
+    program = index.program
+    split = ([], [])
+    for i, bucket in enumerate(program.buckets):
+        split[bucket.kind is BucketKind.DATA].append(i)
+    return BroadcastSchedule([
+        Channel(cid=c, role=role, global_ids=tuple(ids), program=BroadcastProgram(
+            [program.buckets[g] for g in ids], name=f"split{c}"))
+        for c, (role, ids) in enumerate(zip((ChannelRole.CONTROL, ChannelRole.DATA), split))
+    ], program)
+
+
+#: (layout, channels, seeks) cells for the compiled visits: how many
+#: compiled visits seek on the layout -- "none" (every read static), "all"
+#: (each visit seeks once), "some" -- or None, a layout that keeps the
+#: per-lane replay.
+_VISIT_LAYOUTS = [
+    ("flat", 1, "none"),
+    ("optimized", 1, "none"),
+    ("flat", 2, "all"),
+    ("flat", 4, "all"),
+    ("optimized", 2, None),
+    ("optimized", 4, None),
+    ("split-directory", 2, "some"),
+]
+
+
+@pytest.mark.parametrize("items", ["stationary", "journeys"])
+@pytest.mark.parametrize("theta", [None, 0.1], ids=["lossless", "errors"])
+@pytest.mark.parametrize(
+    "layout, channels, seeks", _VISIT_LAYOUTS,
+    ids=[f"{layout}-{channels}ch" for layout, channels, _ in _VISIT_LAYOUTS],
+)
+def test_compiled_visits_match_replay(layout, channels, seeks, theta, items,
+                                      monkeypatch):
+    """Compiled frame visits equal the per-lane replay they are compiled
+    with, and ``REPRO_PURE=1``: on one-channel flat and demand-optimized
+    layouts no read seeks; on striped 2- and 4-channel layouts every visit
+    seeks its directory once; with directories on the table channel a
+    visit ends on another channel than its first read's; 2- and 4-channel
+    demand-optimized layouts, whose seek buckets air more than once per
+    cycle, keep the replay, and their compile stops short.  Each runs
+    lossless and under index-scope losses, for one-step items and
+    five-hop warm journeys, with a retune cost wherever there is more than
+    one channel."""
+    from repro.sim import fleet_kernel as fk
+
+    dataset = uniform_dataset(90, seed=61)
+    config = SystemConfig(packet_capacity=64, n_channels=channels,
+                          channel_switch_packets=2 if channels > 1 else 0)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    windows = window_workload(6, 0.2, seed=62)
+    kw = dict(seed=63, max_phases=24, error_theta=theta, error_seed=5,
+              verify=theta is None)
+    if layout == "optimized":
+        kw["schedule"] = BroadcastSchedule.optimized(
+            index.program, windows.bucket_demand(index, dataset),
+            channels=channels, budget=2.0,
+        )
+    elif layout == "split-directory":
+        kw["schedule"] = _split_directory_schedule(index)
+    journeys = trajectory_workload(n_journeys=4, n_steps=5, seed=64, win_side_ratio=0.2)
+
+    def run():
+        if items == "journeys":
+            return run_mobile_fleet(index, dataset, config, journeys, 600, **kw)
+        return run_fleet(index, dataset, config, windows, 600, **kw)
+
+    took, stopped = [], []
+    real_compile, real_replay = fk._Visits._compile, fk._Visits._replay
+
+    def compile_and_log(self, ranks):
+        real_compile(self, ranks)
+        if self.pre is None:
+            took.append(None)
+        else:
+            n_seek = int((self.seek >= 0).sum())
+            took.append("none" if not n_seek else "all" if n_seek == len(ranks) else "some")
+
+    def replay_and_log(self, clock, chan, pairs, seen=None):
+        paid = real_replay(self, clock, chan, pairs, seen)
+        if seen is not None:
+            stopped.append(paid is None)
+        return paid
+
+    monkeypatch.setattr(fk._Visits, "_compile", compile_and_log)
+    monkeypatch.setattr(fk._Visits, "_replay", replay_and_log)
+    fast = run()
+    assert took == [seeks]
+    assert stopped == [seeks is None]  # a replay layout's compile stops short
+    monkeypatch.setattr(fk._Visits, "_compile", lambda self, ranks: None)
+    replay = run()
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = run()
+    assert fast.backend == replay.backend == "numpy", fast.backend_reason
+    assert pure.backend == "reference"
+    for other in (replay, pure):
+        np.testing.assert_array_equal(fast.unique_counts, other.unique_counts)
+        np.testing.assert_array_equal(fast.unique_latency, other.unique_latency)
+        np.testing.assert_array_equal(fast.unique_tuning, other.unique_tuning)
+    if theta is None:
+        assert fast.result.incorrect_trials == 0
 
 
 # --- an HC value straddling a frame boundary ----------------------------------
@@ -1831,18 +1971,22 @@ def test_long_equal_hc_runs(order, n_segments, object_factor, query, monkeypatch
 @contextlib.contextmanager
 def _memos_set_aside(*indexes):
     """Run the body with none of ``indexes``' memos: the kernel memo on
-    each index (its statics, and with them every plan and cover), and the
-    flat schedules and timeline on each program.  What the body compiles
-    is dropped afterwards and the memos come back, so an interleaving of
-    calls keeps its own memo state."""
+    each index (its statics, and with them every plan and cover) and on
+    its curve (the kNN distance rows), and the flat schedules and
+    timeline on each program.  What the body compiles is dropped
+    afterwards and the memos come back, so an interleaving of calls keeps
+    its own memo state."""
     from repro.broadcast.schedule import _FOR_CONFIG_ATTR
     from repro.broadcast.timeline import _CACHE_ATTR
     from repro.sim.fleet_kernel import _MEMO_ATTR
 
-    held = [(obj, name)
-            for index in indexes
-            for obj, name in ((index, _MEMO_ATTR), (index.program, _FOR_CONFIG_ATTR),
-                              (index.program, _CACHE_ATTR))]
+    held = []
+    for index in indexes:
+        for obj, name in ((index, _MEMO_ATTR), (getattr(index, "curve", None), _MEMO_ATTR),
+                          (index.program, _FOR_CONFIG_ATTR),
+                          (index.program, _CACHE_ATTR)):
+            if obj is not None and not any(o is obj and n == name for o, n in held):
+                held.append((obj, name))
     saved = [vars(obj).pop(name, None) for obj, name in held]
     try:
         yield
@@ -1897,24 +2041,36 @@ def test_memo_one_program_across_channel_counts(monkeypatch):
     assert schedules[0] is schedules[2] is not schedules[1]
 
 
-@pytest.mark.parametrize("pair", ["dsi-m1-m2", "rtree-hci"])
+@pytest.mark.parametrize("pair", ["dsi-m1-m2", "dsi-knn-m1-m2", "rtree-hci"])
 def test_memo_indexes_sharing_query_objects(pair, monkeypatch):
     """Two indexes over one dataset -- DSI with one and with two segments,
     or an R-tree and an HCI -- run the very same query objects in turn;
-    each index compiles its own plans from them."""
+    each index compiles its own plans from them.  The two DSI indexes
+    order the same objects, so their kNN points' distance rows are one
+    shared copy, and a DSI index over another dataset holds its own."""
+    from repro.sim import fleet_kernel as fk
+
     dataset = uniform_dataset(120, seed=43)
     config = SystemConfig(packet_capacity=64, n_channels=4)
-    if pair == "dsi-m1-m2":
+    if pair.startswith("dsi"):
         indexes = [DsiIndex(dataset, config, DsiParameters(n_segments=m)) for m in (1, 2)]
     else:
         indexes = [build_index(kind, dataset, config, use_cache=False)
                    for kind in ("rtree", "hci")]
-    workload = window_workload(6, 0.2, seed=8)
+    if pair == "dsi-knn-m1-m2":
+        workload = knn_workload(5, k=4, seed=8)
+    else:
+        workload = window_workload(6, 0.2, seed=8)
     for index in indexes + indexes:
         _same_on_cleared_and_pure(monkeypatch, lambda: run_fleet(
             index, dataset, config, workload, N_CLIENTS, seed=5, max_phases=MAX_PHASES,
             verify=True,
         ), *indexes)
+    if pair == "dsi-knn-m1-m2":
+        rows = [fk._knn_static_of(i, fk._static_of(i)).rows for i in indexes]
+        assert rows[0] is rows[1] and len(fk._memo(rows[0])) == 5
+        other = DsiIndex(uniform_dataset(120, seed=44), config)
+        assert fk._knn_static_of(other, fk._static_of(other)).rows is not rows[0]
 
 
 def test_memo_tree_plans_read_channels_per_call(monkeypatch):

@@ -234,8 +234,8 @@ def test_fleet_bench():
 
     # All-scope error stage: data-bucket losses sit outside the kernel's
     # envelope, so both legs run the per-execution reference simulator --
-    # the regime where the multicore shard fan-out (key-only chunks, views
-    # rebuilt per worker) does real work.  Serial and parallel must agree
+    # the regime where the multicore shard fan-out (key-only chunks, the
+    # view inherited by each forked worker) does real work.  Serial and parallel must agree
     # bit for bit, per execution -- on one CPU the parallel leg degrades to
     # the serial path (no executor overhead), which this equality also
     # certifies.

@@ -14,8 +14,8 @@ R-tree and HCI all drive it through the same three primitives:
   classical air-indexing model);
 * :meth:`read_bucket` -- doze until the next occurrence of a given bucket
   and receive it (possibly corrupted, see :mod:`repro.broadcast.errors`);
-* :meth:`read_next_bucket` -- receive whatever bucket comes next on the
-  channel (used when scanning sequentially).
+* :meth:`read_next_bucket` -- doze until the next bucket of a given kind
+  (the seek to the next index structure) and receive it.
 
 A session is not restricted to one query: :meth:`next_query` advances the
 clock through a radio-off *dwell* (the client travelling between query
@@ -29,8 +29,8 @@ totals live with the caller (see :mod:`repro.mobility`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -213,63 +213,23 @@ class ClientSession:
         start = self.program.next_occurrence(bucket_index, earliest)
         return self._receive(bucket_index, start)
 
-    def read_next_bucket(
-        self,
-        predicate: Optional[Callable[[Bucket], bool]] = None,
-        kind: Optional[BucketKind] = None,
-    ) -> ReadResult:
-        """Receive the next bucket on the channel (optionally the next one
-        matching ``predicate``; non-matching buckets are skipped in doze
-        mode at no tuning cost because their boundaries are known from the
-        most recent index information).
+    def read_next_bucket(self, kind: BucketKind) -> ReadResult:
+        """Receive the next bucket of ``kind`` -- the seek to the next index
+        structure.
 
-        ``kind`` is the fast path for the common "next bucket of this kind"
-        case: the occurrence is found by binary search over the program's
-        per-kind layout instead of scanning bucket by bucket.
+        The occurrence is a binary search over the per-kind layout of every
+        channel airing ``kind``; on a multi-channel schedule an occurrence
+        on another channel counts only once the radio could retune to it.
+        Buckets airing before it pass in doze mode at no tuning cost.
         """
-        if kind is not None:
-            if predicate is not None:
-                raise ValueError("pass either predicate or kind, not both")
-            if self.channel is None:
-                idx, start = self.program.next_occurrence_of_kind(kind, self.clock)
-            else:
-                idx, start = self.program.next_occurrence_of_kind(
-                    kind, self.clock,
-                    from_channel=self.channel, switch_packets=self._switch,
-                )
-            return self._receive(idx, start)
         if self.channel is None:
-            scan = self.program.iter_from(self.clock)
+            idx, start = self.program.next_occurrence_of_kind(kind, self.clock)
         else:
-            # A predicate scan is a radio parked on its channel, listening.
-            scan = self.program.iter_from(self.clock, channel=self.channel)
-        # One full cycle of the scanned channel covers every bucket it airs;
-        # past that the predicate can never match (e.g. asking a control
-        # channel for data buckets) and looping on would never terminate.
-        # Replicated (demand-aware) schedules air more buckets per cycle
-        # than the base program holds, so the bound is the airing count.
-        channel_len = getattr(self.program, "channel_len", None)
-        if channel_len is not None:
-            limit = channel_len(self.channel) + 1
-        else:
-            limit = len(self.program.buckets) + 1
-        for idx, start in scan:
-            bucket = self.program.buckets[idx]
-            if predicate is None or predicate(bucket):
-                return self._receive(idx, start)
-            limit -= 1
-            if limit == 0:
-                break
-        where = "the broadcast" if self.channel is None else f"channel {self.channel}"
-        raise RuntimeError(
-            f"no bucket matching the predicate airs on {where}; "
-            "use kind=... to seek across channels"
-        )
-
-    def doze_until(self, position: int) -> None:
-        """Advance the clock without receiving anything."""
-        if position > self.clock:
-            self.clock = position
+            idx, start = self.program.next_occurrence_of_kind(
+                kind, self.clock,
+                from_channel=self.channel, switch_packets=self._switch,
+            )
+        return self._receive(idx, start)
 
     def _receive(self, bucket_index: int, start: int) -> ReadResult:
         if start < self.clock:

@@ -13,9 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 
 class BucketKind(Enum):
@@ -90,7 +88,6 @@ class BroadcastProgram:
         self.cycle_packets = pos
         for kind, idxs in self._kind_buckets.items():
             self._kind_starts[kind] = [self._starts[i] for i in idxs]
-        self._kind_starts_np: Dict[BucketKind, np.ndarray] = {}
         self._index_packets = sum(
             packets for kind, packets in self._packets_by_kind.items() if kind.is_index
         )
@@ -109,12 +106,6 @@ class BroadcastProgram:
     def start_of(self, bucket_index: int) -> int:
         """Packet offset of a bucket within the cycle."""
         return self._starts[bucket_index]
-
-    def bucket_at_packet(self, packet_in_cycle: int) -> int:
-        """Index of the bucket covering a packet offset within the cycle."""
-        if not (0 <= packet_in_cycle < self.cycle_packets):
-            raise ValueError("packet offset outside the cycle")
-        return bisect.bisect_right(self._starts, packet_in_cycle) - 1
 
     def cycle_bytes(self, packet_capacity: int) -> int:
         return self.cycle_packets * packet_capacity
@@ -154,8 +145,8 @@ class BroadcastProgram:
     def next_occurrence_of_kind(self, kind: BucketKind, position: int) -> Tuple[int, int]:
         """First bucket of ``kind`` starting at or after an unwrapped position.
 
-        Returns ``(bucket_index, unwrapped_start)``; a binary search over the
-        per-kind start offsets replaces the bucket-by-bucket channel scan.
+        Returns ``(bucket_index, unwrapped_start)``, found by a binary search
+        over the per-kind start offsets.
         """
         starts = self._kind_starts.get(kind)
         if not starts:
@@ -170,43 +161,6 @@ class BroadcastProgram:
         if j == len(starts):
             return idxs[0], base + cycle + starts[0]
         return idxs[j], base + starts[j]
-
-    def next_occurrences_of_kind(self, kind: BucketKind, positions) -> np.ndarray:
-        """Vectorised :meth:`next_occurrence_of_kind` start positions.
-
-        ``positions`` is an integer array-like of unwrapped packet
-        positions; the result is the ``int64`` array of the earliest start
-        at/after each position of a bucket of ``kind`` -- the same binary
-        search as the scalar path, run as one ``np.searchsorted`` batch.
-        Only the starts are returned (population-scale statistics need the
-        waits, not the bucket identities).
-        """
-        starts = self._kind_starts.get(kind)
-        if not starts:
-            raise KeyError(f"program {self.name!r} broadcasts no {kind.value} bucket")
-        arr = self._kind_starts_np.get(kind)
-        if arr is None:
-            arr = np.asarray(starts, dtype=np.int64)
-            self._kind_starts_np[kind] = arr
-        pos = np.maximum(np.asarray(positions, dtype=np.int64), 0)
-        cycle = self.cycle_packets
-        base = (pos // cycle) * cycle
-        j = np.searchsorted(arr, pos - base, side="left")
-        wrapped = j == len(arr)
-        return base + arr[np.where(wrapped, 0, j)] + wrapped * cycle
-
-    def iter_from(self, position: int) -> Iterator[Tuple[int, int]]:
-        """Iterate buckets in broadcast order starting at/after ``position``.
-
-        Yields ``(bucket_index, unwrapped_start)`` forever; callers break out.
-        """
-        idx, start = self.next_bucket_after(position)
-        while True:
-            yield idx, start
-            start += self.buckets[idx].n_packets
-            idx += 1
-            if idx == len(self.buckets):
-                idx = 0
 
     # -- summaries ------------------------------------------------------------
 

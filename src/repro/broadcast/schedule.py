@@ -22,18 +22,17 @@ time -- the radio is not receiving while it retunes).
 
 :class:`ScheduleView` exposes a multi-channel schedule through the same
 read surface :class:`~repro.broadcast.client.ClientSession` drives on a
-plain program (``buckets``, ``next_occurrence``, ``next_bucket_after``,
-``next_occurrence_of_kind``, ``iter_from``), with buckets addressed by
-their ids in the flat base program.  The query algorithms therefore run
-unmodified over any channel topology.
+plain program, with buckets addressed by their ids in the flat base
+program.  That surface is the three seeks of the paper's client model:
+``next_bucket_after`` behind the initial probe, ``next_occurrence_of_kind``
+for the next index structure, and ``next_occurrence`` for a chosen bucket's
+next airing (plus ``buckets``, ``cycle_packets`` and ``channel_of``).  The
+query algorithms therefore run unmodified over any channel topology.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .channel import Channel, ChannelRole
 from .program import BroadcastProgram, Bucket, BucketKind
@@ -379,15 +378,6 @@ class ScheduleView:
     def channel_of(self, bucket_index: int) -> int:
         return self.schedule._chan_of[bucket_index]
 
-    def start_of(self, bucket_index: int) -> int:
-        """Packet offset of a bucket within its own channel's cycle."""
-        sched = self.schedule
-        channel = sched.channels[sched._chan_of[bucket_index]]
-        return channel.program.start_of(sched._local_of[bucket_index])
-
-    def cycle_bytes(self, packet_capacity: int) -> int:
-        return self.cycle_packets * packet_capacity
-
     # -- unwrapped clock arithmetic -------------------------------------------
 
     def next_occurrence(self, bucket_index: int, not_before: int) -> int:
@@ -400,17 +390,6 @@ class ScheduleView:
             )
         # Replicated bucket: the earliest of its airings on its channel.
         return min(channel.program.next_occurrence(loc, not_before) for loc in locs)
-
-    def channel_len(self, channel: Optional[int] = None) -> int:
-        """Number of bucket airings per cycle on one channel (all, if None).
-
-        On replicated schedules this exceeds the number of distinct buckets
-        carried -- it bounds how many buckets a predicate scan must inspect
-        before a full cycle has provably passed.
-        """
-        if channel is None:
-            return sum(len(ch) for ch in self.schedule.channels)
-        return len(self.schedule.channels[channel])
 
     def next_bucket_after(
         self, position: int, channel: Optional[int] = None
@@ -450,69 +429,6 @@ class ScheduleView:
         if best is None:
             raise KeyError(f"schedule {self.name!r} broadcasts no {kind.value} bucket")
         return best[2], best[0]
-
-    def iter_from(
-        self, position: int, channel: Optional[int] = None
-    ) -> Iterator[Tuple[int, int]]:
-        """Iterate buckets in global arrival order starting at/after ``position``.
-
-        With ``channel`` given, only that channel's buckets are yielded (what
-        a radio parked on the channel would hear); otherwise the channels are
-        merged on (start, channel id) -- the omniscient arrival order used by
-        schedule-level inspection and tests.
-        """
-        sched = self.schedule
-        if channel is not None:
-            ch = sched.channels[channel]
-            for local, start in ch.program.iter_from(position):
-                yield ch.global_ids[local], start
-            return
-        heap = []
-        iters = []
-        for ch in sched.channels:
-            it = ch.program.iter_from(position)
-            iters.append((it, ch.global_ids))
-            local, start = next(it)
-            heap.append((start, ch.cid, local))
-        heapq.heapify(heap)
-        while True:
-            start, cid, local = heapq.heappop(heap)
-            it, global_ids = iters[cid]
-            yield global_ids[local], start
-            nxt_local, nxt_start = next(it)
-            heapq.heappush(heap, (nxt_start, cid, nxt_local))
-
-    # -- batch occurrence arithmetic ------------------------------------------
-
-    def next_occurrences_of_kind(self, kind: BucketKind, positions) -> np.ndarray:
-        """Vectorised earliest start of ``kind`` for many positions at once.
-
-        The per-channel binary searches run as ``np.searchsorted`` batches
-        and the elementwise minimum over channels is taken (switch latency
-        is not modelled here -- this is the population-scale seek primitive
-        the fleet simulator uses for first-hop statistics).
-        """
-        best: Optional[np.ndarray] = None
-        for channel in self.schedule.channels:
-            try:
-                starts = channel.program.next_occurrences_of_kind(kind, positions)
-            except KeyError:
-                continue
-            best = starts if best is None else np.minimum(best, starts)
-        if best is None:
-            raise KeyError(f"schedule {self.name!r} broadcasts no {kind.value} bucket")
-        return best
-
-    # -- summaries (aggregate over channels == base program) -------------------
-
-    def count_by_kind(self) -> Dict[BucketKind, int]:
-        return self.schedule.base_program.count_by_kind()
-
-    def packets_by_kind(self) -> Dict[BucketKind, int]:
-        return self.schedule.base_program.packets_by_kind()
-
-    def index_overhead_fraction(self) -> float:
-        return self.schedule.base_program.index_overhead_fraction()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScheduleView({self.schedule!r})"

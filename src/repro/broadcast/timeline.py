@@ -15,8 +15,8 @@ ScheduleView` **once** into flat numpy tables:
   / ``bucket_packets``) addressed by global bucket id, so the next
   occurrence of *any* vector of buckets is three array operations;
 * per-(channel, kind) occurrence tables (sorted start offsets plus the
-  global bucket ids airing at them), so kind-seeks are one ``searchsorted``
-  per channel;
+  global bucket ids airing at them), from which the DSI fleet kernel reads
+  where and when the index tables air;
 * a merged per-channel *navigation* table (all ``BucketKind.is_navigation``
   starts in one sorted array) for the fleet simulator's first-hop
   statistics;
@@ -247,35 +247,24 @@ class CompiledTimeline:
         )
         return self.next_occurrences(ids, nb)
 
-    # -- kind seeks -------------------------------------------------------------
+    # -- first-hop seeks -------------------------------------------------------
     #
-    # Scalar kind seeks stay with the object model (``BroadcastProgram`` /
+    # Kind seeks stay with the object model (``BroadcastProgram`` /
     # ``ScheduleView.next_occurrence_of_kind``) -- compiling buys nothing
-    # for one lookup; only the batched forms live here.
-
-    def next_occurrences_of_kind(self, kind: BucketKind, positions) -> np.ndarray:
-        """Vectorised earliest starts of ``kind`` (minimum over channels)."""
-        tables = self._kind_tables.get(kind)
-        if not tables:
-            raise KeyError(f"timeline broadcasts no {kind.value} bucket")
-        return self._batched_min_starts(tables, positions)
+    # for one lookup.  The one batched seek is the fleet's first hop.
 
     def next_navigation_starts(self, positions) -> np.ndarray:
         """Vectorised earliest starts of *any* navigation bucket.
 
-        One ``searchsorted`` per channel over the merged navigation table
-        replaces the per-kind loop plus elementwise minimum -- the fleet
-        simulator's first-hop primitive.
+        One ``searchsorted`` per channel over the merged navigation table,
+        then the elementwise minimum over channels -- the fleet simulator's
+        first-hop primitive.
         """
         if not self._nav_tables:
             raise KeyError("timeline broadcasts no navigation bucket")
-        return self._batched_min_starts(self._nav_tables, positions)
-
-    @staticmethod
-    def _batched_min_starts(tables: List[_KindTable], positions) -> np.ndarray:
         pos = np.maximum(np.asarray(positions, dtype=np.int64), 0)
         best: Optional[np.ndarray] = None
-        for table in tables:
+        for table in self._nav_tables:
             cycle = table.cycle
             starts = table.starts
             base = (pos // cycle) * cycle

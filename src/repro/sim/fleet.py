@@ -37,9 +37,9 @@ count)`` pairs through :meth:`MetricSummary.add_weighted`: every percentile
 is exact, the mean is the exact integer total over the population, and
 memory stays O(unique executions + cycle) -- constant in ``n_clients``,
 because a summary holds at most one value per distinct execution and
-first-hop waits are shorter than one cycle.  The per-execution histogram
-is kept on the result for exact cross-checks
-(:meth:`FleetResult.exact_mean` / :meth:`FleetResult.exact_percentile`).
+first-hop waits are shorter than one cycle.  The per-execution arrays
+(``unique_latency`` / ``unique_tuning`` / ``unique_counts``) stay on the
+result, so a caller can expand them into the per-client samples.
 
 **One engine.**  Every path that executes queries is a view over
 :func:`_run_executions`, which takes *items* -- the ``(query,
@@ -111,17 +111,14 @@ class FleetSpec:
     """Validated fleet parameters (fail fast, not deep in the batch loop).
 
     ``tune_in`` optionally pins every client's tune-in fraction (one float
-    in ``[0, 1)`` per client); ``client_seeds`` instead derives each
-    client's fraction from its own seed -- duplicate seeds are rejected
-    because identical streams would silently correlate "independent"
-    clients.  At most one of the two may be given.
+    in ``[0, 1)`` per client); otherwise each client's fraction comes from
+    the fleet's seeded draw.
     """
 
     n_clients: int
     seed: int = 0
     max_phases: int = DEFAULT_MAX_PHASES
     tune_in: Optional[Tuple[float, ...]] = None
-    client_seeds: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_clients, int) or isinstance(self.n_clients, bool):
@@ -130,8 +127,6 @@ class FleetSpec:
             raise ValueError(f"n_clients must be positive, got {self.n_clients}")
         if self.max_phases < 1:
             raise ValueError(f"max_phases must be at least 1, got {self.max_phases}")
-        if self.tune_in is not None and self.client_seeds is not None:
-            raise ValueError("pass either tune_in or client_seeds, not both")
         if self.tune_in is not None:
             fracs = np.asarray(self.tune_in, dtype=np.float64)
             if fracs.shape != (self.n_clients,):
@@ -147,56 +142,21 @@ class FleetSpec:
                 )
             if fracs.size and (fracs.min() < 0.0 or fracs.max() >= 1.0):
                 raise ValueError("tune_in fractions must lie in [0, 1)")
-        if self.client_seeds is not None:
-            seeds = np.asarray(self.client_seeds, dtype=np.int64)
-            if seeds.shape != (self.n_clients,):
-                raise ValueError(
-                    f"client_seeds must provide one seed per client "
-                    f"({self.n_clients}), got shape {seeds.shape}"
-                )
-            uniq, counts = np.unique(seeds, return_counts=True)
-            if uniq.size != seeds.size:
-                i = int(np.argmax(counts > 1))
-                raise ValueError(
-                    f"client_seeds must be unique (seed {int(uniq[i])} appears "
-                    f"{int(counts[i])} times); duplicate seeds would make "
-                    "supposedly independent clients draw identical streams"
-                )
 
     def fractions(self) -> Optional[np.ndarray]:
         """The pinned per-client tune-in fractions, if any."""
-        if self.tune_in is not None:
-            return np.asarray(self.tune_in, dtype=np.float64)
-        if self.client_seeds is not None:
-            # One value from each client's own stream: O(n) but only on the
-            # explicitly seeded path, which is meant for modest fleets.
-            return np.array(
-                [np.random.default_rng(s).random() for s in self.client_seeds],
-                dtype=np.float64,
-            )
-        return None
+        if self.tune_in is None:
+            return None
+        return np.asarray(self.tune_in, dtype=np.float64)
 
 
 class _PopulationView:
     """What :class:`FleetResult` and :class:`MobileFleetResult` share:
-    throughput, the exact mean, and a row's engine columns."""
+    throughput and a row's engine columns."""
 
     @property
     def clients_per_sec(self) -> float:
         return self.n_clients / self.elapsed_s if self.elapsed_s > 0 else math.inf
-
-    def _unique_values(self, metric: str) -> np.ndarray:
-        """The per-execution values of ``"latency"`` or ``"tuning"``."""
-        if metric == "latency":
-            return self.unique_latency
-        if metric == "tuning":
-            return self.unique_tuning
-        raise ValueError(f"metric must be 'latency' or 'tuning', got {metric!r}")
-
-    def exact_mean(self, metric: str = "latency") -> float:
-        """Exact population mean from the per-execution histogram."""
-        values = self._unique_values(metric)
-        return float(np.dot(values, self.unique_counts) / self.unique_counts.sum())
 
     def _engine_columns(self, row: Dict[str, Any]) -> Dict[str, Any]:
         """Append accuracy (when verified), throughput and which engine ran."""
@@ -263,36 +223,6 @@ class FleetResult(_PopulationView):
     _workload: Optional[Workload] = field(default=None, repr=False, compare=False)
     _index: Any = field(default=None, repr=False, compare=False)
     _dataset: Optional[SpatialDataset] = field(default=None, repr=False, compare=False)
-    # Per-metric sorted (value, count) histograms derived from the execution
-    # arrays, built once and shared by every exact_percentile call (the
-    # arrays are immutable after the run).
-    _hist_cache: Dict[str, Tuple[List[Tuple[float, int]], int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    # -- exact cross-checks ----------------------------------------------------
-
-    def _exact(self, metric: str) -> Tuple[List[Tuple[float, int]], int]:
-        """The (cached) sorted exact histogram and population count of one
-        metric -- derived once per metric, reused by every percentile."""
-        cached = self._hist_cache.get(metric)
-        if cached is None:
-            values = self._unique_values(metric)
-            hist: Dict[float, int] = {}
-            for value, count in zip(values.tolist(), self.unique_counts.tolist()):
-                hist[value] = hist.get(value, 0) + int(count)
-            cached = (sorted(hist.items()), int(self.unique_counts.sum()))
-            self._hist_cache[metric] = cached
-        return cached
-
-    def exact_percentile(self, q: float, metric: str = "latency") -> float:
-        """Exact population percentile (same interpolation as exact summaries)."""
-        from .metrics import _weighted_percentile_sorted
-
-        if not (0.0 <= q <= 100.0):
-            raise ValueError("q must be within [0, 100]")
-        items, count = self._exact(metric)
-        return _weighted_percentile_sorted(items, count, q)
 
     def demand_profile(self, smoothing: float = 0.0):
         """The fleet's realized per-bucket demand
@@ -427,24 +357,16 @@ _Steps = Tuple[Tuple[Any, int], ...]
 
 
 def _install_sim_ctx(ctx: Dict[str, Any]) -> None:
-    """Pool initializer: receive the shared state exactly once per worker.
+    """Pool initializer: install the shared state once per worker (and once
+    in-process on the serial path).
 
-    The context arrives once per worker at pool start-up; every chunk after
-    that ships integers only.  Parallel runs keep the context *slim*: the
-    view of a config-derived schedule is deliberately absent and derived
-    here from the index's program and the config through
-    :meth:`BroadcastSchedule.for_config`, which keeps one schedule (and the
-    timeline cached on it) per program and channel count -- a forked
-    worker finds the one its parent built, any other worker builds it once
-    -- so workers never depend on carrying compiled seek state across the
-    process boundary.  An explicit schedule cannot be derived, so its view
-    arrives in the context.
+    :func:`~repro.sim.parallel.parallel_map` forks its workers, so each one
+    inherits ``ctx`` -- the view and the timeline compiled on its schedule
+    included -- from the parent's memory, and every chunk after that ships
+    integers only.
     """
     _SIM_CTX.clear()
     _SIM_CTX.update(ctx)
-    if "view" not in ctx:
-        schedule = BroadcastSchedule.for_config(ctx["index"].program, ctx["config"])
-        _SIM_CTX["view"] = schedule.view()
 
 
 def _simulate_item_batch(iid: int, phases: Sequence[int]) -> List[Tuple[int, int, int, int]]:
@@ -561,7 +483,6 @@ def _fleet_spec(
     n_clients: int,
     seed: int,
     tune_in: Optional[Sequence[float]],
-    client_seeds: Optional[Sequence[int]],
     max_phases: int,
 ) -> FleetSpec:
     """The validated :class:`FleetSpec` of one public fleet call."""
@@ -570,7 +491,6 @@ def _fleet_spec(
         seed=seed,
         max_phases=max_phases,
         tune_in=None if tune_in is None else tuple(float(v) for v in tune_in),
-        client_seeds=None if client_seeds is None else tuple(int(s) for s in client_seeds),
     )
 
 
@@ -609,7 +529,6 @@ def _run_executions(
     knn_strategy: str,
     parallel: bool,
     processes: Optional[int],
-    ship_view: bool,
 ) -> Dict[str, Any]:
     """The one execution engine behind fleets, journey fleets and workload
     replays.
@@ -620,12 +539,11 @@ def _run_executions(
     ``item * n_phases + phase`` loses.  Every key runs once -- on the
     lockstep kernels when they accept the run, else on
     :func:`_simulate_item_batch`, serially or sharded over a worker pool
-    (``ship_view`` sends workers the view, which they cannot rebuild from
-    the config for an explicit schedule) -- and its outcome is weighted by
-    its clients.  ``warm`` carries the index's client state across hops on
-    the reference path; the kernels read warmth from the items themselves
-    (see :mod:`repro.sim.fleet_kernel`).  Returns the result fields every
-    caller shares.
+    -- and its outcome is weighted by its clients.  ``warm`` carries the
+    index's client state across hops on the reference path; the kernels
+    read warmth from the items themselves (see
+    :mod:`repro.sim.fleet_kernel`).  Returns the result fields every caller
+    shares.
     """
     cycle = view.cycle_packets
     # The structure-of-arrays kernels advance every distinct execution in
@@ -678,17 +596,13 @@ def _run_executions(
             for at in range(int(start), int(stop), max_chunk):
                 tasks.append((iid, key_phases[at:min(at + max_chunk, stop)].tolist()))
         ctx = dict(
-            index=index, config=config, items=items, warm=warm,
+            index=index, config=config, view=view, items=items, warm=warm,
             n_phases=n_phases, cycle=cycle, error_theta=error_theta,
             error_scope=error_scope, error_seed=error_seed, verify=verify,
             knn_strategy=knn_strategy,
         )
         if verify:
             ctx["dataset"] = dataset
-        if not use_parallel or ship_view:
-            # Workers rebuild the view from (program, config) -- see
-            # _install_sim_ctx; in-process runs reuse the one already built.
-            ctx["view"] = view
         try:
             outs = parallel_map(
                 _simulate_item_batch,
@@ -748,7 +662,6 @@ def _run_population(
         raise ValueError("error_theta must be within [0, 1]")
 
     t0 = time.perf_counter()
-    explicit_schedule = schedule is not None
     schedule, view = _schedule_view(index, config, schedule)
     timeline = None if pure_mode() else timeline_of(view)
     cycle = view.cycle_packets
@@ -759,8 +672,7 @@ def _run_population(
     keys = np.flatnonzero(counts)
     fields = _run_executions(
         index, dataset, config, view, items, keys // n_phases, keys % n_phases,
-        counts[keys], n_phases, error_theta=error_theta,
-        ship_view=explicit_schedule, **engine,
+        counts[keys], n_phases, error_theta=error_theta, **engine,
     )
     fields.update(
         n_clients=spec.n_clients,
@@ -783,7 +695,6 @@ def run_fleet(
     *,
     seed: int = 0,
     tune_in: Optional[Sequence[float]] = None,
-    client_seeds: Optional[Sequence[int]] = None,
     max_phases: int = DEFAULT_MAX_PHASES,
     error_theta: Optional[float] = None,
     error_scope: str = "index",
@@ -804,7 +715,7 @@ def run_fleet(
     overrides the config-derived one.  Serial and parallel runs produce
     identical results.  See the module docstring for the simulation model.
     """
-    spec = _fleet_spec(n_clients, seed, tune_in, client_seeds, max_phases)
+    spec = _fleet_spec(n_clients, seed, tune_in, max_phases)
     trials = list(workload)
     if not trials:
         raise ValueError(f"workload {workload.name!r} has no trials to assign to clients")
@@ -901,7 +812,6 @@ def run_mobile_fleet(
     *,
     seed: int = 0,
     tune_in: Optional[Sequence[float]] = None,
-    client_seeds: Optional[Sequence[int]] = None,
     max_phases: int = DEFAULT_MAX_PHASES,
     error_theta: Optional[float] = None,
     error_scope: str = "index",
@@ -923,7 +833,7 @@ def run_mobile_fleet(
     distinct warm journeys -- not the fleet size.  Serial and parallel runs
     produce identical results.
     """
-    spec = _fleet_spec(n_clients, seed, tune_in, client_seeds, max_phases)
+    spec = _fleet_spec(n_clients, seed, tune_in, max_phases)
     journeys = list(trajectories)
     if not journeys:
         raise ValueError(
@@ -969,7 +879,6 @@ class ClientFleet:
         workload: Optional[Workload] = None,
         seed: int = 0,
         tune_in: Optional[Sequence[float]] = None,
-        client_seeds: Optional[Sequence[int]] = None,
         max_phases: int = DEFAULT_MAX_PHASES,
         error_theta: Optional[float] = None,
         error_scope: str = "index",
@@ -983,7 +892,7 @@ class ClientFleet:
             n_queries=20, seed=seed + 1
         )
         # Validate now -- a bad fleet declaration should fail at declaration.
-        self.spec = _fleet_spec(n_clients, seed, tune_in, client_seeds, max_phases)
+        self.spec = _fleet_spec(n_clients, seed, tune_in, max_phases)
         self.error_theta = error_theta
         self.error_scope = error_scope
         self.error_seed = error_seed
@@ -1006,7 +915,6 @@ class ClientFleet:
             self.spec.n_clients,
             seed=self.spec.seed,
             tune_in=self.spec.tune_in,
-            client_seeds=self.spec.client_seeds,
             max_phases=self.spec.max_phases,
             error_theta=self.error_theta,
             error_scope=self.error_scope,

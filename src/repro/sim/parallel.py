@@ -8,21 +8,21 @@ randomness flows through explicit seeds carried in the task arguments --
 a parallel run produces bit-identical rows to a serial run, in the same
 order.
 
-Workloads with *shared read-only state* (the fleet simulator's compiled
-timeline, dataset and index) pass it once per worker through
-``initializer`` / ``initargs`` -- the :class:`~concurrent.futures.
-ProcessPoolExecutor` pickles the initargs a single time per worker at pool
-start-up, so the per-task tuples stay tiny (chunk keys only) instead of
-re-shipping the world with every chunk.
+Workloads with *shared read-only state* (the fleet simulator's schedule
+view with its compiled timeline, dataset and index) install it once per
+worker through ``initializer`` / ``initargs``.  Workers are forked, so
+each inherits the initargs from the parent's memory -- nothing of that
+state is pickled -- and the per-task tuples stay tiny (chunk keys only)
+instead of re-shipping the world with every chunk.  Only the tasks, their
+module-level function and the results cross the process boundary, pickled.
 
 The executor degrades gracefully: on a single-core box, when only one task
 is submitted, when ``REPRO_PROCESSES=1`` or when the platform offers no
-``fork`` start method (pickling module-level workers plus their arguments
-is all that is required of the platform otherwise), the tasks simply run
-serially in-process -- which also keeps the per-process index-build cache
-effective.  The serial path runs the initializer in-process; restoring any
-state it replaces afterwards is the caller's concern (the shipped state is
-read-only by contract).
+``fork`` start method, the tasks simply run serially in-process -- which
+also keeps the per-process index-build cache effective.  The serial path
+runs the initializer in-process; restoring any state it replaces
+afterwards is the caller's concern (the installed state is read-only by
+contract).
 """
 
 from __future__ import annotations

@@ -125,7 +125,6 @@ def run_workload(
         error_scope="index" if error_model is None else error_model.scope,
         error_seed=0 if error_model is None else error_model.seed,
         verify=verify, knn_strategy=knn_strategy, parallel=False, processes=None,
-        ship_view=False,
     )
     return fields["result"]
 

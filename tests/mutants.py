@@ -100,6 +100,27 @@ MUTANTS: Tuple[Mutant, ...] = (
          "tests/test_fleet_kernel.py::test_lane_hop_matches_former_helpers"
          "[knn-conservative-4-flat-None]"),
     ),
+    Mutant(
+        "view-kind-seek-no-switch",
+        "a kind seek from a radio parked on another channel ignores the "
+        "retune: a table airing during the switch counts as heard",
+        "repro/broadcast/schedule.py",
+        "earliest += switch_packets",
+        "earliest += 0",
+        ("tests/test_channel_schedule.py::TestScheduleView"
+         "::test_kind_seek_from_a_data_channel_waits_for_the_retune",),
+    ),
+    Mutant(
+        "program-kind-seek-no-wrap",
+        "a kind seek past the cycle's last airing of the kind returns the "
+        "first airing of the current cycle, which has already passed",
+        "repro/broadcast/program.py",
+        "return idxs[0], base + cycle + starts[0]",
+        "return idxs[0], base + starts[0]",
+        ("tests/test_channel_schedule.py::TestMultiChannelQueries"
+         "::test_answers_identical_to_single_channel[2]",
+         "tests/test_perf_fastpaths.py::TestProgramKindSeek::test_kind_seek_matches_scan"),
+    ),
 )
 
 

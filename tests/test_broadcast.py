@@ -68,12 +68,6 @@ class TestBroadcastProgram:
         assert prog.cycle_packets == 6
         assert [prog.start_of(i) for i in range(3)] == [0, 2, 5]
 
-    def test_bucket_at_packet(self):
-        prog = make_program([2, 3, 1])
-        assert [prog.bucket_at_packet(p) for p in range(6)] == [0, 0, 1, 1, 1, 2]
-        with pytest.raises(ValueError):
-            prog.bucket_at_packet(6)
-
     def test_next_occurrence_same_cycle(self):
         prog = make_program([2, 3, 1])
         assert prog.next_occurrence(1, 0) == 2
@@ -91,13 +85,6 @@ class TestBroadcastProgram:
         assert prog.next_bucket_after(1) == (1, 2)
         assert prog.next_bucket_after(5) == (2, 5)
         assert prog.next_bucket_after(6) == (0, 6)
-
-    def test_iter_from_wraps(self):
-        prog = make_program([2, 3, 1])
-        it = prog.iter_from(5)
-        assert next(it) == (2, 5)
-        assert next(it) == (0, 6)
-        assert next(it) == (1, 8)
 
     def test_empty_program_rejected(self):
         with pytest.raises(ValueError):
@@ -163,22 +150,6 @@ class TestClientSession:
         res = sess.read_bucket(0)  # already passed; wait for next cycle
         assert res.start == 6
         assert sess.latency_packets == 4
-
-    def test_doze_until_only_moves_forward(self):
-        prog = make_program([2, 3, 1])
-        sess = ClientSession(prog, SystemConfig(), start_packet=3)
-        sess.doze_until(1)
-        assert sess.clock == 3
-        sess.doze_until(10)
-        assert sess.clock == 10
-        assert sess.tuning_packets == 0
-
-    def test_read_next_bucket_predicate(self):
-        prog = make_program([1, 1, 1], [BucketKind.DATA, BucketKind.DSI_TABLE, BucketKind.DATA])
-        sess = ClientSession(prog, SystemConfig(), start_packet=0)
-        res = sess.read_next_bucket(lambda b: b.kind is BucketKind.DSI_TABLE)
-        assert res.bucket.kind is BucketKind.DSI_TABLE
-        assert res.start == 1
 
     def test_tuning_never_exceeds_latency(self):
         prog = make_program([2, 3, 1, 4])

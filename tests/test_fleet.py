@@ -53,15 +53,6 @@ class TestFleetSpecValidation:
         with pytest.raises(ValueError, match="one fraction per client"):
             FleetSpec(n_clients=3, tune_in=(0.1, 0.2))
 
-    def test_rejects_duplicate_client_seeds(self):
-        with pytest.raises(ValueError, match="seed 7 appears 2 times"):
-            FleetSpec(n_clients=3, client_seeds=(7, 9, 7))
-        FleetSpec(n_clients=3, client_seeds=(7, 9, 11))  # unique is fine
-
-    def test_rejects_both_tune_in_and_seeds(self):
-        with pytest.raises(ValueError, match="not both"):
-            FleetSpec(n_clients=2, tune_in=(0.1, 0.2), client_seeds=(1, 2))
-
     def test_rejects_bad_phases_and_theta(self, dsi, dataset, config64, workload):
         with pytest.raises(ValueError, match="max_phases"):
             FleetSpec(n_clients=1, max_phases=0)
@@ -93,7 +84,6 @@ class TestFleetExactness:
             session = ClientSession(dsi.program, config64, start_packet=p)
             outcome = dsi.window_query(trial.query.window, session)
             expected.append(outcome.metrics.latency_bytes)
-        assert fleet.exact_mean("latency") == pytest.approx(np.mean(expected))
         assert fleet.result.latency.mean == pytest.approx(np.mean(expected))
         assert fleet.result.latency.count == len(fractions)
 
@@ -113,16 +103,13 @@ class TestFleetExactness:
                     np.repeat(getattr(result, f"unique_{metric}"), result.unique_counts)
                 )
                 assert summary.count == len(ordered) == 10_000
-                assert summary.mean == result.exact_mean(metric)
+                assert summary.mean == ordered.mean()
                 for q in (5, 50, 95, 99):
                     pos = (len(ordered) - 1) * q / 100.0
                     lo, hi = int(np.floor(pos)), int(np.ceil(pos))
                     frac = pos - lo
                     expected = float(ordered[lo] * (1 - frac) + ordered[hi] * frac)
                     assert summary.percentile(q) == expected
-        for metric in ("latency", "tuning"):
-            summary = getattr(fleet.result, metric)
-            assert summary.percentile(95) == fleet.exact_percentile(95, metric)
 
     def test_memory_is_constant_in_fleet_size(self, dsi, dataset, config64, workload):
         small = run_fleet(dsi, dataset, config64, workload, 1_000, seed=7)
@@ -464,53 +451,6 @@ class TestPopulationHistograms:
         assert len(positions) <= result.cycle_packets < n_clients
         assert np.all(np.diff(positions) > 0)  # distinct packets, ascending
         assert result.first_index_wait.count == n_clients
-
-
-class TestExactHistogramCaching:
-    """FleetResult.exact_percentile derives each metric's sorted histogram
-    once and reuses it across every subsequent percentile (satellite of the
-    compiled-timeline PR: no per-call re-sorting)."""
-
-    def test_histogram_built_once_per_metric(self, dsi, dataset, config64, workload):
-        fleet = run_fleet(dsi, dataset, config64, workload, 2_000, seed=7)
-        assert fleet._hist_cache == {}
-        p50 = fleet.exact_percentile(50)
-        assert list(fleet._hist_cache) == ["latency"]
-        items, count = fleet._hist_cache["latency"]
-        assert count == 2_000
-        fleet.exact_percentile(95)
-        fleet.exact_percentile(99)
-        # same object: reused, not re-derived per call
-        assert fleet._hist_cache["latency"][0] is items
-        fleet.exact_percentile(50, metric="tuning")
-        assert set(fleet._hist_cache) == {"latency", "tuning"}
-        # the cached path answers identically to an exact summary fed the
-        # expanded population
-        expanded = np.repeat(fleet.unique_latency, fleet.unique_counts.astype(int))
-        from repro.sim.metrics import MetricSummary
-
-        exact = MetricSummary(values=expanded.tolist())
-        assert p50 == exact.percentile(50)
-        assert fleet.exact_percentile(95) == exact.percentile(95)
-
-    def test_unknown_metric_names_raise(self, dsi, dataset, config64, workload):
-        """Only "latency" and "tuning" name a metric: a misspelt name raises
-        on both result kinds instead of silently reading tuning, and
-        nothing is cached under it."""
-        from repro.mobility import trajectory_workload
-
-        fleet = run_fleet(dsi, dataset, config64, workload, 1_000, seed=7)
-        journeys = trajectory_workload(n_journeys=3, n_steps=2, seed=3)
-        mobile = run_mobile_fleet(dsi, dataset, config64, journeys, 1_000, seed=7)
-        for result in (fleet, mobile):
-            assert result.exact_mean("latency") > result.exact_mean("tuning")
-            for name in ("latencies", "Latency", "tune", ""):
-                with pytest.raises(ValueError, match="'latency' or 'tuning'"):
-                    result.exact_mean(name)
-        for name in ("latencies", "Latency"):
-            with pytest.raises(ValueError, match="'latency' or 'tuning'"):
-                fleet.exact_percentile(50, name)
-        assert fleet._hist_cache == {}
 
 
 @pytest.mark.parametrize("case", ["hci_knn_fleet", "journeys_scope_all"])

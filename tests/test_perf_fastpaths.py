@@ -178,13 +178,21 @@ class TestProgramKindSeek:
         config = SystemConfig(packet_capacity=64)
         index = build_index("dsi", dataset, config)
         program = index.program
-        for position in (0, 1, 7, program.cycle_packets - 1, program.cycle_packets + 13):
+        cycle = program.cycle_packets
+        for position in (0, 1, 7, cycle - 1, cycle + 13):
+            base = (position // cycle) * cycle
+            # every airing of this cycle and the next, in broadcast order
+            airings = [
+                (i, base + lap * cycle + program.start_of(i))
+                for lap in (0, 1)
+                for i in range(len(program.buckets))
+            ]
             for kind in (BucketKind.DSI_TABLE, BucketKind.DATA):
-                idx, start = program.next_occurrence_of_kind(kind, position)
-                for scan_idx, scan_start in program.iter_from(position):
-                    if program.buckets[scan_idx].kind is kind:
-                        assert (idx, start) == (scan_idx, scan_start)
-                        break
+                scan = next(
+                    (i, start) for i, start in airings
+                    if start >= position and program.buckets[i].kind is kind
+                )
+                assert program.next_occurrence_of_kind(kind, position) == scan
 
     def test_kind_seek_missing_kind(self):
         dataset = uniform_dataset(50, seed=24)

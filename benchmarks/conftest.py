@@ -105,6 +105,19 @@ def emit(title: str, text: str) -> None:
     print(f"\n{'=' * 78}\n{title}\n{'=' * 78}\n{text}\n")
 
 
+def stage_report(stages: Dict) -> str:
+    """A bench's stages as its report prints them, one ``name: value`` line
+    each: throughputs to the unit, seconds and ratios to three significant
+    digits (a speedup of 0.78 and one of 1.4 must not both read 1), counts
+    and backends as they are."""
+    lines = []
+    for key, value in sorted(stages.items()):
+        if isinstance(value, float):
+            value = f"{value:,.0f}" if abs(value) >= 100 else f"{value:#.3g}"
+        lines.append(f"{key}: {value}")
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # BENCH JSON writer: rounded stages, no pure-noise rewrites
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ from repro.sim.fleet import run_fleet
 from repro.sim.runner import build_index
 from repro.spatial.datasets import uniform_dataset
 
-from conftest import BENCH_RECORD, BENCH_SMOKE, emit, write_bench
+from conftest import BENCH_RECORD, BENCH_SMOKE, emit, stage_report, write_bench
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
@@ -287,10 +287,4 @@ def test_fleet_bench():
         stages,
         meta={"n_channels": [1, 4], "schedule_policy": "flat"},
     )
-    emit(
-        "BENCH fleet (clients/sec)",
-        "\n".join(
-            f"{k}: {v:,.0f}" if isinstance(v, float) else f"{k}: {v}"
-            for k, v in sorted(stages.items())
-        ),
-    )
+    emit("BENCH fleet (clients/sec)", stage_report(stages))

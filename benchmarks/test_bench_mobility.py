@@ -28,7 +28,7 @@ from repro.sim.fleet import run_mobile_fleet
 from repro.sim.runner import build_index
 from repro.spatial.datasets import uniform_dataset
 
-from conftest import BENCH_RECORD, BENCH_SMOKE, emit, write_bench
+from conftest import BENCH_RECORD, BENCH_SMOKE, emit, stage_report, write_bench
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_mobility.json"
 
@@ -136,10 +136,4 @@ def test_mobility_bench():
     stages["staleness_distance"] = result.mean_staleness
 
     write_bench(BENCH_JSON, stages)
-    emit(
-        "BENCH mobility (journey fleets)",
-        "\n".join(
-            f"{k}: {v:,.0f}" if isinstance(v, float) else f"{k}: {v}"
-            for k, v in sorted(stages.items())
-        ),
-    )
+    emit("BENCH mobility (journey fleets)", stage_report(stages))

@@ -26,6 +26,7 @@ from ..broadcast.errors import LinkErrorModel, _session_model
 from ..queries.types import KnnQuery, Query, WindowQuery
 from ..queries.workload import Trial, Workload
 from ..sim.metrics import ExperimentResult
+from ..sim.runner import execute_query
 from ..spatial.geometry import Point, Rect
 from .server import BroadcastServer
 
@@ -113,27 +114,14 @@ class MobileClient:
 
     def window_query(self, window: Rect, *, at: Optional[Union[int, float]] = None) -> Any:
         """Run one window query (a fresh tune-in per query)."""
-        session = self.tune_in(at)
-        outcome = self.server.index.window_query(window, session)
-        return self._record(WindowQuery(window=window), outcome)
+        return self._query(WindowQuery(window=window), at)
 
     def knn_query(
-        self,
-        point: Point,
-        k: int = 1,
-        *,
-        at: Optional[Union[int, float]] = None,
-        strategy: Optional[str] = None,
-        **kwargs: Any,
+        self, point: Point, k: int = 1, *, at: Optional[Union[int, float]] = None
     ) -> Any:
-        """Run one kNN query.  ``strategy`` (and any extra keyword) is
-        forwarded to indexes that understand it (DSI's conservative /
-        aggressive search)."""
-        session = self.tune_in(at)
-        if strategy is not None:
-            kwargs["strategy"] = strategy
-        outcome = self.server.index.knn_query(point, k, session, **kwargs)
-        return self._record(KnnQuery(point=point, k=k), outcome)
+        """Run one kNN query with the server's DSI search
+        (:attr:`BroadcastServer.knn_strategy`)."""
+        return self._query(KnnQuery(point=point, k=k), at)
 
     def run(self, query: Union[Query, Trial], *, at: Optional[Union[int, float]] = None) -> Any:
         """Run one :class:`WindowQuery` / :class:`KnnQuery` / :class:`Trial`."""
@@ -141,11 +129,20 @@ class MobileClient:
             if at is None:
                 at = query.tune_in_fraction
             query = query.query
-        if isinstance(query, WindowQuery):
-            return self.window_query(query.window, at=at)
-        if isinstance(query, KnnQuery):
-            return self.knn_query(query.point, query.k, at=at)
-        raise TypeError(f"unsupported query type {type(query)!r}")
+        return self._query(query, at)
+
+    def _query(self, query: Query, at: Optional[Union[int, float]]) -> Any:
+        """Run ``query`` on a fresh tune-in through :func:`execute_query`,
+        the per-query dispatch of every reference path, and record it.  An
+        unsupported query fails before the tune-in, so it moves neither the
+        seeded tune-in stream nor the session ordinal."""
+        if not isinstance(query, (WindowQuery, KnnQuery)):
+            raise TypeError(f"unsupported query type {type(query)!r}")
+        session = self.tune_in(at)
+        outcome = execute_query(
+            self.server.index, query, session, knn_strategy=self.server.knn_strategy
+        )
+        return self._record(query, outcome)
 
     # -- journeys ----------------------------------------------------------------
 
@@ -193,16 +190,13 @@ class MobileClient:
             query=query, win_side_ratio=win_side_ratio, k=k,
             dwell_packets=dwell_packets, seed=journey_seed,
         )
-        knn_strategy = "conservative"
-        if self.server.spec is not None:
-            knn_strategy = self.server.spec.knn_strategy
         runner = ContinuousClient(
             self.server.index,
             self.server.schedule.view(),
             self.config,
             start_packet=self._start_packet(at),
             error_model=self._session_errors(),
-            knn_strategy=knn_strategy,
+            knn_strategy=self.server.knn_strategy,
             speed=motion.speed,
         )
         for step in trajectory.journeys[0]:

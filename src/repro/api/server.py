@@ -98,6 +98,13 @@ class BroadcastServer:
         """``"flat"`` or ``"optimized"`` -- how the aired cycle is laid out."""
         return getattr(self.schedule, "policy", "flat")
 
+    @property
+    def knn_strategy(self) -> str:
+        """The DSI kNN search every client and fleet of this server runs:
+        the spec's ``knn_strategy``, else ``"conservative"`` (a prebuilt
+        index has no spec).  Indexes other than DSI ignore it."""
+        return self.spec.knn_strategy if self.spec is not None else "conservative"
+
     def optimize_schedule(
         self,
         demand: Optional[Any] = None,
@@ -180,7 +187,8 @@ class BroadcastServer:
         return MobileClient(self, error_model=error_model, seed=seed)
 
     def fleet(self, n_clients: int, **kwargs: Any):
-        """A population-scale client fleet tuned to this server's channels.
+        """A population-scale client fleet tuned to this server's schedule,
+        running its :attr:`knn_strategy`.
 
         See :class:`repro.sim.fleet.ClientFleet`; keyword arguments are
         forwarded (``workload=``, ``seed=``, ``max_phases=``...).
@@ -194,8 +202,10 @@ class BroadcastServer:
 
         ``trajectories`` is a
         :class:`~repro.mobility.trajectory.TrajectoryWorkload` (defaults to
-        a small seeded random-waypoint workload); remaining keywords are
-        forwarded to :func:`repro.sim.fleet.run_mobile_fleet` (``seed=``,
+        a small seeded random-waypoint workload); the clients tune into
+        this server's :attr:`schedule` and run its :attr:`knn_strategy`.
+        Remaining keywords are forwarded to
+        :func:`repro.sim.fleet.run_mobile_fleet` (``seed=``,
         ``max_phases=``, ``error_theta=``, ``parallel=``...).  Returns the
         :class:`~repro.sim.fleet.MobileFleetResult`.
         """
@@ -204,12 +214,9 @@ class BroadcastServer:
 
         if trajectories is None:
             trajectories = trajectory_workload(seed=kwargs.get("seed", 0) + 1)
-        if "knn_strategy" not in kwargs and self.spec is not None:
-            kwargs["knn_strategy"] = self.spec.knn_strategy
-        if "schedule" not in kwargs and self.schedule_policy != "flat":
-            kwargs["schedule"] = self.schedule
         return run_mobile_fleet(
-            self.index, self.dataset, self.config, trajectories, n_clients, **kwargs
+            self.index, self.dataset, self.config, trajectories, n_clients,
+            knn_strategy=self.knn_strategy, schedule=self.schedule, **kwargs,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -278,16 +278,10 @@ class ClientSession:
         """Bytes received for the *current* query.
 
         Like every metric accessor this is per-query once
-        :meth:`next_query` has been called; the session-cumulative figure
-        is :attr:`session_tuning_bytes` (and the raw ``tuning_packets``
-        counter, which stays cumulative).
+        :meth:`next_query` has been called; the raw ``tuning_packets``
+        counter stays session-cumulative.
         """
         return self.query_tuning_packets * self.config.packet_capacity
-
-    @property
-    def session_tuning_bytes(self) -> int:
-        """Bytes received across the whole session (all queries so far)."""
-        return self.tuning_packets * self.config.packet_capacity
 
     def metrics(self) -> "AccessMetrics":
         """The paper metrics of the *current* query.

@@ -5,12 +5,11 @@ broadcast cycle -- the serving-side summary of a query workload.  It is the
 input of the demand-aware scheduler (:mod:`repro.sched`), which skews
 airtime toward hot buckets broadcast-disks style.
 
-Profiles are built three ways:
+Besides raw per-bucket weights handed to the constructor (navigation
+buckets at 0, as every builder leaves them), profiles are built two ways:
 
 * :meth:`DemandProfile.uniform` -- every data bucket equally hot (under
   which the optimizer reproduces the flat schedule's economics);
-* :meth:`DemandProfile.from_counts` -- per-bucket access counts, e.g. a
-  histogram collected by a serving tier;
 * :meth:`DemandProfile.from_queries` -- ground-truth answers of a query
   workload mapped onto the data buckets that carry the answering objects
   (the exact demand a fleet of clients running that workload generates).
@@ -84,29 +83,6 @@ class DemandProfile:
         return cls(w, meta={"source": "uniform"})
 
     @classmethod
-    def from_counts(
-        cls,
-        program: BroadcastProgram,
-        counts,
-        smoothing: float = 0.0,
-    ) -> "DemandProfile":
-        """From raw per-bucket access counts (aligned with the program).
-
-        ``smoothing`` adds a uniform pseudo-count to every *data* bucket so
-        buckets unseen in the sample keep a nonzero airing incentive.
-        """
-        c = np.asarray(counts, dtype=np.float64).copy()
-        if len(c) != len(program):
-            raise ValueError(
-                f"counts cover {len(c)} buckets, program has {len(program)}"
-            )
-        nav = np.array([b.kind.is_navigation for b in program.buckets])
-        if smoothing:
-            c[~nav] += float(smoothing)
-        c[nav] = 0.0
-        return cls(c, meta={"source": "counts", "smoothing": float(smoothing)})
-
-    @classmethod
     def from_queries(
         cls,
         program: BroadcastProgram,
@@ -129,7 +105,8 @@ class DemandProfile:
         if not oid_to_buckets:
             raise ValueError(
                 f"program {program.name!r} exposes no object ids on its data "
-                "buckets; build the profile with from_counts instead"
+                "buckets; pass per-bucket weights, navigation buckets at 0, "
+                "to DemandProfile instead"
             )
         if query_weights is None:
             qw: List[float] = [1.0] * len(queries)

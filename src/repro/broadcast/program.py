@@ -74,23 +74,15 @@ class BroadcastProgram:
         self._starts: List[int] = []
         self._kind_buckets: Dict[BucketKind, List[int]] = {}
         self._kind_starts: Dict[BucketKind, List[int]] = {}
-        self._count_by_kind: Dict[BucketKind, int] = {}
-        self._packets_by_kind: Dict[BucketKind, int] = {}
         pos = 0
         for i, b in enumerate(self.buckets):
             self._starts.append(pos)
             self._kind_buckets.setdefault(b.kind, []).append(i)
-            self._count_by_kind[b.kind] = self._count_by_kind.get(b.kind, 0) + 1
-            self._packets_by_kind[b.kind] = (
-                self._packets_by_kind.get(b.kind, 0) + b.n_packets
-            )
             pos += b.n_packets
         self.cycle_packets = pos
         for kind, idxs in self._kind_buckets.items():
             self._kind_starts[kind] = [self._starts[i] for i in idxs]
-        self._index_packets = sum(
-            packets for kind, packets in self._packets_by_kind.items() if kind.is_index
-        )
+        self._index_packets = sum(b.n_packets for b in self.buckets if b.kind.is_index)
 
     # -- basic accessors -----------------------------------------------------
 
@@ -163,12 +155,6 @@ class BroadcastProgram:
         return idxs[j], base + starts[j]
 
     # -- summaries ------------------------------------------------------------
-
-    def count_by_kind(self) -> Dict[BucketKind, int]:
-        return dict(self._count_by_kind)
-
-    def packets_by_kind(self) -> Dict[BucketKind, int]:
-        return dict(self._packets_by_kind)
 
     def index_overhead_fraction(self) -> float:
         """Fraction of the cycle occupied by index (non-data) packets."""

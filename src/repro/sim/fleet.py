@@ -111,8 +111,8 @@ class FleetSpec:
     """Validated fleet parameters (fail fast, not deep in the batch loop).
 
     ``tune_in`` optionally pins every client's tune-in fraction (one float
-    in ``[0, 1)`` per client); otherwise each client's fraction comes from
-    the fleet's seeded draw.
+    in ``[0, 1)`` per client, kept as a tuple of floats); otherwise each
+    client's fraction comes from the fleet's seeded draw.
     """
 
     n_clients: int
@@ -128,6 +128,7 @@ class FleetSpec:
         if self.max_phases < 1:
             raise ValueError(f"max_phases must be at least 1, got {self.max_phases}")
         if self.tune_in is not None:
+            object.__setattr__(self, "tune_in", tuple(float(v) for v in self.tune_in))
             fracs = np.asarray(self.tune_in, dtype=np.float64)
             if fracs.shape != (self.n_clients,):
                 raise ValueError(
@@ -143,16 +144,51 @@ class FleetSpec:
             if fracs.size and (fracs.min() < 0.0 or fracs.max() >= 1.0):
                 raise ValueError("tune_in fractions must lie in [0, 1)")
 
-    def fractions(self) -> Optional[np.ndarray]:
-        """The pinned per-client tune-in fractions, if any."""
-        if self.tune_in is None:
-            return None
-        return np.asarray(self.tune_in, dtype=np.float64)
 
-
+@dataclass(kw_only=True)
 class _PopulationView:
-    """What :class:`FleetResult` and :class:`MobileFleetResult` share:
-    throughput and a row's engine columns."""
+    """What :class:`FleetResult` and :class:`MobileFleetResult` share: the
+    population's summaries, the engine that ran, throughput and a row's
+    engine columns.
+
+    ``result`` carries the population's exact latency/tuning summaries;
+    ``first_index_wait`` is the population's exact per-client wait (bytes)
+    from tune-in to the first navigation bucket, computed once per occupied
+    tune-in packet and weighted by its clients.  The per-execution
+    histogram (``unique_latency`` / ``unique_tuning`` / ``unique_counts``)
+    supports exact cross-checks in O(executions) memory.
+    """
+
+    result: ExperimentResult
+    n_clients: int
+    n_executions: int
+    n_phases: int
+    cycle_packets: int
+    quantized: bool
+    elapsed_s: float
+    first_index_wait: MetricSummary
+    unique_latency: np.ndarray = field(repr=False)
+    unique_tuning: np.ndarray = field(repr=False)
+    unique_counts: np.ndarray = field(repr=False)
+    #: Which engine simulated the distinct executions: ``"numpy"`` for the
+    #: lockstep structure-of-arrays kernels (:mod:`repro.sim.fleet_kernel`),
+    #: ``"reference"`` for the per-phase object-model path.
+    backend: str = "reference"
+    #: Which schedule the fleet tuned into: ``"flat"`` for the config-derived
+    #: round-robin layout, ``"optimized"`` for a demand-aware
+    #: :meth:`BroadcastSchedule.optimized` layout.
+    schedule_policy: str = "flat"
+    #: Why the reference path ran, when it did: the kernel's decline
+    #: message (:class:`~repro.sim.fleet_kernel.KernelUnsupported`) or the
+    #: REPRO_PURE note.  ``None`` on kernel runs -- surfaced as a sweep row
+    #: column so perf cliffs are visible instead of silent.
+    backend_reason: Optional[str] = None
+    #: How many distinct executions had a hop that a planner's safety cap
+    #: truncated (``iterations_capped`` on the DSI window and kNN planners'
+    #: and the R-tree/HCI sweeps' results).  Always 0 on kernel runs (the
+    #: kernels decline cap-bound lanes); nonzero means some answers may be
+    #: inexact.
+    capped_executions: int = 0
 
     @property
     def clients_per_sec(self) -> float:
@@ -172,49 +208,11 @@ class _PopulationView:
         return row
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FleetResult(_PopulationView):
-    """Outcome of one fleet run.
+    """Outcome of one fleet run: one sample per client (see
+    :class:`_PopulationView` for the fields every fleet result carries)."""
 
-    ``result`` carries the population's exact latency/tuning summaries;
-    ``first_index_wait`` is the population's exact per-client wait (bytes)
-    from tune-in to the first navigation bucket, computed once per occupied
-    tune-in packet and weighted by its clients.  The
-    per-execution histogram (``unique_latency`` / ``unique_tuning`` /
-    ``unique_counts``) supports exact cross-checks in O(executions) memory.
-    """
-
-    result: ExperimentResult
-    n_clients: int
-    n_executions: int
-    n_phases: int
-    cycle_packets: int
-    quantized: bool
-    elapsed_s: float
-    first_index_wait: MetricSummary
-    unique_latency: np.ndarray = field(repr=False)
-    unique_tuning: np.ndarray = field(repr=False)
-    unique_counts: np.ndarray = field(repr=False)
-    #: Which engine simulated the distinct executions: ``"numpy"`` for the
-    #: structure-of-arrays kernels (:mod:`repro.sim.fleet_kernel` -- DSI
-    #: and tree-index window fleets plus the batched DSI kNN lanes),
-    #: ``"reference"`` for the per-phase object-model path.
-    backend: str = "reference"
-    #: Which schedule the fleet tuned into: ``"flat"`` for the config-derived
-    #: round-robin layout, ``"optimized"`` for a demand-aware
-    #: :meth:`BroadcastSchedule.optimized` layout.
-    schedule_policy: str = "flat"
-    #: Why the reference path ran, when it did: the kernel's decline
-    #: message (:class:`~repro.sim.fleet_kernel.KernelUnsupported`) or the
-    #: REPRO_PURE note.  ``None`` on kernel runs -- surfaced as a sweep row
-    #: column so perf cliffs are visible instead of silent.
-    backend_reason: Optional[str] = None
-    #: How many distinct executions ended with a planner's safety cap
-    #: truncating the search (``iterations_capped`` on the DSI window and
-    #: kNN planners' and the R-tree/HCI sweeps' results).  Always 0 on
-    #: kernel runs (the kernels decline cap-bound lanes); nonzero means some
-    #: answers may be inexact.
-    capped_executions: int = 0
     #: Realized per-query client draw counts (length = number of workload
     #: queries), retained -- with references to the run's workload, index and
     #: dataset -- so :meth:`demand_profile` can extract the fleet's actual
@@ -264,7 +262,7 @@ class FleetResult(_PopulationView):
 # ---------------------------------------------------------------------------
 
 
-def _draw_batches(spec: FleetSpec, n_items: int, pinned: Optional[np.ndarray]):
+def _draw_batches(spec: FleetSpec, n_items: int):
     """Yield ``(item_ids, tune_in_fractions)`` client draws in fixed batches.
 
     One seeded generator, consumed in a fixed order, so a fleet's clients
@@ -275,10 +273,10 @@ def _draw_batches(spec: FleetSpec, n_items: int, pinned: Optional[np.ndarray]):
     while done < spec.n_clients:
         m = min(_DRAW_BATCH, spec.n_clients - done)
         ids = rng.integers(0, n_items, size=m, dtype=np.int64)
-        if pinned is None:
+        if spec.tune_in is None:
             fracs = rng.random(m)
         else:
-            fracs = pinned[done:done + m]
+            fracs = np.asarray(spec.tune_in[done:done + m], dtype=np.float64)
         yield ids, fracs
         done += m
 
@@ -324,7 +322,7 @@ def _draw_population(
     cycle = view.cycle_packets
     counts = np.zeros(n_items * n_phases, dtype=np.int64)
     at_packet = np.zeros(cycle, dtype=np.int64)
-    for ids, fracs in _draw_batches(spec, n_items, spec.fractions()):
+    for ids, fracs in _draw_batches(spec, n_items):
         keys = ids * n_phases + (fracs * n_phases).astype(np.int64)
         counts += np.bincount(keys, minlength=counts.size)
         at_packet += np.bincount((fracs * cycle).astype(np.int64), minlength=cycle)
@@ -477,21 +475,6 @@ def _simulate_item_batch(iid: int, phases: Sequence[int]) -> List[Tuple[int, int
                     lat_packets = rep_lat - (start_packet - p_rep)
         out.append((lat_packets * capacity, tun_bytes, correct, capped))
     return out
-
-
-def _fleet_spec(
-    n_clients: int,
-    seed: int,
-    tune_in: Optional[Sequence[float]],
-    max_phases: int,
-) -> FleetSpec:
-    """The validated :class:`FleetSpec` of one public fleet call."""
-    return FleetSpec(
-        n_clients=n_clients,
-        seed=seed,
-        max_phases=max_phases,
-        tune_in=None if tune_in is None else tuple(float(v) for v in tune_in),
-    )
 
 
 def _schedule_view(
@@ -715,7 +698,7 @@ def run_fleet(
     overrides the config-derived one.  Serial and parallel runs produce
     identical results.  See the module docstring for the simulation model.
     """
-    spec = _fleet_spec(n_clients, seed, tune_in, max_phases)
+    spec = FleetSpec(n_clients, seed, max_phases, tune_in)
     trials = list(workload)
     if not trials:
         raise ValueError(f"workload {workload.name!r} has no trials to assign to clients")
@@ -732,44 +715,21 @@ def run_fleet(
     )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class MobileFleetResult(_PopulationView):
     """Outcome of one moving-fleet run.
 
     ``result`` carries *journey-total* latency/tuning summaries (one sample
     per client, each the sum over its journey's hops); per-hop means and
     the spatial staleness derive from them through the known hop count and
-    the motion model's speed.  The per-execution arrays support exact
-    cross-checks, as for stationary fleets.
+    the motion model's speed.  The other shared fields are documented on
+    :class:`_PopulationView`.
     """
 
-    result: ExperimentResult
-    n_clients: int
     n_journeys: int
     n_steps: int
-    n_executions: int
-    n_phases: int
-    cycle_packets: int
-    quantized: bool
-    elapsed_s: float
     speed: float
     capacity: int
-    first_index_wait: MetricSummary
-    unique_latency: np.ndarray = field(repr=False)
-    unique_tuning: np.ndarray = field(repr=False)
-    unique_counts: np.ndarray = field(repr=False)
-    #: Which engine simulated the distinct journeys: ``"numpy"`` for the
-    #: lockstep kernels (:mod:`repro.sim.fleet_kernel`, warm window or kNN
-    #: journeys -- DSI or tree-index -- with persistent lanes),
-    #: ``"reference"`` for the per-phase object-model path.
-    backend: str = "reference"
-    #: Which schedule the fleet tuned into (see :class:`FleetResult`).
-    schedule_policy: str = "flat"
-    #: Why the reference path ran, when it did (see :class:`FleetResult`).
-    backend_reason: Optional[str] = None
-    #: Distinct journeys with at least one hop truncated by a planner's
-    #: safety cap (see :class:`FleetResult.capped_executions`).
-    capped_executions: int = 0
 
     @property
     def mean_hop_latency_bytes(self) -> float:
@@ -833,7 +793,7 @@ def run_mobile_fleet(
     distinct warm journeys -- not the fleet size.  Serial and parallel runs
     produce identical results.
     """
-    spec = _fleet_spec(n_clients, seed, tune_in, max_phases)
+    spec = FleetSpec(n_clients, seed, max_phases, tune_in)
     journeys = list(trajectories)
     if not journeys:
         raise ValueError(
@@ -892,21 +852,14 @@ class ClientFleet:
             n_queries=20, seed=seed + 1
         )
         # Validate now -- a bad fleet declaration should fail at declaration.
-        self.spec = _fleet_spec(n_clients, seed, tune_in, max_phases)
+        self.spec = FleetSpec(n_clients, seed, max_phases, tune_in)
         self.error_theta = error_theta
         self.error_scope = error_scope
         self.error_seed = error_seed
         self.verify = verify
 
     def run(self, parallel: bool = False, processes: Optional[int] = None) -> FleetResult:
-        knn_strategy = "conservative"
-        if self.server.spec is not None:
-            knn_strategy = self.server.spec.knn_strategy
-        # A demand-optimized server airs its own layout -- ship it; a flat
-        # server's schedule is exactly what run_fleet derives from config.
-        server_schedule = getattr(self.server, "schedule", None)
-        if server_schedule is not None and getattr(server_schedule, "policy", "flat") == "flat":
-            server_schedule = None
+        """Run the fleet on the server's schedule, with its kNN strategy."""
         return run_fleet(
             self.server.index,
             self.server.dataset,
@@ -920,11 +873,11 @@ class ClientFleet:
             error_scope=self.error_scope,
             error_seed=self.error_seed,
             verify=self.verify,
-            knn_strategy=knn_strategy,
+            knn_strategy=self.server.knn_strategy,
             label=getattr(self.server.index, "name", None),
             parallel=parallel,
             processes=processes,
-            schedule=server_schedule,
+            schedule=self.server.schedule,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

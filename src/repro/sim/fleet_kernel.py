@@ -1234,10 +1234,8 @@ class _TreeGeometry(_Channel):
     def __init__(self, static: _TreeStatic, air: TreeOnAir, config: Any,
                  timeline) -> None:
         home = timeline.home_channel
-        if home is None:
-            home = 0
         ch = timeline.bucket_channel[static.copy_mat]
-        if not np.all(ch == int(home)):
+        if not np.all(ch == home):
             raise KernelUnsupported(
                 "tree nodes must air on the clients' home channel"
             )

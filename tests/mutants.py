@@ -36,6 +36,9 @@ SRC = ROOT / "src"
 
 _KERNEL = "repro/sim/fleet_kernel.py"
 _VISITS = "tests/test_fleet_kernel.py::test_compiled_visits_match_replay"
+_STRUCTURE = "repro/core/structure.py"
+_CUTS = "tests/test_dsi_structure.py::TestFrameCuts"
+_NEAREST = f"{_CUTS}::test_cuts_move_to_the_nearest_run_start"
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,92 @@ MUTANTS: Tuple[Mutant, ...] = (
         ("tests/test_channel_schedule.py::TestMultiChannelQueries"
          "::test_answers_identical_to_single_channel[2]",
          "tests/test_perf_fastpaths.py::TestProgramKindSeek::test_kind_seek_matches_scan"),
+    ),
+    Mutant(
+        "cut-tie-goes-up",
+        "a frame cut whose target lies halfway between two run starts takes "
+        "the later one",
+        _STRUCTURE,
+        "runs[j + 1] - target < target - runs[j]",
+        "runs[j + 1] - target <= target - runs[j]",
+        (f"{_NEAREST}[runs1-4-sizes1]",),
+    ),
+    Mutant(
+        "cut-always-below",
+        "a frame cut takes the run start at or below its target even when "
+        "the next one is nearer",
+        _STRUCTURE,
+        "if j + 1 < len(runs) and runs[j + 1] - target",
+        "if False and runs[j + 1] - target",
+        (f"{_NEAREST}[runs0-3-sizes0]",),
+    ),
+    Mutant(
+        "cut-no-lower-clamp",
+        "a frame cut may land on or before the previous cut, leaving a frame "
+        "empty",
+        _STRUCTURE,
+        "min(max(j, first[-1] + 1), len(runs) - n_frames + rank)",
+        "min(j, len(runs) - n_frames + rank)",
+        (f"{_NEAREST}[runs2-2-sizes2]", f"{_NEAREST}[runs4-1-sizes4]"),
+    ),
+    Mutant(
+        "cut-no-upper-clamp",
+        "a frame cut may land so late that a later frame gets no run",
+        _STRUCTURE,
+        "min(max(j, first[-1] + 1), len(runs) - n_frames + rank)",
+        "max(j, first[-1] + 1)",
+        (f"{_NEAREST}[runs3-2-sizes3]",),
+    ),
+    Mutant(
+        "frames-capped-at-n",
+        "nF is capped at the object count N instead of the distinct-HC "
+        "count D, so a layout can ask for more frames than HC values",
+        _STRUCTURE,
+        "n_frames = max(m, min(n_frames, distinct))",
+        "n_frames = max(m, min(n_frames, n_objects))",
+        ("tests/test_dsi_structure.py::TestFrameLayout::test_frames_capped_at_distinct_hc_values",
+         f"{_NEAREST}[runs4-1-sizes4]",
+         "tests/test_fleet_kernel.py::test_one_object_per_frame_caps_at_distinct_values"),
+    ),
+    Mutant(
+        "check-frames-shared-value",
+        "check_frames lets a frame start on the previous frame's largest HC "
+        "value",
+        _STRUCTURE,
+        "if rank and frame.min_hc <= frames[rank - 1].max_hc:",
+        "if rank and frame.min_hc < frames[rank - 1].max_hc:",
+        (f"{_CUTS}::test_build_rejects_a_value_in_two_frames",),
+    ),
+    Mutant(
+        "even-split",
+        "frames are cut at the even split's targets again, inside equal-HC "
+        "runs",
+        _STRUCTURE,
+        "cuts = [runs[j] for j in first] + [len(ordered)]",
+        "cuts = [r * base + min(r, extra) for r in range(n_frames)] + [len(ordered)]",
+        (f"{_NEAREST}[runs1-4-sizes1]",
+         "tests/test_fleet_kernel.py::test_equal_hc_run_shares_one_frame",
+         "tests/test_fleet_kernel.py::test_one_object_per_frame_caps_at_distinct_values"),
+    ),
+    Mutant(
+        "knn-cover-chunk-ids-reversed",
+        "a kNN cover chunk hands out its ids in reverse, so each new circle "
+        "gets another circle's mask",
+        _KERNEL,
+        "cids[chunk] = np.arange(cid0, cid0 + len(chunk), dtype=np.int64)",
+        "cids[chunk] = np.arange(cid0, cid0 + len(chunk), dtype=np.int64)[::-1]",
+        ("tests/test_fleet_kernel.py::test_cover_masks_match_piece_interval_oracle",
+         "tests/test_fleet_kernel.py::test_kernel_matches_reference_across_dsi_parameters[1-2-knn]"),
+    ),
+    Mutant(
+        "client-knn-conservative",
+        "a client's kNN query runs the conservative search whatever the "
+        "server's strategy",
+        "repro/api/client.py",
+        "query, session, knn_strategy=self.server.knn_strategy",
+        'query, session, knn_strategy="conservative"',
+        ("tests/test_api_service.py::TestServerKnnStrategy"
+         "::test_single_queries_run_the_server_strategy",),
     ),
 )
 

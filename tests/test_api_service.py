@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -13,8 +14,12 @@ from repro import (
     uniform_dataset,
 )
 from repro.api import IndexSpec, clear_index_cache
-from repro.queries import mixed_workload
+from repro.mobility import run_journey, trajectory_workload
+from repro.mobility.trajectory import DEFAULT_DWELL_PACKETS
+from repro.queries import KnnQuery, Trial, knn_workload, mixed_workload
 from repro.sim import run_workload
+from repro.sim.fleet import run_fleet, run_mobile_fleet
+from repro.sim.runner import execute_query
 from repro.spatial import Point, Rect
 
 
@@ -113,11 +118,26 @@ class TestMobileClient:
         client.reset_metrics()
         assert client.queries_run == 0 and client.last is None
 
-    def test_knn_strategy_forwarded(self, server):
-        client = server.client(seed=2)
-        conservative = client.knn_query(Point(0.4, 0.6), k=3, at=0)
-        aggressive = client.knn_query(Point(0.4, 0.6), k=3, at=0, strategy="aggressive")
+    def test_knn_strategy_forwarded(self, server, dataset, config64):
+        aggressive_server = BroadcastServer(
+            dataset, config64, index=IndexSpec("dsi", knn_strategy="aggressive")
+        )
+        conservative = server.client(seed=2).knn_query(Point(0.4, 0.6), k=3, at=0)
+        aggressive = aggressive_server.client(seed=2).knn_query(Point(0.4, 0.6), k=3, at=0)
         assert [o.oid for o in conservative.objects] == [o.oid for o in aggressive.objects]
+
+    def test_unsupported_query_moves_no_stream(self, server):
+        # A rejected query opens no session: the seeded tune-in draw and the
+        # lossy link's session ordinal of the next query are untouched.
+        errors = LinkErrorModel(theta=0.3, scope="all", seed=5)
+        query = KnnQuery(point=Point(0.3, 0.7), k=4)
+        client = server.client(error_model=errors, seed=11)
+        with pytest.raises(TypeError, match="unsupported query type"):
+            client.run(object())
+        fresh = server.client(error_model=errors, seed=11)
+        assert client.queries_run == 0
+        for _ in range(3):
+            assert client.run(query).metrics == fresh.run(query).metrics
 
     def test_batch_matches_run_workload(self, server, dataset, config64):
         workload = mixed_workload(n_queries=8, seed=13)
@@ -139,3 +159,73 @@ class TestMobileClient:
         # Same answer, but the lossy client pays for corrupted receptions.
         assert lossy_result.object_ids == clean_result.object_ids
         assert lossy_result.metrics.tuning_bytes >= clean_result.metrics.tuning_bytes
+
+
+class TestServerKnnStrategy:
+    """A server's kNN strategy is its spec's, and every entry point runs it:
+    single queries, batches, fleets, moving fleets and journeys."""
+
+    POINT = Point(0.4, 0.6)
+
+    @pytest.fixture(scope="class")
+    def aggressive(self):
+        return BroadcastServer(
+            uniform_dataset(800, seed=3), SystemConfig(),
+            index=IndexSpec("dsi", knn_strategy="aggressive"),
+        )
+
+    def test_rule(self, aggressive, dataset, config64):
+        assert aggressive.knn_strategy == "aggressive"
+        assert BroadcastServer(dataset, config64, index="dsi").knn_strategy == "conservative"
+        prebuilt = BroadcastServer(aggressive.dataset, aggressive.config, index=aggressive.index)
+        assert prebuilt.spec is None and prebuilt.knn_strategy == "conservative"
+
+    def _explicit(self, server, strategy):
+        session = ClientSession(server.schedule.view(), server.config, start_packet=0)
+        query = KnnQuery(point=self.POINT, k=5)
+        return execute_query(server.index, query, session, knn_strategy=strategy)
+
+    def test_single_queries_run_the_server_strategy(self, aggressive):
+        explicit = self._explicit(aggressive, "aggressive")
+        conservative = self._explicit(aggressive, "conservative")
+        # The two searches read differently here, so the rule is visible.
+        assert conservative.metrics.latency_bytes == 841_152
+        assert explicit.metrics.latency_bytes == 1_696_960
+        query = KnnQuery(point=self.POINT, k=5)
+        for outcome in (
+            aggressive.client().knn_query(self.POINT, k=5, at=0),
+            aggressive.client().run(query, at=0),
+            aggressive.client().run_batch([Trial(query, 0.0)])[0],
+        ):
+            assert outcome.metrics == explicit.metrics
+            assert [o.oid for o in outcome.objects] == [o.oid for o in explicit.objects]
+        # The same data served from a conservative spec runs the other search.
+        other = BroadcastServer(aggressive.dataset, aggressive.config, index=IndexSpec("dsi"))
+        assert other.client().knn_query(self.POINT, k=5, at=0).metrics == conservative.metrics
+
+    def test_fleets_and_journeys_run_the_server_strategy(self, aggressive):
+        index, dataset, config = aggressive.index, aggressive.dataset, aggressive.config
+        workload = knn_workload(6, k=5, seed=4)
+        fleet = aggressive.fleet(2_000, workload=workload, seed=1).run()
+        for strategy, same in (("aggressive", True), ("conservative", False)):
+            explicit = run_fleet(
+                index, dataset, config, workload, 2_000, seed=1, knn_strategy=strategy
+            )
+            assert np.array_equal(fleet.unique_latency, explicit.unique_latency) is same
+
+        trajectories = trajectory_workload(4, 3, query="knn", k=5, seed=2)
+        mobile = aggressive.mobile_fleet(500, trajectories, seed=1)
+        explicit = run_mobile_fleet(
+            index, dataset, config, trajectories, 500, seed=1, knn_strategy="aggressive"
+        )
+        assert np.array_equal(mobile.unique_latency, explicit.unique_latency)
+        assert np.array_equal(mobile.unique_tuning, explicit.unique_tuning)
+
+        journey = aggressive.client().travel("waypoint", 3, query="knn", k=5, at=0, seed=9)
+        steps = trajectory_workload(
+            1, 3, "waypoint", query="knn", k=5, dwell_packets=DEFAULT_DWELL_PACKETS, seed=9
+        ).journeys[0]
+        reference = run_journey(
+            index, aggressive.schedule.view(), config, steps, knn_strategy="aggressive"
+        )
+        assert [h.metrics for h in journey.hops] == [h.metrics for h in reference.hops]

@@ -13,6 +13,8 @@ Hypothesis drives two families of invariants the PR 3 refactor leans on:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -129,7 +131,7 @@ class TestScheduleProperties:
         )
         for position in positions:
             assert view.next_bucket_after(position) == program.next_bucket_after(position)
-            for kind in program.count_by_kind():
+            for kind in Counter(b.kind for b in program.buckets):
                 assert view.next_occurrence_of_kind(kind, position) == \
                     program.next_occurrence_of_kind(kind, position)
             bucket = data.draw(st.integers(min_value=0, max_value=len(program) - 1))
@@ -149,11 +151,14 @@ class TestScheduleProperties:
         seen = sorted(g for ch in schedule.channels for g in ch.global_ids)
         assert seen == list(range(len(program)))
         # per-kind packet totals survive the split
-        merged = {}
+        merged = Counter()
         for ch in schedule.channels:
-            for kind, packets in ch.program.packets_by_kind().items():
-                merged[kind] = merged.get(kind, 0) + packets
-        assert merged == program.packets_by_kind()
+            for b in ch.program.buckets:
+                merged[b.kind] += b.n_packets
+        whole = Counter()
+        for b in program.buckets:
+            whole[b.kind] += b.n_packets
+        assert merged == whole
         # every channel airs something and cycles are consistent
         assert all(ch.cycle_packets > 0 for ch in schedule.channels)
         assert schedule.cycle_packets == max(ch.cycle_packets for ch in schedule.channels)

@@ -89,7 +89,6 @@ class DemandProfile:
         dataset,
         queries: Sequence[object],
         query_weights: Optional[Iterable[float]] = None,
-        smoothing: float = 0.0,
     ) -> "DemandProfile":
         """Exact demand of a query workload against a dataset.
 
@@ -121,21 +120,11 @@ class DemandProfile:
             for obj in answer(dataset, query):
                 for b in oid_to_buckets.get(obj.oid, ()):
                     w[b] += weight
-        nav = np.array([b.kind.is_navigation for b in program.buckets])
-        if smoothing:
-            w[~nav] += float(smoothing)
         if not w.any():
             # Workload whose queries all answer empty: fall back to uniform
             # data demand rather than failing the schedule build.
-            w[~nav] = 1.0
-        return cls(
-            w,
-            meta={
-                "source": "queries",
-                "n_queries": len(queries),
-                "smoothing": float(smoothing),
-            },
-        )
+            w[[not b.kind.is_navigation for b in program.buckets]] = 1.0
+        return cls(w, meta={"source": "queries", "n_queries": len(queries)})
 
     # -- accessors ------------------------------------------------------------
 

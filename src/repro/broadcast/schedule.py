@@ -40,12 +40,8 @@ from .program import BroadcastProgram, Bucket, BucketKind
 __all__ = [
     "BroadcastSchedule",
     "ScheduleView",
-    "STRIPE_ASSIGNMENTS",
     "control_and_groups",
 ]
-
-#: How data-frame groups are assigned to data channels.
-STRIPE_ASSIGNMENTS = ("balanced", "round_robin")
 
 #: Attribute holding, on a program, the schedules :meth:`BroadcastSchedule.
 #: for_config` derived from it, keyed by channel count.
@@ -162,7 +158,6 @@ class BroadcastSchedule:
         cls,
         program: BroadcastProgram,
         data_channels: int,
-        assignment: str = "balanced",
     ) -> "BroadcastSchedule":
         """Index-to-data channel split: control channel + striped data channels.
 
@@ -170,20 +165,15 @@ class BroadcastSchedule:
         channel in cycle order.  The remaining buckets form *frame groups*
         (maximal runs of consecutive non-navigation buckets, which keeps an
         intra-frame directory on the same channel as its frame's data) and
-        each group is assigned whole to one of the ``data_channels`` data
-        channels: ``"balanced"`` picks the least-loaded channel in packets
-        (ties to the lowest id), ``"round_robin"`` cycles through them.
-        Both are deterministic.  When the program has fewer frame groups
+        each group is assigned whole to the least-loaded of the
+        ``data_channels`` data channels in packets (ties to the lowest id),
+        so the split is deterministic.  When the program has fewer frame groups
         than data channels (e.g. a replicated tree with one long data run
         per branch), striping falls back to bucket granularity so every
         channel carries data.
         """
         if data_channels < 1:
             raise ValueError("striped schedules need at least one data channel")
-        if assignment not in STRIPE_ASSIGNMENTS:
-            raise ValueError(
-                f"assignment must be one of {STRIPE_ASSIGNMENTS}, got {assignment!r}"
-            )
         control_ids, groups = control_and_groups(program)
         n_data_buckets = sum(len(g) for g in groups)
         if n_data_buckets < data_channels:
@@ -195,15 +185,11 @@ class BroadcastSchedule:
             groups = [[g] for group in groups for g in group]
 
         per_channel: List[List[int]] = [[] for _ in range(data_channels)]
-        if assignment == "round_robin":
-            for j, group in enumerate(groups):
-                per_channel[j % data_channels].extend(group)
-        else:
-            loads = [0] * data_channels
-            for group in groups:
-                target = min(range(data_channels), key=lambda c: (loads[c], c))
-                per_channel[target].extend(group)
-                loads[target] += sum(program.buckets[g].n_packets for g in group)
+        loads = [0] * data_channels
+        for group in groups:
+            target = min(range(data_channels), key=lambda c: (loads[c], c))
+            per_channel[target].extend(group)
+            loads[target] += sum(program.buckets[g].n_packets for g in group)
 
         channels = [
             Channel(

@@ -105,14 +105,9 @@ class _SearchSpace:
             self._est_memo[hc] = d
         return d
 
-    def add_estimate(self, hc: int) -> None:
-        if hc in self.estimates or hc in self.retrieved_hcs:
-            return
-        self.estimates[hc] = self.estimate_distance(hc)
-        self._radius = None
-
     def add_estimates(self, hcs: Iterable[int]) -> None:
-        """Batch :meth:`add_estimate`: one decode batch, one invalidation.
+        """Estimate every HC value not yet estimated or retrieved: one decode
+        batch, one invalidation.
 
         The representative points of all new HC values are decoded in one
         vectorised pass (the per-value cost of estimation), then the memo

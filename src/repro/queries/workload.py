@@ -50,7 +50,6 @@ class Workload:
         index,
         dataset,
         query_weights: Optional[Sequence[float]] = None,
-        smoothing: float = 0.0,
     ):
         """The per-bucket :class:`~repro.broadcast.demand.DemandProfile`
         this workload generates against ``index``'s broadcast cycle.
@@ -64,11 +63,7 @@ class Workload:
 
         program = getattr(index, "program", index)
         return DemandProfile.from_queries(
-            program,
-            dataset,
-            [t.query for t in self.trials],
-            query_weights=query_weights,
-            smoothing=smoothing,
+            program, dataset, [t.query for t in self.trials], query_weights=query_weights
         )
 
 

@@ -22,7 +22,6 @@ from .runner import (
     run_workload,
 )
 from .sweep import (
-    fleet_channel_sweep,
     knn_capacity_sweep,
     knn_k_sweep,
     link_error_table,
@@ -59,7 +58,6 @@ __all__ = [
     "knn_capacity_sweep",
     "knn_k_sweep",
     "link_error_table",
-    "fleet_channel_sweep",
     "figure_report",
     "format_table",
     "metric_columns",

@@ -175,8 +175,8 @@ class _PopulationView:
     #: ``"reference"`` for the per-phase object-model path.
     backend: str = "reference"
     #: Which schedule the fleet tuned into: ``"flat"`` for the config-derived
-    #: round-robin layout, ``"optimized"`` for a demand-aware
-    #: :meth:`BroadcastSchedule.optimized` layout.
+    #: layout (one channel, or balanced stripes), ``"optimized"`` for a
+    #: demand-aware :meth:`BroadcastSchedule.optimized` layout.
     schedule_policy: str = "flat"
     #: Why the reference path ran, when it did: the kernel's decline
     #: message (:class:`~repro.sim.fleet_kernel.KernelUnsupported`) or the
@@ -222,7 +222,7 @@ class FleetResult(_PopulationView):
     _index: Any = field(default=None, repr=False, compare=False)
     _dataset: Optional[SpatialDataset] = field(default=None, repr=False, compare=False)
 
-    def demand_profile(self, smoothing: float = 0.0):
+    def demand_profile(self):
         """The fleet's realized per-bucket demand
         (:class:`~repro.broadcast.demand.DemandProfile`).
 
@@ -238,10 +238,7 @@ class FleetResult(_PopulationView):
                 "references; demand_profile() needs a result from run_fleet()"
             )
         return self._workload.bucket_demand(
-            self._index,
-            self._dataset,
-            query_weights=self.query_draws,
-            smoothing=smoothing,
+            self._index, self._dataset, query_weights=self.query_draws
         )
 
     def as_row(self) -> Dict[str, Any]:
@@ -561,17 +558,19 @@ def _run_executions(
         # safety cap, so kernel-run executions are never truncated.
         capped_hops = np.zeros(len(key_ids), dtype=np.int64)
     else:
-        # Reference path, batched per item.  One task per (item, phase-run):
-        # items are contiguous in key order, and large phase runs are split
-        # so the pool has a few chunks per worker to balance -- each task
-        # ships two ints and a phase list.  A 1-worker "pool" adds fork
-        # overhead for nothing, so the fan-out degrades to the serial path
-        # (identical results either way).
+        # Reference path, batched per item.  Serially one task per item:
+        # items are contiguous in key order, and one task keeps one landmark
+        # collapse over the item's whole phase run.  Under a pool, large
+        # phase runs are split so the pool has a few chunks per worker to
+        # balance -- each task ships two ints and a phase list.  A 1-worker
+        # "pool" adds fork overhead for nothing, so the fan-out degrades to
+        # the serial path (identical results either way).
         tasks: List[Tuple[int, List[int]]] = []
         n_workers = processes if processes is not None else default_processes()
         use_parallel = parallel and n_workers > 1
-        target_chunks = max(len(items), 2 * n_workers) if use_parallel else len(items)
-        max_chunk = max(1, -(-len(key_ids) // max(target_chunks, 1)))
+        max_chunk = len(key_ids)
+        if use_parallel:
+            max_chunk = -(-len(key_ids) // max(len(items), 2 * n_workers))
         starts = np.flatnonzero(np.diff(key_ids, prepend=-1))
         for i, start in enumerate(starts):
             stop = starts[i + 1] if i + 1 < len(starts) else len(key_ids)

@@ -3,16 +3,18 @@
 Every metric this package summarises -- access latency, tuning time, the
 first-hop wait -- is a whole number of packets times the packet size, so a
 run has few distinct values however many samples it has.
-:class:`MetricSummary` keeps one exact representation of a metric: the
-running count, sum, range and Welford moments, plus a value->count
-histogram that every percentile reads.  Figure rows, fleets and mobile
-fleets share it, and one percentile algorithm answers them all.
+:class:`MetricSummary` keeps one exact representation of a metric: its
+distinct values as one ascending array, their counts as another, and the
+running sum of every sample.  Count, range, variance and every percentile
+are read off the two arrays; the mean is the running sum over the count.
+Figure rows, fleets and mobile fleets share it, and one percentile
+algorithm answers them all.
 
 * :meth:`MetricSummary.add` updates the running sum in arrival order, so a
   mean is bit-identical to ``sum(values) / len(values)`` -- what keeps the
   figure rows stable.
-* :meth:`MetricSummary.add_many` folds a batch in with Chan's parallel
-  merge (numpy pairwise sums), which equals the ``add`` loop to rounding.
+* :meth:`MetricSummary.add_many` takes a batch; its sum is numpy's
+  pairwise sum, which equals the ``add`` loop to rounding.
 * :meth:`MetricSummary.add_weighted` takes a population as ``(value,
   count)`` pairs -- how fleet runs hand over their per-execution histogram
   -- and, on integer-valued metrics, keeps the mean bit-identical to
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -45,31 +47,6 @@ __all__ = [
 DEFAULT_HISTOGRAM_LIMIT = 4096
 
 
-def _weighted_percentile_sorted(
-    items: Sequence[Tuple[float, int]], n: int, q: float
-) -> float:
-    """The ``q``-th percentile of ``n`` samples given as ascending ``(value,
-    count)`` pairs: linear interpolation between the order statistics at
-    ``(n - 1) q / 100``, as ``numpy.percentile`` does over the expanded
-    samples."""
-    pos = (n - 1) * q / 100.0
-    lower = int(math.floor(pos))
-    upper = int(math.ceil(pos))
-
-    def value_at(k: int) -> float:
-        seen = 0
-        for value, count in items:
-            seen += count
-            if k < seen:
-                return value
-        return items[-1][0]
-
-    if lower == upper:
-        return value_at(lower)
-    frac = pos - lower
-    return value_at(lower) * (1 - frac) + value_at(upper) * frac
-
-
 class MetricSummary:
     """Count, mean, variance, range and exact percentiles of one metric.
 
@@ -78,17 +55,7 @@ class MetricSummary:
     ``exact=False`` bounds its distinct values; see the module docstring.
     """
 
-    __slots__ = (
-        "_limit",
-        "_count",
-        "_total",
-        "_min",
-        "_max",
-        "_w_mean",
-        "_w_m2",
-        "_hist",
-        "_items",
-    )
+    __slots__ = ("_limit", "_values", "_counts", "_total")
 
     def __init__(
         self,
@@ -103,15 +70,10 @@ class MetricSummary:
         if histogram_limit is not None and histogram_limit < 0:
             raise ValueError(f"histogram_limit must be >= 0, got {histogram_limit}")
         self._limit = None if histogram_limit is None else int(histogram_limit)
-        self._count = 0
+        #: The distinct values added, ascending, and each one's sample count.
+        self._values = np.empty(0, dtype=np.float64)
+        self._counts = np.empty(0, dtype=np.int64)
         self._total = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-        self._w_mean = 0.0
-        self._w_m2 = 0.0
-        self._hist: Dict[float, int] = {}
-        # The histogram's items in value order, cached between adds.
-        self._items: Optional[List[Tuple[float, int]]] = None
         if values is not None:
             for v in values:
                 self.add(v)
@@ -125,34 +87,19 @@ class MetricSummary:
 
     def add(self, value: float) -> None:
         value = float(value)
-        self._merge_histogram([value], [1])
-        self._count += 1
-        self._total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        delta = value - self._w_mean
-        self._w_mean += delta / self._count
-        self._w_m2 += delta * (value - self._w_mean)
+        self._merge(np.array([value]), np.ones(1, dtype=np.int64), value)
 
     def add_many(self, values) -> None:
         """Absorb a batch of samples (array-like) in one call.
 
-        Equivalent to ``add`` in a loop, to rounding: the batch's moments
-        are folded in with Chan's parallel Welford merge, and its sum is
+        Equivalent to ``add`` in a loop, to rounding: the batch's sum is
         numpy's pairwise sum, so fleet-sized batches cost one ``np.unique``.
         """
         flat = np.asarray(values, dtype=np.float64).ravel()
         if flat.size == 0:
             return
         uniq, counts = np.unique(flat, return_counts=True)
-        self._merge_histogram(uniq.tolist(), counts.tolist())
-        mean_b = float(flat.mean())
-        self._merge_moments(
-            flat.size, float(flat.sum()), mean_b, float(((flat - mean_b) ** 2).sum()),
-            float(flat.min()), float(flat.max()),
-        )
+        self._merge(uniq, counts, float(flat.sum()))
 
     def add_weighted(self, values, counts) -> None:
         """Absorb ``counts[i]`` samples of value ``values[i]`` in one call.
@@ -164,7 +111,7 @@ class MetricSummary:
         For integer-valued samples whose total stays below 2**53
         (packet-quantised broadcast metrics) every partial sum is exact, so
         the mean is bit-identical to adding the expanded samples one by one
-        or through ``add_many``; the variance agrees to rounding.
+        or through ``add_many``.
         """
         vals = np.asarray(values, dtype=np.float64).ravel()
         raw = np.asarray(counts).ravel()
@@ -185,67 +132,55 @@ class MetricSummary:
             return
         vals, inverse = np.unique(vals[present], return_inverse=True)
         cnts = np.bincount(inverse, weights=cnts[present]).astype(np.int64)
-        self._merge_histogram(vals.tolist(), cnts.tolist())
-        n_b = int(cnts.sum())
-        weights = cnts.astype(np.float64)
-        total_b = float(np.dot(vals, weights))
-        mean_b = total_b / n_b
-        self._merge_moments(
-            n_b, total_b, mean_b, float(np.dot(weights, (vals - mean_b) ** 2)),
-            float(vals.min()), float(vals.max()),
-        )
+        self._merge(vals, cnts, float(np.dot(vals, cnts.astype(np.float64))))
 
-    def _merge_moments(
-        self, n_b: int, total_b: float, mean_b: float, m2_b: float, lo: float, hi: float
-    ) -> None:
-        """Fold one batch's count, sum, mean, M2 and range in (Chan's merge)."""
-        n_a = self._count
-        delta = mean_b - self._w_mean
-        n = n_a + n_b
-        self._w_mean += delta * n_b / n
-        self._w_m2 += m2_b + delta * delta * n_a * n_b / n
-        self._count = n
-        self._total += total_b
-        self._min = min(self._min, lo)
-        self._max = max(self._max, hi)
-
-    def _merge_histogram(self, values: List[float], counts: List[int]) -> None:
-        """Count distinct ``values`` into the histogram; past the bound, raise
-        before anything changes."""
-        hist = self._hist
-        if self._limit is not None:
-            fresh = sum(1 for v in values if v not in hist)
-            if len(hist) + fresh > self._limit:
-                raise ValueError(
-                    f"MetricSummary is bounded to histogram_limit={self._limit} "
-                    f"distinct values; this add would make {len(hist) + fresh}"
-                )
-        for v, c in zip(values, counts):
-            hist[v] = hist.get(v, 0) + c
-        self._items = None
+    def _merge(self, values: np.ndarray, counts: np.ndarray, total: float) -> None:
+        """Fold ascending distinct ``values`` with positive ``counts``, whose
+        samples sum to ``total``, in; past the bound, raise before anything
+        changes."""
+        at = np.searchsorted(self._values, values)
+        # A value is fresh unless the one at its insertion point equals it
+        # (the NaN past the end equals nothing).
+        fresh = np.append(self._values, np.nan)[at] != values
+        held = np.insert(self._values, at[fresh], values[fresh])
+        if self._limit is not None and held.size > self._limit:
+            raise ValueError(
+                f"MetricSummary is bounded to histogram_limit={self._limit} "
+                f"distinct values; this add would make {held.size}"
+            )
+        tally = np.insert(self._counts, at[fresh], 0)
+        tally[np.searchsorted(held, values)] += counts
+        self._values, self._counts = held, tally
+        self._total += total
 
     # -- the summary surface ---------------------------------------------------
 
     @property
     def count(self) -> int:
-        return self._count
+        return int(self._counts.sum())
 
     @property
     def mean(self) -> float:
-        return self._total / self._count if self._count else math.nan
+        n = self.count
+        return self._total / n if n else math.nan
 
     @property
     def minimum(self) -> float:
-        return self._min if self._count else math.nan
+        return float(self._values[0]) if self._values.size else math.nan
 
     @property
     def maximum(self) -> float:
-        return self._max if self._count else math.nan
+        return float(self._values[-1]) if self._values.size else math.nan
 
     @property
     def variance(self) -> float:
-        """Sample variance (Welford / Chan), ``nan`` below two samples."""
-        return self._w_m2 / (self._count - 1) if self._count > 1 else math.nan
+        """Sample variance (two passes over the histogram), ``nan`` below two
+        samples."""
+        n = self.count
+        if n < 2:
+            return math.nan
+        spread = self._values - np.dot(self._values, self._counts) / n
+        return float(np.dot(self._counts, spread * spread)) / (n - 1)
 
     @property
     def stddev(self) -> float:
@@ -253,23 +188,32 @@ class MetricSummary:
         return math.sqrt(var) if not math.isnan(var) else math.nan
 
     def percentile(self, q: float) -> float:
-        """The exact ``q``-th percentile (``numpy.percentile``'s linear
-        interpolation) of every sample added."""
+        """The exact ``q``-th percentile of every sample added: linear
+        interpolation between the order statistics at ``(n - 1) q / 100``,
+        as ``numpy.percentile`` does over the expanded samples."""
         if not (0.0 <= q <= 100.0):
             raise ValueError("q must be within [0, 100]")
-        if not self._count:
+        n = self.count
+        if not n:
             return math.nan
-        if self._items is None:
-            self._items = sorted(self._hist.items())
-        return _weighted_percentile_sorted(self._items, self._count, q)
+        pos = (n - 1) * q / 100.0
+        lower, upper = math.floor(pos), math.ceil(pos)
+        # The order statistic at k is the first value whose cumulative
+        # count passes k.
+        at = np.searchsorted(np.cumsum(self._counts), [lower, upper], side="right")
+        low, high = self._values[at].tolist()
+        if lower == upper:
+            return low
+        frac = pos - lower
+        return low * (1 - frac) + high * frac
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         bound = "unbounded" if self._limit is None else f"limit={self._limit}"
-        if not self._count:
+        if not self._values.size:
             return f"MetricSummary({bound}, empty)"
         return (
-            f"MetricSummary({bound}, n={self._count}, mean={self.mean:.6g}, "
-            f"range=[{self._min:.6g}, {self._max:.6g}])"
+            f"MetricSummary({bound}, n={self.count}, mean={self.mean:.6g}, "
+            f"range=[{self.minimum:.6g}, {self.maximum:.6g}])"
         )
 
 
@@ -287,7 +231,6 @@ class ExperimentResult:
     tuning: MetricSummary = field(default_factory=MetricSummary)
     correct_trials: int = 0
     incorrect_trials: int = 0
-    extra: Dict[str, float] = field(default_factory=dict)
 
     @classmethod
     def streaming(
@@ -305,15 +248,9 @@ class ExperimentResult:
             tuning=MetricSummary(histogram_limit=histogram_limit),
         )
 
-    def record(self, metrics: AccessMetrics, correct: Optional[bool] = None) -> None:
+    def record(self, metrics: AccessMetrics) -> None:
         self.latency.add(metrics.latency_bytes)
         self.tuning.add(metrics.tuning_bytes)
-        if correct is None:
-            return
-        if correct:
-            self.correct_trials += 1
-        else:
-            self.incorrect_trials += 1
 
     @property
     def trials(self) -> int:
@@ -331,17 +268,6 @@ class ExperimentResult:
     def accuracy(self) -> float:
         checked = self.correct_trials + self.incorrect_trials
         return self.correct_trials / checked if checked else math.nan
-
-    def as_row(self) -> Dict[str, float]:
-        return {
-            "index": self.index_name,
-            "workload": self.workload_name,
-            "trials": self.trials,
-            "latency_bytes": self.mean_latency_bytes,
-            "tuning_bytes": self.mean_tuning_bytes,
-            "accuracy": self.accuracy,
-            **self.extra,
-        }
 
 
 def deterioration(baseline: ExperimentResult, degraded: ExperimentResult) -> Dict[str, float]:

@@ -205,38 +205,6 @@ def knn_k_sweep(
 
 
 # ---------------------------------------------------------------------------
-# Channel/fleet scaling (beyond the paper: PR 3 scenario)
-# ---------------------------------------------------------------------------
-
-
-def fleet_channel_sweep(
-    dataset: SpatialDataset,
-    channels: Sequence[int] = (1, 2, 4),
-    n_clients: int = 100_000,
-    n_queries: int = 20,
-    seed: int = 42,
-    max_phases: Optional[int] = None,
-    processes: Optional[int] = None,
-) -> List[Dict[str, float]]:
-    """Population scaling: a client fleet versus the channel topology.
-
-    For every channel count, ``n_clients`` seeded clients replay a window
-    workload against each index through the population-scale fleet
-    simulator (exact population metrics); rows carry mean and P50/P95
-    latency and tuning plus fleet throughput.  The N=1 column is the paper's
-    single-channel system.
-    """
-    experiment = (
-        Experiment(dataset)
-        .window_workload(n_queries=n_queries, seed=seed)
-        .fleet(n_clients, seed=seed, max_phases=max_phases)
-        .channels(*channels)
-        .tag(scenario="fleet-channels")
-    )
-    return experiment.run(processes=processes).rows
-
-
-# ---------------------------------------------------------------------------
 # Table 1: link errors
 # ---------------------------------------------------------------------------
 

@@ -39,6 +39,15 @@ _VISITS = "tests/test_fleet_kernel.py::test_compiled_visits_match_replay"
 _STRUCTURE = "repro/core/structure.py"
 _CUTS = "tests/test_dsi_structure.py::TestFrameCuts"
 _NEAREST = f"{_CUTS}::test_cuts_move_to_the_nearest_run_start"
+_KT = "tests/test_fleet_kernel.py"
+_SLOT_EDGES = f"{_KT}::test_slot_walker_edges_match_dense_hop_oracle"
+_DSI_PARAMS = f"{_KT}::test_kernel_matches_reference_across_dsi_parameters"
+_KNN_ROWS = f"{_KT}::test_knn_rows_match_partition_oracle"
+_KNN_PAST_N = f"{_KT}::test_knn_k_at_and_past_the_object_count"
+_METRICS = "repro/sim/metrics.py"
+_SUMMARY = "tests/test_streaming_metrics.py"
+_FLEET = "repro/sim/fleet.py"
+_POPULATION = "tests/test_fleet.py::TestPopulationHistograms"
 
 
 @dataclass(frozen=True)
@@ -209,6 +218,146 @@ MUTANTS: Tuple[Mutant, ...] = (
         'query, session, knn_strategy="conservative"',
         ("tests/test_api_service.py::TestServerKnnStrategy"
          "::test_single_queries_run_the_server_strategy",),
+    ),
+    Mutant(
+        "segment-rank0-not-forced",
+        "the kNN segment test no longer forces rank 0 known, so the ranks "
+        "before a row's first known rank join the previous row's last segment",
+        _KERNEL,
+        "    starts[:, 0] = True\n",
+        "",
+        (f"{_KT}::test_segment_candidates_match_sweep_oracle[17]",
+         f"{_KT}::test_segment_candidates_match_sweep_oracle[100]"),
+    ),
+    Mutant(
+        "slot-no-wrap",
+        "a window slot with no candidate airing before its upper bound offers "
+        "a rank past the bound instead of its first candidate a cycle later",
+        _KERNEL,
+        "np.copyto(cand, w.lo, where=wrap)",
+        "pass",
+        (f"{_SLOT_EDGES}[no-successor]", f"{_DSI_PARAMS}[1-2-window]"),
+    ),
+    Mutant(
+        "slot-hi-inclusive",
+        "a window slot's upper bound A counts as a candidate (<= A, not < A)",
+        _KERNEL,
+        "wrap = cand >= w.hi",
+        "wrap = cand > w.hi",
+        (f"{_SLOT_EDGES}[padding]", f"{_DSI_PARAMS}[1-2-window]"),
+    ),
+    Mutant(
+        "slot-no-upper-update",
+        "a table read no longer lowers a slot's upper bound to the next rank "
+        "it teaches",
+        _KERNEL,
+        "np.minimum(w.hi, st.next_taught.take(at), out=w.hi)",
+        "pass",
+        (f"{_SLOT_EDGES}[every-frame]", f"{_DSI_PARAMS}[1-2-window]"),
+    ),
+    Mutant(
+        "knn-k-uncapped",
+        "k is no longer capped one past the object count, so a k past it reads "
+        "beyond the candidate row",
+        _KERNEL,
+        "self.k_arr = np.minimum(k_arr, n_obj + 1)",
+        "self.k_arr = k_arr",
+        (f"{_KNN_PAST_N}[12-30-1-conservative]", f"{_KNN_PAST_N}[40-45-4-aggressive]"),
+    ),
+    Mutant(
+        "knn-no-copy-drop",
+        "a fetched object's estimate copy stays in the candidate row beside its "
+        "exact distance",
+        _KERNEL,
+        "drop = was_est & (est <= front)",
+        "drop = was_est & False",
+        (f"{_KNN_ROWS}[1-conservative-fleet]",
+         f"{_KT}::test_knn_equal_distance_grids_match_brute_force[6-1-conservative]"),
+    ),
+    Mutant(
+        "knn-no-rebuild",
+        "a row whose estimate copy left while its exact distance stayed out is "
+        "not rebuilt, so it keeps a free slot it should not have",
+        _KERNEL,
+        "self._rebuild(lanes, rows[lost])",
+        "pass",
+        (f"{_KNN_ROWS}[4-aggressive-journey]", f"{_KT}::test_knn_rows_with_few_spares[0]"),
+    ),
+    Mutant(
+        "window-cap-never-flagged",
+        "the reference window planner never flags a capped execution",
+        "repro/core/window.py",
+        "iterations_capped=bool(pending) and iterations >= safety,",
+        "iterations_capped=False,",
+        (f"{_KT}::test_dsi_planner_guards_flag_capped_executions[window_guard]",),
+    ),
+    Mutant(
+        "loss-key-bare-finalizer",
+        "a link-error model keys its losses by the finalizer of the bare seed, "
+        "not of splitmix64's first output, so it disagrees with the kernel's",
+        "repro/broadcast/errors.py",
+        "self._key = _mix64((self.seed + _GAMMA) & _M64)",
+        "self._key = _mix64(self.seed)",
+        ("tests/test_loss_rule.py::test_scalar_and_kernel_loss_tests_agree_bit_for_bit[0.05]",
+         "tests/test_loss_rule.py::test_scalar_and_kernel_loss_tests_agree_bit_for_bit[0.5]"),
+    ),
+    Mutant(
+        "weighted-add-unaggregated",
+        "add_weighted hands its pairs to the merge without aggregating repeated "
+        "values or sorting them",
+        _METRICS,
+        "        vals, inverse = np.unique(vals[present], return_inverse=True)\n"
+        "        cnts = np.bincount(inverse, weights=cnts[present]).astype(np.int64)\n",
+        "        vals, cnts = vals[present], cnts[present]\n",
+        (f"{_SUMMARY}::TestWeightedAdds::test_matches_expanded_samples",
+         f"{_POPULATION}::test_pinned_tune_ins"),
+    ),
+    Mutant(
+        "bound-checked-after-replace",
+        "the value array is replaced before the bound check, so an add that "
+        "raises leaves the summary changed",
+        _METRICS,
+        "        held = np.insert(self._values, at[fresh], values[fresh])\n",
+        "        self._values = held = np.insert(self._values, at[fresh], values[fresh])\n",
+        (f"{_SUMMARY}::TestBound::test_every_add_raises_past_the_bound",),
+    ),
+    Mutant(
+        "merge-every-value-fresh",
+        "the merge inserts every value as fresh: the statistics hold, but a "
+        "held value counts against the bound again",
+        _METRICS,
+        "fresh = np.append(self._values, np.nan)[at] != values",
+        "fresh = np.ones(values.size, dtype=bool)",
+        (f"{_SUMMARY}::TestBound::test_every_add_raises_past_the_bound",),
+    ),
+    Mutant(
+        "percentile-upper-at-lower",
+        "a percentile reads its upper order statistic at the lower index",
+        _METRICS,
+        "[lower, upper], side=",
+        "[lower, lower], side=",
+        (f"{_SUMMARY}::TestStreamingMode::test_small_samples_are_exact",
+         f"{_SUMMARY}::TestExactMode::test_matches_numpy_interpolation"),
+    ),
+    Mutant(
+        "wait-add-unweighted",
+        "the first-hop waits enter the summary once per occupied packet, not "
+        "once per client",
+        _FLEET,
+        "wait.add_weighted((first - positions) * capacity, at_packet[positions])",
+        "wait.add_many((first - positions) * capacity)",
+        ("tests/test_fleet.py::TestFleetExactness::test_first_index_wait_covers_every_client",
+         f"{_POPULATION}::test_pinned_tune_ins"),
+    ),
+    Mutant(
+        "serial-reference-chunks",
+        "a serial reference run cuts each item's phases into chunks again, and "
+        "each chunk restarts the item's landmark collapse",
+        _FLEET,
+        "        max_chunk = len(key_ids)\n",
+        "        max_chunk = max(1, -(-len(key_ids) // max(len(items), 1)))\n",
+        ("tests/test_fleet.py::test_serial_reference_run_collapses_each_item_once[hci]",
+         "tests/test_fleet.py::test_serial_reference_run_collapses_each_item_once[rtree]"),
     ),
 )
 

@@ -93,14 +93,11 @@ class TestStriping:
                 ]
                 assert {chan_of[j] for j in data_ids[:3]} == {chan_of[i]}
 
-    def test_balanced_vs_round_robin(self):
+    def test_balanced_stripes_load_every_channel(self):
         program = toy_program(n_frames=9)
-        for assignment in ("balanced", "round_robin"):
-            schedule = BroadcastSchedule.striped(program, 2, assignment=assignment)
-            loads = [ch.cycle_packets for ch in schedule.channels[1:]]
-            assert all(l > 0 for l in loads)
-        with pytest.raises(ValueError, match="assignment"):
-            BroadcastSchedule.striped(program, 2, assignment="random")
+        schedule = BroadcastSchedule.striped(program, 2)
+        loads = [ch.cycle_packets for ch in schedule.channels[1:]]
+        assert all(l > 0 for l in loads)
 
     def test_fine_grained_fallback_when_groups_are_scarce(self):
         # one giant frame: fewer groups than channels -> bucket granularity

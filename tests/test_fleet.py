@@ -507,3 +507,40 @@ def test_reference_fan_out_parallel_matches_serial(case, monkeypatch):
     assert serial.result.correct_trials == pooled.result.correct_trials
     assert serial.result.incorrect_trials == pooled.result.incorrect_trials
     assert serial.result.correct_trials + serial.result.incorrect_trials > 0
+
+
+@pytest.mark.parametrize("kind", ["hci", "rtree", "dsi"])
+def test_serial_reference_run_collapses_each_item_once(kind, monkeypatch):
+    """A serial, lossless reference fleet runs each item's phases as one
+    task, so its landmark collapse simulates one execution per distinct
+    (item, entry landmark): a phase run cut into tasks restarts the
+    collapse, and each later task simulates its landmarks again."""
+    from repro.queries.workload import skewed_workload
+    from repro.sim import fleet as fleet_mod
+    from repro.sim import runner
+    from repro.spatial import uniform_dataset
+
+    monkeypatch.setenv("REPRO_PURE", "1")
+    dataset = uniform_dataset(500, seed=3)
+    config = SystemConfig(packet_capacity=64)
+    index = build_index(kind, dataset, config, use_cache=False)
+    workload = skewed_workload(30, zipf_s=1.1, seed=4)
+    marks, calls = set(), []
+    real_batch, real_execute = fleet_mod._simulate_item_batch, runner.execute_query
+
+    def batch(iid, phases):
+        ctx = fleet_mod._SIM_CTX
+        for phase in phases:
+            start = (int(phase) * ctx["cycle"]) // ctx["n_phases"]
+            marks.add((iid, index.entry_landmark(ctx["view"], start + 1)))
+        return real_batch(iid, phases)
+
+    def execute(*args, **kwargs):
+        calls.append(1)
+        return real_execute(*args, **kwargs)
+
+    monkeypatch.setattr(fleet_mod, "_simulate_item_batch", batch)
+    monkeypatch.setattr(runner, "execute_query", execute)
+    result = run_fleet(index, dataset, config, workload, 20_000)
+    assert result.backend == "reference"
+    assert len(calls) == len(marks) < result.n_executions

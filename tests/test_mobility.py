@@ -204,8 +204,11 @@ class TestMobileFleet:
         assert serial.result.latency.mean == parallel.result.latency.mean
         assert serial.result.tuning.mean == parallel.result.tuning.mean
         assert serial.result.accuracy == parallel.result.accuracy == 1.0
-        assert serial.as_row() == parallel.as_row() or True  # rows differ only in wall-clock
         row = serial.as_row()
+        parallel_row = parallel.as_row()
+        # The rows differ only in the wall-clock throughput.
+        del row["clients_per_sec"], parallel_row["clients_per_sec"]
+        assert row == parallel_row
         assert row["steps"] == 3 and row["n_clients"] == 30_000
         assert row["hop_latency_bytes"] * 3 == pytest.approx(row["journey_latency_bytes"])
 

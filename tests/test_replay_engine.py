@@ -48,7 +48,7 @@ def kernel_calls(monkeypatch):
 def _summary(result):
     return {
         metric: (summary.count, summary.mean, summary.minimum, summary.maximum,
-                 sorted(summary._hist.items()))
+                 summary._values.tolist(), summary._counts.tolist())
         for metric, summary in (("latency", result.latency), ("tuning", result.tuning))
     } | {"correct": result.correct_trials, "incorrect": result.incorrect_trials}
 

@@ -1,4 +1,8 @@
-"""MetricSummary: running moments plus one exact value->count histogram."""
+"""MetricSummary: one ascending value array and one count array answer
+count, mean, range, variance and every percentile.  On integer-valued
+samples ``add``, ``add_many`` and ``add_weighted`` agree on count, mean,
+range and percentiles bit for bit; a bounded add raises with the summary
+unchanged."""
 
 from __future__ import annotations
 
@@ -204,9 +208,9 @@ class TestExactMode:
         e = MetricSummary(exact=True)
         for v in (5.0, 1.0, 3.0):
             e.add(v)
-        assert e.percentile(50) == 3.0  # builds the sorted cache
+        assert e.percentile(50) == 3.0
         e.add(100.0)
-        assert e.percentile(100) == 100.0  # cache rebuilt, not stale
+        assert e.percentile(100) == 100.0  # the later add is read, not a stale copy
         assert e.percentile(0) == 1.0
 
     def test_values_retained_and_legacy_ctor(self):

@@ -139,15 +139,6 @@ class DemandProfile:
         k = max(1, len(hot) // 10)
         return float(hot[:k].sum())
 
-    def describe(self) -> Dict[str, object]:
-        nz = self.weights[self.weights > 0.0]
-        return {
-            "n_buckets": len(self.weights),
-            "n_demanded": int(len(nz)),
-            "skew_top_decile": self.skew(),
-            **self.meta,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"DemandProfile(n_buckets={len(self.weights)}, "

@@ -558,18 +558,19 @@ def _run_executions(
         # safety cap, so kernel-run executions are never truncated.
         capped_hops = np.zeros(len(key_ids), dtype=np.int64)
     else:
-        # Reference path, batched per item.  Serially one task per item:
-        # items are contiguous in key order, and one task keeps one landmark
-        # collapse over the item's whole phase run.  Under a pool, large
-        # phase runs are split so the pool has a few chunks per worker to
-        # balance -- each task ships two ints and a phase list.  A 1-worker
-        # "pool" adds fork overhead for nothing, so the fan-out degrades to
-        # the serial path (identical results either way).
+        # Reference path, batched per item.  A lossless run keeps one task
+        # per item: items are contiguous in key order, and one task keeps
+        # one landmark collapse over the item's whole phase run, which a
+        # cut would restart.  A lossy run has no collapse, so under a pool
+        # its large phase runs are split so the pool has a few chunks per
+        # worker to balance -- each task ships two ints and a phase list.
+        # A 1-worker "pool" adds fork overhead for nothing, so the fan-out
+        # degrades to the serial path (identical results either way).
         tasks: List[Tuple[int, List[int]]] = []
         n_workers = processes if processes is not None else default_processes()
         use_parallel = parallel and n_workers > 1
         max_chunk = len(key_ids)
-        if use_parallel:
+        if use_parallel and error_theta is not None:
             max_chunk = -(-len(key_ids) // max(len(items), 2 * n_workers))
         starts = np.flatnonzero(np.diff(key_ids, prepend=-1))
         for i, start in enumerate(starts):

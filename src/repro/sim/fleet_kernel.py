@@ -78,9 +78,13 @@ kernel refuses -- falling back to the reference -- when that fails:
    the candidates are the pending ranks' segments, less their examined
    starts.  The window walker keeps each pending rank's segment bounds per
    lane, exact across every read by an elementwise max/min against two
-   static (table, rank) lookups (:class:`_Walker`); the kNN walker, whose
-   hits are cover masks, runs one segment-id count, one scatter and one
-   gather per hop (:func:`_segment_candidates`).
+   static (table, rank) lookups (:class:`_Walker`).  The kNN walker, whose
+   hits are cover sets, keeps each lane's known and examined frames as
+   64-bit words in broadcast-position order: DSI segment ``s`` airs its
+   rank ``s·S + t`` at position ``s + m·t``, so a known-rank segment is a
+   run of positions with stride ``m``, and candidacy is a flood fill of
+   ⌈log₂S⌉ doubling shift rounds from the cover's bits
+   (:class:`_PositionBits`).
 3. **Visit cost is static per (query, rank).**  Because extents are
    disjoint, the qualified objects of a relevant frame -- and therefore the
    exact bucket-read sequence of its visit (directory, then qualified data
@@ -192,13 +196,20 @@ flat rank-indexed object array (:meth:`DsiIndex.rank_object_arrays`), so
 the planner's HC-keyed estimate/exact dictionaries become one int8
 group-state row per lane (unseen, estimated, retrieved) and a retrieved
 bitmask over object ids, both read against shared distance tables.
-Each circle cover is compiled once per index into a knowledge-free *rank
-mask* -- the ranks its pieces span -- memoized on the circle's quantised
-cell rect, so repeated calls on one index reuse it across queries, channel
-counts and strategies.  A lane's candidates are the ranks whose known-rank
-segment ``[B(r), A(r))`` holds a mask bit: fact 2's segment test with
-the mask in place of the unprocessed relevant ranks, and the rank-space
-image of ``candidate_rank_array``.  The k-th-candidate
+Each circle cover is compiled once per index into a knowledge-free
+position bitset -- the positions of the ranks its pieces span -- memoized
+on the circle's quantised cell rect, so repeated calls on one index reuse
+it across queries, channel counts and strategies.  A lane's candidates are
+the unexamined ranks whose known-rank segment ``[B(r), A(r))`` holds a
+cover bit: fact 2's segment test with the cover in place of the
+unprocessed relevant ranks, and the position-space image of
+``candidate_rank_array``, run as a flood fill over the lane's known words
+(:meth:`_PositionBits.candidates`); the nearest candidate is the lowest
+set bit at or after the lane's next position, else the lowest one a cycle
+later.  A walk keeps known and examined frames as words only, and unpacks
+them to rank order just where the aggressive strategy narrows the lanes
+still short of k and where a retiring lane's knowledge returns to the
+dense mask a later hop reads.  The k-th-candidate
 radius is kept, not recomputed: each lane holds its W smallest
 candidates (all of them, inf-padded, when it has fewer) sorted in a row
 W wide -- the run's largest k plus a few spares, at most one past the
@@ -209,9 +220,9 @@ equal copy of the estimate when that copy is at or below the frontier;
 and a lane rebuilds its row from its masks only at a warm hop's seeding
 or when such a drop lets nothing back in -- exact, because every
 candidate outside the row lies at or above the frontier.  Frame
-selection is a batched ``argmin`` reproducing the scalar planner's
-tie-breaks bit-exactly (including the ``aggressive``
-distance-then-arrival lexsort), and finished lanes compact out of the
+selection reproduces the scalar planner's tie-breaks bit-exactly (the
+``aggressive`` strategy's distance-then-arrival order narrows the
+candidates before the pick), and finished lanes compact out of the
 working set.  Comparison distances stay scalar
 ``math.hypot`` -- the vectorised counterpart is not bit-equal -- so only
 the representative-point decode batches.  Later kNN hops seed the
@@ -224,7 +235,7 @@ bounded memo idiom (:func:`_memo`): the index holds its family's static
 tables, keyed by their class; each static holds its per-query plans,
 keyed by the query's value -- a window plan's relevant ranks, visit
 sequences and answer, a tree window's qualifying subtree -- and the kNN
-covers hold their rank masks, keyed by quantised cells.  A kNN point's
+covers hold their position bitsets, keyed by quantised cells.  A kNN point's
 distance rows depend only on the rank-ordered objects, so the dataset's
 curve holds them once for every DSI index over that dataset
 (:class:`_KnnRows`).  A call stacks the rows its queries need.  What depends
@@ -301,7 +312,7 @@ def _memo(host: Any) -> Dict[Any, Any]:
     holds its family's per-query plans, keyed by the query's value (a
     window's rect); a dataset's curve holds the kNN distance rows of each
     rank-ordered object set (:class:`_KnnRows`), which hold them keyed by
-    the query point; the kNN covers hold their rank-mask ids, keyed by
+    the query point; the kNN covers hold their bitset ids, keyed by
     quantised cells.  A host and its keys are immutable, so an
     entry never goes stale; what else a run's arrays depend on -- the
     schedule's timeline, ``k``, the dataset a verdict is checked against
@@ -447,27 +458,145 @@ def _rank_relevance(
     return hit & reach
 
 
-def _segment_candidates(kn: np.ndarray, hit: np.ndarray) -> np.ndarray:
-    """Ranks whose known-rank segment holds a ``hit`` rank (bool rows).
+#: Bits per bitset word.
+_WORD = 64
 
-    Rank ``r`` qualifies iff some hit rank lies in ``[B(r), A(r))``, with
-    ``B``/``A`` the nearest known ranks at/below and strictly above ``r``
-    (0 / ``F`` when none).  Forcing rank 0 known is exactly that "0 when
-    none" rule and never moves an ``A``, so on every input ``[B(r), A(r))``
-    is the segment holding ``r`` once each row is cut at its known ranks: a
-    flat count of segment starts numbers all segments (each row opens one
-    at rank 0), a scatter marks those holding a hit, a gather reads them.
+
+def _shift_up(x: np.ndarray, d: int) -> np.ndarray:
+    """``(words, lanes)`` bitsets moved ``d`` positions up: bit ``p`` of
+    the result is bit ``p - d`` of ``x``, carried across words."""
+    q, r = divmod(d, _WORD)
+    n = len(x)
+    out = np.empty_like(x)
+    out[: min(q, n)] = 0
+    if q < n:
+        np.left_shift(x[: n - q], np.uint64(r), out=out[q:])
+        if r and q + 1 < n:
+            out[q + 1:] |= x[: n - q - 1] >> np.uint64(_WORD - r)
+    return out
+
+
+def _shift_down(x: np.ndarray, d: int) -> np.ndarray:
+    """``(words, lanes)`` bitsets moved ``d`` positions down: bit ``p`` of
+    the result is bit ``p + d`` of ``x``, carried across words."""
+    q, r = divmod(d, _WORD)
+    n = len(x)
+    out = np.empty_like(x)
+    out[max(n - q, 0):] = 0
+    if q < n:
+        np.right_shift(x[q:], np.uint64(r), out=out[: n - q])
+        if r and q + 1 < n:
+            out[: n - q - 1] |= x[q + 1:] << np.uint64(_WORD - r)
+    return out
+
+
+class _PositionBits:
+    """Bitsets over one index's broadcast positions, for the kNN lanes.
+
+    A set of positions is a ``(words, lanes)`` uint64 array, word-major:
+    bit ``p % 64`` of word ``p // 64`` stands for position ``p``, and the
+    bits past ``F`` stay clear.  :class:`_Static` guarantees that every
+    table teaches every DSI-segment start, and DSI segment ``s`` airs its
+    rank ``s·S + t`` at position ``s + m·t``, so a known-rank segment
+    ``[B(r), A(r))`` is a run of positions with stride ``m`` that starts at
+    a known position and ends before the next one.  Fact 2's candidacy --
+    the unexamined ranks of the segments that hold a hit -- is then a flood
+    fill from the hit bits, upward through unknown positions and downward
+    until a known one, in ``rounds`` = ⌈log₂S⌉ doubling rounds of shifts by
+    ``m``, ``2m``, ``4m``, ... (:meth:`candidates`).  Tables air in
+    position order, so the nearest read is a lowest-set-bit pick
+    (:meth:`first_set`).  Two static tables serve the pick and the
+    examined mark: column ``p`` of ``ahead`` holds the positions ``p`` and
+    up, column ``p`` of ``one`` position ``p`` alone.
     """
-    starts = kn.copy()
-    starts[:, 0] = True
-    # Segment ids reach at most kn.size; the hop loops are memory-bound,
-    # so the count runs in the smallest dtype that holds it.
-    seg = np.cumsum(
-        starts.ravel(), dtype=np.int32 if kn.size < 2**31 else np.int64
-    )
-    held = np.zeros(int(seg[-1]) + 1, dtype=bool)
-    held[seg[hit.ravel()]] = True
-    return held.take(seg).reshape(kn.shape)
+
+    __slots__ = ("n_frames", "words", "m", "rounds", "tail", "ahead", "one",
+                 "key_base")
+
+    def __init__(self, n_frames: int, n_segments: int) -> None:
+        self.n_frames = n_frames
+        self.words = -(-n_frames // _WORD)
+        self.m = n_segments
+        self.rounds = (n_frames // n_segments - 1).bit_length()
+        # The last word's bits below F.
+        self.tail = np.uint64(0xFFFFFFFFFFFFFFFF) >> np.uint64(
+            _WORD * self.words - n_frames
+        )
+        positions = np.arange(n_frames + 1)
+        self.ahead = self.pack(positions[None, :-1] >= positions[:, None])
+        self.one = self.ahead[:, :-1] & ~self.ahead[:, 1:]
+        self.key_base = _WORD * np.arange(2 * self.words)[:, None]
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """Boolean ``(lanes, F)`` position rows as ``(words, lanes)``
+        bitsets."""
+        packed = np.zeros((len(rows), 8 * self.words), dtype=np.uint8)
+        packed[:, : -(-self.n_frames // 8)] = np.packbits(rows, axis=1, bitorder="little")
+        return np.ascontiguousarray(packed.view("<u8").T, dtype=np.uint64)
+
+    def unpack(self, bits: np.ndarray) -> np.ndarray:
+        """``(words, lanes)`` bitsets as boolean ``(lanes, F)`` position
+        rows."""
+        raw = np.ascontiguousarray(bits.T, dtype="<u8").view(np.uint8)
+        return np.unpackbits(
+            raw, axis=1, count=self.n_frames, bitorder="little"
+        ).view(bool)
+
+    def candidates(
+        self, hit: np.ndarray, known: np.ndarray, examined: np.ndarray
+    ) -> np.ndarray:
+        """The unexamined positions whose known-rank segment holds a
+        ``hit`` position.
+
+        A round with shift ``d`` reads the gate ``G_d``: position ``p`` and
+        the ``d/m - 1`` positions below it on its stride are unknown.  The
+        upward fill enters ``p`` from ``p - d`` where ``G_d(p)``; the
+        downward fill enters ``p`` from ``p + d`` where ``G_d(p + d)``, so
+        it passes every unknown position and stops on the segment's known
+        start.  ``G_2d = G_d & (G_d << d)``, and once a gate is empty no
+        run of unknown positions is long enough to extend, so the later
+        rounds are skipped.  The bits past ``F`` count as known."""
+        gate = ~known
+        gate[-1] &= self.tail
+        up = down = hit
+        d = self.m
+        for _ in range(self.rounds):
+            step = _shift_up(up, d)
+            step &= gate
+            step |= up
+            up = step
+            step = _shift_down(gate & down, d)
+            step |= down
+            down = step
+            gate &= _shift_up(gate, d)
+            d *= 2
+            if not gate.any():
+                break
+        cand = up | down
+        cand &= ~examined
+        return cand
+
+    def first_set(self, bits: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        """Per lane (column) of ``bits``, which holds a position: the
+        lowest position at or after ``pos``, else the lowest one.
+
+        Each word of ``bits`` cut to ``pos`` and up, then each whole word,
+        is keyed ``64 · (its row) + its trailing zeros`` -- an empty word
+        past every other key -- so the least key names the position."""
+        words = len(bits)
+        both = np.empty((2 * words, bits.shape[1]), dtype=np.uint64)
+        np.bitwise_and(bits, self.ahead.take(pos, axis=1), out=both[:words])
+        both[words:] = bits
+        low = both & (~both + np.uint64(1))
+        # A power of two converts to float64 exactly, and frexp reads its
+        # exponent, one past its bit; an empty word's -1 masks to 2**31 - 1.
+        key = np.frexp(low.astype(np.float64))[1] - 1
+        key &= 0x7FFFFFFF
+        return (key + self.key_base).min(axis=0) % (_WORD * words)
+
+    def mark(self, bits: np.ndarray, pos: np.ndarray) -> None:
+        """Set position ``pos[i]`` in lane ``i`` of ``bits``."""
+        bits |= self.one.take(pos, axis=1)
 
 
 def _qualified_mask(hcs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
@@ -582,29 +711,27 @@ class _Geometry(_Channel):
         pk = self.pk_of_rank[ranks]
         return nb + wait + pk, pk
 
-    def read_nearest(
-        self, cl: np.ndarray, ch: np.ndarray, cand: np.ndarray, tn: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Doze to each row's earliest-arriving ``cand`` table (a dense
-        ``(rows, F)`` rank mask) and read it.
+    def read_earliest(
+        self, cl: np.ndarray, ch: np.ndarray, cand: np.ndarray, tn: np.ndarray,
+        pbits: _PositionBits,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Doze to each lane's earliest-arriving ``cand`` table (position
+        bitsets of ``pbits``) and read it.
 
-        Tables air in position order, so that is the first candidate
-        position at or after the next position (:meth:`next_position`),
-        else the first candidate one cycle later.  Distinct ranks air at
-        distinct positions, so arrivals never tie and the reference's
-        lowest-rank tie-break stays vacuous.  Returns ``(rank, clock,
-        channel, tuning)`` after the read.
+        Tables air in position order, so that is the lowest candidate bit
+        at or after the next position (:meth:`next_position`), else the
+        lowest one a cycle later (:meth:`_PositionBits.first_set`).
+        Distinct ranks air at distinct positions, so arrivals never tie and
+        the reference's lowest-rank tie-break stays vacuous.  Returns ``(position, rank,
+        clock, channel, tuning)`` after the read.
         """
         nb = self.doze(cl, ch, self.ctrl)
         off, pos = self.next_position(nb)
-        at = cand.take(self.rank_of_pos, axis=1)
-        ahead = at & (np.arange(at.shape[1]) >= pos[:, None])
-        first = ahead.argmax(axis=1)
-        wrap = ~ahead[np.arange(len(first)), first]
-        np.copyto(first, at.argmax(axis=1), where=wrap)
+        first = pbits.first_set(cand, pos)
         chosen = self.rank_of_pos[first]
         cl, pk = self.read(nb, off, chosen)
-        return chosen, cl, np.full(len(chosen), self.ctrl, dtype=np.int64), tn + pk
+        return (first, chosen, cl, np.full(len(chosen), self.ctrl, dtype=np.int64),
+                tn + pk)
 
 
 def _index_scope(scope: Optional[str]) -> None:
@@ -864,8 +991,8 @@ class _DsiLanes:
     lanes and :meth:`_retire` scatters each lane back as it leaves, so a
     later hop starts from the carried session and :func:`_simulate_items`
     reads the final clocks off the masters.  ``know``, the dense known-rank
-    mask, is ``None`` for a window walker whose items have one step: no
-    later hop reads it.
+    mask, is ``None`` for a walker whose items have one step: no later hop
+    reads it.
     """
 
     def entry(self, nb: np.ndarray) -> np.ndarray:
@@ -1602,13 +1729,16 @@ class _KnnStatic:
     a directory holds one object, its own minimum, so its row adds
     nothing).  ``rows`` holds the query points' distance rows, shared with
     the other DSI indexes over the same rank-ordered objects
-    (:class:`_KnnRows`).
+    (:class:`_KnnRows`).  ``pbits`` packs the lanes' position bitsets, and
+    ``learn_bits`` holds each table's learn row as one of them (column
+    ``t`` is what the table of rank ``t`` teaches).
     """
 
     __slots__ = (
         "n_objects", "n_groups", "flen", "obj_start", "obj_bucket", "oids",
         "hcs", "hc_group", "grp_hcs", "grp_of_rank", "dir_bucket",
-        "est_grps", "est_on", "vis_grps", "vis_on", "objects", "rows", "covers",
+        "est_grps", "est_on", "vis_grps", "vis_on", "objects", "rows",
+        "rank_of_pos", "pbits", "learn_bits", "covers",
     )
 
     def __init__(self, static: _Static, index: Any) -> None:
@@ -1643,7 +1773,10 @@ class _KnnStatic:
         curve = index.curve
         self.rows = _memoized(curve, (_KnnRows, ro.oids.tobytes()), _KnnRows,
                               curve, grp_hcs, ro.objects)
-        self.covers = _KnnCovers(curve, static.mins)
+        self.rank_of_pos = rank_of_pos
+        self.pbits = _PositionBits(n_frames, static.n_segments)
+        self.learn_bits = self.pbits.pack(static.learn[:, rank_of_pos])
+        self.covers = _KnnCovers(curve, static.mins, rank_of_pos, self.pbits)
 
 
 class _KnnRows:
@@ -1687,7 +1820,8 @@ _KNN_COVER_CHUNK = 256
 
 
 class _KnnCovers:
-    """Shared circle covers compiled to rank masks, memoized on cell keys.
+    """Shared circle covers compiled to position bitsets, memoized on cell
+    keys.
 
     ``resolve`` maps every lane's prune radius to the exact cover
     ``_needed_ranks`` would build (the same ``ranges_for_circle`` call with
@@ -1698,39 +1832,47 @@ class _KnnCovers:
     deduplicated, and only genuinely new covers reach
     ``covers_for_rects_flat``, the sweep ``ranges_for_rect`` runs for one
     rect, in batches of ``_KNN_COVER_CHUNK``.  Each new cover compiles to
-    one knowledge-free row of ``masks`` over frame ranks: rank ``r`` is set
-    when some piece's global span ``[max(a0, 0), b0 - 1]`` holds it, ``a0``
-    being the largest rank whose minimum is <= the piece's low end and
-    ``b0`` the first rank whose minimum exceeds its high end.  Lanes test
-    those rows against their own knowledge with
-    :func:`_segment_candidates` -- the rank-space image of
+    one knowledge-free column of ``bits``, a position bitset
+    (:class:`_PositionBits`): the position of rank ``r`` is set when some
+    piece's global span ``[max(a0, 0), b0 - 1]`` holds ``r``, ``a0`` being
+    the largest rank whose minimum is <= the piece's low end and ``b0`` the
+    first rank whose minimum exceeds its high end.  Lanes test those
+    columns against their own knowledge with
+    :meth:`_PositionBits.candidates` -- the position-space image of
     ``ClientKnowledge.candidate_rank_array``.  A cover depends only on the
     curve, the frame minima, the query point and the radius, so one memo
-    per index (this object's kernel memo, cell key -> row of ``masks``)
+    per index (this object's kernel memo, cell key -> column of ``bits``)
     serves every lane, phase, query, call, channel count and strategy that
     reaches the same cells.
     """
 
-    __slots__ = ("curve", "mins", "side", "masks", "_n", _MEMO_ATTR)
+    __slots__ = ("curve", "mins", "rank_of_pos", "pbits", "side", "bits", "_n",
+                 _MEMO_ATTR)
 
-    def __init__(self, curve: Any, mins: np.ndarray) -> None:
+    def __init__(self, curve: Any, mins: np.ndarray, rank_of_pos: np.ndarray,
+                 pbits: _PositionBits) -> None:
         self.curve = curve
         self.mins = mins
+        self.rank_of_pos = rank_of_pos
+        self.pbits = pbits
         self.side = float(curve.side)
-        self.masks = np.zeros((16, len(mins)), dtype=bool)
+        self.bits = np.zeros((pbits.words, 16), dtype=np.uint64)
         self._n = 0
 
-    def _add_masks(
+    def _add_covers(
         self, counts: np.ndarray, los: np.ndarray, his: np.ndarray
     ) -> int:
         """Compile a flat batch of covers (``counts`` pieces each, bounds
-        ``los``/``his``) to mask rows; returns the first new cover id."""
+        ``los``/``his``) to columns of ``bits``; returns the first new
+        cover id."""
         n, k = self._n, len(counts)
         n_frames = len(self.mins)
-        if n + k > len(self.masks):
-            grown = np.zeros((max(2 * len(self.masks), n + k), n_frames), dtype=bool)
-            grown[:n] = self.masks[:n]
-            self.masks = grown
+        if n + k > self.bits.shape[1]:
+            grown = np.zeros(
+                (self.pbits.words, max(2 * self.bits.shape[1], n + k)), dtype=np.uint64
+            )
+            grown[:, :n] = self.bits[:, :n]
+            self.bits = grown
         # Piece spans as a difference array.  b0 > a0 always, so a span is
         # never reversed; an empty one (b0 == 0) adds and removes at 0.
         a = np.maximum(np.searchsorted(self.mins, los, side="right") - 1, 0)
@@ -1739,9 +1881,8 @@ class _KnnCovers:
         at = np.repeat(np.arange(k, dtype=np.int64) * stride, counts)
         diff = np.bincount(at + a, minlength=k * stride)
         diff -= np.bincount(at + b, minlength=k * stride)
-        self.masks[n: n + k] = (
-            np.cumsum(diff.reshape(k, stride)[:, :n_frames], axis=1) > 0
-        )
+        ranks = np.cumsum(diff.reshape(k, stride)[:, :n_frames], axis=1) > 0
+        self.bits[:, n: n + k] = self.pbits.pack(ranks[:, self.rank_of_pos])
         self._n = n + k
         return n
 
@@ -1752,7 +1893,7 @@ class _KnnCovers:
         qy: np.ndarray,
         prune: np.ndarray,
     ) -> np.ndarray:
-        """Cover ids (rows of ``masks``) for each row of ``(qids, prune)``.
+        """Cover ids (columns of ``bits``) for each row of ``(qids, prune)``.
 
         Replays ``circle_bounding_rect(...).clipped_to_unit()`` and the
         scaled-bound quantisation of ``ranges_for_rect`` elementwise (the
@@ -1760,7 +1901,7 @@ class _KnnCovers:
         keys the full-range cover.  Keys the memo has not seen sweep in
         ``covers_for_rects_flat`` batches of ``_KNN_COVER_CHUNK``.  The ids
         stay valid until the next call: a full memo is reset only here, on
-        entry, and an empty one hands out rows from 0 again.
+        entry, and an empty one hands out columns from 0 again.
         """
         memo = _memo(self)
         if not memo:
@@ -1790,7 +1931,7 @@ class _KnnCovers:
         if len(miss) and uniq[miss[0]] < 0:
             # The infinite radius: one full-range piece.
             top = int(self.curve.max_value) - 1
-            cids[miss[0]] = memo[-1] = self._add_masks(
+            cids[miss[0]] = memo[-1] = self._add_covers(
                 np.ones(1, dtype=np.int64),
                 np.zeros(1, dtype=np.int64),
                 np.full(1, top, dtype=np.int64),
@@ -1812,7 +1953,7 @@ class _KnnCovers:
                 np.minimum(1.0, cm + rm),
                 np.minimum(1.0, dm + rm),
             )
-            cid0 = self._add_masks(counts, los, his)
+            cid0 = self._add_covers(counts, los, his)
             cids[chunk] = np.arange(cid0, cid0 + len(chunk), dtype=np.int64)
         memo.update(zip(uniq[miss].tolist(), cids[miss].tolist()))
         return cids[inv]
@@ -1862,9 +2003,11 @@ class _KnnLanes:
 
     A working block copies and compacts only the per-lane fields
     (``LANE_FIELDS``): lane id ``idx``, session position
-    (``cl``/``ch``/``tn``), ``kn`` known and ``ex`` examined ranks,
-    ``nr`` the retrieved count, the candidate row ``top``, and the query
-    keys.  The object-wide candidate space stays in place, shared and
+    (``cl``/``ch``/``tn``), ``nr`` the retrieved count, the candidate row
+    ``top``, and the query keys; and, word-major along its second axis,
+    the ``kw`` known and ``ew`` examined positions as ``(words, lanes)``
+    bitsets (:class:`_PositionBits`), which only a walk's working block
+    holds.  The object-wide candidate space stays in place, shared and
     addressed by lane id: ``gs`` one int8 state per unique-HC group
     (0 unseen, 1 estimated, 2 retrieved -- a retrieval pops the group's
     estimate and blocks its re-estimation) and ``rt`` the retrieved
@@ -1881,28 +2024,36 @@ class _KnnLanes:
     candidates.
     """
 
-    LANE_FIELDS = ("idx", "cl", "ch", "tn", "kn", "ex", "nr", "top",
-                   "qid", "qo", "qg", "kk")
-    __slots__ = LANE_FIELDS + ("gs", "rt")
+    LANE_FIELDS = ("idx", "cl", "ch", "tn", "nr", "top", "qid", "qo", "qg", "kk")
+    WORD_FIELDS = ("kw", "ew")
+    __slots__ = LANE_FIELDS + WORD_FIELDS + ("gs", "rt")
 
     def copy(self) -> "_KnnLanes":
         """A working block: own lane fields, the shared candidate space."""
         out = _KnnLanes()
-        for f in self.__slots__:
-            value = getattr(self, f)
-            setattr(out, f, value.copy() if f in self.LANE_FIELDS else value)
+        for f in self.LANE_FIELDS:
+            setattr(out, f, getattr(self, f).copy())
+        out.gs, out.rt = self.gs, self.rt
         return out
 
     def compact(self, keep: np.ndarray) -> None:
+        """Keep the lanes ``keep`` (ascending positions)."""
         for f in self.LANE_FIELDS:
-            setattr(self, f, getattr(self, f)[keep])
+            setattr(self, f, getattr(self, f).take(keep, axis=0))
+        for f in self.WORD_FIELDS:
+            setattr(self, f, getattr(self, f).take(keep, axis=1))
 
 
 class _KnnWalker(_DsiLanes):
     """The DSI kNN walker: compiled per-query search plans in lockstep.
 
     Every lane of every query advances through the planner loop together:
-    cover-driven candidacy, frame choice, table read, frame visit.  Lanes
+    cover-driven candidacy, frame choice, table read, frame visit.  A
+    walk's working block carries each lane's known and examined frames as
+    position bitsets: candidacy is a flood fill from the lane's cover
+    column (:meth:`_PositionBits.candidates`), the nearest read a
+    lowest-set-bit pick (:meth:`_Geometry.read_earliest`) and a table read
+    one OR of its learn column -- no ``(lanes, F)`` array per step.  Lanes
     whose candidate set empties leave the working block (its lane fields
     compact; their retrievals already sit in the master block ``S``); the
     walk ends when none remain.  All value comparisons reuse the compiled
@@ -1912,7 +2063,8 @@ class _KnnWalker(_DsiLanes):
     (:class:`_KnnLanes`).  Later hops seed the search space from the
     knowledge the lane accumulated, which is the planner's warm start
     verbatim (hop 1 always teaches at least the entry table, so the warm
-    branch always applies).
+    branch always applies); the dense known mask ``know`` is kept, in rank
+    order, only when a later hop of the items reads it.
     """
 
     def __init__(self, index, timeline, config, queries, n_steps, verify,
@@ -1934,7 +2086,11 @@ class _KnnWalker(_DsiLanes):
         self.k_arr = np.minimum(k_arr, n_obj + 1)
         self.width = min(int(self.k_arr.max()) + _KNN_ROW_SPARE, n_obj + 1)
         self.queries, self.dataset, self.truths = queries, dataset, {}
+        self.n_steps = n_steps
         self.strategy = strategy
+        # The aggressive narrowing reads the per-rank minima estimates in
+        # position order.
+        self.min_est_pos = self.min_est[:, self.kst.rank_of_pos]
         self.slack = curve.cell_diagonal()
         self.guard = index.air_view().knn_guard
         n_q = len(queries)
@@ -1954,16 +2110,15 @@ class _KnnWalker(_DsiLanes):
               err: Optional[_Losses]) -> None:
         """The cold hop: the probe plus ``read_first_table`` (kind-seek) and
         its ``learn_table`` estimates; the conservative strategy also visits
-        the entry frame (aggressive leaves it unexamined).  Then the walk."""
-        self._start(lane_start)
+        the entry frame (aggressive leaves it unexamined).  Then the walk,
+        knowing what the entry table taught."""
+        self._start(lane_start, dense=self.n_steps > 1)
         kst = self.kst
         n = len(lane_start)
         lanes = _KnnLanes()
         lanes.idx = np.arange(n)
         # The master block's session fields are the walker's master arrays.
-        lanes.cl, lanes.ch = self.clock, self.chan
-        lanes.tn, lanes.kn = self.tun, self.know
-        lanes.ex = np.zeros_like(self.know)
+        lanes.cl, lanes.ch, lanes.tn = self.clock, self.chan, self.tun
         lanes.gs = np.zeros((n, kst.n_groups), dtype=np.int8)
         lanes.rt = np.zeros((n, kst.n_objects), dtype=bool)
         lanes.nr = np.zeros(n, dtype=np.int64)
@@ -1971,11 +2126,13 @@ class _KnnWalker(_DsiLanes):
         self.S = lanes
         self._set_queries(qrow)
         rank0 = self._read_entry(err)
+        examined = np.zeros((kst.pbits.words, n), dtype=np.uint64)
         if self.strategy == "conservative":
             self._visit(lanes, lanes.idx, rank0)
+            kst.pbits.mark(examined, self.static.pos_of_rank[rank0])
         else:
             self._add_est(lanes, lanes.idx, kst.est_grps[rank0], kst.est_on[rank0])
-        self._walk()
+        self._walk(kst.learn_bits.take(rank0, axis=1), examined)
 
     def hop(self, qrow: np.ndarray) -> None:
         """A later hop on ``qrow``: reset the per-query search state
@@ -1986,15 +2143,16 @@ class _KnnWalker(_DsiLanes):
         are distinct) and build each candidate row from them."""
         self._set_queries(qrow)
         lanes = self.S
-        lanes.ex[:] = False
+        kst = self.kst
         lanes.rt[:] = False
         lanes.gs[:] = 0
-        lanes.gs[:, self.kst.grp_of_rank] = lanes.kn
+        lanes.gs[:, kst.grp_of_rank] = self.know
         lanes.nr[:] = 0
         self._set_rows(
-            lanes, lanes.idx, np.where(lanes.kn, self.min_est[lanes.qid], np.inf)
+            lanes, lanes.idx, np.where(self.know, self.min_est[lanes.qid], np.inf)
         )
-        self._walk()
+        known = kst.pbits.pack(self.know[:, kst.rank_of_pos])
+        self._walk(known, np.zeros_like(known))
 
     # -- candidate-space maintenance ----------------------------------------
 
@@ -2087,8 +2245,8 @@ class _KnnWalker(_DsiLanes):
     def _visit(self, lanes: _KnnLanes, rows: np.ndarray, fr: np.ndarray) -> None:
         """Replay ``learn_table`` and ``_visit_frame`` for ``rows`` (frame
         ``fr[i]`` each, its table just read): directory read, table and
-        record estimates, conditional object fetches under the live prune
-        radius, and the examined mark."""
+        record estimates and conditional object fetches under the live
+        prune radius.  The caller marks the frame examined."""
         geo, kst = self.geo, self.kst
         timeline = geo.timeline
         dirb = kst.dir_bucket[fr]
@@ -2134,38 +2292,44 @@ class _KnnWalker(_DsiLanes):
             lanes.tn[r_f] += geo.bpk[b]
             lanes.ch[r_f] = bch
             self._add_exact(lanes, r_f, g_f, grp_c[fetch], est[fetch])
-        lanes.ex[rows, fr] = True
 
     # -- the planner loop ---------------------------------------------------
 
-    def _walk(self) -> None:
-        """Run the planner loop until every lane's candidate set empties."""
+    def _walk(self, known: np.ndarray, examined: np.ndarray) -> None:
+        """Run the planner loop until every lane's candidate set empties,
+        from the ``known`` and ``examined`` position bitsets."""
         geo, st, kst = self.geo, self.static, self.kst
-        covers = kst.covers
+        covers, pbits = kst.covers, kst.pbits
         aggressive = self.strategy == "aggressive"
         slack = self.slack
         work = self.S.copy()
+        work.kw, work.ew = known, examined
         for it in range(self.guard + 1):
             if not len(work.idx):
                 return
             # Candidacy: resolve every lane's cover (vectorised cell-key
-            # dedup; only new covers reach the sweep), then test each
-            # lane's known-rank segments against its cover's rank mask.
-            # With rank 0 known, the planner's piece expansion
-            # [kn_prev(a0), kn_next(b0) - 1] is exactly the union of the
-            # segments touching the piece (candidate_rank_array).
+            # dedup; only new covers reach the sweep), then fill each
+            # lane's known-rank segments from its cover's bits.  With rank
+            # 0 known, the planner's piece expansion [kn_prev(a0),
+            # kn_next(b0) - 1] is exactly the union of the segments
+            # touching the piece (candidate_rank_array).
             rows = np.arange(len(work.idx))
             prune = self._radius(work, rows) + slack
             cids = covers.resolve(work.qid, self.qx, self.qy, prune)
-            cand = _segment_candidates(work.kn, covers.masks[cids])
-            cand &= ~work.ex
-            live = cand.any(axis=1)
+            cand = pbits.candidates(covers.bits.take(cids, axis=1), work.kw, work.ew)
+            live = (cand != 0).any(axis=0)
             if not live.all():
-                self._retire(work.idx, live, work.cl, work.ch, work.tn, work.kn)
-                work.compact(live)
-                if not len(work.idx):
+                self._retire(work.idx, live, work.cl, work.ch, work.tn, None)
+                if self.know is not None:
+                    done = ~live
+                    self.know[work.idx[done]] = pbits.unpack(
+                        work.kw[:, done]
+                    )[:, st.pos_of_rank]
+                keep = np.flatnonzero(live)
+                work.compact(keep)
+                if not len(keep):
                     return
-                cand = cand[live]
+                cand = cand.take(keep, axis=1)
             if it == self.guard:
                 # The planner's safety cap: each iteration examines a new
                 # rank, so only a cap below n_frames reaches it.
@@ -2176,21 +2340,22 @@ class _KnnWalker(_DsiLanes):
             # while short of k retrievals the aggressive strategy narrows
             # them to the estimate-nearest known ones (arrival breaks ties).
             if aggressive:
-                open_rows = work.nr < work.kk
-                if open_rows.any():
-                    ckn = cand & work.kn
-                    dmat = np.where(ckn, self.min_est[work.qid], np.inf)
+                open_rows = np.flatnonzero(work.nr < work.kk)
+                if len(open_rows):
+                    ckn = pbits.unpack(cand[:, open_rows] & work.kw[:, open_rows])
+                    dmat = np.where(ckn, self.min_est_pos[work.qid[open_rows]], np.inf)
                     dmin = dmat.min(axis=1)
-                    use = open_rows & np.isfinite(dmin)
+                    use = np.isfinite(dmin)
                     if use.any():
-                        tie = dmat == dmin[:, None]
-                        cand = np.where(use[:, None], tie, cand)
+                        tie = dmat[use] == dmin[use, None]
+                        cand[:, open_rows[use]] = pbits.pack(tie)
             # read_table of the chosen rank, then learn_table + the visit.
-            chosen, work.cl, work.ch, work.tn = geo.read_nearest(
-                work.cl, work.ch, cand, work.tn
+            pos, chosen, work.cl, work.ch, work.tn = geo.read_earliest(
+                work.cl, work.ch, cand, work.tn, pbits
             )
-            work.kn |= st.learn[chosen]
+            work.kw |= kst.learn_bits.take(chosen, axis=1)
             self._visit(work, np.arange(len(work.idx)), chosen)
+            pbits.mark(work.ew, pos)
 
     # -- results ------------------------------------------------------------
 

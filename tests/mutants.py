@@ -44,6 +44,11 @@ _SLOT_EDGES = f"{_KT}::test_slot_walker_edges_match_dense_hop_oracle"
 _DSI_PARAMS = f"{_KT}::test_kernel_matches_reference_across_dsi_parameters"
 _KNN_ROWS = f"{_KT}::test_knn_rows_match_partition_oracle"
 _KNN_PAST_N = f"{_KT}::test_knn_k_at_and_past_the_object_count"
+_BITS = f"{_KT}::test_position_bits_match_dense_oracles"
+_WORDS = f"{_KT}::test_knn_fleets_across_word_boundaries"
+_COVERS = f"{_KT}::test_cover_masks_match_piece_interval_oracle"
+_PICK = f"{_KT}::test_read_nearest_matches_wait_matrix_oracle"
+_HELPERS = f"{_KT}::test_lane_hop_matches_former_helpers"
 _METRICS = "repro/sim/metrics.py"
 _SUMMARY = "tests/test_streaming_metrics.py"
 _FLEET = "repro/sim/fleet.py"
@@ -102,15 +107,13 @@ MUTANTS: Tuple[Mutant, ...] = (
          f"{_VISITS}[split-directory-2ch-errors-journeys]"),
     ),
     Mutant(
-        "knn-nearest-no-wrap",
-        "the kNN nearest pick loses its wrap branch: a lane whose candidates "
-        "all aired before its clock reads position 0",
+        "knn-pick-no-wrap",
+        "the kNN lowest-set-bit pick loses its wrap half: a lane whose "
+        "candidates all aired before its clock reads no candidate of theirs",
         _KERNEL,
-        "np.copyto(first, at.argmax(axis=1), where=wrap)",
-        "pass",
-        ("tests/test_fleet_kernel.py::test_read_nearest_matches_wait_matrix_oracle[20-60]",
-         "tests/test_fleet_kernel.py::test_lane_hop_matches_former_helpers"
-         "[knn-conservative-4-flat-None]"),
+        "        both[words:] = bits\n",
+        "        both[words:] = 0\n",
+        (f"{_PICK}[20-60]", f"{_HELPERS}[knn-conservative-4-flat-None]"),
     ),
     Mutant(
         "view-kind-seek-no-switch",
@@ -220,14 +223,69 @@ MUTANTS: Tuple[Mutant, ...] = (
          "::test_single_queries_run_the_server_strategy",),
     ),
     Mutant(
-        "segment-rank0-not-forced",
-        "the kNN segment test no longer forces rank 0 known, so the ranks "
-        "before a row's first known rank join the previous row's last segment",
+        "fill-tail-not-masked",
+        "the kNN candidacy fill no longer counts the bits past the last "
+        "position as known, so a segment's upward fill runs off the lane's "
+        "end into the padding bits",
         _KERNEL,
-        "    starts[:, 0] = True\n",
+        "        gate[-1] &= self.tail\n",
         "",
-        (f"{_KT}::test_segment_candidates_match_sweep_oracle[17]",
-         f"{_KT}::test_segment_candidates_match_sweep_oracle[100]"),
+        (f"{_BITS}[100-2]", f"{_DSI_PARAMS}[3-2-knn]"),
+    ),
+    Mutant(
+        "shift-carry-dropped",
+        "an upward bitset shift drops its carry across a word boundary",
+        _KERNEL,
+        "out[q + 1:] |= x[: n - q - 1] >> np.uint64(_WORD - r)",
+        "pass",
+        (f"{_BITS}[100-2]", f"{_BITS}[192-3]",
+         f"{_WORDS}[800-114-4-conservative-fleet]"),
+    ),
+    Mutant(
+        "fill-down-stopper-unshifted",
+        "the downward fill gates each move with the stopper at its target, "
+        "not at its source: it stops short of a segment's known start and "
+        "runs from a known start into the segment below",
+        _KERNEL,
+        "step = _shift_down(gate & down, d)",
+        "step = gate & _shift_down(down, d)",
+        (f"{_BITS}[64-2]", _COVERS),
+    ),
+    Mutant(
+        "fill-one-round-short",
+        "the candidacy fill runs one doubling round too few, so a long run "
+        "of unknown positions is filled only in part",
+        _KERNEL,
+        "self.rounds = (n_frames // n_segments - 1).bit_length()",
+        "self.rounds = (n_frames // n_segments - 1).bit_length() - 1",
+        (f"{_BITS}[100-2]", f"{_BITS}[128-4]"),
+    ),
+    Mutant(
+        "examined-at-rank",
+        "a kNN lane marks the frame it read examined at the frame's rank, "
+        "not at its broadcast position (equal only when m is 1)",
+        _KERNEL,
+        "pbits.mark(work.ew, pos)",
+        "pbits.mark(work.ew, chosen)",
+        (f"{_DSI_PARAMS}[3-2-knn]", f"{_WORDS}[400-66-1-conservative-fleet]",
+         f"{_HELPERS}[knn-aggressive-4-flat-None]"),
+    ),
+    Mutant(
+        "cover-rank-order",
+        "a kNN cover compiles to a bitset in rank order, not position order",
+        _KERNEL,
+        "self.bits[:, n: n + k] = self.pbits.pack(ranks[:, self.rank_of_pos])",
+        "self.bits[:, n: n + k] = self.pbits.pack(ranks)",
+        (_COVERS, f"{_DSI_PARAMS}[3-2-knn]"),
+    ),
+    Mutant(
+        "pick-after-not-at",
+        "the kNN pick treats a candidate airing exactly at the lane's next "
+        "position as passed",
+        _KERNEL,
+        "self.ahead = self.pack(positions[None, :-1] >= positions[:, None])",
+        "self.ahead = self.pack(positions[None, :-1] > positions[:, None])",
+        (f"{_PICK}[100-2700]", f"{_BITS}[63-1]"),
     ),
     Mutant(
         "slot-no-wrap",
@@ -358,6 +416,16 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        max_chunk = max(1, -(-len(key_ids) // max(len(items), 1)))\n",
         ("tests/test_fleet.py::test_serial_reference_run_collapses_each_item_once[hci]",
          "tests/test_fleet.py::test_serial_reference_run_collapses_each_item_once[rtree]"),
+    ),
+    Mutant(
+        "pooled-lossless-chunks",
+        "a pooled lossless reference run cuts each item's phases into chunks "
+        "again, and each chunk restarts the item's landmark collapse",
+        _FLEET,
+        "if use_parallel and error_theta is not None:",
+        "if use_parallel:",
+        ("tests/test_fleet.py::test_pooled_reference_run_collapses_each_item_once[hci]",
+         "tests/test_fleet.py::test_pooled_reference_run_collapses_each_item_once[dsi]"),
     ),
 )
 

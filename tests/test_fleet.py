@@ -509,12 +509,12 @@ def test_reference_fan_out_parallel_matches_serial(case, monkeypatch):
     assert serial.result.correct_trials + serial.result.incorrect_trials > 0
 
 
-@pytest.mark.parametrize("kind", ["hci", "rtree", "dsi"])
-def test_serial_reference_run_collapses_each_item_once(kind, monkeypatch):
-    """A serial, lossless reference fleet runs each item's phases as one
-    task, so its landmark collapse simulates one execution per distinct
-    (item, entry landmark): a phase run cut into tasks restarts the
-    collapse, and each later task simulates its landmarks again."""
+def _reference_collapse(kind, monkeypatch, **fleet_kwargs):
+    """Run a lossless ``REPRO_PURE=1`` fleet of 20,000 clients over
+    ``skewed_workload(30, zipf_s=1.1, seed=4)`` and count its work:
+    ``(execute_query calls, distinct (item, entry landmark) pairs, result)``.
+    The spy on ``_simulate_item_batch`` records the landmark of every phase
+    a task receives."""
     from repro.queries.workload import skewed_workload
     from repro.sim import fleet as fleet_mod
     from repro.sim import runner
@@ -541,6 +541,40 @@ def test_serial_reference_run_collapses_each_item_once(kind, monkeypatch):
 
     monkeypatch.setattr(fleet_mod, "_simulate_item_batch", batch)
     monkeypatch.setattr(runner, "execute_query", execute)
-    result = run_fleet(index, dataset, config, workload, 20_000)
+    result = run_fleet(index, dataset, config, workload, 20_000, **fleet_kwargs)
     assert result.backend == "reference"
-    assert len(calls) == len(marks) < result.n_executions
+    return len(calls), len(marks), result
+
+
+@pytest.mark.parametrize("kind", ["hci", "rtree", "dsi"])
+def test_serial_reference_run_collapses_each_item_once(kind, monkeypatch):
+    """A serial, lossless reference fleet runs each item's phases as one
+    task, so its landmark collapse simulates one execution per distinct
+    (item, entry landmark): a phase run cut into tasks restarts the
+    collapse, and each later task simulates its landmarks again."""
+    calls, marks, result = _reference_collapse(kind, monkeypatch)
+    assert calls == marks < result.n_executions
+
+
+@pytest.mark.parametrize("kind", ["hci", "rtree", "dsi"])
+def test_pooled_reference_run_collapses_each_item_once(kind, monkeypatch):
+    """A pooled lossless reference fleet keeps one task per item as well:
+    with two workers asked for, the pool receives one task per item and
+    ``execute_query`` runs once per distinct (item, entry landmark).  The
+    pool runs its tasks in this process, so the spies count them."""
+    from repro.sim import fleet as fleet_mod
+
+    pools = []
+
+    def in_process(fn, tasks, processes=None, initializer=None, initargs=()):
+        pools.append((processes, [iid for iid, _ in tasks]))
+        initializer(*initargs)
+        return [fn(*task) for task in tasks]
+
+    monkeypatch.setattr(fleet_mod, "parallel_map", in_process)
+    calls, marks, result = _reference_collapse(
+        kind, monkeypatch, parallel=True, processes=2
+    )
+    assert calls == marks < result.n_executions
+    [(processes, items)] = pools
+    assert processes == 2 and items == sorted(set(items))

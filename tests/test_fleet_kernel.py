@@ -785,30 +785,31 @@ def _knn_index_and_run(dataset_seed, workload_seed, channels, strategy, k,
 
 
 def test_cover_masks_match_piece_interval_oracle(monkeypatch):
-    """Mask candidacy equals the piece-interval candidacy on real walks.
+    """Cover candidacy equals the piece-interval candidacy on real walks.
 
     Every (knowledge row, prune circle) pair the kNN lanes meet in the
-    corpus cells is replayed twice: through a fresh mask memo and the
-    shared segment test, and through the scalar planner's cover
-    (``ranges_for_circle``, or the full range at an infinite radius) fed
-    to the oracle.  The candidate sets must agree row for row.
+    corpus cells is captured at the walk's candidacy and replayed twice:
+    through a fresh cover memo and the position-bit fill, and through the
+    scalar planner's cover (``ranges_for_circle``, or the full range at an
+    infinite radius) fed to the oracle.  The candidate sets must agree row
+    for row.
     """
     from repro.sim import fleet_kernel as fk
 
     calls = []
     real_resolve = fk._KnnCovers.resolve
-    real_segments = fk._segment_candidates
+    real_candidates = fk._PositionBits.candidates
 
     def resolve(self, qids, qx, qy, prune):
         calls.append([qx[qids], qy[qids], prune.copy(), None])
         return real_resolve(self, qids, qx, qy, prune)
 
-    def segments(kn, hit):
-        calls[-1][3] = kn.copy()
-        return real_segments(kn, hit)
+    def candidates(self, hit, known, examined):
+        calls[-1][3] = self.unpack(known)
+        return real_candidates(self, hit, known, examined)
 
     monkeypatch.setattr(fk._KnnCovers, "resolve", resolve)
-    monkeypatch.setattr(fk, "_segment_candidates", segments)
+    monkeypatch.setattr(fk._PositionBits, "candidates", candidates)
     walks = []
     for cell in _KNN_CORPUS_CELLS:
         start = len(calls)
@@ -818,14 +819,19 @@ def test_cover_masks_match_piece_interval_oracle(monkeypatch):
 
     n_rows = n_inf = 0
     for index, corpus in walks:
-        mins = fk._static_of(index).mins
+        static = fk._static_of(index)
+        kst = fk._knn_static_of(index, static)
+        mins, pbits = static.mins, kst.pbits
         curve = index.curve
-        px, py, prune, kn = (
+        px, py, prune, kn_pos = (
             np.concatenate([c[f] for c in corpus]) for f in range(4)
         )
-        memo = fk._KnnCovers(curve, mins)
+        kn = kn_pos[:, static.pos_of_rank]
+        memo = fk._KnnCovers(curve, mins, kst.rank_of_pos, pbits)
         cids = memo.resolve(np.arange(len(prune)), px, py, prune)
-        got = fk._segment_candidates(kn, memo.masks[cids])
+        known = pbits.pack(kn_pos)
+        cand = pbits.candidates(memo.bits.take(cids, axis=1), known, np.zeros_like(known))
+        got = pbits.unpack(cand)[:, static.pos_of_rank]
         covers = [
             [(0, curve.max_value - 1)] if np.isinf(r)
             else curve.ranges_for_circle(Point(x, y), r, max_ranges=64)
@@ -1135,11 +1141,48 @@ def _sweep_segment_candidates(kn, hit):
     return cand
 
 
+def _segment_candidates(kn, hit):
+    """Test oracle: the dense segment test the kNN walker ran before its
+    position bitsets (bool ``(rows, F)`` rank masks).
+
+    Rank ``r`` qualifies iff some hit rank lies in ``[B(r), A(r))``, with
+    ``B``/``A`` the nearest known ranks at/below and strictly above ``r``
+    (0 / ``F`` when none).  Forcing rank 0 known is exactly that "0 when
+    none" rule and never moves an ``A``, so on every input ``[B(r), A(r))``
+    is the segment holding ``r`` once each row is cut at its known ranks: a
+    flat count of segment starts numbers all segments (each row opens one
+    at rank 0), a scatter marks those holding a hit, a gather reads them.
+    """
+    starts = kn.copy()
+    starts[:, 0] = True
+    seg = np.cumsum(starts.ravel(), dtype=np.int64)
+    held = np.zeros(int(seg[-1]) + 1, dtype=bool)
+    held[seg[hit.ravel()]] = True
+    return held.take(seg).reshape(kn.shape)
+
+
+def _read_nearest(geo, cl, ch, cand, tn):
+    """Test oracle: the dense nearest read the kNN walker ran before its
+    position bitsets -- on a ``(rows, F)`` rank mask, the first candidate
+    position at or after the next position, else the first candidate one
+    cycle later.  Returns ``(rank, clock, channel, tuning)``."""
+    nb = geo.doze(cl, ch, geo.ctrl)
+    off, pos = geo.next_position(nb)
+    at = cand.take(geo.rank_of_pos, axis=1)
+    ahead = at & (np.arange(at.shape[1]) >= pos[:, None])
+    first = ahead.argmax(axis=1)
+    wrap = ~ahead[np.arange(len(first)), first]
+    np.copyto(first, at.argmax(axis=1), where=wrap)
+    chosen = geo.rank_of_pos[first]
+    cl, pk = geo.read(nb, off, chosen)
+    return chosen, cl, np.full(len(chosen), geo.ctrl, dtype=np.int64), tn + pk
+
+
 def _wait_matrix_nearest(geo, cl, ch, cand, tn):
-    """Test oracle: ``_Geometry.read_nearest`` as the ``(rows, F)`` wait
-    matrix the kNN walker read before -- packets from each row's
-    within-cycle offset to every rank's airing, ``% cc`` -- and its masked
-    ``argmin``."""
+    """Test oracle: the nearest read as the ``(rows, F)`` wait matrix the
+    kNN walker read before :func:`_read_nearest` -- packets from each
+    row's within-cycle offset to every rank's airing, ``% cc`` -- and its
+    masked ``argmin``."""
     nb = geo.doze(cl, ch, geo.ctrl)
     wait = (geo.occ_rank[None, :] - (nb % geo.cc)[:, None]) % geo.cc
     chosen = np.argmin(np.where(cand, wait, geo.cc), axis=1)
@@ -1175,10 +1218,8 @@ def _segment_corpus(rng, n_frames):
 
 @pytest.mark.parametrize("n_frames", [1, 2, 3, 17, 100])
 def test_segment_candidates_match_sweep_oracle(n_frames):
-    """The segment-id candidacy equals the four-sweep test on every row,
+    """The segment-id oracle equals the four-sweep test on every row,
     whole blocks and single rows alike -- rank 0 known or not."""
-    from repro.sim.fleet_kernel import _segment_candidates
-
     kn, hit = _segment_corpus(np.random.default_rng(1000 + n_frames), n_frames)
     assert not kn[:, 0].all() and kn[:, 0].any()
     want = _sweep_segment_candidates(kn, hit)
@@ -1192,12 +1233,13 @@ def test_segment_candidates_match_sweep_oracle(n_frames):
 def test_read_nearest_matches_wait_matrix_oracle(n_frames, cc):
     """The first candidate position at or after the next position, else
     the first candidate, reads the table the wait matrix's ``argmin``
-    reads, at the same clock: seeded airings (one per position, one at
-    each cycle edge, ranks in a shuffled position order), clocks at and
-    between airings and at both cycle edges, and candidate rows from one
-    rank to all of them -- rows whose candidates all air before the clock
-    take the wrap."""
-    from repro.sim.fleet_kernel import _Geometry
+    reads, at the same clock -- as the dense read on rank masks and as the
+    kernel's lowest-set-bit pick on position bitsets: seeded airings (one
+    per position, one at each cycle edge, ranks in a shuffled position
+    order), clocks at and between airings and at both cycle edges, and
+    candidate rows from one rank to all of them -- rows whose candidates
+    all air before the clock take the wrap."""
+    from repro.sim.fleet_kernel import _Geometry, _PositionBits
 
     rng = np.random.default_rng(77 + n_frames)
     starts = np.sort(rng.choice(cc, size=n_frames, replace=False))
@@ -1216,7 +1258,11 @@ def test_read_nearest_matches_wait_matrix_oracle(n_frames, cc):
     ch = np.zeros(n, dtype=np.int64)
     tn = rng.integers(0, 9, size=n)
     want = _wait_matrix_nearest(geo, cl, ch, cand, tn)
-    got = geo.read_nearest(cl, ch, cand, tn)
+    for g, w in zip(_read_nearest(geo, cl, ch, cand, tn), want):
+        np.testing.assert_array_equal(g, w)
+    pbits = _PositionBits(n_frames, 1)
+    pos, *got = geo.read_earliest(cl, ch, pbits.pack(cand[:, geo.rank_of_pos]), tn, pbits)
+    np.testing.assert_array_equal(pos, pos_of_rank[want[0]])
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
     if n_frames > 1:
@@ -1224,10 +1270,114 @@ def test_read_nearest_matches_wait_matrix_oracle(n_frames, cc):
         assert (~ahead.any(axis=1)).any() and ahead.any(axis=1).any()
 
 
+#: (F, m) cells of the position-bit test: frame counts at and around the
+#: 64-bit word boundaries, each with every DSI segment count 1-4 dividing it.
+_BIT_CELLS = [(f, m) for f in (1, 2, 63, 64, 65, 100, 128, 129, 192)
+              for m in (1, 2, 3, 4) if f % m == 0]
+
+
+@pytest.mark.parametrize("n_frames, m", _BIT_CELLS,
+                         ids=[f"{f}-{m}" for f, m in _BIT_CELLS])
+@given(data=st.data())
+@settings(**_SETTINGS)
+def test_position_bits_match_dense_oracles(n_frames, m, data):
+    """The kNN lanes' position bitsets equal the dense rank-space oracles.
+
+    Hypothesis draws lanes whose known masks hold every DSI-segment start
+    (rank ``s·S``), examined masks inside them, hit masks from empty to
+    full, and clocks at random next positions on a seeded cycle
+    (airings in the DSI position order: rank ``s·S + t`` at position
+    ``s + m·t``).  The fill's unpacked candidates must equal
+    :func:`_segment_candidates` less the examined ranks, with no bit set
+    past position ``F``, and on every lane
+    with a candidate the lowest-set-bit pick must read the table the wait
+    matrix's ``argmin`` reads, at the same clock.
+    """
+    from repro.sim.fleet_kernel import _Geometry, _PositionBits
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(min_value=1, max_value=64), label="lanes")
+    seg_size = n_frames // m
+    kn = rng.random((n, n_frames)) < rng.choice([0.0, 0.05, 0.3, 0.7, 1.0], size=(n, 1))
+    kn[:, ::seg_size] = True
+    ex = kn & (rng.random((n, n_frames)) < rng.choice([0.0, 0.3, 1.0], size=(n, 1)))
+    hit = rng.random((n, n_frames)) < rng.choice([0.0, 0.02, 0.2, 1.0], size=(n, 1))
+    ranks = np.arange(n_frames)
+    pos_of_rank = (ranks % seg_size) * m + ranks // seg_size
+    rank_of_pos = np.argsort(pos_of_rank)
+    pbits = _PositionBits(n_frames, m)
+    cand = pbits.candidates(*(pbits.pack(rows[:, rank_of_pos]) for rows in (hit, kn, ex)))
+    want = _segment_candidates(kn, hit) & ~ex
+    np.testing.assert_array_equal(pbits.unpack(cand)[:, pos_of_rank], want)
+    np.testing.assert_array_equal(cand, pbits.pack(want[:, rank_of_pos]))  # no bit past F
+
+    cc = n_frames + data.draw(st.integers(min_value=0, max_value=3 * n_frames + 8),
+                              label="idle packets")
+    starts = np.sort(rng.choice(cc, size=n_frames, replace=False))
+    geo = object.__new__(_Geometry)
+    geo.cc, geo.starts, geo.switch, geo.ctrl = cc, starts, 0, 0
+    geo.rank_of_pos = rank_of_pos
+    geo.occ_rank = starts[pos_of_rank]
+    geo.pk_of_rank = rng.integers(1, 4, size=n_frames)
+    # A clock whose next position is ``nxt``: an offset after the airing
+    # before it, at or before its own (past the last one when nxt == F).
+    nxt = rng.integers(0, n_frames + 1, size=n)
+    lo = np.append(-1, starts)[nxt] + 1
+    hi = np.append(starts, cc - 1)[nxt]
+    off = np.minimum(lo + (rng.random(n) * (hi - lo + 1)).astype(np.int64), hi)
+    cl = off + cc * rng.integers(0, 5, size=n)
+    rows = np.flatnonzero(want.any(axis=1))
+    ch = np.zeros(len(rows), dtype=np.int64)
+    tn = rng.integers(0, 9, size=len(rows))
+    expect = _wait_matrix_nearest(geo, cl[rows], ch, want[rows], tn)
+    pos, *got = geo.read_earliest(cl[rows], ch, cand[:, rows], tn, pbits)
+    np.testing.assert_array_equal(pos, pos_of_rank[expect[0]])
+    for g, w in zip(got, expect):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("journeys", [False, True], ids=["fleet", "journey"])
+@pytest.mark.parametrize("strategy", ["conservative", "aggressive"])
+@pytest.mark.parametrize("channels", [1, 4])
+@pytest.mark.parametrize("n_objects, n_frames", [(390, 64), (400, 66), (800, 114)])
+def test_knn_fleets_across_word_boundaries(n_objects, n_frames, channels, strategy,
+                                           journeys, monkeypatch):
+    """kNN fleets whose frames fill one 64-bit word exactly, spill two
+    positions into a second word, and span two words: kernel arrays equal
+    ``REPRO_PURE=1`` arrays, stationary and as 3-hop warm journeys, and
+    every answer verifies."""
+    dataset = uniform_dataset(n_objects, seed=1)
+    config = SystemConfig(packet_capacity=64, n_channels=channels)
+    index = build_index("dsi", dataset, config, use_cache=False)
+    assert index.n_frames == n_frames
+    seed = n_objects + channels
+
+    def run():
+        if journeys:
+            workload = trajectory_workload(n_journeys=3, n_steps=3, seed=seed,
+                                           query="knn", k=5)
+            return run_mobile_fleet(index, dataset, config, workload, N_CLIENTS,
+                                    seed=seed, max_phases=MAX_PHASES, verify=True,
+                                    knn_strategy=strategy)
+        return run_fleet(index, dataset, config, knn_workload(4, k=5, seed=seed),
+                         N_CLIENTS, seed=seed, max_phases=MAX_PHASES, verify=True,
+                         knn_strategy=strategy)
+
+    fast = run()
+    monkeypatch.setenv("REPRO_PURE", "1")
+    pure = run()
+    assert fast.backend == "numpy", fast.backend_reason
+    assert pure.backend == "reference"
+    np.testing.assert_array_equal(fast.unique_counts, pure.unique_counts)
+    np.testing.assert_array_equal(fast.unique_latency, pure.unique_latency)
+    np.testing.assert_array_equal(fast.unique_tuning, pure.unique_tuning)
+    assert fast.result.incorrect_trials == 0
+
+
 # --- the window walker's pending slots vs the dense rank-space hop -----------
 
 
-def _dense_window_hops(monkeypatch, drive=False):
+def _dense_window_hops(monkeypatch, drive=False, segments=_segment_candidates):
     """Patch the dense window hop the slot walker replaced into
     :class:`_Walker` as a test oracle, and return its logs ``(walks,
     reads)``.
@@ -1238,8 +1388,9 @@ def _dense_window_hops(monkeypatch, drive=False):
     relevant) or from the carried known mask (a warm hop), and every read
     ORs in the table's row, marks its rank examined and clears it from
     pending.  Before each slot-walker read it computes the former hop --
-    ``_segment_candidates`` over the pending ranks, minus the examined
-    ones, then the wait-matrix read :func:`_wait_matrix_nearest` -- and
+    :func:`_segment_candidates` over the pending ranks, minus the examined
+    ones (``segments``, the segment test), then the wait-matrix read
+    :func:`_wait_matrix_nearest` -- and
     asserts that the walker retired exactly the lanes left without a
     candidate; at the end of a walk, that every remaining lane has none.  Without ``drive`` it also
     asserts that the slot walker reads the same rank at the same clock;
@@ -1256,7 +1407,7 @@ def _dense_window_hops(monkeypatch, drive=False):
     real_absorb = fk._Walker._absorb
 
     def candidates(self, lanes):
-        cand = fk._segment_candidates(self.known[lanes], self.pending[lanes])
+        cand = segments(self.known[lanes], self.pending[lanes])
         return cand & ~self.examined[lanes]
 
     def walk(self, qr, rank0):
@@ -1603,8 +1754,9 @@ def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeyp
     """Fleets through the kernel's lane hops equal fleets run on the
     former formulations, execution for execution: the four-sweep segment
     test and the ``% cc`` wait matrix's nearest read patched in for the
-    kNN walker's helpers, and -- for window and journey cells -- the dense
-    window hop driving the window walker's reads over those helpers."""
+    kNN walker's position-bit candidacy and pick (through an unpack/pack
+    adapter), and -- for window and journey cells -- the dense window hop
+    driving the window walker's reads over the four-sweep test."""
     from repro.sim import fleet_kernel as fk
 
     dataset = uniform_dataset(120, seed=42 + channels)
@@ -1640,11 +1792,12 @@ def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeyp
             return oracle(*args)
         return call
 
-    monkeypatch.setattr(fk, "_segment_candidates", counted(_sweep_segment_candidates))
-    monkeypatch.setattr(fk._Geometry, "read_nearest", counted(_wait_matrix_nearest))
+    segments = counted(_sweep_segment_candidates)
     window = not query.startswith("knn")
     if window:
-        _, reads = _dense_window_hops(monkeypatch, drive=True)
+        _, reads = _dense_window_hops(monkeypatch, drive=True, segments=segments)
+    else:
+        _dense_knn_helpers(monkeypatch, index, segments, counted(_wait_matrix_nearest))
     old = run()
     assert "_sweep_segment_candidates" in calls
     if window:
@@ -1655,6 +1808,33 @@ def test_lane_hop_matches_former_helpers(query, channels, layout, theta, monkeyp
     np.testing.assert_array_equal(new.unique_counts, old.unique_counts)
     np.testing.assert_array_equal(new.unique_latency, old.unique_latency)
     np.testing.assert_array_equal(new.unique_tuning, old.unique_tuning)
+
+
+def _dense_knn_helpers(monkeypatch, index, segments, nearest):
+    """Patch dense rank-mask helpers in for the kNN walker's position-bit
+    candidacy and pick on ``index``, through an unpack/pack adapter:
+    ``segments(kn, hit)`` for the segment test (less the examined ranks)
+    and ``nearest(geo, cl, ch, cand, tn)`` for the read."""
+    from repro.sim import fleet_kernel as fk
+
+    static = fk._static_of(index)
+    pos_of_rank = static.pos_of_rank
+    rank_of_pos = np.argsort(pos_of_rank)
+    pbits = fk._PositionBits(static.n_frames, static.n_segments)
+
+    def ranks(bits):
+        return pbits.unpack(bits)[:, pos_of_rank]
+
+    def candidates(self, hit, known, examined):
+        cand = segments(ranks(known), ranks(hit)) & ~ranks(examined)
+        return pbits.pack(cand[:, rank_of_pos])
+
+    def read_earliest(self, cl, ch, cand, tn, pbits):
+        chosen, cl, ch, tn = nearest(self, cl, ch, ranks(cand), tn)
+        return pos_of_rank[chosen], chosen, cl, ch, tn
+
+    monkeypatch.setattr(fk._PositionBits, "candidates", candidates)
+    monkeypatch.setattr(fk._Geometry, "read_earliest", read_earliest)
 
 
 # --- compiled frame visits vs the per-lane replay ----------------------------

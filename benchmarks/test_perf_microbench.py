@@ -23,7 +23,8 @@ import numpy as np
 from repro.broadcast.config import SystemConfig
 from repro.queries.ground_truth import brute_answer, grid_for, matches
 from repro.queries.workload import knn_workload, window_workload
-from repro.sim.runner import build_index, clear_index_cache, index_cache_stats, run_workload
+from repro.api import cache_stats
+from repro.sim.runner import build_index, clear_index_cache, run_workload
 from repro.spatial.datasets import uniform_dataset
 from repro.spatial.geometry import Point, Rect
 
@@ -98,7 +99,7 @@ def test_perf_microbench():
         cached += t
     stages["index_build_cold_s"] = cold
     stages["index_build_cached_s"] = cached
-    stats = index_cache_stats()
+    stats = cache_stats()
     assert stats["hits"] >= 3
     if BENCH_RECORD:
         assert cached < cold

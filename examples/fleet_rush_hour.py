@@ -41,7 +41,9 @@ def main() -> None:
     rows = []
     for channels in (1, 4):
         server = BroadcastServer(dataset, config, index="dsi", channels=channels)
-        result = server.fleet(N_CLIENTS, workload=rush, seed=2005, max_phases=128).run(parallel=True)
+        result = server.fleet(
+            N_CLIENTS, workload=rush, seed=2005, max_phases=128, parallel=True
+        )
         latency = result.result.latency
         tuning = result.result.tuning
         rows.append(

@@ -53,7 +53,7 @@ def main() -> None:
             demand=hot,       # a Workload: per-bucket demand is extracted
             budget=1.8,       # replicated airtime <= 1.8x the flat cycle
         )
-        result = server.fleet(N_CLIENTS, workload=hot, seed=9).run()
+        result = server.fleet(N_CLIENTS, workload=hot, seed=9)
         latency = result.result.latency
         rows.append(
             {
@@ -70,8 +70,8 @@ def main() -> None:
     print(
         f"\nThe optimized layout cuts the fleet's mean wait by "
         f"{1.0 - opt_kb / flat_kb:.0%} on the same radio budget; re-measure "
-        f"demand from a live fleet with result.demand_profile() and call "
-        f"server.optimize_schedule(...) to adapt as the hot blocks move."
+        f"demand with workload.bucket_demand(index, dataset, query_weights=...) "
+        f"and call server.optimize_schedule(...) to adapt as the hot blocks move."
     )
 
 

@@ -9,9 +9,9 @@ The package is organised as:
 * :mod:`repro.spatial` -- geometry, Hilbert curve and datasets;
 * :mod:`repro.broadcast` -- the wireless broadcast system model (packets,
   programs, clients, link errors, tree-on-air layout);
-* :mod:`repro.core` -- the paper's contribution: the DSI index, energy
-  efficient forwarding, window and kNN query processing and broadcast
-  reorganization;
+* :mod:`repro.core` -- the paper's contribution: the DSI index, window and
+  kNN query processing (their arrival-ordered walk is the paper's energy
+  efficient forwarding) and broadcast reorganization;
 * :mod:`repro.rtree`, :mod:`repro.hci` -- the two baselines evaluated in the
   paper (STR-packed R-tree and Hilbert Curve Index);
 * :mod:`repro.queries` -- query types, workloads and ground truth;
@@ -45,7 +45,7 @@ from .core import DsiIndex, DsiParameters
 from .hci import HciAirIndex
 from .queries import KnnQuery, WindowQuery, knn_workload, skewed_workload, window_workload
 from .rtree import RTreeAirIndex
-from .sim import ClientFleet, IndexSpec, build_index, compare_indexes, run_fleet, run_workload
+from .sim import IndexSpec, build_index, run_fleet, run_workload
 from .spatial import (
     HilbertCurve,
     Point,
@@ -74,7 +74,6 @@ __all__ = [
     "BroadcastSchedule",
     "DemandProfile",
     "ClientSession",
-    "ClientFleet",
     "run_fleet",
     "LinkErrorModel",
     "PAPER_PACKET_CAPACITIES",
@@ -106,6 +105,5 @@ __all__ = [
     "IndexSpec",
     "build_index",
     "run_workload",
-    "compare_indexes",
     "__version__",
 ]

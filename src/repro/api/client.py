@@ -177,7 +177,7 @@ class MobileClient:
         carries per-hop records plus the journey metrics (cumulative
         tuning energy, per-hop latency, spatial result staleness).
         """
-        from ..mobility.continuous import ContinuousClient
+        from ..mobility.continuous import run_journey
         from ..mobility.motion import resolve_motion_model
         from ..mobility.trajectory import DEFAULT_DWELL_PACKETS, trajectory_workload
 
@@ -190,19 +190,19 @@ class MobileClient:
             query=query, win_side_ratio=win_side_ratio, k=k,
             dwell_packets=dwell_packets, seed=journey_seed,
         )
-        runner = ContinuousClient(
+        result = run_journey(
             self.server.index,
             self.server.schedule.view(),
             self.config,
+            trajectory.journeys[0],
             start_packet=self._start_packet(at),
             error_model=self._session_errors(),
             knn_strategy=self.server.knn_strategy,
             speed=motion.speed,
         )
-        for step in trajectory.journeys[0]:
-            record = runner.run(step.query, dwell_packets=step.dwell_packets)
-            self._record(step.query, record.outcome)
-        return runner.result()
+        for hop in result.hops:
+            self._record(hop.query, hop.outcome)
+        return result
 
     # -- batched execution -------------------------------------------------------
 

@@ -13,9 +13,9 @@ a small builder so new scenarios read like the sentence describing them::
         .rows
     )
 
-The builder subsumes the figure drivers in :mod:`repro.sim.sweep` (they are
-thin shims over it) and :func:`repro.sim.runner.compare_indexes` (a
-single-point experiment).  Determinism rules are the same as the sweeps':
+The figure drivers in :mod:`repro.sim.sweep` run on the builder, and a
+single-point experiment compares several indexes on one workload.
+Determinism rules are the same as the sweeps':
 all randomness flows through explicit seeds carried by the declared
 workloads, so serial and parallel runs produce bit-identical rows in
 identical order.  Index builds go through the registry's build cache.

@@ -186,16 +186,26 @@ class BroadcastServer:
 
         return MobileClient(self, error_model=error_model, seed=seed)
 
-    def fleet(self, n_clients: int, **kwargs: Any):
-        """A population-scale client fleet tuned to this server's schedule,
-        running its :attr:`knn_strategy`.
+    def fleet(self, n_clients: int, workload: Optional[Any] = None, **kwargs: Any):
+        """Run a population of clients against this server.
 
-        See :class:`repro.sim.fleet.ClientFleet`; keyword arguments are
-        forwarded (``workload=``, ``seed=``, ``max_phases=``...).
+        ``workload`` is a :class:`~repro.queries.workload.Workload`
+        (defaults to a small seeded window workload); the clients tune into
+        this server's :attr:`schedule` and run its :attr:`knn_strategy`.
+        Remaining keywords are forwarded to :func:`repro.sim.fleet.run_fleet`
+        (``seed=``, ``max_phases=``, ``error_theta=``, ``verify=``,
+        ``parallel=``...), which validates them before any client runs.
+        Returns the :class:`~repro.sim.fleet.FleetResult`.
         """
-        from ..sim.fleet import ClientFleet
+        from ..queries.workload import window_workload
+        from ..sim.fleet import run_fleet
 
-        return ClientFleet(self, n_clients=n_clients, **kwargs)
+        if workload is None:
+            workload = window_workload(20, seed=kwargs.get("seed", 0) + 1)
+        return run_fleet(
+            self.index, self.dataset, self.config, workload, n_clients,
+            knn_strategy=self.knn_strategy, schedule=self.schedule, **kwargs,
+        )
 
     def mobile_fleet(self, n_clients: int, trajectories: Optional[Any] = None, **kwargs: Any):
         """Run a population of *moving* clients against this server.

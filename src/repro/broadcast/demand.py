@@ -14,9 +14,8 @@ buckets at 0, as every builder leaves them), profiles are built two ways:
   workload mapped onto the data buckets that carry the answering objects
   (the exact demand a fleet of clients running that workload generates).
   :meth:`Workload.bucket_demand <repro.queries.workload.Workload.
-  bucket_demand>` and :meth:`FleetResult.demand_profile
-  <repro.sim.fleet.FleetResult.demand_profile>` wrap this constructor with
-  their own workload/draw statistics.
+  bucket_demand>` wraps this constructor for a workload; its
+  ``query_weights=`` weights each query, e.g. by how many clients asked it.
 
 Weights are normalised to sum to 1; navigation buckets carry zero demand
 (their cadence is fixed by the scheduler so index probes never degrade).

@@ -20,7 +20,7 @@ The error *scope* defaults to index buckets only, the buckets the paper's
 recovery argument is about; ``scope="all"`` and ``"data"`` are ablations.
 The default does not make losses cheap.  Traced lossy DSI window queries
 (EXPERIMENTS.md "Stateless link errors") put all of their added latency on
-one planner rule: after a lost table, :func:`~repro.core.eef.read_table`
+one planner rule: after a lost table, :func:`~repro.core.visit.read_table`
 reads the table at the next broadcast position, so when the lost table
 belongs to a frame the window needs, that frame's objects air by unread
 and the frame stays pending until its table airs again, one cycle later

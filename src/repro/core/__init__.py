@@ -13,8 +13,7 @@ from .structure import (
     derive_frame_layout,
 )
 from .knowledge import ClientKnowledge
-from .eef import EefResult, energy_efficient_forwarding, read_directory, read_table
-from .visit import FrameVisit, fetch_object, visit_frame_for_ranges
+from .visit import FrameVisit, fetch_object, read_directory, read_table, visit_frame_for_ranges
 from .window import WindowQueryResult, read_first_table, window_query
 from .knn import KNN_STRATEGIES, KnnQueryResult, knn_query
 
@@ -30,8 +29,6 @@ __all__ = [
     "FrameLayout",
     "derive_frame_layout",
     "ClientKnowledge",
-    "EefResult",
-    "energy_efficient_forwarding",
     "read_table",
     "read_directory",
     "FrameVisit",

@@ -42,10 +42,9 @@ from ..broadcast.client import AccessMetrics, ClientSession
 from ..spatial.datasets import DataObject
 from ..spatial.geometry import Point
 from ..spatial.hilbert import HCRange
-from .eef import read_directory, read_table
 from .knowledge import ClientKnowledge
 from .structure import DsiAirView, DsiTable
-from .visit import fetch_object
+from .visit import fetch_object, read_directory, read_table
 from .window import read_first_table
 
 KNN_STRATEGIES = ("conservative", "aggressive")
@@ -295,7 +294,7 @@ def _needed_ranks(
             ranges = view.curve.ranges_for_circle(q, r)
         space._cover = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
         space._cover_radius = r
-    return knowledge.candidate_rank_array(space._cover, skip_examined=True)
+    return knowledge.candidate_rank_array(space._cover)
 
 
 def _choose_rank(

@@ -18,18 +18,18 @@ Because frame minima are non-decreasing in rank, partial knowledge admits
 exact interval reasoning: for an HC interval ``[lo, hi]`` the frames that
 *may* contain an object of that interval form a contiguous rank interval
 ``[A, B]`` where ``A`` is the largest known rank whose minimum is <= ``lo``
-and ``B`` is one less than the smallest known rank whose minimum is > ``hi``
-(see :meth:`ClientKnowledge.rank_interval_for`).  That interval arithmetic
-is what keeps the window and kNN algorithms cheap even for thousands of
-frames.
+(rank 0 when none is) and ``B`` is one less than the smallest known rank
+whose minimum is > ``hi`` (the last rank when none is).  That interval
+arithmetic is what keeps the window and kNN algorithms cheap even for
+thousands of frames.
 
 Storage is a dense rank-indexed array (-1 = unknown), so learning is O(1);
-the sorted known-(rank, value) views that the interval arithmetic
-binary-searches -- including the sentinel-padded lookup tables the batch
-path indexes directly -- are rebuilt lazily, once per query burst rather
-than once per learned fact.  What one index table teaches is itself a pure
-function of the (static) table, so the unpacked ``(rank, value)`` pairs are
-stashed on the table object and shared by every session that reads it.
+the sorted known-(rank, value) arrays that the interval arithmetic
+binary-searches -- with the sentinel-padded lookup tables it indexes
+directly -- are rebuilt lazily, once per query burst rather than once per
+learned fact.  What one index table teaches is itself a pure function of
+the (static) table, so the unpacked ``(rank, value)`` pairs are stashed on
+the table object and shared by every session that reads it.
 The batch entry point :meth:`candidate_rank_array` answers *many* HC ranges
 in a handful of array operations; it is what the window and kNN planner
 loops drive (see DESIGN.md, "Compiled timelines").
@@ -37,7 +37,6 @@ loops drive (see DESIGN.md, "Compiled timelines").
 
 from __future__ import annotations
 
-import bisect
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -67,9 +66,6 @@ class ClientKnowledge:
         "_known",
         "_not_examined",
         "_dirty",
-        "_lists_dirty",
-        "_ranks",
-        "_values",
         "_ranks_np",
         "_values_np",
         "_a_of_i",
@@ -96,13 +92,9 @@ class ClientKnowledge:
         self.examined: Set[int] = set()
         self._not_examined = np.ones(n_frames, dtype=bool)
         self.tables_read = 0
-        # Lazily rebuilt sorted views over the known samples: numpy arrays
-        # (plus sentinel-padded interval lookup tables) for the batch paths,
-        # plain lists for the scalar bisect paths.
+        # Lazily rebuilt sorted arrays over the known samples, plus the
+        # sentinel-padded interval lookup tables.
         self._dirty = False
-        self._lists_dirty = False
-        self._ranks: List[int] = []
-        self._values: List[int] = []
         self._ranks_np = _EMPTY_RANKS
         self._values_np = _EMPTY_RANKS
         self._a_of_i = _EMPTY_RANKS
@@ -138,7 +130,7 @@ class ClientKnowledge:
             self._mins[rank] = min_hc
             self._mins_np[rank] = min_hc
             self._known += 1
-            self._dirty = self._lists_dirty = True
+            self._dirty = True
 
     def table_pairs(self, table: DsiTable) -> Tuple[Tuple[int, int], ...]:
         """Everything ``table`` teaches, as ``(rank, min_hc)`` pairs.
@@ -185,7 +177,7 @@ class ClientKnowledge:
                 self._known += 1
                 learned = True
         if learned:
-            self._dirty = self._lists_dirty = True
+            self._dirty = True
 
     def learn_directory(self, directory: DsiDirectory) -> None:
         rank = self.rank_of_pos(directory.frame_pos)
@@ -209,14 +201,6 @@ class ClientKnowledge:
         self._b_of_j = np.concatenate((ranks, [self.n_frames])) - 1
         self._dirty = False
 
-    def _refresh_lists(self) -> None:
-        """Rebuild the list mirrors the scalar bisect paths use."""
-        if self._dirty:
-            self._refresh()
-        self._ranks = self._ranks_np.tolist()
-        self._values = self._values_np.tolist()
-        self._lists_dirty = False
-
     # -- queries over knowledge ---------------------------------------------------
 
     @property
@@ -239,43 +223,6 @@ class ClientKnowledge:
             self._refresh()
         return self._values_np
 
-    def known_min_of(self, rank: int) -> Optional[int]:
-        if 0 <= rank < self.n_frames:
-            v = self._mins[rank]
-            if v != _UNKNOWN:
-                return v
-        return None
-
-    def covering_rank_lower_bound(self, hc: int) -> int:
-        """Largest rank whose *known* minimum is <= ``hc`` (0 if none).
-
-        Because frame minima increase with rank, the true covering rank of
-        ``hc`` is always >= this bound.
-        """
-        if self._lists_dirty:
-            self._refresh_lists()
-        i = bisect.bisect_right(self._values, hc)
-        if i == 0:
-            return 0
-        return self._ranks[i - 1]
-
-    def rank_interval_for(self, lo: int, hi: int) -> Tuple[int, int]:
-        """Inclusive interval ``[A, B]`` of ranks that may intersect ``[lo, hi]``.
-
-        ``A`` is the largest known rank with minimum <= ``lo``;
-        ``B`` is one less than the smallest known rank with minimum > ``hi``.
-        The interval is exact given current knowledge (monotonicity of frame
-        minima): every rank outside it provably cannot hold an object with an
-        HC value inside ``[lo, hi]`` and every rank inside it might.
-        An empty interval is signalled by ``A > B``.
-        """
-        if self._lists_dirty:
-            self._refresh_lists()
-        a = self.covering_rank_lower_bound(lo)
-        j = bisect.bisect_right(self._values, hi)
-        b = self._ranks[j] - 1 if j < len(self._ranks) else self.n_frames - 1
-        return a, b
-
     def neighbor_known_values(self, rank: int) -> Tuple[Optional[int], Optional[int]]:
         """Known minima bracketing ``rank``: ``(value at largest known rank
         <= rank, value at smallest known rank > rank)``, ``None`` where no
@@ -285,10 +232,10 @@ class ClientKnowledge:
         candidate walks: ``rank`` may intersect an HC range ``[lo, hi]``
         exactly when the next known minimum exceeds ``lo`` (else a later
         frame already covers ``lo``) and the previous known minimum does
-        not exceed ``hi`` -- the scalar form of :meth:`rank_interval_for`
-        membership.  Implemented as an outward scan of the dense store
-        (expected O(1) once a few tables are known), so it never forces the
-        sorted views to rebuild mid-burst.
+        not exceed ``hi`` -- the scalar form of the rank intervals
+        :meth:`candidate_rank_array` computes.  Implemented as an outward
+        scan of the dense store (expected O(1) once a few tables are known),
+        so it never forces the sorted views to rebuild mid-burst.
         """
         mins = self._mins
         before = None
@@ -305,16 +252,15 @@ class ClientKnowledge:
                 break
         return before, after
 
-    def candidate_rank_array(
-        self, ranges: Sequence[HCRange], skip_examined: bool = True
-    ) -> np.ndarray:
-        """Ranks that may hold objects in any of the HC ``ranges`` (sorted).
+    def candidate_rank_array(self, ranges: Sequence[HCRange]) -> np.ndarray:
+        """Unexamined ranks that may hold objects in any of the HC ``ranges``.
 
-        The batch form of :meth:`rank_interval_for`: every range endpoint is
-        binary-searched in one call, the interval bounds come from the
-        sentinel-padded lookup tables, and the union of rank intervals is
-        materialised with one difference-array sweep -- no per-rank Python.
-        Returns an ``int64`` array (ascending).
+        Each range ``[lo, hi]`` maps to its rank interval ``[A, B]`` (see
+        the module docstring): every range endpoint is binary-searched in
+        one call, the interval bounds come from the sentinel-padded lookup
+        tables, and the union of rank intervals is materialised with one
+        difference-array sweep -- no per-rank Python.  Ranks this query has
+        examined are left out.  Returns an ``int64`` array (ascending).
         """
         if not len(ranges):
             return _EMPTY_RANKS
@@ -326,9 +272,7 @@ class ClientKnowledge:
             bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
         if not len(self._ranks_np):
             # No knowledge yet: every rank is a candidate for any range.
-            if skip_examined:
-                return np.flatnonzero(self._not_examined)
-            return np.arange(self.n_frames, dtype=np.int64)
+            return np.flatnonzero(self._not_examined)
         ij = np.searchsorted(self._values_np, bounds.ravel(), side="right")
         a = self._a_of_i[ij[0::2]]
         b = self._b_of_j[ij[1::2]]
@@ -340,17 +284,4 @@ class ClientKnowledge:
         nf = self.n_frames
         opens = np.bincount(a, minlength=nf)[:nf]
         closes = np.bincount(b + 1, minlength=nf + 1)[:nf]
-        mask = np.cumsum(opens - closes) > 0
-        if skip_examined:
-            mask &= self._not_examined
-        return np.flatnonzero(mask)
-
-    def candidate_ranks(
-        self, ranges: Sequence[HCRange], skip_examined: bool = True
-    ) -> List[int]:
-        """Ranks that may hold objects in any of the HC ``ranges``."""
-        return self.candidate_rank_array(ranges, skip_examined=skip_examined).tolist()
-
-    def known_fraction(self) -> float:
-        """Fraction of frames whose minimum is known (diagnostics/tests)."""
-        return self._known / self.n_frames
+        return np.flatnonzero((np.cumsum(opens - closes) > 0) & self._not_examined)

@@ -647,6 +647,3 @@ class DsiAirView:
 
     def object_bucket_in_frame(self, frame_pos: int, slot: int) -> int:
         return self._index.frame_object_buckets[frame_pos][slot]
-
-    def frame_pos_of_bucket(self, bucket_index: int) -> int:
-        return self.program.buckets[bucket_index].meta["frame_pos"]

@@ -1,27 +1,83 @@
-"""Retrieving data objects out of a DSI frame.
+"""Reading a DSI frame: its index table, its directory and its objects.
 
-Once navigation (EEF) has brought the client to a frame of interest, the
-remaining work is to download the *qualified* objects of that frame while
-dozing through the rest.  With an intra-frame directory the client knows the
-HC value of every object in the frame and can wake up for exactly the right
-data buckets; without one (single-object frames, or a corrupted directory)
-it scans the frame's HC-sorted data buckets in order and stops as soon as
-the values pass the range of interest.
+Navigation -- the paper's energy-efficient forwarding, run as the
+planners' arrival-ordered candidate walk (see :mod:`repro.core.window`) --
+reads one frame's index table per hop (:func:`read_table`).  Once it has
+brought the client to a frame of interest, the remaining work is to
+download the *qualified* objects of that frame while dozing through the
+rest.  With an intra-frame directory the client knows the HC value of
+every object in the frame and can wake up for exactly the right data
+buckets; without one (single-object frames, or a corrupted directory) it
+scans the frame's HC-sorted data buckets in order and stops as soon as the
+values pass the range of interest.
+
+Error resilience: when a table is corrupted the client simply reads the
+next frame's table and carries on -- this is the behaviour the paper
+credits for DSI's resilience, and it is what :func:`read_table`
+implements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..broadcast.client import ClientSession
 from ..spatial.datasets import DataObject
 from ..spatial.hilbert import HCRange, ranges_contain
-from .eef import read_directory
 from .knowledge import ClientKnowledge
 from .structure import DsiAirView, DsiDirectory, DsiTable
+
+
+def read_table(
+    session: ClientSession,
+    view: DsiAirView,
+    knowledge: ClientKnowledge,
+    frame_pos: int,
+) -> Tuple[int, DsiTable]:
+    """Read the index table of a frame, recovering from link errors.
+
+    If the requested table is corrupted, the client keeps listening and reads
+    the table of the next frame in broadcast order (paper Section 5: "the
+    client can easily resume the query processing in the next frame").
+    Returns ``(frame_pos_actually_read, table)`` and updates ``knowledge``.
+    """
+    pos = frame_pos % view.n_frames
+    attempts = 0
+    while True:
+        result = session.read_bucket(view.table_bucket(pos))
+        attempts += 1
+        if result.ok:
+            table: DsiTable = result.payload
+            knowledge.learn_table(table)
+            return pos, table
+        if attempts > view.n_frames:
+            raise RuntimeError("unable to read any DSI table: channel fully corrupted")
+        pos = (pos + 1) % view.n_frames
+
+
+def read_directory(
+    session: ClientSession,
+    view: DsiAirView,
+    frame_pos: int,
+    knowledge: ClientKnowledge,
+) -> Optional[DsiDirectory]:
+    """Read a frame's intra-frame directory (None when absent or corrupted).
+
+    A corrupted directory is not retried: the caller falls back to checking
+    the frame's data buckets directly.
+    """
+    bucket = view.directory_bucket(frame_pos)
+    if bucket is None:
+        return None
+    result = session.read_bucket(bucket)
+    if not result.ok:
+        return None
+    directory: DsiDirectory = result.payload
+    knowledge.learn_directory(directory)
+    return directory
 
 
 @dataclass
@@ -39,18 +95,13 @@ def fetch_object(
     view: DsiAirView,
     frame_pos: int,
     slot: int,
-    retry_on_loss: bool = True,
 ) -> Optional[DataObject]:
     """Download one data object bucket, retrying once on a link error."""
     bucket = view.object_bucket_in_frame(frame_pos, slot)
     result = session.read_bucket(bucket)
-    if result.ok:
-        return result.payload
-    if retry_on_loss:
+    if not result.ok:
         result = session.read_bucket(bucket)  # next broadcast cycle
-        if result.ok:
-            return result.payload
-    return None
+    return result.payload if result.ok else None
 
 
 def visit_frame_for_ranges(

@@ -42,10 +42,9 @@ from ..spatial.hilbert import (
     HCRange,
     subtract_range,
 )
-from .eef import read_table
 from .knowledge import ClientKnowledge
 from .structure import DsiAirView, DsiTable
-from .visit import visit_frame_for_ranges
+from .visit import read_table, visit_frame_for_ranges
 
 #: Arrival sentinel for candidates already walked within one hop.
 _NEVER = np.iinfo(np.int64).max
@@ -197,7 +196,7 @@ def window_query(
     # exact membership test -- the same (lowest-rank on ties) frame a full
     # recompute's argmin picks.  When many stale entries accumulate the set
     # is recomputed outright.
-    candidates = knowledge.candidate_rank_array(pending_arr, skip_examined=True)
+    candidates = knowledge.candidate_rank_array(pending_arr)
     while pending and iterations < safety:
         iterations += 1
         rank = None
@@ -229,7 +228,7 @@ def window_query(
             if rank is not None or len(stale) <= _MAX_STALE:
                 break
             # Too many stale entries: rebuild the set and retry the walk.
-            candidates = knowledge.candidate_rank_array(pending_arr, skip_examined=True)
+            candidates = knowledge.candidate_rank_array(pending_arr)
         if rank is None:
             break
         _pos, table = read_table(session, view, knowledge, knowledge.pos_of_rank(rank))

@@ -20,10 +20,9 @@ moving client legitimately owns:
 ``speed * latency_packets`` behind the client when it lands.
 
 This engine runs journeys one client at a time: the API's
-:meth:`~repro.api.MobileClient.travel` goes through
-:class:`ContinuousClient`.  Population-scale fleets
-(:func:`~repro.sim.fleet.run_mobile_fleet`), stationary fleets and
-workload replays do not: the one fleet engine
+:meth:`~repro.api.MobileClient.travel` goes through :func:`run_journey`.
+Population-scale fleets (:func:`~repro.sim.fleet.run_mobile_fleet`),
+stationary fleets and workload replays do not: the one fleet engine
 (:func:`repro.sim.fleet._run_executions`) walks the same ``(query,
 dwell)`` steps on one session per distinct execution (or on the lockstep
 kernels of :mod:`repro.sim.fleet_kernel`), and the fleet brute-force

@@ -2,7 +2,6 @@
 
 from .metrics import ExperimentResult, MetricSummary, deterioration
 from .fleet import (
-    ClientFleet,
     FleetResult,
     FleetSpec,
     MobileFleetResult,
@@ -15,10 +14,8 @@ from .runner import (
     IndexSpec,
     build_index,
     clear_index_cache,
-    compare_indexes,
     default_specs,
     execute_query,
-    index_cache_stats,
     run_workload,
 )
 from .sweep import (
@@ -35,7 +32,6 @@ __all__ = [
     "ExperimentResult",
     "MetricSummary",
     "deterioration",
-    "ClientFleet",
     "FleetResult",
     "FleetSpec",
     "MobileFleetResult",
@@ -45,10 +41,8 @@ __all__ = [
     "INDEX_NAMES",
     "build_index",
     "clear_index_cache",
-    "index_cache_stats",
     "execute_query",
     "run_workload",
-    "compare_indexes",
     "default_specs",
     "default_processes",
     "parallel_map",

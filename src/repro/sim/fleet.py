@@ -1,7 +1,7 @@
 """Population-scale client fleets: millions of tune-ins in flat memory.
 
 The paper's model is one server airing a cycle to an unbounded audience of
-independent tuners.  :class:`ClientFleet` simulates that audience at
+independent tuners.  :func:`run_fleet` simulates that audience at
 population scale: ``n_clients`` seeded clients, each assigned one query of
 a workload and one tune-in position, run in batch instead of as per-client
 Python objects.
@@ -88,7 +88,6 @@ from .metrics import ExperimentResult, MetricSummary
 from .parallel import default_processes, parallel_map
 
 __all__ = [
-    "ClientFleet",
     "FleetResult",
     "FleetSpec",
     "MobileFleetResult",
@@ -108,17 +107,11 @@ _DRAW_BATCH = 1 << 16
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """Validated fleet parameters (fail fast, not deep in the batch loop).
-
-    ``tune_in`` optionally pins every client's tune-in fraction (one float
-    in ``[0, 1)`` per client, kept as a tuple of floats); otherwise each
-    client's fraction comes from the fleet's seeded draw.
-    """
+    """Validated fleet parameters (fail fast, not deep in the batch loop)."""
 
     n_clients: int
     seed: int = 0
     max_phases: int = DEFAULT_MAX_PHASES
-    tune_in: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.n_clients, int) or isinstance(self.n_clients, bool):
@@ -127,22 +120,6 @@ class FleetSpec:
             raise ValueError(f"n_clients must be positive, got {self.n_clients}")
         if self.max_phases < 1:
             raise ValueError(f"max_phases must be at least 1, got {self.max_phases}")
-        if self.tune_in is not None:
-            object.__setattr__(self, "tune_in", tuple(float(v) for v in self.tune_in))
-            fracs = np.asarray(self.tune_in, dtype=np.float64)
-            if fracs.shape != (self.n_clients,):
-                raise ValueError(
-                    f"tune_in must provide one fraction per client "
-                    f"({self.n_clients}), got shape {fracs.shape}"
-                )
-            if not np.all(np.isfinite(fracs)):
-                bad = int(np.flatnonzero(~np.isfinite(fracs))[0])
-                raise ValueError(
-                    f"tune_in fractions must be finite; client {bad} has "
-                    f"{self.tune_in[bad]!r}"
-                )
-            if fracs.size and (fracs.min() < 0.0 or fracs.max() >= 1.0):
-                raise ValueError("tune_in fractions must lie in [0, 1)")
 
 
 @dataclass(kw_only=True)
@@ -213,34 +190,6 @@ class FleetResult(_PopulationView):
     """Outcome of one fleet run: one sample per client (see
     :class:`_PopulationView` for the fields every fleet result carries)."""
 
-    #: Realized per-query client draw counts (length = number of workload
-    #: queries), retained -- with references to the run's workload, index and
-    #: dataset -- so :meth:`demand_profile` can extract the fleet's actual
-    #: per-bucket demand for the scheduler's next optimization round.
-    query_draws: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _workload: Optional[Workload] = field(default=None, repr=False, compare=False)
-    _index: Any = field(default=None, repr=False, compare=False)
-    _dataset: Optional[SpatialDataset] = field(default=None, repr=False, compare=False)
-
-    def demand_profile(self):
-        """The fleet's realized per-bucket demand
-        (:class:`~repro.broadcast.demand.DemandProfile`).
-
-        Each workload query is weighted by how many clients actually drew
-        it in this run (``query_draws``), so the profile reflects the
-        population the fleet simulated -- feed it straight back into
-        :meth:`BroadcastSchedule.optimized` to close the measure/optimize
-        loop.
-        """
-        if self._workload is None or self._index is None or self._dataset is None:
-            raise ValueError(
-                "this FleetResult was built without its workload/index/dataset "
-                "references; demand_profile() needs a result from run_fleet()"
-            )
-        return self._workload.bucket_demand(
-            self._index, self._dataset, query_weights=self.query_draws
-        )
-
     def as_row(self) -> Dict[str, Any]:
         from .report import metric_columns
 
@@ -270,11 +219,7 @@ def _draw_batches(spec: FleetSpec, n_items: int):
     while done < spec.n_clients:
         m = min(_DRAW_BATCH, spec.n_clients - done)
         ids = rng.integers(0, n_items, size=m, dtype=np.int64)
-        if spec.tune_in is None:
-            fracs = rng.random(m)
-        else:
-            fracs = np.asarray(spec.tune_in[done:done + m], dtype=np.float64)
-        yield ids, fracs
+        yield ids, rng.random(m)
         done += m
 
 
@@ -632,14 +577,13 @@ def _run_population(
     error_theta: Optional[float],
     schedule: Optional[BroadcastSchedule],
     **engine: Any,
-) -> Tuple[Dict[str, Any], np.ndarray]:
+) -> Dict[str, Any]:
     """The fleet front end of :func:`run_fleet` and :func:`run_mobile_fleet`.
 
     Draws the population once onto ``(item, phase)`` keys -- at most
     ``spec.max_phases`` phases per cycle -- with its first-hop waits, and
     runs the occupied keys on :func:`_run_executions` (``engine`` holds its
-    keywords).  Returns the result fields both fleet results share, plus the
-    realized client draws per item.
+    keywords).  Returns the result fields both fleet results share.
     """
     if error_theta is not None and not (0.0 <= error_theta <= 1.0):
         raise ValueError("error_theta must be within [0, 1]")
@@ -666,7 +610,7 @@ def _run_population(
         first_index_wait=wait_summary,
         schedule_policy=getattr(schedule, "policy", "flat"),
     )
-    return fields, counts.reshape(len(items), n_phases).sum(axis=1)
+    return fields
 
 
 def run_fleet(
@@ -677,7 +621,6 @@ def run_fleet(
     n_clients: int,
     *,
     seed: int = 0,
-    tune_in: Optional[Sequence[float]] = None,
     max_phases: int = DEFAULT_MAX_PHASES,
     error_theta: Optional[float] = None,
     error_scope: str = "index",
@@ -698,11 +641,11 @@ def run_fleet(
     overrides the config-derived one.  Serial and parallel runs produce
     identical results.  See the module docstring for the simulation model.
     """
-    spec = FleetSpec(n_clients, seed, max_phases, tune_in)
+    spec = FleetSpec(n_clients, seed, max_phases)
     trials = list(workload)
     if not trials:
         raise ValueError(f"workload {workload.name!r} has no trials to assign to clients")
-    fields, draws = _run_population(
+    fields = _run_population(
         index, dataset, config, spec, [((trial.query, 0),) for trial in trials],
         warm=False, label=label or getattr(index, "name", type(index).__name__),
         workload_name=workload.name, error_theta=error_theta,
@@ -710,9 +653,7 @@ def run_fleet(
         knn_strategy=knn_strategy, parallel=parallel, processes=processes,
         schedule=schedule,
     )
-    return FleetResult(
-        **fields, query_draws=draws, _workload=workload, _index=index, _dataset=dataset
-    )
+    return FleetResult(**fields)
 
 
 @dataclass(kw_only=True)
@@ -771,7 +712,6 @@ def run_mobile_fleet(
     n_clients: int,
     *,
     seed: int = 0,
-    tune_in: Optional[Sequence[float]] = None,
     max_phases: int = DEFAULT_MAX_PHASES,
     error_theta: Optional[float] = None,
     error_scope: str = "index",
@@ -793,13 +733,13 @@ def run_mobile_fleet(
     distinct warm journeys -- not the fleet size.  Serial and parallel runs
     produce identical results.
     """
-    spec = FleetSpec(n_clients, seed, max_phases, tune_in)
+    spec = FleetSpec(n_clients, seed, max_phases)
     journeys = list(trajectories)
     if not journeys:
         raise ValueError(
             f"trajectory workload {trajectories.name!r} has no journeys to assign"
         )
-    fields, _ = _run_population(
+    fields = _run_population(
         index, dataset, config, spec,
         [tuple((step.query, step.dwell_packets) for step in j.steps) for j in journeys],
         warm=True, label=label or getattr(index, "name", type(index).__name__),
@@ -815,73 +755,3 @@ def run_mobile_fleet(
         speed=getattr(getattr(trajectories, "model", None), "speed", 0.0),
         capacity=config.packet_capacity,
     )
-
-
-class ClientFleet:
-    """A population of clients attached to a :class:`BroadcastServer`.
-
-    The object-level face of :func:`run_fleet`::
-
-        server = BroadcastServer(dataset, config, index="dsi", channels=4)
-        fleet = server.fleet(100_000, workload=window_workload(20, seed=7))
-        result = fleet.run(parallel=True)
-        result.result.latency.percentile(95)
-
-    Parameters are validated up front (:class:`FleetSpec`); ``workload``
-    defaults to a small seeded window workload over the server's dataset.
-    """
-
-    def __init__(
-        self,
-        server: Any,
-        n_clients: int,
-        *,
-        workload: Optional[Workload] = None,
-        seed: int = 0,
-        tune_in: Optional[Sequence[float]] = None,
-        max_phases: int = DEFAULT_MAX_PHASES,
-        error_theta: Optional[float] = None,
-        error_scope: str = "index",
-        error_seed: int = 0,
-        verify: bool = False,
-    ) -> None:
-        from ..queries.workload import window_workload
-
-        self.server = server
-        self.workload = workload if workload is not None else window_workload(
-            n_queries=20, seed=seed + 1
-        )
-        # Validate now -- a bad fleet declaration should fail at declaration.
-        self.spec = FleetSpec(n_clients, seed, max_phases, tune_in)
-        self.error_theta = error_theta
-        self.error_scope = error_scope
-        self.error_seed = error_seed
-        self.verify = verify
-
-    def run(self, parallel: bool = False, processes: Optional[int] = None) -> FleetResult:
-        """Run the fleet on the server's schedule, with its kNN strategy."""
-        return run_fleet(
-            self.server.index,
-            self.server.dataset,
-            self.server.config,
-            self.workload,
-            self.spec.n_clients,
-            seed=self.spec.seed,
-            tune_in=self.spec.tune_in,
-            max_phases=self.spec.max_phases,
-            error_theta=self.error_theta,
-            error_scope=self.error_scope,
-            error_seed=self.error_seed,
-            verify=self.verify,
-            knn_strategy=self.server.knn_strategy,
-            label=getattr(self.server.index, "name", None),
-            parallel=parallel,
-            processes=processes,
-            schedule=self.server.schedule,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ClientFleet(n_clients={self.spec.n_clients}, "
-            f"workload={self.workload.name!r}, server={self.server!r})"
-        )

@@ -1,21 +1,21 @@
 """Experiment runner: build an index, replay a workload, collect metrics.
 
 This is the layer the benchmark harness (and the examples) drive.  Index
-construction is delegated to the public registry in
-:mod:`repro.api.registry` -- ``build_index`` here is a thin shim kept for
-backward compatibility, as is ``compare_indexes`` (now a single-point
-:class:`repro.api.experiment.Experiment`).  :func:`run_workload` replays a
-:class:`~repro.queries.workload.Workload` against a built index with a
-given link-error model, verifying every answer against brute force when
-asked; it is a view over the fleet engine (:mod:`repro.sim.fleet`), one
-client per trial, so the paper's figure rows run on the same kernels and
-reference planners as every fleet.  :func:`execute_query` is the one
-per-query dispatch those reference planners run.
+construction is the public registry's (:mod:`repro.api.registry`), whose
+``build_index`` is re-exported here; comparing several indexes on one
+workload is a single-point :class:`repro.api.experiment.Experiment`.
+:func:`run_workload` replays a :class:`~repro.queries.workload.Workload`
+against a built index with a given link-error model, verifying every
+answer against brute force when asked; it is a view over the fleet engine
+(:mod:`repro.sim.fleet`), one client per trial, so the paper's figure rows
+run on the same kernels and reference planners as every fleet.
+:func:`execute_query` is the one per-query dispatch those reference
+planners run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from ..api.registry import (
     IndexSpec,
     build_index,
     builtin_index_names,
-    cache_stats,
     clear_index_cache,
     default_specs,
 )
@@ -48,11 +47,6 @@ from .metrics import ExperimentResult
 INDEX_NAMES = builtin_index_names()
 
 AnyIndex = Union[DsiIndex, RTreeAirIndex, HciAirIndex]
-
-
-def index_cache_stats() -> Dict[str, int]:
-    """Current build-cache statistics (alias of :func:`repro.api.cache_stats`)."""
-    return cache_stats()
 
 
 def execute_query(
@@ -127,46 +121,3 @@ def run_workload(
         verify=verify, knn_strategy=knn_strategy, parallel=False, processes=None,
     )
     return fields["result"]
-
-
-def compare_indexes(
-    dataset: SpatialDataset,
-    config: SystemConfig,
-    workload: Workload,
-    specs: Optional[Sequence[IndexSpec]] = None,
-    error_model: Optional[LinkErrorModel] = None,
-    verify: bool = True,
-    use_cache: bool = True,
-) -> Dict[str, ExperimentResult]:
-    """Run the same workload against several indexes (paired trials).
-
-    A thin shim over a single-point :class:`~repro.api.experiment.Experiment`.
-    With the default contenders, indexes the configuration cannot support
-    (the R-tree below its minimum packet capacity) are skipped, matching
-    the paper's figures; an *explicitly requested* spec the configuration
-    cannot support raises instead of being dropped silently.
-    """
-    from ..api.experiment import Experiment
-    from ..api.registry import index_entry, resolve_spec
-
-    if specs is not None:
-        for spec in map(resolve_spec, specs):
-            if not index_entry(spec.kind).is_supported(config):
-                raise ValueError(
-                    f"index {spec.kind!r} cannot be built under this configuration "
-                    f"(packet_capacity={config.packet_capacity} is too small for "
-                    "one of its entries)"
-                )
-
-    experiment = (
-        Experiment(dataset)
-        .config(config)
-        .workload(workload)
-        .verify(verify)
-        .use_cache(use_cache)
-    )
-    if specs is not None:
-        experiment.indexes(*specs)
-    if error_model is not None:
-        experiment.errors(error_model)
-    return experiment.run(parallel=False).results()

@@ -53,6 +53,8 @@ _METRICS = "repro/sim/metrics.py"
 _SUMMARY = "tests/test_streaming_metrics.py"
 _FLEET = "repro/sim/fleet.py"
 _POPULATION = "tests/test_fleet.py::TestPopulationHistograms"
+_SERVER_SCHEDULE = ("tests/test_api_service.py::TestServerSchedule"
+                    "::test_every_entry_point_airs_the_server_schedule")
 
 
 @dataclass(frozen=True)
@@ -426,6 +428,37 @@ MUTANTS: Tuple[Mutant, ...] = (
         "if use_parallel:",
         ("tests/test_fleet.py::test_pooled_reference_run_collapses_each_item_once[hci]",
          "tests/test_fleet.py::test_pooled_reference_run_collapses_each_item_once[dsi]"),
+    ),
+    Mutant(
+        "server-fleet-flat-schedule",
+        "a server's fleet tunes into the config's flat schedule, not the "
+        "server's",
+        "repro/api/server.py",
+        "workload, n_clients,\n"
+        "            knn_strategy=self.knn_strategy, schedule=self.schedule,",
+        "workload, n_clients,\n"
+        "            knn_strategy=self.knn_strategy, schedule=None,",
+        (_SERVER_SCHEDULE,),
+    ),
+    Mutant(
+        "server-mobile-fleet-flat-schedule",
+        "a server's moving fleet tunes into the config's flat schedule, not "
+        "the server's",
+        "repro/api/server.py",
+        "trajectories, n_clients,\n"
+        "            knn_strategy=self.knn_strategy, schedule=self.schedule,",
+        "trajectories, n_clients,\n"
+        "            knn_strategy=self.knn_strategy,",
+        (_SERVER_SCHEDULE,),
+    ),
+    Mutant(
+        "client-tunes-into-base-program",
+        "a client's session airs the server's one-channel base program, not "
+        "its schedule's view",
+        "repro/api/client.py",
+        "ClientSession(\n            self.server.schedule.view(),",
+        "ClientSession(\n            self.server.program,",
+        (_SERVER_SCHEDULE,),
     ),
 )
 

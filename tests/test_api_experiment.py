@@ -9,7 +9,7 @@ import pytest
 from repro import Experiment, SystemConfig, uniform_dataset
 from repro.api import Axis, IndexSpec, clear_index_cache
 from repro.queries import window_workload
-from repro.sim import build_index, compare_indexes, run_workload
+from repro.sim import build_index, run_workload
 
 
 @pytest.fixture(scope="module")
@@ -85,15 +85,6 @@ class TestBuilderValidation:
         with pytest.raises(ValueError, match="not consumed by any declared"):
             experiment.run(parallel=False)
 
-    def test_explicit_unsupported_spec_raises_in_compare(self, dataset):
-        with pytest.raises(ValueError, match="cannot be built"):
-            compare_indexes(
-                dataset,
-                SystemConfig(packet_capacity=32),
-                window_workload(n_queries=2, seed=2),
-                specs=[IndexSpec(kind="rtree")],
-            )
-
 
 class TestRowsAndSweeps:
     def test_single_point_matches_manual_runner_calls(self, dataset):
@@ -115,17 +106,6 @@ class TestRowsAndSweeps:
             assert results[spec.display_name].mean_latency_bytes == manual.mean_latency_bytes
             assert results[spec.display_name].mean_tuning_bytes == manual.mean_tuning_bytes
             assert results[spec.display_name].accuracy == 1.0
-
-    def test_compare_indexes_is_a_thin_shim(self, dataset):
-        config = SystemConfig(packet_capacity=64)
-        workload = window_workload(n_queries=4, seed=22)
-        via_shim = compare_indexes(dataset, config, workload, verify=False)
-        via_builder = (
-            Experiment(dataset).config(config).workload(workload).run(parallel=False).results()
-        )
-        assert list(via_shim) == ["DSI", "R-tree", "HCI"]
-        for name in via_shim:
-            assert via_shim[name].mean_latency_bytes == via_builder[name].mean_latency_bytes
 
     def test_capacity_sweep_prunes_unsupported_indexes(self, dataset):
         rows = (

@@ -16,7 +16,8 @@ from repro import (
 from repro.api import IndexSpec, clear_index_cache
 from repro.mobility import run_journey, trajectory_workload
 from repro.mobility.trajectory import DEFAULT_DWELL_PACKETS
-from repro.queries import KnnQuery, Trial, knn_workload, mixed_workload
+from repro.queries import KnnQuery, Trial, WindowQuery, knn_workload, mixed_workload
+from repro.queries.workload import skewed_workload
 from repro.sim import run_workload
 from repro.sim.fleet import run_fleet, run_mobile_fleet
 from repro.sim.runner import execute_query
@@ -206,7 +207,7 @@ class TestServerKnnStrategy:
     def test_fleets_and_journeys_run_the_server_strategy(self, aggressive):
         index, dataset, config = aggressive.index, aggressive.dataset, aggressive.config
         workload = knn_workload(6, k=5, seed=4)
-        fleet = aggressive.fleet(2_000, workload=workload, seed=1).run()
+        fleet = aggressive.fleet(2_000, workload=workload, seed=1)
         for strategy, same in (("aggressive", True), ("conservative", False)):
             explicit = run_fleet(
                 index, dataset, config, workload, 2_000, seed=1, knn_strategy=strategy
@@ -227,5 +228,60 @@ class TestServerKnnStrategy:
         ).journeys[0]
         reference = run_journey(
             index, aggressive.schedule.view(), config, steps, knn_strategy="aggressive"
+        )
+        assert [h.metrics for h in journey.hops] == [h.metrics for h in reference.hops]
+
+
+class TestServerSchedule:
+    """A server's schedule is the one every entry point airs: fleets, moving
+    fleets, single queries and journeys all run on ``server.schedule``."""
+
+    def test_every_entry_point_airs_the_server_schedule(self):
+        hot = skewed_workload(n_queries=12, zipf_s=1.1, seed=9)
+        server = BroadcastServer(
+            uniform_dataset(300, seed=4), SystemConfig(packet_capacity=64),
+            index="dsi", channels=4, schedule_policy="optimized", demand=hot, budget=1.8,
+        )
+        index, dataset, config = server.index, server.dataset, server.config
+        assert server.schedule_policy == "optimized"
+        assert server.schedule.max_multiplicity > 1  # not the flat layout
+
+        fleet = server.fleet(3_000, workload=hot, seed=5)
+        explicit = run_fleet(
+            index, dataset, config, hot, 3_000, seed=5, schedule=server.schedule
+        )
+        trajectories = trajectory_workload(3, 3, query="window", seed=6)
+        mobile = server.mobile_fleet(600, trajectories, seed=5)
+        explicit_mobile = run_mobile_fleet(
+            index, dataset, config, trajectories, 600, seed=5, schedule=server.schedule
+        )
+        for ours, theirs in ((fleet, explicit), (mobile, explicit_mobile)):
+            assert ours.schedule_policy == theirs.schedule_policy == "optimized"
+            for name in ("unique_latency", "unique_tuning", "unique_counts"):
+                assert np.array_equal(getattr(ours, name), getattr(theirs, name))
+            for ours_summary, theirs_summary in (
+                (ours.result.latency, theirs.result.latency),
+                (ours.result.tuning, theirs.result.tuning),
+                (ours.first_index_wait, theirs.first_index_wait),
+            ):
+                assert ours_summary.mean == theirs_summary.mean
+                assert ours_summary.percentile(95) == theirs_summary.percentile(95)
+
+        query = hot.trials[0].query
+        start = server.tune_cycle_packets // 3
+        single = server.client().window_query(query.window, at=start)
+        session = ClientSession(server.schedule.view(), config, start_packet=start)
+        reference = execute_query(index, WindowQuery(window=query.window), session)
+        assert single.metrics == reference.metrics
+        assert sorted(o.oid for o in single.objects) == sorted(
+            o.oid for o in reference.objects
+        )
+
+        journey = server.client().travel("waypoint", 3, at=start, seed=11)
+        steps = trajectory_workload(
+            1, 3, "waypoint", dwell_packets=DEFAULT_DWELL_PACKETS, seed=11
+        ).journeys[0]
+        reference = run_journey(
+            index, server.schedule.view(), config, steps, start_packet=start
         )
         assert [h.metrics for h in journey.hops] == [h.metrics for h in reference.hops]

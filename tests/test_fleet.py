@@ -8,7 +8,7 @@ import pytest
 from repro.api import BroadcastServer, Experiment
 from repro.broadcast import ClientSession, SystemConfig
 from repro.queries.workload import window_workload
-from repro.sim.fleet import ClientFleet, FleetSpec, run_fleet, run_mobile_fleet
+from repro.sim.fleet import FleetSpec, run_fleet, run_mobile_fleet
 from repro.sim.runner import build_index
 
 
@@ -43,49 +43,51 @@ class TestFleetSpecValidation:
         with pytest.raises(TypeError, match="must be an int"):
             FleetSpec(n_clients=2.5)
 
-    def test_rejects_bad_tune_in_fractions(self):
-        with pytest.raises(ValueError, match="finite"):
-            FleetSpec(n_clients=3, tune_in=(0.1, float("nan"), 0.2))
-        with pytest.raises(ValueError, match="finite"):
-            FleetSpec(n_clients=3, tune_in=(0.1, float("inf"), 0.2))
-        with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            FleetSpec(n_clients=2, tune_in=(0.0, 1.0))
-        with pytest.raises(ValueError, match="one fraction per client"):
-            FleetSpec(n_clients=3, tune_in=(0.1, 0.2))
-
     def test_rejects_bad_phases_and_theta(self, dsi, dataset, config64, workload):
         with pytest.raises(ValueError, match="max_phases"):
             FleetSpec(n_clients=1, max_phases=0)
         with pytest.raises(ValueError, match="error_theta"):
             run_fleet(dsi, dataset, config64, workload, 10, error_theta=1.5)
 
-    def test_validation_happens_at_declaration(self, dataset, config64):
+    def test_validation_happens_at_declaration(self, dataset, config64, monkeypatch):
+        """``server.fleet`` checks its arguments before any client runs."""
+        from repro.sim import fleet as fleet_mod
+
+        def no_draw(*args):
+            raise AssertionError("the fleet drew clients before validating")
+
+        monkeypatch.setattr(fleet_mod, "_draw_batches", no_draw)
         server = BroadcastServer(dataset, config64, index="dsi")
         with pytest.raises(ValueError, match="n_clients must be positive"):
-            ClientFleet(server, n_clients=0)
+            server.fleet(0)
+        with pytest.raises(ValueError, match="max_phases"):
+            server.fleet(10, max_phases=0)
+        with pytest.raises(ValueError, match="error_theta"):
+            server.fleet(10, error_theta=1.5)
 
 
 class TestFleetExactness:
     def test_pinned_phases_match_per_client_sessions(self, dsi, dataset, config64):
-        """With every packet phase pinned and one query, the fleet must equal
-        a per-client ClientSession sweep exactly (the cycle is shorter than
-        max_phases, so no quantisation is involved)."""
+        """With one phase per packet and one query, the fleet must equal a
+        per-client ClientSession sweep over its own seeded draw exactly (no
+        quantisation is involved)."""
         workload = window_workload(1, 0.15, seed=2)
         cycle = dsi.program.cycle_packets
-        sample = min(cycle, 400)
-        fractions = tuple((p + 0.5) / cycle for p in range(0, sample))
+        n_clients = 400
         fleet = run_fleet(
-            dsi, dataset, config64, workload, len(fractions),
-            tune_in=fractions, max_phases=cycle,
+            dsi, dataset, config64, workload, n_clients, seed=6, max_phases=cycle,
         )
-        trial = workload.trials[0]
+        assert fleet.n_phases == cycle and not fleet.quantized
+        window = workload.trials[0].query.window
         expected = []
-        for p in range(0, sample):
-            session = ClientSession(dsi.program, config64, start_packet=p)
-            outcome = dsi.window_query(trial.query.window, session)
-            expected.append(outcome.metrics.latency_bytes)
-        assert fleet.result.latency.mean == pytest.approx(np.mean(expected))
-        assert fleet.result.latency.count == len(fractions)
+        for _, fracs in _seeded_draw(6, n_clients, 1):
+            for p in (fracs * cycle).astype(np.int64).tolist():
+                session = ClientSession(dsi.program, config64, start_packet=p)
+                expected.append(dsi.window_query(window, session).metrics.latency_bytes)
+        assert fleet.result.latency.count == n_clients
+        assert fleet.result.latency.mean == np.mean(expected)
+        for q in (0, 50, 95, 100):
+            assert fleet.result.latency.percentile(q) == np.percentile(expected, q)
 
     def test_streaming_within_bounds_of_exact(self, dsi, dataset, config64, workload):
         """The summaries estimate nothing: on a 10k-client fleet and a 10k-client
@@ -312,20 +314,34 @@ class TestExperimentComposition:
 
     def test_server_fleet_entry_point(self, dataset, config64, workload):
         server = BroadcastServer(dataset, config64, index="dsi", channels=2)
-        result = server.fleet(1_500, workload=workload, seed=4).run()
+        result = server.fleet(1_500, workload=workload, seed=4)
         assert result.n_clients == 1_500
         assert result.result.latency.count == 1_500
         row = result.as_row()
         assert row["n_clients"] == 1_500 and "clients_per_sec" in row
 
 
-def _per_client_population(result, index, config, n_items, *, seed, tune_in=None):
+def _seeded_draw(seed, n_clients, n_items):
+    """The fleet's client draw, redrawn: one seeded generator consumed in
+    65,536-client batches, each batch's item ids before its tune-in
+    fractions.  Returns the ``(ids, fractions)`` batches."""
+    rng = np.random.default_rng(seed)
+    batches, done = [], 0
+    while done < n_clients:
+        m = min(1 << 16, n_clients - done)
+        ids = rng.integers(0, n_items, size=m, dtype=np.int64)
+        batches.append((ids, rng.random(m)))
+        done += m
+    return batches
+
+
+def _per_client_population(result, index, config, n_items, *, seed):
     """Oracle: the population layer as a per-client stream.
 
-    Redraws the fleet's clients (one seeded generator, 65,536-client
-    batches), seeks each client's first navigation bucket on its own and
-    feeds every client's outcome through ``add_many`` in draw order.
-    Returns ``(latency, tuning, first_index_wait)`` summaries.
+    Redraws the fleet's clients (:func:`_seeded_draw`), seeks each client's
+    first navigation bucket on its own and feeds every client's outcome
+    through ``add_many`` in draw order.  Returns ``(latency, tuning,
+    first_index_wait)`` summaries.
     """
     from repro.broadcast import BroadcastSchedule
     from repro.broadcast.timeline import timeline_of
@@ -334,14 +350,10 @@ def _per_client_population(result, index, config, n_items, *, seed, tune_in=None
     view = BroadcastSchedule.for_config(index.program, config).view()
     cycle = view.cycle_packets
     n_phases = result.n_phases
-    rng = np.random.default_rng(seed)
-    batches, done = [], 0
-    while done < result.n_clients:
-        m = min(1 << 16, result.n_clients - done)
-        ids = rng.integers(0, n_items, size=m, dtype=np.int64)
-        fracs = rng.random(m) if tune_in is None else np.asarray(tune_in[done:done + m])
-        batches.append((ids * n_phases + (fracs * n_phases).astype(np.int64), fracs))
-        done += m
+    batches = [
+        (ids * n_phases + (fracs * n_phases).astype(np.int64), fracs)
+        for ids, fracs in _seeded_draw(seed, result.n_clients, n_items)
+    ]
     counts = np.bincount(np.concatenate([k for k, _ in batches]), minlength=n_items * n_phases)
     keys = np.flatnonzero(counts)
     np.testing.assert_array_equal(counts[keys], result.unique_counts)
@@ -405,11 +417,13 @@ class TestPopulationHistograms:
         )
 
     def test_pinned_tune_ins(self, dsi, dataset, config64, workload):
-        fracs = tuple(np.random.default_rng(4).random(900).tolist())
-        fleet = run_fleet(dsi, dataset, config64, workload, len(fracs), seed=2, tune_in=fracs)
+        """A fleet smaller than one draw batch, at the default phase count:
+        every client's tune-in is the seeded draw's, and the summaries equal
+        the per-client stream of that draw."""
+        fleet = run_fleet(dsi, dataset, config64, workload, 900, seed=2)
+        assert fleet.quantized
         _assert_population_matches(
-            fleet, _per_client_population(fleet, dsi, config64, len(workload), seed=2,
-                                          tune_in=fracs)
+            fleet, _per_client_population(fleet, dsi, config64, len(workload), seed=2)
         )
 
     def test_journey_summaries_equal_per_client_stream(self, dataset):

@@ -5,22 +5,26 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.broadcast import ClientSession, SystemConfig
-from repro.core import (
-    ClientKnowledge,
-    DsiIndex,
-    DsiParameters,
-    energy_efficient_forwarding,
-    read_first_table,
-    read_table,
-)
-from repro.spatial import uniform_dataset
+from repro.core import ClientKnowledge, DsiIndex, DsiParameters, read_table
+from repro.spatial import Rect, uniform_dataset
+from repro.spatial.hilbert import WINDOW_MAX_DEPTH, WINDOW_MAX_RANGES
 
 
 def fresh_knowledge(index):
     return ClientKnowledge(index.n_frames, index.n_segments, index.curve.max_value)
+
+
+def point_window(index, hc):
+    """A query window whose HC cover is the single value ``hc``."""
+    p = index.curve.representative_point(hc)
+    window = Rect(p.x, p.y, p.x, p.y)
+    cover = index.curve.ranges_for_rect(
+        window, max_ranges=WINDOW_MAX_RANGES, max_depth=WINDOW_MAX_DEPTH
+    )
+    assert cover == [(hc, hc)]
+    return window
 
 
 class TestClientKnowledge:
@@ -42,15 +46,6 @@ class TestClientKnowledge:
         assert knowledge.known_count >= len(dsi_m1.tables[0].entries)
         assert knowledge.global_min_hc == dsi_m1.frames_by_rank[0].min_hc
 
-    def test_covering_rank_lower_bound_never_overshoots(self, dsi_m1):
-        knowledge = fresh_knowledge(dsi_m1)
-        for table in dsi_m1.tables[::3]:
-            knowledge.learn_table(table)
-        for obj in list(dsi_m1.dataset)[::7]:
-            bound = knowledge.covering_rank_lower_bound(obj.hc)
-            true_rank = dsi_m1.frame_rank_covering(obj.hc)
-            assert bound <= true_rank
-
     def test_rank_interval_contains_true_candidates(self, dsi_m1):
         knowledge = fresh_knowledge(dsi_m1)
         knowledge.learn_table(dsi_m1.tables[0])
@@ -60,12 +55,12 @@ class TestClientKnowledge:
         for _ in range(50):
             lo = rng.randrange(space)
             hi = min(space - 1, lo + rng.randrange(space // 10))
-            a, b = knowledge.rank_interval_for(lo, hi)
-            # Every frame whose true extent intersects [lo, hi] must be inside [a, b].
+            candidates = set(knowledge.candidate_rank_array([(lo, hi)]).tolist())
+            # Every frame whose true extent intersects [lo, hi] must be a candidate.
             for rank in range(dsi_m1.n_frames):
                 e_lo, e_hi = dsi_m1.frame_extent(rank)
                 if not (e_hi < lo or e_lo > hi):
-                    assert a <= rank <= b
+                    assert rank in candidates
 
     def test_candidate_ranks_shrink_with_knowledge(self, dsi_m1):
         sparse = fresh_knowledge(dsi_m1)
@@ -74,57 +69,50 @@ class TestClientKnowledge:
         for table in dsi_m1.tables:
             dense.learn_table(table)
         lo, hi = dsi_m1.frame_extent(dsi_m1.n_frames // 2)
-        assert len(dense.candidate_ranks([(lo, hi)])) <= len(sparse.candidate_ranks([(lo, hi)]))
+        assert len(dense.candidate_rank_array([(lo, hi)])) <= len(
+            sparse.candidate_rank_array([(lo, hi)])
+        )
 
     def test_examined_ranks_are_skipped(self, dsi_m1):
         knowledge = fresh_knowledge(dsi_m1)
         knowledge.learn_table(dsi_m1.tables[0])
-        full = knowledge.candidate_ranks([(0, dsi_m1.curve.max_value - 1)])
-        knowledge.mark_examined(full[0])
-        assert full[0] not in knowledge.candidate_ranks([(0, dsi_m1.curve.max_value - 1)])
-
-    def test_known_fraction_monotone(self, dsi_m1):
-        knowledge = fresh_knowledge(dsi_m1)
-        before = knowledge.known_fraction()
-        knowledge.learn_table(dsi_m1.tables[0])
-        assert knowledge.known_fraction() > before
+        full = knowledge.candidate_rank_array([(0, dsi_m1.curve.max_value - 1)])
+        knowledge.mark_examined(int(full[0]))
+        assert full[0] not in knowledge.candidate_rank_array([(0, dsi_m1.curve.max_value - 1)])
 
 
 class TestEnergyEfficientForwarding:
+    """The paper's EEF is the planners' arrival-ordered walk (see
+    ``repro.core.window``): a point window forwards to the frame whose HC
+    extent covers the point, reading one index table per hop."""
+
     @pytest.mark.parametrize("segments", [1, 2])
     @pytest.mark.parametrize("capacity", [64, 256])
     def test_eef_reaches_covering_frame(self, segments, capacity):
         dataset = uniform_dataset(180, seed=23)
         config = SystemConfig(packet_capacity=capacity)
         index = DsiIndex(dataset, config, DsiParameters(n_segments=segments))
-        view = index.air_view()
         rng = random.Random(99)
         for _ in range(25):
-            target = rng.randrange(index.curve.max_value)
+            # Values below frame rank 0's minimum belong to no frame.
+            target = rng.randrange(index.frames_by_rank[0].min_hc, index.curve.max_value)
             start = rng.randrange(index.program.cycle_packets)
             session = ClientSession(index.program, config, start_packet=start)
             knowledge = fresh_knowledge(index)
-            table = read_first_table(session, view, knowledge)
-            result = energy_efficient_forwarding(session, view, knowledge, target, table)
-            reached_rank = index.rank_of_pos(result.frame_pos)
-            expected_rank = index.frame_rank_covering(target)
-            assert reached_rank == expected_rank
-            assert result.table.frame_pos == result.frame_pos
+            index.window_query(point_window(index, target), session, state=knowledge)
+            assert index.frame_rank_covering(target) in knowledge.examined
 
     def test_eef_hop_count_is_logarithmic(self):
         dataset = uniform_dataset(512, seed=31)
         config = SystemConfig(packet_capacity=64)
         index = DsiIndex(dataset, config, DsiParameters(n_segments=1))
-        view = index.air_view()
         rng = random.Random(3)
         budget = 2 * index.n_frames.bit_length() + 6
         for _ in range(10):
             target = rng.randrange(index.curve.max_value)
             session = ClientSession(index.program, config, start_packet=0)
-            knowledge = fresh_knowledge(index)
-            table = read_first_table(session, view, knowledge)
-            result = energy_efficient_forwarding(session, view, knowledge, target, table)
-            assert result.hops <= budget
+            result = index.window_query(point_window(index, target), session)
+            assert result.tables_read <= budget
 
     def test_read_table_learns_knowledge(self, dsi_m1, config64):
         view = dsi_m1.air_view()

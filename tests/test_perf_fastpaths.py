@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import cache_stats
 from repro.broadcast.config import SystemConfig
 from repro.broadcast.program import BucketKind
 from repro.queries.ground_truth import GridGroundTruth, answer, brute_answer, grid_for
@@ -31,7 +32,6 @@ from repro.sim.runner import (
     IndexSpec,
     build_index,
     clear_index_cache,
-    index_cache_stats,
     run_workload,
 )
 from repro.spatial.datasets import uniform_dataset
@@ -209,7 +209,7 @@ class TestIndexBuildCache:
         a = build_index("dsi", dataset, config, use_cache=True)
         b = build_index("dsi", dataset, config, use_cache=True)
         assert a is b
-        stats = index_cache_stats()
+        stats = cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_cache_key_discriminates(self):

@@ -20,7 +20,6 @@ from repro.queries import (
 from repro.sim import (
     IndexSpec,
     build_index,
-    compare_indexes,
     default_specs,
     deterioration,
     figure_report,
@@ -172,12 +171,6 @@ class TestRunner:
         error = LinkErrorModel(theta=0.3, scope="index", seed=1)
         result = run_workload(index, tiny_dataset, config64, workload, error_model=error)
         assert result.trials == 5 and result.accuracy == 1.0
-
-    def test_compare_indexes_paired(self, tiny_dataset, config64):
-        workload = window_workload(5, seed=7)
-        results = compare_indexes(tiny_dataset, config64, workload, verify=True)
-        assert set(results) == {"DSI", "R-tree", "HCI"}
-        assert all(r.accuracy == 1.0 for r in results.values())
 
 
 class TestSweeps:

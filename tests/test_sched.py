@@ -493,16 +493,6 @@ class TestFleetIntegration:
         # the optimized fleet waits less on this skewed mix
         assert opt.result.latency.mean < flat.result.latency.mean
 
-    def test_demand_profile_reflects_realized_draws(self, dataset, workload):
-        from repro.sim.fleet import run_fleet
-
-        index, config = _index(dataset, "dsi", 1)
-        res = run_fleet(index, dataset, config, workload, 500, seed=1)
-        assert res.query_draws.sum() == 500
-        profile = res.demand_profile()
-        assert len(profile) == len(index.program)
-        assert profile.weights.sum() == pytest.approx(1.0)
-
     def test_parallel_fleet_ships_explicit_schedule(self, dataset, workload):
         """Workers cannot rebuild an optimized layout from (program, config);
         serial and parallel runs over an explicit schedule must agree."""

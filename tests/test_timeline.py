@@ -250,16 +250,12 @@ class TestKnnVisitSequenceUnchanged:
                 return session.next_arrival(view.table_bucket(knowledge.pos_of_rank(rank)))
 
             if strategy == "aggressive" and len(space.retrieved) < space.k:
-                known = [
-                    r for r in needed_list if knowledge.known_min_of(r) is not None
-                ]
+                mins = knowledge.known_mins(np.asarray(needed_list, dtype=np.int64)).tolist()
+                known = {r: v for r, v in zip(needed_list, mins) if v >= 0}
                 if known:
                     return min(
                         known,
-                        key=lambda r: (
-                            space.estimate_distance(knowledge.known_min_of(r)),
-                            arrival(r),
-                        ),
+                        key=lambda r: (space.estimate_distance(known[r]), arrival(r)),
                     )
             return min(needed_list, key=arrival)
 

@@ -120,7 +120,7 @@ class TestAirView:
         _dataset, _config, index = built
         view = index.air_view()
         for pos in range(index.n_frames):
-            assert view.frame_pos_of_bucket(view.table_bucket(pos)) == pos
+            assert view.program.buckets[view.table_bucket(pos)].meta["frame_pos"] == pos
             buckets = view.frame_object_buckets(pos)
             assert len(buckets) == len(index.frames[pos].objects)
             assert view.object_bucket_in_frame(pos, 0) == buckets[0]
